@@ -59,12 +59,12 @@ from .graded import (
     Element,
     GradedBasis,
     Permutation,
-    Scalar,
     Shift,
     anti_koszul_sign,
     koszul_sign,
     shifted_degrees,
     sign_of_permutation,
+    signed_unshuffles,
     unshuffles,
 )
 from .multiop import (

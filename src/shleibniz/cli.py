@@ -4,17 +4,23 @@ Thin wrapper over the runner: each subcommand reads one document (a file
 path or '-' for stdin), runs its checks, prints the report, and exits with
 0 when everything passed, 1 when a check found violations, and 2 when the
 input could not be used (parse errors, missing sections, bad flags).
+
+The subcommands are generated from ``runner.COMMANDS``: each takes the
+scope flags its ``runner._OPTION_FIELDS`` entry lists, with the
+``RunOptions`` defaults, plus ``--format``; its help is the docstring of the
+runner function.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import click
 
 from .errors import DocumentError, EngineError
 from .report import render_structured, render_text
-from .runner import RunOptions, run_command
+from .runner import _OPTION_FIELDS, COMMANDS, RunOptions, run_command
 
 
 def _finish(command: str, text: str, options: RunOptions, fmt: str) -> None:
@@ -32,41 +38,25 @@ def _finish(command: str, text: str, options: RunOptions, fmt: str) -> None:
     sys.exit(0 if report.passed else 1)
 
 
-_source = click.argument("source", type=click.File("r"))
-_format = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "structured"]),
-    default="text",
-    show_default=True,
-    help="Report rendering.",
-)
-_first = click.option(
-    "--first-violation",
-    is_flag=True,
-    help="Stop each check at its first counterexample.",
-)
-_max_const = click.option(
-    "--max-const",
-    type=click.IntRange(min=2),
-    default=6,
-    show_default=True,
-    help="Largest identity weight checked.",
-)
-_max_word_len = click.option(
-    "--max-word-len",
-    type=click.IntRange(min=1),
-    default=4,
-    show_default=True,
-    help="Largest tensor word length checked.",
-)
-_max_arity = click.option(
-    "--max-arity",
-    type=click.IntRange(min=1),
-    default=3,
-    show_default=True,
-    help="Largest nested-operation arity checked.",
-)
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunOptions)}
+
+# click settings per RunOptions field; defaults come from RunOptions itself
+_FLAGS = {
+    "max_const": dict(
+        type=click.IntRange(min=2), show_default=True, help="Largest identity weight checked."
+    ),
+    "max_word_len": dict(
+        type=click.IntRange(min=1), show_default=True, help="Largest tensor word length checked."
+    ),
+    "max_arity": dict(
+        type=click.IntRange(min=1),
+        show_default=True,
+        help="Largest nested-operation arity checked.",
+    ),
+    "first_violation": dict(
+        is_flag=True, help="Stop each check at its first counterexample."
+    ),
+}
 
 
 @click.group()
@@ -74,148 +64,30 @@ def main() -> None:
     """Exact verification of derived brackets on graded Leibniz algebras."""
 
 
-@main.command("validate")
-@_source
-@_format
-def cmd_validate(source, fmt: str) -> None:
-    """Parse a document and summarise its sections."""
-    _finish("validate", source.read(), RunOptions(), fmt)
+def _add_command(command: str) -> None:
+    def callback(source, fmt: str, **flags) -> None:
+        _finish(command, source.read(), RunOptions(**flags), fmt)
 
-
-@main.command("check-leibniz")
-@_source
-@_format
-def cmd_check_leibniz(source, fmt: str) -> None:
-    """Left Leibniz identity on all basis triples."""
-    _finish("check-leibniz", source.read(), RunOptions(), fmt)
-
-
-@main.command("check-deformation")
-@_source
-@_format
-def cmd_check_deformation(source, fmt: str) -> None:
-    """Derivation rule and square-zero ladder for the family."""
-    _finish("check-deformation", source.read(), RunOptions(), fmt)
-
-
-@main.command("derive")
-@_source
-@_format
-def cmd_derive(source, fmt: str) -> None:
-    """Construct the higher brackets and print their structure constants."""
-    _finish("derive", source.read(), RunOptions(), fmt)
-
-
-@main.command("check-sh")
-@_source
-@_max_const
-@_first
-@_format
-def cmd_check_sh(source, max_const: int, first_violation: bool, fmt: str) -> None:
-    """Strong homotopy identities for the derived brackets."""
-    _finish(
-        "check-sh",
-        source.read(),
-        RunOptions(max_const=max_const, first_violation=first_violation),
-        fmt,
+    params = [click.Argument(["source"], type=click.File("r"))]
+    for name in _OPTION_FIELDS.get(command, ()):
+        flag = "--" + name.replace("_", "-")
+        params.append(click.Option([flag], default=_DEFAULTS[name], **_FLAGS[name]))
+    params.append(
+        click.Option(
+            ["--format", "fmt"],
+            type=click.Choice(["text", "structured"]),
+            default="text",
+            show_default=True,
+            help="Report rendering.",
+        )
+    )
+    main.add_command(
+        click.Command(command, callback=callback, params=params, help=COMMANDS[command].__doc__)
     )
 
 
-@main.command("check-codifferential")
-@_source
-@_max_word_len
-@_first
-@_format
-def cmd_check_codifferential(
-    source, max_word_len: int, first_violation: bool, fmt: str
-) -> None:
-    """Square of the lifted codifferential on tensor words."""
-    _finish(
-        "check-codifferential",
-        source.read(),
-        RunOptions(max_word_len=max_word_len, first_violation=first_violation),
-        fmt,
-    )
-
-
-@main.command("check-key-lemma")
-@_source
-@_max_arity
-@_first
-@_format
-def cmd_check_key_lemma(source, max_arity: int, first_violation: bool, fmt: str) -> None:
-    """Nested-operation compatibility with commutators of derivations."""
-    _finish(
-        "check-key-lemma",
-        source.read(),
-        RunOptions(max_arity=max_arity, first_violation=first_violation),
-        fmt,
-    )
-
-
-@main.command("gauge")
-@_source
-@_format
-def cmd_gauge(source, fmt: str) -> None:
-    """Transform the family by the gauge and recheck it."""
-    _finish("gauge", source.read(), RunOptions(), fmt)
-
-
-@main.command("check-gauge-equivalence")
-@_source
-@_max_word_len
-@_first
-@_format
-def cmd_check_gauge_equivalence(
-    source, max_word_len: int, first_violation: bool, fmt: str
-) -> None:
-    """Conjugation, morphism, and orderwise laws for the gauge exponential."""
-    _finish(
-        "check-gauge-equivalence",
-        source.read(),
-        RunOptions(max_word_len=max_word_len, first_violation=first_violation),
-        fmt,
-    )
-
-
-@main.command("check-coalgebra")
-@_source
-@_max_word_len
-@_format
-def cmd_check_coalgebra(source, max_word_len: int, fmt: str) -> None:
-    """Comultiplication axiom and coderivation law for lifted maps."""
-    _finish(
-        "check-coalgebra", source.read(), RunOptions(max_word_len=max_word_len), fmt
-    )
-
-
-@main.command("report-all")
-@_source
-@_max_const
-@_max_word_len
-@_max_arity
-@_first
-@_format
-def cmd_report_all(
-    source,
-    max_const: int,
-    max_word_len: int,
-    max_arity: int,
-    first_violation: bool,
-    fmt: str,
-) -> None:
-    """Every applicable suite, one verdict per check plus an overall verdict."""
-    _finish(
-        "report-all",
-        source.read(),
-        RunOptions(
-            max_const=max_const,
-            max_word_len=max_word_len,
-            max_arity=max_arity,
-            first_violation=first_violation,
-        ),
-        fmt,
-    )
+for _command in COMMANDS:
+    _add_command(_command)
 
 
 if __name__ == "__main__":

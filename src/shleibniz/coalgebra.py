@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
 from .errors import MalformedInputError
-from .graded import Element, GradedBasis, koszul_sign, unshuffles
+from .graded import Element, GradedBasis, SparseVector, signed_unshuffles
 from .multiop import MultiOp
 from .results import Verdict, Violation
 
@@ -53,148 +53,48 @@ def format_word(basis: GradedBasis, word: Word) -> str:
     return "(" + ",".join(basis.names[i] for i in word) + ")"
 
 
-class TensorElement:
+def _check_word(basis: GradedBasis, word: Word) -> Word:
+    if len(word) < 1:
+        raise MalformedInputError("words must have at least one letter")
+    if any(not 0 <= i < len(basis) for i in word):
+        raise MalformedInputError(f"word {word} has a letter out of range")
+    return tuple(word)
+
+
+def format_pair(basis: GradedBasis, key: tuple[Word, Word]) -> str:
+    return f"{format_word(basis, key[0])}(x){format_word(basis, key[1])}"
+
+
+class TensorElement(SparseVector):
     """Sparse element of T(V): map from words to Fraction coefficients."""
 
-    __slots__ = ("basis", "terms")
-
-    def __init__(self, basis: GradedBasis, terms: Mapping[Word, Fraction | int] | None = None):
-        clean: dict[Word, Fraction] = {}
-        if terms:
-            for word, c in terms.items():
-                if len(word) < 1:
-                    raise MalformedInputError("words must have at least one letter")
-                if any(not 0 <= i < len(basis) for i in word):
-                    raise MalformedInputError(f"word {word} has a letter out of range")
-                c = Fraction(c)
-                if c:
-                    clean[tuple(word)] = c
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TensorElement is immutable")
+    __slots__ = ()
+    _check_key = staticmethod(_check_word)
+    _render_key = staticmethod(format_word)
 
     @staticmethod
-    def zero(basis: GradedBasis) -> "TensorElement":
-        return TensorElement(basis, None)
+    def _order(word: Word):
+        return (len(word), word)
 
     @staticmethod
     def from_word(basis: GradedBasis, word: Word) -> "TensorElement":
         return TensorElement(basis, {tuple(word): Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
 
-    def items(self) -> list[tuple[Word, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.basis == other.basis and self.terms == other.terms
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if self.basis != other.basis:
-            raise MalformedInputError("tensor elements live over different bases")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return TensorElement(self.basis, out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scale(-1)
-
-    def scale(self, scalar: Fraction | int) -> "TensorElement":
-        scalar = Fraction(scalar)
-        return TensorElement(self.basis, {w: scalar * c for w, c in self.terms.items()})
-
-    def __repr__(self) -> str:
-        return f"TensorElement({format_tensor_element(self)})"
-
-
-def format_tensor_element(te: TensorElement) -> str:
-    items = te.items()
-    if not items:
-        return "0"
-    parts: list[str] = []
-    for pos, (word, c) in enumerate(items):
-        body = format_word(te.basis, word)
-        if abs(c) != 1:
-            body = f"{abs(c)} {body}"
-        if pos == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
-
-
-class TensorPairElement:
+class TensorPairElement(SparseVector):
     """Sparse element of T(V) (x) T(V)."""
 
-    __slots__ = ("basis", "terms")
-
-    def __init__(
-        self,
-        basis: GradedBasis,
-        terms: Mapping[tuple[Word, Word], Fraction | int] | None = None,
-    ):
-        clean: dict[tuple[Word, Word], Fraction] = {}
-        if terms:
-            for (left, right), c in terms.items():
-                if len(left) < 1 or len(right) < 1:
-                    raise MalformedInputError("pair factors must be nonempty words")
-                c = Fraction(c)
-                if c:
-                    clean[(tuple(left), tuple(right))] = c
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TensorPairElement is immutable")
+    __slots__ = ()
+    _render_key = staticmethod(format_pair)
 
     @staticmethod
-    def zero(basis: GradedBasis) -> "TensorPairElement":
-        return TensorPairElement(basis, None)
+    def _check_key(basis: GradedBasis, key: tuple[Word, Word]) -> tuple[Word, Word]:
+        left, right = key
+        return (_check_word(basis, left), _check_word(basis, right))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self) -> list[tuple[tuple[Word, Word], Fraction]]:
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (len(kv[0][0]), len(kv[0][1]), kv[0]),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorPairElement):
-            return NotImplemented
-        return self.basis == other.basis and self.terms == other.terms
-
-    def __add__(self, other: "TensorPairElement") -> "TensorPairElement":
-        if self.basis != other.basis:
-            raise MalformedInputError("pair elements live over different bases")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return TensorPairElement(self.basis, out)
-
-    def __sub__(self, other: "TensorPairElement") -> "TensorPairElement":
-        return self + other.scale(-1)
-
-    def scale(self, scalar: Fraction | int) -> "TensorPairElement":
-        scalar = Fraction(scalar)
-        return TensorPairElement(self.basis, {k: scalar * c for k, c in self.terms.items()})
-
-    def __repr__(self) -> str:
-        items = self.items()
-        if not items:
-            return "TensorPairElement(0)"
-        parts = [
-            f"{c} {format_word(self.basis, l)}(x){format_word(self.basis, r)}"
-            for (l, r), c in items
-        ]
-        return "TensorPairElement(" + " + ".join(parts) + ")"
+    @staticmethod
+    def _order(key: tuple[Word, Word]):
+        return (len(key[0]), len(key[1]), key)
 
 
 def comultiply(basis: GradedBasis, word: Word) -> TensorPairElement:
@@ -202,16 +102,14 @@ def comultiply(basis: GradedBasis, word: Word) -> TensorPairElement:
     n = len(word) - 1
     if n < 0:
         raise MalformedInputError("cannot comultiply the empty word")
-    degs = [basis.degree(i) for i in word[:n]]
-    acc: dict[tuple[Word, Word], Fraction] = {}
+    parities = tuple(basis.degree(i) % 2 for i in word[:n])
+    last = word[n:]
+    acc: dict[tuple[Word, Word], int] = {}
     for i in range(1, n + 1):
-        for sigma in unshuffles(i, n - i):
-            eps = koszul_sign(sigma, degs)
-            left = tuple(word[sigma(a) - 1] for a in range(1, i + 1))
-            right = tuple(word[sigma(a) - 1] for a in range(i + 1, n + 1)) + (word[n],)
-            key = (left, right)
-            acc[key] = acc.get(key, Fraction(0)) + eps
-    return TensorPairElement(basis, acc)
+        for first, second, eps, _, _ in signed_unshuffles(i, n - i, parities):
+            key = (tuple(word[a] for a in first), tuple(word[a] for a in second) + last)
+            acc[key] = acc.get(key, 0) + eps
+    return TensorPairElement._trusted(basis, {k: Fraction(c) for k, c in acc.items()})
 
 
 def comultiply_tensor(te: TensorElement) -> TensorPairElement:
@@ -226,13 +124,14 @@ def check_dual_leibniz(basis: GradedBasis, max_len: int) -> Verdict:
     violations: list[Violation] = []
     for length in range(1, max_len + 1):
         for word in basis.index_tuples(length):
+            delta = comultiply(basis, word).terms
             lhs: dict[tuple[Word, Word, Word], Fraction] = {}
-            for (w1, w2), c in comultiply(basis, word).terms.items():
+            for (w1, w2), c in delta.items():
                 for (w21, w22), c2 in comultiply(basis, w2).terms.items():
                     key = (w1, w21, w22)
                     lhs[key] = lhs.get(key, Fraction(0)) + c * c2
             rhs: dict[tuple[Word, Word, Word], Fraction] = {}
-            for (w1, w2), c in comultiply(basis, word).terms.items():
+            for (w1, w2), c in delta.items():
                 for (w11, w12), c1 in comultiply(basis, w1).terms.items():
                     # (Delta (x) 1) Delta, then the same with factors swapped
                     key = (w11, w12, w2)
@@ -298,21 +197,19 @@ def lift_coderivation(op: MultiOp) -> CoderivationSpec:
 
 
 def _lift_terms(
-    op: MultiOp, word: Word, degs: list[int], k: int
+    op: MultiOp, word: Word, parities: tuple[int, ...], k: int
 ) -> Iterator[tuple[Word, Fraction]]:
     """Terms of the k-th summand of op's lift on one word."""
     i = op.arity
-    n = len(word)
+    pinned = word[k - 1 : k]
     suffix = word[k:]
-    for sigma in unshuffles(k - i, i - 1):
-        eps = koszul_sign(sigma, degs[: k - 1])
-        prefix_positions = [sigma(a) for a in range(1, k - i + 1)]
-        inner_positions = [sigma(a) for a in range(k - i + 1, k)]
-        prefix = tuple(word[p - 1] for p in prefix_positions)
-        inner = tuple(word[p - 1] for p in inner_positions) + (word[k - 1],)
-        jumped = sum(degs[p - 1] for p in prefix_positions)
-        sign = eps * (-1 if (op.degree * jumped) % 2 else 1)
-        image = op.apply_indices(inner)
+    odd = op.degree % 2
+    for first, second, eps, _, jumped in signed_unshuffles(k - i, i - 1, parities[: k - 1]):
+        image = op.constants.get(tuple(word[a] for a in second) + pinned)
+        if image is None:
+            continue
+        sign = -eps if odd and jumped else eps
+        prefix = tuple(word[a] for a in first)
         for letter, c in image.coeffs.items():
             yield prefix + (letter,) + suffix, sign * c
 
@@ -326,26 +223,26 @@ def decompose_k(op: MultiOp, k: int, basis: GradedBasis, word: Word) -> TensorEl
     n = len(word)
     if k < op.arity or k > n:
         return TensorElement.zero(basis)
-    degs = [basis.degree(i) for i in word]
+    parities = tuple(basis.degree(i) % 2 for i in word)
     acc: dict[Word, Fraction] = {}
-    for w, c in _lift_terms(op, word, degs, k):
-        acc[w] = acc.get(w, Fraction(0)) + c
-    return TensorElement(basis, acc)
+    for w, c in _lift_terms(op, word, parities, k):
+        acc[w] = acc[w] + c if w in acc else c
+    return TensorElement._trusted(basis, acc)
 
 
 def evaluate_coderivation(spec: CoderivationSpec, word: Word) -> TensorElement:
     """Apply the coderivation described by spec to one word."""
     n = len(word)
     basis = spec.basis
-    degs = [basis.degree(i) for i in word]
+    parities = tuple(basis.degree(i) % 2 for i in word)
     acc: dict[Word, Fraction] = {}
     for i, op in spec.components.items():
         if i > n:
             continue
         for k in range(i, n + 1):
-            for w, c in _lift_terms(op, word, degs, k):
-                acc[w] = acc.get(w, Fraction(0)) + c
-    return TensorElement(basis, acc)
+            for w, c in _lift_terms(op, word, parities, k):
+                acc[w] = acc[w] + c if w in acc else c
+    return TensorElement._trusted(basis, acc)
 
 
 def evaluate_on_tensor(spec: CoderivationSpec, te: TensorElement) -> TensorElement:
@@ -358,7 +255,7 @@ def evaluate_on_tensor(spec: CoderivationSpec, te: TensorElement) -> TensorEleme
 def corestriction(te: TensorElement) -> Element:
     """Project onto the single-letter words."""
     coeffs = {w[0]: c for w, c in te.terms.items() if len(w) == 1}
-    return Element(te.basis, coeffs)
+    return Element._trusted(te.basis, coeffs)
 
 
 def check_coderivation_axiom(
@@ -387,7 +284,7 @@ def check_coderivation_axiom(
                 for w2p, c2 in evaluate(w2).terms.items():
                     key = (w1, w2p)
                     acc[key] = acc.get(key, Fraction(0)) + jump * c * c2
-            residual = lhs - TensorPairElement(basis, acc)
+            residual = lhs - TensorPairElement._trusted(basis, acc)
             if not residual.is_zero():
                 violations.append(
                     Violation(
@@ -410,7 +307,7 @@ def apply_to_words(op: MultiOp, te: TensorElement) -> Element:
         image = op.apply_indices(word)
         for i, ci in image.coeffs.items():
             out[i] = out.get(i, Fraction(0)) + c * ci
-    return Element(op.basis, out)
+    return Element._trusted(op.basis, out)
 
 
 def hom_bracket(f: MultiOp, g: MultiOp) -> MultiOp:

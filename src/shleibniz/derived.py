@@ -37,6 +37,7 @@ coalgebra; both formulations are exposed and must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .coalgebra import CoderivationSpec, evaluate_coderivation, evaluate_on_tensor
@@ -45,11 +46,10 @@ from .graded import (
     Element,
     GradedBasis,
     Shift,
-    anti_koszul_sign,
     apply_layer,
     shifted_degrees,
+    signed_unshuffles,
     suspension_factor,
-    unshuffles,
 )
 from .multiop import MultiOp, check_derivation, commutator, compose_unary, n_i_d, nary_bracket
 from .results import Verdict, Violation
@@ -260,26 +260,31 @@ def check_sh_leibniz(
             continue
         width = const - 1
         for xs in sbasis.index_tuples(width):
-            degs = [sbasis.degree(b) for b in xs]
-            residual = Element.zero(sbasis)
+            parities = tuple(sbasis.degree(b) % 2 for b in xs)
+            acc: dict[int, Fraction] = {}
             for i, j in pairs:
-                li = structure.op(i)
-                lj = structure.op(j)
+                li = structure.op(i).constants
+                lj = structure.op(j).constants
                 for k in range(j, const):
                     base_sign = -1 if ((k + 1 - j) * (j - 1)) % 2 else 1
-                    for sigma in unshuffles(k - j, j - 1):
-                        chi = anti_koszul_sign(sigma, degs[: k - 1])
-                        prefix_positions = [sigma(a) for a in range(1, k - j + 1)]
-                        inner_positions = [sigma(a) for a in range(k - j + 1, k)]
-                        jumped = sum(degs[p - 1] for p in prefix_positions)
-                        jump_sign = -1 if (j * jumped) % 2 else 1
-                        inner_key = tuple(xs[p - 1] for p in inner_positions) + (xs[k - 1],)
-                        inner = lj.apply_indices(inner_key)
-                        args = [sbasis.vector(xs[p - 1]) for p in prefix_positions]
-                        args.append(inner)
-                        args.extend(sbasis.vector(b) for b in xs[k:])
-                        term = li.apply(args).scale(chi * base_sign * jump_sign)
-                        residual = residual + term
+                    pinned = xs[k - 1 : k]
+                    suffix = xs[k:]
+                    for first, second, eps, sgn, jumped in signed_unshuffles(
+                        k - j, j - 1, parities[: k - 1]
+                    ):
+                        inner = lj.get(tuple(xs[a] for a in second) + pinned)
+                        if inner is None:
+                            continue
+                        sign = eps * sgn * base_sign * (-1 if j % 2 and jumped else 1)
+                        prefix = tuple(xs[a] for a in first)
+                        for letter, c in inner.coeffs.items():
+                            image = li.get(prefix + (letter,) + suffix)
+                            if image is None:
+                                continue
+                            for b, cb in image.coeffs.items():
+                                term = sign * c * cb
+                                acc[b] = acc[b] + term if b in acc else term
+            residual = Element._trusted(sbasis, acc)
             if not residual.is_zero():
                 violations.append(
                     Violation(

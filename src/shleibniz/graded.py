@@ -16,19 +16,24 @@ are fixed once here and consumed everywhere else:
 The formal suspension s raises every degree by one; its tensor powers are
 ordinary operator layers under the rule above, so s(i) and s^{-1}(i) need no
 special casing and s^{-1}(i) s(i) = (-1)^(i(i-1)/2) falls out of ``layer_sign``.
+
+Two pieces are shared by every layer above: ``signed_unshuffles``, the one
+cached table of unshuffles with their signs that the comultiplication, the
+coderivation lifts and the sh identities all loop over; and ``SparseVector``,
+the one implementation of sparse exact vector arithmetic behind ``Element``
+here and the tensor elements of the coalgebra.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import MalformedInputError
-
-Scalar = Fraction
 
 
 @dataclass(frozen=True)
@@ -60,11 +65,7 @@ class GradedBasis:
 
     def vector(self, key: int | str) -> "Element":
         index = self.index(key) if isinstance(key, str) else key
-        return Element(self, {index: Fraction(1)})
-
-    def vectors(self) -> Iterator["Element"]:
-        for i in range(len(self)):
-            yield self.vector(i)
+        return Element(self, {index: 1})
 
     def index_tuples(self, length: int) -> Iterator[tuple[int, ...]]:
         """All tuples of basis indices of the given length, lexicographic."""
@@ -83,75 +84,121 @@ def shifted_degrees(basis: GradedBasis, shift: Shift) -> GradedBasis:
     return GradedBasis(basis.names, tuple(d + shift.value for d in basis.degrees))
 
 
-class Element:
-    """Sparse vector over a GradedBasis with Fraction coefficients.
+def _letter_name(basis: GradedBasis, index: int) -> str:
+    return basis.names[index]
 
-    Immutable by convention; all operations return fresh elements.  Zero
-    coefficients are never stored.
+
+class SparseVector:
+    """Sparse vector over a GradedBasis: keys mapped to Fraction coefficients.
+
+    Immutable by convention; all operations return fresh vectors of the same
+    class.  Zero coefficients are never stored.  Subclasses fix the kind of
+    key (``_check_key``) and the order ``items`` lists them in (``_order``).
     """
 
     __slots__ = ("basis", "coeffs")
 
-    def __init__(self, basis: GradedBasis, coeffs: Mapping[int, Fraction | int] | None = None):
-        clean: dict[int, Fraction] = {}
+    def __init__(self, basis: GradedBasis, coeffs: Mapping | None = None):
+        clean: dict = {}
         if coeffs:
-            for i, c in coeffs.items():
-                if not 0 <= i < len(basis):
-                    raise MalformedInputError(f"basis index {i} out of range")
+            check = self._check_key
+            for key, c in coeffs.items():
+                key = check(basis, key)
                 c = Fraction(c)
                 if c:
-                    clean[i] = c
+                    clean[key] = c
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", clean)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Element is immutable")
+    @staticmethod
+    def _check_key(basis: GradedBasis, key):
+        """Validated, normalised key; raises MalformedInputError."""
+        raise NotImplementedError
 
     @staticmethod
-    def zero(basis: GradedBasis) -> "Element":
-        return Element(basis, None)
+    def _order(key):
+        return key
+
+    _render_key = staticmethod(_letter_name)
+
+    @classmethod
+    def _trusted(cls, basis: GradedBasis, coeffs: Mapping):
+        """Vector from keys and Fraction values already known to be valid.
+
+        For arithmetic results and engine accumulators: zeros are dropped,
+        keys and coefficients are taken as they are.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "basis", basis)
+        object.__setattr__(out, "coeffs", {k: c for k, c in coeffs.items() if c})
+        return out
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, basis: GradedBasis):
+        return cls._trusted(basis, {})
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients, under the name the tensor coalgebra uses."""
+        return self.coeffs
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self.coeffs.items())
+    def items(self) -> list:
+        return sorted(self.coeffs.items(), key=lambda kv: self._order(kv[0]))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Element):
+        if type(other) is not type(self):
             return NotImplemented
         return self.basis == other.basis and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.basis, tuple(self.items())))
 
-    def _require_same_basis(self, other: "Element") -> None:
+    def _combine(self, other: "SparseVector", negate: bool):
         if self.basis != other.basis:
-            raise MalformedInputError("elements live over different bases")
-
-    def __add__(self, other: "Element") -> "Element":
-        self._require_same_basis(other)
+            raise MalformedInputError("vectors live over different bases")
         out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + c
-        return Element(self.basis, out)
+        for k, c in other.coeffs.items():
+            if negate:
+                c = -c
+            out[k] = out[k] + c if k in out else c
+        return self._trusted(self.basis, out)
 
-    def __sub__(self, other: "Element") -> "Element":
-        self._require_same_basis(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) - c
-        return Element(self.basis, out)
+    def __add__(self, other):
+        return self._combine(other, False)
 
-    def __neg__(self) -> "Element":
-        return Element(self.basis, {i: -c for i, c in self.coeffs.items()})
+    def __sub__(self, other):
+        return self._combine(other, True)
 
-    def scale(self, scalar: Fraction | int) -> "Element":
+    def __neg__(self):
+        return self._trusted(self.basis, {k: -c for k, c in self.coeffs.items()})
+
+    def scale(self, scalar: Fraction | int):
         scalar = Fraction(scalar)
-        return Element(self.basis, {i: scalar * c for i, c in self.coeffs.items()})
+        return self._trusted(self.basis, {k: scalar * c for k, c in self.coeffs.items()})
 
-    def __rmul__(self, scalar: Fraction | int) -> "Element":
+    def __rmul__(self, scalar: Fraction | int):
         return self.scale(scalar)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({format_element(self, self._render_key)})"
+
+
+class Element(SparseVector):
+    """Sparse vector of V, keyed by basis index."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_key(basis: GradedBasis, key: int) -> int:
+        if not 0 <= key < len(basis):
+            raise MalformedInputError(f"basis index {key} out of range")
+        return key
 
     def homogeneous_degree(self) -> int | None:
         """Common degree of the support, None for zero, error if mixed."""
@@ -169,20 +216,22 @@ class Element:
         """
         if len(basis) != len(self.basis):
             raise MalformedInputError("reshape target has different dimension")
-        return Element(basis, dict(self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"Element({format_element(self)})"
+        return Element._trusted(basis, self.coeffs)
 
 
-def format_element(elt: Element) -> str:
-    """Render deterministically, e.g. '1/2 g1 + h - 2 w'; zero renders as '0'."""
-    items = elt.items()
+def format_element(
+    vec: SparseVector, render_key: Callable[[GradedBasis, object], str] = _letter_name
+) -> str:
+    """Render deterministically, e.g. '1/2 g1 + h - 2 w'; zero renders as '0'.
+
+    render_key names one key; the default names a basis letter.
+    """
+    items = vec.items()
     if not items:
         return "0"
     parts: list[str] = []
-    for pos, (i, c) in enumerate(items):
-        name = elt.basis.names[i]
+    for pos, (key, c) in enumerate(items):
+        name = render_key(vec.basis, key)
         mag = abs(c)
         body = name if mag == 1 else f"{mag} {name}"
         if pos == 0:
@@ -203,22 +252,12 @@ class Permutation:
         if sorted(self.images) != list(range(1, n + 1)):
             raise MalformedInputError(f"not a permutation of 1..{n}: {self.images}")
 
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
     @property
     def size(self) -> int:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self . other)(i) = self(other(i))."""
-        if self.size != other.size:
-            raise MalformedInputError("cannot compose permutations of different sizes")
-        return Permutation(tuple(self(other(i)) for i in range(1, self.size + 1)))
 
     def inversions(self) -> list[tuple[int, int]]:
         """Pairs (a, b) with a < b and sigma(a) > sigma(b), positions 1-based."""
@@ -229,12 +268,6 @@ class Permutation:
             for b in range(a + 1, n + 1)
             if self(a) > self(b)
         ]
-
-    def apply_to(self, items: Sequence) -> tuple:
-        """(x_1, ..., x_n) |-> (x_sigma(1), ..., x_sigma(n))."""
-        if len(items) != self.size:
-            raise MalformedInputError("permutation size does not match tuple length")
-        return tuple(items[self(i) - 1] for i in range(1, self.size + 1))
 
 
 def sign_of_permutation(perm: Permutation) -> int:
@@ -274,6 +307,33 @@ def unshuffles(p: int, q: int) -> list[Permutation]:
         rest = tuple(i for i in universe if i not in first)
         out.append(Permutation(first + rest))
     return out
+
+
+# (first positions, second positions, koszul sign, permutation sign,
+#  parity of the first block's degrees); positions are 0-based
+UnshuffleRow = tuple[tuple[int, ...], tuple[int, ...], int, int, int]
+
+
+@functools.cache
+def signed_unshuffles(p: int, q: int, parities: tuple[int, ...]) -> tuple[UnshuffleRow, ...]:
+    """The (p, q)-unshuffles with their signs, for symbols of the given degree parities.
+
+    Every sign the coalgebra and the sh identities need depends on degrees
+    only through their parities, so one table per (p, q, parities) serves
+    every word.  Rows follow the order of ``unshuffles``; the reference
+    ``unshuffles``, ``koszul_sign`` and ``sign_of_permutation`` build them.
+    """
+    if len(parities) != p + q:
+        raise MalformedInputError("parity tuple does not match the unshuffle size")
+    rows = []
+    for sigma in unshuffles(p, q):
+        first = tuple(sigma(a) - 1 for a in range(1, p + 1))
+        second = tuple(sigma(a) - 1 for a in range(p + 1, p + q + 1))
+        jumped = sum(parities[i] for i in first) % 2
+        rows.append(
+            (first, second, koszul_sign(sigma, parities), sign_of_permutation(sigma), jumped)
+        )
+    return tuple(rows)
 
 
 # A layer factor is (degree, fn); fn None means the identity.  fn must be a
@@ -318,8 +378,3 @@ def suspension_factor(src: GradedBasis, shift: Shift) -> LayerFactor:
     """The shift s (or s^{-1}) as a layer factor from the given source basis."""
     target = shifted_degrees(src, shift)
     return (shift.value, lambda e: e.reshape(target))
-
-
-def all_degree_tuples(values: Iterable[int], length: int) -> Iterator[tuple[int, ...]]:
-    """Cartesian power, used by exhaustive sign tests."""
-    return itertools.product(tuple(values), repeat=length)

@@ -80,19 +80,6 @@ class MultiOp:
         return MultiOp(basis, arity, degree, None)
 
     @staticmethod
-    def from_images(
-        basis: GradedBasis,
-        arity: int,
-        degree: int,
-        images: Mapping[tuple[str, ...], Element],
-    ) -> "MultiOp":
-        """Build from name tuples, convenient for fixtures."""
-        constants = {
-            tuple(basis.index(n) for n in key): image for key, image in images.items()
-        }
-        return MultiOp(basis, arity, degree, constants)
-
-    @staticmethod
     def from_function(
         basis: GradedBasis,
         arity: int,
@@ -115,7 +102,7 @@ class MultiOp:
                 raise MalformedInputError("argument lives over a foreign basis")
         acc: dict[int, Fraction] = {}
         self._accumulate(args, 0, (), Fraction(1), acc)
-        return Element(self.basis, acc)
+        return Element._trusted(self.basis, acc)
 
     def _accumulate(
         self,

@@ -11,12 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .coalgebra import (
-    TensorElement,
-    TensorPairElement,
-    format_tensor_element,
-    format_word,
-)
+from .coalgebra import TensorElement, TensorPairElement, format_pair, format_word
 from .graded import Element, format_element
 from .results import Violation
 
@@ -57,13 +52,9 @@ def render_residual(residual: object | None) -> str:
     if isinstance(residual, Element):
         return format_element(residual)
     if isinstance(residual, TensorElement):
-        return format_tensor_element(residual)
+        return format_element(residual, format_word)
     if isinstance(residual, TensorPairElement):
-        parts = [
-            f"{coeff} {format_word(residual.basis, left)}"
-            f"(x){format_word(residual.basis, right)}"
-            for (left, right), coeff in residual.items()
-        ]
+        parts = [f"{coeff} {format_pair(residual.basis, key)}" for key, coeff in residual.items()]
         return " + ".join(parts) if parts else "0"
     return str(residual)
 

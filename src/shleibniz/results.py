@@ -31,10 +31,3 @@ class Verdict:
     @staticmethod
     def from_violations(violations: list[Violation], notes: list[str] | None = None) -> "Verdict":
         return Verdict(not violations, violations, notes or [])
-
-    def merge(self, other: "Verdict") -> "Verdict":
-        return Verdict(
-            self.passed and other.passed,
-            self.violations + other.violations,
-            self.notes + other.notes,
-        )

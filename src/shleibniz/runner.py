@@ -61,6 +61,7 @@ def _split(name_map: dict[str, str], violations: list[Violation]) -> list[CheckR
 
 
 def _cmd_validate(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
+    """Parse a document and summarise its sections."""
     detail = [
         f"generators: {len(doc.basis)}",
         f"bracket entries: {len(doc.bracket)}",
@@ -71,11 +72,13 @@ def _cmd_validate(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult
 
 
 def _cmd_check_leibniz(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
+    """Left Leibniz identity on all basis triples."""
     violations = check_leibniz_identity(doc.to_bracket())
     return [CheckResult("leibniz-identity", not violations, violations)]
 
 
 def _cmd_check_deformation(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
+    """Derivation rule and square-zero ladder for the family."""
     violations = check_deformation(_require_family(doc))
     return _split(
         {
@@ -97,6 +100,7 @@ def _op_table(op: MultiOp, label: str) -> list[str]:
 
 
 def _cmd_derive(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
+    """Construct the higher brackets and print their structure constants."""
     fam = _require_family(doc)
     # both construction routes run inside and must agree exactly
     structure = build_sh_structure(fam)
@@ -116,6 +120,7 @@ def _cmd_derive(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
 
 
 def _cmd_check_sh(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
+    """Strong homotopy identities for the derived brackets."""
     structure = build_sh_structure(_require_family(doc))
     verdict = check_sh_leibniz(
         structure, options.max_const, first_violation=options.first_violation
@@ -128,6 +133,7 @@ def _cmd_check_sh(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult
 def _cmd_check_codifferential(
     doc: AlgebraDocument, options: RunOptions
 ) -> list[CheckResult]:
+    """Square of the lifted codifferential on tensor words."""
     verdict = check_codifferential(
         _require_family(doc),
         options.max_word_len,
@@ -159,6 +165,7 @@ def _derivation_pool(doc: AlgebraDocument) -> list[tuple[str, MultiOp]]:
 
 
 def _cmd_check_key_lemma(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
+    """Nested-operation compatibility with commutators of derivations."""
     bracket = doc.to_bracket()
     pool = _derivation_pool(doc)
     violations: list[Violation] = []
@@ -179,6 +186,7 @@ def _cmd_check_key_lemma(doc: AlgebraDocument, options: RunOptions) -> list[Chec
 
 
 def _cmd_gauge(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
+    """Transform the family by the gauge and recheck it."""
     fam = _require_family(doc)
     gauge = _require_gauge(doc)
     transformed = gauge_transform(fam, gauge)
@@ -198,6 +206,7 @@ def _cmd_gauge(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
 def _cmd_check_gauge_equivalence(
     doc: AlgebraDocument, options: RunOptions
 ) -> list[CheckResult]:
+    """Conjugation, morphism, and orderwise laws for the gauge exponential."""
     verdict = check_gauge_equivalence(
         _require_family(doc),
         _require_gauge(doc),
@@ -219,6 +228,7 @@ def _cmd_check_gauge_equivalence(
 
 
 def _cmd_check_coalgebra(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
+    """Comultiplication axiom and coderivation law for lifted maps."""
     basis = doc.to_basis()
     dual = check_dual_leibniz(basis, options.max_word_len)
     results = [CheckResult("dual-leibniz", dual.passed, dual.violations)]
@@ -240,6 +250,7 @@ def _cmd_check_coalgebra(doc: AlgebraDocument, options: RunOptions) -> list[Chec
 
 
 def _cmd_report_all(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
+    """Every applicable suite, one verdict per check plus an overall verdict."""
     results = _cmd_validate(doc, options)
     results += _cmd_check_leibniz(doc, options)
     results += _cmd_check_coalgebra(doc, options)
@@ -275,7 +286,8 @@ COMMANDS = {
     "report-all": _cmd_report_all,
 }
 
-# flags that matter per command, for the report header
+# flags that matter per command, in order: the report header and the
+# command-line options are both built from this table
 _OPTION_FIELDS = {
     "check-sh": ("max_const", "first_violation"),
     "check-codifferential": ("max_word_len", "first_violation"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
@@ -9,6 +10,7 @@ from click.testing import CliRunner
 
 from shleibniz import fixtures as shipped
 from shleibniz.cli import main
+from shleibniz.runner import _OPTION_FIELDS, COMMANDS, RunOptions
 
 
 def run(*args, text=None):
@@ -137,3 +139,18 @@ def test_report_all_skips_missing_sections(tmp_path):
 def test_bad_flag_value_rejected(tmp_path):
     result = run("check-sh", fixture_path("heisab", tmp_path), "--max-const", "1")
     assert result.exit_code == 2
+
+
+def test_help_lists_exactly_the_runner_flags_with_their_defaults():
+    defaults = {f.name: f.default for f in dataclasses.fields(RunOptions)}
+    for command in COMMANDS:
+        result = run(command, "--help")
+        assert result.exit_code == 0, command
+        assert COMMANDS[command].__doc__ in result.output
+        listed = re.findall(r"^  (--[a-z-]+)", result.output, re.MULTILINE)
+        fields = _OPTION_FIELDS.get(command, ())
+        assert listed == [f"--{f.replace('_', '-')}" for f in fields] + ["--format", "--help"]
+        flat = " ".join(result.output.split())
+        for name in fields:
+            if not isinstance(defaults[name], bool):
+                assert f"[default: {defaults[name]};" in flat, (command, name)

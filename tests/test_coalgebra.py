@@ -25,7 +25,7 @@ from shleibniz.coalgebra import (
     word_degree,
 )
 from shleibniz.errors import MalformedInputError
-from shleibniz.graded import GradedBasis
+from shleibniz.graded import Element, GradedBasis
 from shleibniz.multiop import MultiOp, commutator
 
 
@@ -63,6 +63,39 @@ def test_comultiply_koszul_cancellation():
 def test_comultiply_rejects_empty_word():
     with pytest.raises(MalformedInputError):
         comultiply(small_basis(), ())
+
+
+def test_vector_constructors_reject_bad_keys():
+    basis = small_basis()
+    bad = [
+        (Element, {2: 1}),
+        (Element, {-1: 1}),
+        (TensorElement, {(): 1}),
+        (TensorElement, {(0, 2): 1}),
+        (TensorPairElement, {((), (0,)): 1}),
+        (TensorPairElement, {((0,), ()): 1}),
+        (TensorPairElement, {((0,), (2,)): 1}),
+        (TensorPairElement, {((-1,), (0,)): 1}),
+    ]
+    for cls, coeffs in bad:
+        with pytest.raises(MalformedInputError):
+            cls(basis, coeffs)
+
+
+def test_arithmetic_results_hold_nonzero_fractions():
+    basis = small_basis()
+    x = Element(basis, {0: 1, 1: Fraction(1, 2)})
+    t = TensorElement(basis, {(0, 1): 2, (1,): -1})
+    p = TensorPairElement(basis, {((0,), (1,)): 3, ((1,), (1, 0)): Fraction(2, 3)})
+    results = []
+    for v in (x, t, p):
+        results += [v + v, v - v, -v, v.scale(0), v.scale(2), v.scale(Fraction(-1, 3)), 3 * v]
+        results.append(v + v.scale(-1))
+    results.append(comultiply(basis, (1, 1, 0)))
+    spec = lift_coderivation(MultiOp(basis, 2, 1, {(0, 0): basis.vector(1)}))
+    results.append(evaluate_coderivation(spec, (0, 0, 1, 0)))
+    for result in results:
+        assert all(type(c) is Fraction and c for c in result.coeffs.values()), result
 
 
 def test_word_degree_sums_letter_degrees():
