@@ -160,24 +160,15 @@ def derived_bracket_tensor(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
 
 
 def derived_bracket_explicit(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
-    """Route (b): closed form with the parity-split sign."""
+    """Route (b): closed form with the parity-split sign, on the nonzero N_i(delta (x) 1)."""
     _require_deformation_slot(delta)
-    if i < 1:
-        raise MalformedInputError("arity must be >= 1")
     basis = bracket.basis
     sbasis = shifted_degrees(basis, Shift.RAISE)
-    nested = nary_bracket(bracket, i)
-
-    def fn(key: tuple[int, ...]) -> Element:
-        exponent = sum(
-            basis.degree(key[j - 1]) for j in range(1, i) if (i - j) % 2
-        )
-        sign = -1 if exponent % 2 else 1
-        first = delta.apply_indices(key[:1])
-        rest = [basis.vector(b) for b in key[1:]]
-        return nested.apply([first, *rest]).reshape(sbasis).scale(sign)
-
-    return MultiOp.from_function(sbasis, i, 2 - i, fn)
+    constants = {}
+    for key, image in n_i_d(bracket, delta, i).constants.items():
+        exponent = sum(basis.degree(key[j - 1]) for j in range(1, i) if (i - j) % 2)
+        constants[key] = image.reshape(sbasis).scale(-1 if exponent % 2 else 1)
+    return MultiOp(sbasis, i, 2 - i, constants)
 
 
 def derived_bracket(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DocumentError, DocumentIssue, MalformedInputError
-from .graded import Element, GradedBasis
+from .graded import Element, GradedBasis, format_terms
 from .multiop import MultiOp
 from .derived import DeformationFamily
 from .gauge import GaugeFamily
@@ -431,17 +431,7 @@ def parse_document(text: str) -> AlgebraDocument:
 
 
 def _format_terms(terms: Terms) -> str:
-    if not terms:
-        return "0"
-    parts: list[str] = []
-    for position, (coeff, name) in enumerate(terms):
-        mag = abs(coeff)
-        body = name if mag == 1 else f"{mag} {name}"
-        if position == 0:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(parts)
+    return format_terms((name, coeff) for coeff, name in terms)
 
 
 def serialize_document(doc: AlgebraDocument) -> str:

@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MalformedInputError
 
@@ -219,6 +219,19 @@ class Element(SparseVector):
         return Element._trusted(basis, self.coeffs)
 
 
+def format_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """Join (name, coefficient) pairs as e.g. '1/2 g1 + h - 2 w'; no pairs render as '0'."""
+    parts: list[str] = []
+    for name, c in terms:
+        mag = abs(c)
+        body = name if mag == 1 else f"{mag} {name}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
 def format_element(
     vec: SparseVector, render_key: Callable[[GradedBasis, object], str] = _letter_name
 ) -> str:
@@ -226,19 +239,7 @@ def format_element(
 
     render_key names one key; the default names a basis letter.
     """
-    items = vec.items()
-    if not items:
-        return "0"
-    parts: list[str] = []
-    for pos, (key, c) in enumerate(items):
-        name = render_key(vec.basis, key)
-        mag = abs(c)
-        body = name if mag == 1 else f"{mag} {name}"
-        if pos == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return format_terms((render_key(vec.basis, key), c) for key, c in vec.items())
 
 
 @dataclass(frozen=True)

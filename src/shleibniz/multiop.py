@@ -16,6 +16,14 @@ and a degree-d operator D is a derivation when
 N_i denotes the left-nested bracket N_i(x_1, ..., x_i) =
 {...{{x_1, x_2}, x_3}..., x_i}, with N_1 the identity, and N_i D feeds D into
 the leftmost slot only: (N_i D)(x_1, ..., x_i) = N_i(D x_1, x_2, ..., x_i).
+``n_i_d`` is the one evaluator of this nested insertion.  It builds N_i D from
+the nonzero constants of D by the recurrence
+
+    N_i D(x_1, ..., x_i) = {N_{i-1} D(x_1, ..., x_{i-1}), x_i},
+
+keeping only nonzero images; ``nary_bracket`` is the case D = id, and the
+derived brackets, the codifferential, the gauge coderivation and the key
+lemma all read their operations from it.
 """
 
 from __future__ import annotations
@@ -265,38 +273,40 @@ def check_differential(op: MultiOp, bracket: MultiOp) -> Verdict:
 
 
 def nary_bracket(bracket: MultiOp, i: int) -> MultiOp:
-    """Left-nested N_i; N_1 is the identity."""
-    if i < 1:
-        raise MalformedInputError("nested bracket needs i >= 1")
-    if bracket.arity != 2:
-        raise MalformedInputError("bracket must have arity 2")
-    basis = bracket.basis
-    if i == 1:
-        return identity_op(basis)
-    prev = nary_bracket(bracket, i - 1)
-
-    def fn(key: tuple[int, ...]) -> Element:
-        return bracket.apply([prev.apply_indices(key[:-1]), basis.vector(key[-1])])
-
-    return MultiOp.from_function(basis, i, 0, fn)
+    """Left-nested N_i, the nested insertion of the identity; N_1 is the identity."""
+    return n_i_d(bracket, identity_op(bracket.basis), i)
 
 
 def n_i_d(bracket: MultiOp, op: MultiOp, i: int) -> MultiOp:
     """N_i with op in the leftmost slot: (x_1, ..., x_i) |-> N_i(op x_1, x_2, ..., x_i).
 
-    No Koszul sign: op acts on the first tensor factor, jumping over nothing.
+    Built from op.constants by the recurrence
+    N_i D(x_1, ..., x_i) = {N_{i-1} D(x_1, ..., x_{i-1}), x_i}: each level
+    brackets the nonzero images of the previous one on the right with every
+    basis vector and keeps the nonzero results, so tuples whose leftmost
+    letter op kills are never visited.  No Koszul sign: op acts on the first
+    tensor factor, jumping over nothing.
     """
     if op.arity != 1:
         raise MalformedInputError("n_i_d needs an arity-1 operation")
-    nested = nary_bracket(bracket, i)
+    if i < 1:
+        raise MalformedInputError("nested bracket needs i >= 1")
+    if bracket.arity != 2:
+        raise MalformedInputError("bracket must have arity 2")
     basis = bracket.basis
-
-    def fn(key: tuple[int, ...]) -> Element:
-        first = op.apply_indices(key[:1])
-        rest = [basis.vector(j) for j in key[1:]]
-        return nested.apply([first, *rest])
-
-    return MultiOp.from_function(basis, i, op.degree, fn)
+    if op.basis != basis:
+        raise MalformedInputError("operation and bracket live over different bases")
+    vectors = [basis.vector(x) for x in range(len(basis))]
+    level = dict(sorted(op.constants.items()))
+    for _ in range(i - 1):
+        longer: dict[tuple[int, ...], Element] = {}
+        for key, image in level.items():
+            for x, vector in enumerate(vectors):
+                value = bracket.apply([image, vector])
+                if not value.is_zero():
+                    longer[key + (x,)] = value
+        level = longer
+    return MultiOp(basis, i, op.degree, level)
 
 
 def check_rearrangement(bracket: MultiOp, max_n: int = 3) -> Verdict:

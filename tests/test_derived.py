@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,14 @@ from shleibniz.derived import (
     partial_i,
 )
 from shleibniz.errors import MalformedInputError, PreconditionError
-from shleibniz.graded import Element, GradedBasis, Shift, shifted_degrees
+from shleibniz.graded import (
+    Element,
+    GradedBasis,
+    Shift,
+    anti_koszul_sign,
+    shifted_degrees,
+    unshuffles,
+)
 from shleibniz.multiop import (
     MultiOp,
     check_leibniz_identity,
@@ -152,6 +160,65 @@ def test_routes_agree_on_perturbed_families(docs, family_names):
         assert not cod.passed, name
         assert sh.violations[0].residual is not None
         assert cod.violations[0].residual is not None
+
+
+def sh_residual_reference(structure: ShLeibnizStructure, xs: tuple[int, ...]) -> Element:
+    """The weight-(len(xs) + 1) sh identity on the tuple xs, term by term as
+    the check_sh_leibniz docstring writes it, from the reference unshuffles and
+    anti-Koszul sign chi(sigma) and plain MultiOp.apply."""
+    basis = structure.basis
+    const = len(xs) + 1
+    degrees = [basis.degree(b) for b in xs]
+    args = [basis.vector(b) for b in xs]
+    total = Element.zero(basis)
+    for i in range(1, const):
+        j = const - i
+        li, lj = structure.op(i), structure.op(j)
+        if li is None or lj is None:
+            continue
+        for k in range(j, const):
+            for sigma in unshuffles(k - j, j - 1):
+                front = [sigma(a) - 1 for a in range(1, k - j + 1)]
+                back = [sigma(a) - 1 for a in range(k - j + 1, k)]
+                exponent = (k + 1 - j) * (j - 1) + j * sum(degrees[a] for a in front)
+                sign = anti_koszul_sign(sigma, degrees[: k - 1]) * (-1 if exponent % 2 else 1)
+                inner = lj.apply([args[a] for a in back] + [args[k - 1]])
+                outer = li.apply([args[a] for a in front] + [inner] + args[k:])
+                total = total + outer.scale(sign)
+    return total
+
+
+def random_op(basis: GradedBasis, arity: int, degree: int, rng: random.Random) -> MultiOp:
+    """Small random integer constants on every tuple, homogeneous of the given degree."""
+    constants = {}
+    for key in basis.index_tuples(arity):
+        target = sum(basis.degree(b) for b in key) + degree
+        constants[key] = Element(
+            basis,
+            {t: rng.randint(-2, 2) for t in range(len(basis)) if basis.degree(t) == target},
+        )
+    return MultiOp(basis, arity, degree, constants)
+
+
+def test_sh_residuals_match_the_defining_formula_on_an_invalid_structure():
+    # odd letters and nonzero l_2(..., l_2(...), ...) terms, so the permutation
+    # sign of chi(sigma) changes residuals
+    rng = random.Random(20090)
+    basis = GradedBasis(("a", "b", "c", "d"), (0, 1, 1, 2))
+    structure = ShLeibnizStructure(
+        basis, tuple(random_op(basis, i, 2 - i, rng) for i in (1, 2, 3))
+    )
+    verdict = check_sh_leibniz(structure, max_const=4)
+    engine = {v.site: v.residual for v in verdict.violations}
+    compared = 0
+    for const in (2, 3, 4):
+        for xs in basis.index_tuples(const - 1):
+            site = (const,) + tuple(basis.names[b] for b in xs)
+            expected = sh_residual_reference(structure, xs)
+            assert engine.pop(site, Element.zero(basis)) == expected, site
+            compared += 1
+    assert compared == 84 and not engine
+    assert not verdict.passed
 
 
 def test_vacuous_weights_are_noted_not_passed():

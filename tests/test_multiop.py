@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,89 @@ def test_n_i_d_inserts_in_leftmost_slot_without_signs():
     for key in itertools.product(range(len(basis)), repeat=2):
         expected = bracket.apply([delta.apply_indices((key[0],)), basis.vector(key[1])])
         assert two.apply_indices(key) == expected
+
+
+def dense_n_i_d(bracket: MultiOp, op: MultiOp, i: int) -> dict[tuple[int, ...], Element]:
+    """The definition as an oracle: N_i(op x_1, x_2, ..., x_i) by explicit
+    left nesting, tabulated on every one of the dim^i basis tuples."""
+    basis = bracket.basis
+    table = {}
+    for key in basis.index_tuples(i):
+        value = op.apply_indices(key[:1])
+        for x in key[1:]:
+            value = bracket.apply([value, basis.vector(x)])
+        table[key] = value
+    return table
+
+
+def assert_n_i_d_matches_oracle(bracket: MultiOp, op: MultiOp, max_i: int = 4) -> None:
+    for i in range(1, max_i + 1):
+        fast = n_i_d(bracket, op, i)
+        assert (fast.arity, fast.degree) == (i, op.degree)
+        oracle = dense_n_i_d(bracket, op, i)
+        assert fast.constants == {k: v for k, v in oracle.items() if not v.is_zero()}, i
+
+
+def scrambled_op(basis: GradedBasis, seed: int) -> MultiOp:
+    """A degree-0 arity-1 operation with small random integer entries."""
+    rng = random.Random(seed)
+    constants = {}
+    for x in range(len(basis)):
+        same = [y for y in range(len(basis)) if basis.degree(y) == basis.degree(x)]
+        constants[(x,)] = Element(basis, {y: rng.randint(-2, 2) for y in same})
+    return MultiOp(basis, 1, 0, constants)
+
+
+def fixture_derivations(doc) -> list[MultiOp]:
+    """The nonzero deltas and gauge generators a fixture ships."""
+    fam, gauge = doc.to_family(), doc.to_gauge()
+    ops = list(fam.deltas if fam is not None else ()) + list(gauge.xis if gauge is not None else ())
+    return [op for op in ops if not op.is_zero()]
+
+
+def test_n_i_d_recurrence_matches_dense_definition_on_fixtures(docs):
+    for seed, (name, doc) in enumerate(sorted(docs.items())):
+        bracket = doc.to_bracket()
+        for op in fixture_derivations(doc) + [scrambled_op(bracket.basis, seed)]:
+            assert_n_i_d_matches_oracle(bracket, op)
+
+
+def test_n_i_d_recurrence_matches_dense_definition_off_the_happy_path():
+    # a non-derivation inserted into a Leibniz bracket
+    bracket = shipped.load_fixture("endo2").to_bracket()
+    op = scrambled_op(bracket.basis, 3)
+    assert check_derivation(op, bracket)
+    assert_n_i_d_matches_oracle(bracket, op)
+    # a bracket that is not Leibniz at all
+    square = one_dim_square()
+    assert_n_i_d_matches_oracle(square, identity_op(square.basis).scale(Fraction(-3, 2)))
+    assert_n_i_d_matches_oracle(square, MultiOp.zero(square.basis, 1, 0))
+
+
+def test_nary_bracket_is_the_identity_insertion(docs):
+    for bracket in [doc.to_bracket() for doc in docs.values()] + [one_dim_square()]:
+        identity = identity_op(bracket.basis)
+        for i in range(1, 5):
+            assert nary_bracket(bracket, i) == n_i_d(bracket, identity, i)
+        assert_n_i_d_matches_oracle(bracket, identity)
+
+
+def test_n_i_d_rejects_malformed_input():
+    bracket = shipped.load_fixture("endo2").to_bracket()
+    delta = shipped.load_fixture("endo2").to_family().delta(0)
+    foreign = MultiOp.zero(GradedBasis(("z",), (0,)), 1, 1)
+    for args in (
+        (bracket, delta, 0),
+        (delta, delta, 2),
+        (bracket, bracket, 2),
+        (bracket, foreign, 1),
+        (bracket, foreign, 3),
+    ):
+        with pytest.raises(MalformedInputError):
+            n_i_d(*args)
+    for args in ((bracket, 0), (delta, 2)):
+        with pytest.raises(MalformedInputError):
+            nary_bracket(*args)
 
 
 def test_rearrangement_identity_on_fixture_brackets(docs):
