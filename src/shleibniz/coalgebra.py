@@ -112,11 +112,24 @@ def comultiply(basis: GradedBasis, word: Word) -> TensorPairElement:
     return TensorPairElement._trusted(basis, {k: Fraction(c) for k, c in acc.items()})
 
 
-def comultiply_tensor(te: TensorElement) -> TensorPairElement:
-    out = TensorPairElement.zero(te.basis)
+def extend_linearly(te: TensorElement, image: Callable[[Word], SparseVector], cls: type):
+    """The sum of c * image(word) over the terms of te, as a cls vector.
+
+    One accumulator for all words, so the cost is linear in the terms.
+    """
+    acc: dict = {}
     for word, c in te.terms.items():
-        out = out + comultiply(te.basis, word).scale(c)
-    return out
+        value = image(word)
+        if value.basis != te.basis:
+            raise MalformedInputError("vectors live over different bases")
+        for key, cw in value.coeffs.items():
+            term = c * cw
+            acc[key] = acc[key] + term if key in acc else term
+    return cls._trusted(te.basis, acc)
+
+
+def comultiply_tensor(te: TensorElement) -> TensorPairElement:
+    return extend_linearly(te, lambda word: comultiply(te.basis, word), TensorPairElement)
 
 
 def check_dual_leibniz(basis: GradedBasis, max_len: int) -> Verdict:
@@ -246,10 +259,7 @@ def evaluate_coderivation(spec: CoderivationSpec, word: Word) -> TensorElement:
 
 
 def evaluate_on_tensor(spec: CoderivationSpec, te: TensorElement) -> TensorElement:
-    out = TensorElement.zero(te.basis)
-    for word, c in te.terms.items():
-        out = out + evaluate_coderivation(spec, word).scale(c)
-    return out
+    return extend_linearly(te, lambda word: evaluate_coderivation(spec, word), TensorElement)
 
 
 def corestriction(te: TensorElement) -> Element:

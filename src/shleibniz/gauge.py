@@ -35,6 +35,7 @@ from .coalgebra import (
     comultiply_tensor,
     evaluate_coderivation,
     evaluate_on_tensor,
+    extend_linearly,
     hom_bracket,
     TensorPairElement,
 )
@@ -251,10 +252,7 @@ def exp_xi(spec: CoderivationSpec, word: Word) -> TensorElement:
 
 
 def exp_on_tensor(spec: CoderivationSpec, te: TensorElement) -> TensorElement:
-    out = TensorElement.zero(te.basis)
-    for word, c in te.terms.items():
-        out = out + exp_xi(spec, word).scale(c)
-    return out
+    return extend_linearly(te, lambda word: exp_xi(spec, word), TensorElement)
 
 
 def _hom_commutator_step(

@@ -15,9 +15,10 @@ from itertools import product
 from .coalgebra import check_coderivation_axiom, check_dual_leibniz, lift_coderivation
 from .derived import (
     DeformationFamily,
+    _key_lemma_residuals,
+    _require_derivation,
     build_sh_structure,
     check_codifferential,
-    check_key_lemma,
     check_sh_leibniz,
 )
 from .document import AlgebraDocument, parse_document
@@ -171,8 +172,16 @@ def _cmd_check_key_lemma(doc: AlgebraDocument, options: RunOptions) -> list[Chec
     violations: list[Violation] = []
     pairs = 0
     arities = range(1, options.max_arity + 1)
-    for (name1, d1), (name2, d2), i, j in product(pool, pool, arities, arities):
-        verdict = check_key_lemma(bracket, d1, d2, i, j)
+    # each member is validated once, at its first use and under the label that
+    # use gives it, so a failure reads as check_key_lemma's on the same call
+    validated: set[int] = set()
+    members = list(enumerate(pool))
+    for (n1, (name1, d1)), (n2, (name2, d2)), i, j in product(members, members, arities, arities):
+        for label, n, d in (("first", n1, d1), ("second", n2, d2)):
+            if n not in validated:
+                _require_derivation(label, d, bracket)
+                validated.add(n)
+        verdict = _key_lemma_residuals(bracket, d1, d2, i, j)
         pairs += 1
         for v in verdict.violations:
             violations.append(Violation(v.check, (name1, name2) + v.site, v.residual))

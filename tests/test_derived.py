@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from shleibniz import derived
 from shleibniz import fixtures as shipped
 from shleibniz.derived import (
     DeformationFamily,
@@ -23,17 +24,20 @@ from shleibniz.derived import (
     leibniz_cohomology_check,
     partial_i,
 )
-from shleibniz.errors import MalformedInputError, PreconditionError
+from shleibniz.errors import EngineError, MalformedInputError, PreconditionError
 from shleibniz.graded import (
     Element,
     GradedBasis,
     Shift,
     anti_koszul_sign,
+    apply_layer,
     shifted_degrees,
+    suspension_factor,
     unshuffles,
 )
 from shleibniz.multiop import (
     MultiOp,
+    check_derivation,
     check_leibniz_identity,
     check_skewsymmetry,
     n_i_d,
@@ -109,6 +113,15 @@ def test_derived_bracket_shape():
         derived_bracket(fam.bracket, fam.delta(0), 0)
     with pytest.raises(MalformedInputError):
         derived_bracket(fam.bracket, fam.bracket, 2)
+    # a delta over a foreign basis is refused even when it is zero, where no
+    # tuple would ever reach it
+    foreign = GradedBasis(("z", "y"), (0, 1))
+    for delta in (MultiOp.zero(foreign, 1, 1), MultiOp(foreign, 1, 1, {(0,): foreign.vector(1)})):
+        for i in (1, 3):
+            with pytest.raises(MalformedInputError):
+                derived_bracket(fam.bracket, delta, i)
+            with pytest.raises(MalformedInputError):
+                derived_bracket_tensor(fam.bracket, delta, i)
 
 
 def test_partial_i_matches_unshifted_insertion():
@@ -117,6 +130,178 @@ def test_partial_i_matches_unshifted_insertion():
         assert partial_i(fam.bracket, fam.delta(i - 1), i) == n_i_d(
             fam.bracket, fam.delta(i - 1), i
         )
+
+
+def dense_route_a(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
+    """Route (a) as first written: the signed layer composite
+    (-1)^((i-1)(i-2)/2) s . N_i . s^{-1}(i) . (s delta s^{-1} (x) 1^(i-1)),
+    tabulated on every one of the dim^i tuples."""
+    basis = bracket.basis
+    sbasis = shifted_degrees(basis, Shift.RAISE)
+    nested = nary_bracket(bracket, i)
+    up = suspension_factor(basis, Shift.RAISE)
+    down = suspension_factor(sbasis, Shift.LOWER)
+    prefactor = -1 if (((i - 1) * (i - 2)) // 2) % 2 else 1
+
+    def s_delta_s_inv(e: Element) -> Element:
+        return delta.apply([e.reshape(basis)]).reshape(sbasis)
+
+    def fn(key: tuple[int, ...]) -> Element:
+        slots = [(sbasis.vector(b), sbasis.degree(b)) for b in key]
+        sign1, slots = apply_layer([(1, s_delta_s_inv)] + [(0, None)] * (i - 1), slots)
+        sign2, slots = apply_layer([down] * i, slots)
+        value = nested.apply([elt for elt, _ in slots])
+        sign3, lifted = apply_layer([up], [(value, value.homogeneous_degree() or 0)])
+        return lifted[0][0].scale(prefactor * sign1 * sign2 * sign3)
+
+    return MultiOp.from_function(sbasis, i, 2 - i, fn)
+
+
+def dense_partial_i(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
+    """s^{-1} . l_i . s(i) with l_i from the dense route (a), tabulated on
+    every one of the dim^i tuples."""
+    basis = bracket.basis
+    l_i = dense_route_a(bracket, delta, i)
+    up = suspension_factor(basis, Shift.RAISE)
+
+    def via_shift(key: tuple[int, ...]) -> Element:
+        sign, slots = apply_layer([up] * i, [(basis.vector(b), basis.degree(b)) for b in key])
+        return l_i.apply([elt for elt, _ in slots]).reshape(basis).scale(sign)
+
+    return MultiOp.from_function(basis, i, 1, via_shift)
+
+
+def embedded(op: MultiOp, basis: GradedBasis, offset: int) -> MultiOp:
+    """op carried into a larger basis whose letters offset.. are op's letters."""
+    return MultiOp(
+        basis,
+        op.arity,
+        op.degree,
+        {
+            tuple(b + offset for b in key): Element(
+                basis, {t + offset: c for t, c in image.coeffs.items()}
+            )
+            for key, image in op.constants.items()
+        },
+    )
+
+
+def direct_sum_family(left: DeformationFamily, right: DeformationFamily) -> DeformationFamily:
+    """Block-diagonal sum: letters of the right summand primed, brackets
+    between the summands zero, the shorter family padded by zero deltas."""
+    order = max(left.order, right.order)
+    lb, rb = left.basis, right.basis
+    basis = GradedBasis(
+        lb.names + tuple(n + "'" for n in rb.names), lb.degrees + rb.degrees
+    )
+
+    def total(a: MultiOp, b: MultiOp) -> MultiOp:
+        return embedded(a, basis, 0) + embedded(b, basis, len(lb))
+
+    deltas = tuple(
+        total(left.extended(order).deltas[n], right.extended(order).deltas[n])
+        for n in range(order + 1)
+    )
+    return DeformationFamily(total(left.bracket, right.bracket), deltas)
+
+
+def dual_numbers_family(fam: DeformationFamily) -> DeformationFamily:
+    """V (x) Q[t]/t^2 with t of degree 0: letter x t is x's index plus dim V,
+    {x t^a, y t^b} = {x, y} t^(a+b) (zero once t^2 appears), and every delta
+    acts as delta (x) 1."""
+    small = fam.basis
+    dim = len(small)
+    basis = GradedBasis(small.names + tuple("t_" + n for n in small.names), small.degrees * 2)
+    constants: dict[tuple[int, ...], Element] = {}
+    for (x, y), image in fam.bracket.constants.items():
+        for a, b in ((0, 0), (0, 1), (1, 0)):
+            shift = (a + b) * dim
+            constants[(x + a * dim, y + b * dim)] = Element(
+                basis, {t + shift: c for t, c in image.coeffs.items()}
+            )
+    bracket = MultiOp(basis, 2, 0, constants)
+    deltas = tuple(embedded(d, basis, 0) + embedded(d, basis, dim) for d in fam.deltas)
+    return DeformationFamily(bracket, deltas)
+
+
+def scrambled_deformation(basis: GradedBasis, seed: int) -> MultiOp:
+    """A degree +1 arity-1 operation with small random integer entries."""
+    rng = random.Random(seed)
+    constants = {}
+    for x in range(len(basis)):
+        up = [y for y in range(len(basis)) if basis.degree(y) == basis.degree(x) + 1]
+        constants[(x,)] = Element(basis, {y: rng.randint(-2, 2) for y in up})
+    return MultiOp(basis, 1, 1, constants)
+
+
+def squares_with_odd_partner() -> MultiOp:
+    """{e, e} = e and {e, f} = {f, e} = f with e even and f odd: not Leibniz,
+    since {e, {e, e}} = e while {{e, e}, e} + {e, {e, e}} = 2e."""
+    basis = GradedBasis(("e", "f"), (0, 1))
+    e, f = basis.vector(0), basis.vector(1)
+    return MultiOp(basis, 2, 0, {(0, 0): e, (0, 1): f, (1, 0): f})
+
+
+def oracle_inputs(docs) -> list[tuple[str, MultiOp, list[MultiOp]]]:
+    """(label, bracket, deltas) on and off the happy path; fixtures without a
+    family contribute their bracket with a scrambled delta only."""
+    inputs = []
+    for seed, (name, doc) in enumerate(sorted(docs.items())):
+        bracket = doc.to_bracket()
+        fam = doc.to_family()
+        shipped_deltas = [d for d in fam.deltas if not d.is_zero()] if fam else []
+        inputs.append((name, bracket, shipped_deltas + [scrambled_deformation(bracket.basis, seed)]))
+    endo2, heis3w = docs["endo2"].to_family(), docs["heis3w"].to_family()
+    for label, fam in (
+        ("endo2+heis3w", direct_sum_family(endo2, heis3w)),
+        ("endo2(x)Q[t]/t^2", dual_numbers_family(endo2)),
+    ):
+        inputs.append((label, fam.bracket, [d for d in fam.deltas if not d.is_zero()]))
+    square = squares_with_odd_partner()
+    assert check_leibniz_identity(square)
+    inputs.append(("square", square, [scrambled_deformation(square.basis, 5)]))
+    return inputs
+
+
+def test_route_a_matches_its_dense_tabulation(docs):
+    inputs = oracle_inputs(docs)
+    assert any(check_derivation(d, bracket) for _, bracket, deltas in inputs for d in deltas)
+    for label, bracket, deltas in inputs:
+        assert deltas and all(d.basis == bracket.basis for d in deltas)
+        for delta in deltas:
+            for i in range(1, 5):
+                sparse = derived_bracket_tensor(bracket, delta, i)
+                dense = dense_route_a(bracket, delta, i)
+                assert sparse == dense, (label, i)
+                assert list(sparse.constants) == sorted(sparse.constants), (label, i)
+                assert sparse == derived_bracket_explicit(bracket, delta, i), (label, i)
+
+
+def test_partial_i_matches_its_dense_tabulation(docs):
+    for label, bracket, deltas in oracle_inputs(docs):
+        for delta in deltas:
+            for i in range(1, 4):
+                assert partial_i(bracket, delta, i) == dense_partial_i(bracket, delta, i), (label, i)
+
+
+def test_partial_i_still_catches_a_missing_or_extra_constant(monkeypatch):
+    fam = shipped.load_fixture("endo2").to_family()
+    delta = fam.delta(1)
+    honest = derived_bracket(fam.bracket, delta, 2)
+    key = next(iter(honest.constants))
+    degrees = honest.basis.degrees
+    spare = next(
+        k
+        for k in honest.basis.index_tuples(2)
+        if k not in honest.constants and sum(degrees[b] for b in k) in degrees
+    )
+    extra = honest.basis.vector(degrees.index(sum(degrees[b] for b in spare)))
+    missing = MultiOp(honest.basis, 2, 0, {k: v for k, v in honest.constants.items() if k != key})
+    added = MultiOp(honest.basis, 2, 0, {**honest.constants, spare: extra})
+    for tampered in (missing, added):
+        monkeypatch.setattr(derived, "derived_bracket", lambda b, d, i, op=tampered: op)
+        with pytest.raises(EngineError):
+            partial_i(fam.bracket, delta, 2)
 
 
 def test_binary_derived_bracket_is_leibniz(docs, family_names):

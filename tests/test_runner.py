@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
 from shleibniz import fixtures as shipped
+from shleibniz.derived import check_key_lemma
+from shleibniz.document import parse_document
 from shleibniz.errors import PreconditionError
 from shleibniz.report import WITNESS_LIMIT, render_structured, render_text
-from shleibniz.runner import RunOptions, run_command
+from shleibniz.runner import RunOptions, _derivation_pool, run_command
 
 
 def broken_endo2_text() -> str:
@@ -68,3 +71,38 @@ def test_first_violation_stops_early():
     count = lambda rep: sum(len(r.violations) for r in rep.results)
     assert count(fast) == 1
     assert count(slow) > 1
+
+
+def first_failing_key_lemma_call(text: str, max_arity: int) -> str:
+    """The error of the first public check_key_lemma call that fails, the calls
+    made in the command's (operation, operation, arity, arity) order."""
+    doc = parse_document(text)
+    bracket = doc.to_bracket()
+    pool = [op for _, op in _derivation_pool(doc)]
+    arities = range(1, max_arity + 1)
+    for d1, d2, i, j in itertools.product(pool, pool, arities, arities):
+        try:
+            check_key_lemma(bracket, d1, d2, i, j)
+        except PreconditionError as err:
+            return str(err)
+    raise AssertionError("every call passed its preconditions")
+
+
+@pytest.mark.parametrize(
+    "old, new, position",
+    [
+        # delta_0 heads the derivation pool; a1 -> w breaks D{h, a} = {Dh, a} - {h, Da}
+        ("[delta 0]\na: a1\n", "[delta 0]\na1: w\n", "first"),
+        # delta_1 comes second; the same break
+        ("[delta 1]\na: h\n", "[delta 1]\na1: w\n", "second"),
+    ],
+)
+def test_key_lemma_command_reports_the_first_failing_precondition(old, new, position):
+    base = shipped.fixture_text("heisab")
+    text = base.replace(old, new)
+    assert text != base
+    expected = first_failing_key_lemma_call(text, max_arity=2)
+    assert expected == f"{position} operation is not a derivation of the bracket"
+    with pytest.raises(PreconditionError) as caught:
+        run_command("check-key-lemma", text, RunOptions(max_arity=2))
+    assert str(caught.value) == expected
