@@ -27,12 +27,22 @@ produced by a k < n term still ends in x_n.  The bracket of operations is
 
     (f, g) = f . g^c - (-1)^(|f||g|) g . f^c,
 
-computed by corestricting the composite; on words of length at most four a
-cross-check path lifts both arguments and commutes the coderivations instead.
+computed by corestricting the composite.  g^c feeds f only through a letter z
+of some g(gk), so a key reaches f only when it interleaves the letters before
+z in a key of f with gk[:-1], then carries gk[-1] and the letters after z.
+hom_bracket evaluates the composite on the keys reachable this way from
+(f, g) or from (g, f); it is exactly zero on every other key.  On words of
+length at most four a cross-check path lifts both arguments and commutes the
+coderivations instead.
+
+The checks that walk words compute each word's image (a lift, an override or
+a comultiplication) at most once per call, in a table that lives only for that
+call: every image they need is of a word no longer than the one being checked.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
@@ -128,24 +138,21 @@ def extend_linearly(te: TensorElement, image: Callable[[Word], SparseVector], cl
     return cls._trusted(te.basis, acc)
 
 
-def comultiply_tensor(te: TensorElement) -> TensorPairElement:
-    return extend_linearly(te, lambda word: comultiply(te.basis, word), TensorPairElement)
-
-
 def check_dual_leibniz(basis: GradedBasis, max_len: int) -> Verdict:
     """Dual Leibniz coassociativity on every word of length <= max_len."""
+    split = functools.cache(lambda word: comultiply(basis, word).terms)
     violations: list[Violation] = []
     for length in range(1, max_len + 1):
         for word in basis.index_tuples(length):
-            delta = comultiply(basis, word).terms
+            delta = split(word)
             lhs: dict[tuple[Word, Word, Word], Fraction] = {}
             for (w1, w2), c in delta.items():
-                for (w21, w22), c2 in comultiply(basis, w2).terms.items():
+                for (w21, w22), c2 in split(w2).items():
                     key = (w1, w21, w22)
                     lhs[key] = lhs.get(key, Fraction(0)) + c * c2
             rhs: dict[tuple[Word, Word, Word], Fraction] = {}
             for (w1, w2), c in delta.items():
-                for (w11, w12), c1 in comultiply(basis, w1).terms.items():
+                for (w11, w12), c1 in split(w1).items():
                     # (Delta (x) 1) Delta, then the same with factors swapped
                     key = (w11, w12, w2)
                     rhs[key] = rhs.get(key, Fraction(0)) + c * c1
@@ -276,22 +283,25 @@ def check_coderivation_axiom(
     """Delta D = (D (x) 1) Delta + (1 (x) D) Delta on words of length <= max_len.
 
     evaluate overrides the map being tested (defaults to the lift of spec);
-    the override is how deliberately corrupted lifts are exercised.
+    the override is how deliberately corrupted lifts are exercised.  The map
+    and comultiply are each called at most once per word.
     """
     basis = spec.basis
     if evaluate is None:
         evaluate = lambda word: evaluate_coderivation(spec, word)
+    lift = functools.cache(evaluate)
+    split = functools.cache(lambda word: comultiply(basis, word))
     violations: list[Violation] = []
     for length in range(1, max_len + 1):
         for word in basis.index_tuples(length):
-            lhs = comultiply_tensor(evaluate(word))
+            lhs = extend_linearly(lift(word), split, TensorPairElement)
             acc: dict[tuple[Word, Word], Fraction] = {}
-            for (w1, w2), c in comultiply(basis, word).terms.items():
-                for w1p, c1 in evaluate(w1).terms.items():
+            for (w1, w2), c in split(word).terms.items():
+                for w1p, c1 in lift(w1).terms.items():
                     key = (w1p, w2)
                     acc[key] = acc.get(key, Fraction(0)) + c * c1
                 jump = -1 if (spec.degree * word_degree(basis, w1)) % 2 else 1
-                for w2p, c2 in evaluate(w2).terms.items():
+                for w2p, c2 in lift(w2).terms.items():
                     key = (w1, w2p)
                     acc[key] = acc.get(key, Fraction(0)) + jump * c * c2
             residual = lhs - TensorPairElement._trusted(basis, acc)
@@ -320,13 +330,43 @@ def apply_to_words(op: MultiOp, te: TensorElement) -> Element:
     return Element._trusted(op.basis, out)
 
 
+def _interleavings(a: Word, b: Word) -> Iterator[Word]:
+    """Every merge of a and b that keeps the letter order of each."""
+    n = len(a) + len(b)
+    for first, second, *_ in signed_unshuffles(len(a), len(b), (0,) * n):
+        merged = dict(zip(first, a)) | dict(zip(second, b))
+        yield tuple(merged[p] for p in range(n))
+
+
+def _reachable_keys(f: MultiOp, g: MultiOp) -> set[Word]:
+    """The keys on which f . g^c can be nonzero.
+
+    g^c replaces gk[:-1], interleaved with the letters before gk[-1], and
+    gk[-1] itself by a letter z of g(gk).  So f reaches its key
+    prefix + (z,) + suffix only from an interleaving of prefix with gk[:-1],
+    followed by gk[-1] and then suffix.
+    """
+    around: dict[int, list[tuple[Word, Word]]] = {}
+    for key in f.constants:
+        for p, z in enumerate(key):
+            around.setdefault(z, []).append((key[:p], key[p + 1 :]))
+    keys: set[Word] = set()
+    for gk, image in g.constants.items():
+        for z in image.coeffs:
+            for prefix, suffix in around.get(z, ()):
+                for mixed in _interleavings(prefix, gk[:-1]):
+                    keys.add(mixed + gk[-1:] + suffix)
+    return keys
+
+
 def hom_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
-    """(f, g) = f . g^c - (-1)^(|f||g|) g . f^c, an operation of arity i+j-1."""
+    """(f, g) = f . g^c - (-1)^(|f||g|) g . f^c, an operation of arity i+j-1.
+
+    Evaluated on the keys reachable from (f, g) or (g, f), in lexicographic
+    order; it is exactly zero on every other key.
+    """
     if f.basis != g.basis:
         raise MalformedInputError("operations live over different bases")
-    basis = f.basis
-    arity = f.arity + g.arity - 1
-    degree = f.degree + g.degree
     f_lift = lift_coderivation(f)
     g_lift = lift_coderivation(g)
     sign = -1 if (f.degree * g.degree) % 2 else 1
@@ -336,26 +376,29 @@ def hom_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
         second = apply_to_words(g, evaluate_coderivation(f_lift, key))
         return first - second.scale(sign)
 
-    return MultiOp.from_function(basis, arity, degree, fn)
+    keys = sorted(_reachable_keys(f, g) | _reachable_keys(g, f))
+    return MultiOp(f.basis, f.arity + g.arity - 1, f.degree + g.degree, {k: fn(k) for k in keys})
 
 
 def check_hom_bracket_lift_agreement(f: MultiOp, g: MultiOp, max_len: int = 4) -> Verdict:
     """Cross-check: the lift of (f, g) equals the commutator of the lifts.
 
     [f^c, g^c] = f^c g^c - (-1)^(|f||g|) g^c f^c, compared word by word for
-    lengths <= max_len.
+    lengths <= max_len.  The lifts of f and g are computed at most once per
+    word; the lift of (f, g) is needed once per word anyway.
     """
     basis = f.basis
     bracket_lift = lift_coderivation(hom_bracket(f, g))
-    f_lift = lift_coderivation(f)
-    g_lift = lift_coderivation(g)
+    f_spec, g_spec = lift_coderivation(f), lift_coderivation(g)
+    f_lift = functools.cache(lambda word: evaluate_coderivation(f_spec, word))
+    g_lift = functools.cache(lambda word: evaluate_coderivation(g_spec, word))
     sign = -1 if (f.degree * g.degree) % 2 else 1
     violations: list[Violation] = []
     for length in range(1, max_len + 1):
         for word in basis.index_tuples(length):
             lhs = evaluate_coderivation(bracket_lift, word)
-            rhs = evaluate_on_tensor(f_lift, evaluate_coderivation(g_lift, word)) - (
-                evaluate_on_tensor(g_lift, evaluate_coderivation(f_lift, word)).scale(sign)
+            rhs = extend_linearly(g_lift(word), f_lift, TensorElement) - (
+                extend_linearly(f_lift(word), g_lift, TensorElement).scale(sign)
             )
             residual = lhs - rhs
             if not residual.is_zero():

@@ -23,6 +23,7 @@ n <= m) induces the family delta_n = {theta_n, -}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,6 @@ from .coalgebra import (
     TensorElement,
     Word,
     comultiply,
-    comultiply_tensor,
     evaluate_coderivation,
     evaluate_on_tensor,
     extend_linearly,
@@ -251,10 +251,6 @@ def exp_xi(spec: CoderivationSpec, word: Word) -> TensorElement:
     return total
 
 
-def exp_on_tensor(spec: CoderivationSpec, te: TensorElement) -> TensorElement:
-    return extend_linearly(te, lambda word: exp_xi(spec, word), TensorElement)
-
-
 def _hom_commutator_step(
     components: dict[int, MultiOp], xi_spec: CoderivationSpec, max_arity: int
 ) -> dict[int, MultiOp]:
@@ -288,6 +284,10 @@ def check_gauge_equivalence(
     * order expansion: exp([-, Xi]) applied to partial reproduces the
       nested-commutator series component by component in arity;
     * invertibility: e^{Xi} e^{-Xi} is the identity on the same words.
+
+    Each word's e^{Xi}, e^{-Xi}, partial and comultiplication are computed at
+    most once per call: every word they are needed on is no longer than the
+    word being checked.
     """
     if max_len < 1:
         raise MalformedInputError("max_len must be >= 1")
@@ -298,6 +298,10 @@ def check_gauge_equivalence(
     xi_spec = build_xi(gauge)
     neg_xi = _negate_spec(xi_spec)
     basis = fam.basis
+    exp_plus = functools.cache(lambda word: exp_xi(xi_spec, word))
+    exp_minus = functools.cache(lambda word: exp_xi(neg_xi, word))
+    lift = functools.cache(lambda word: evaluate_coderivation(partial, word))
+    split = functools.cache(lambda word: comultiply(basis, word))
     violations: list[Violation] = []
 
     def bail() -> bool:
@@ -306,19 +310,21 @@ def check_gauge_equivalence(
     for length in range(1, max_len + 1):
         for word in basis.index_tuples(length):
             names = tuple(basis.names[i] for i in word)
-            exp_word = exp_xi(xi_spec, word)
+            exp_word = exp_plus(word)
             lhs = evaluate_coderivation(partial_prime, word)
-            rhs = exp_on_tensor(neg_xi, evaluate_on_tensor(partial, exp_word))
+            rhs = extend_linearly(
+                extend_linearly(exp_word, lift, TensorElement), exp_minus, TensorElement
+            )
             if lhs != rhs:
                 violations.append(Violation("gauge-conjugation", names, lhs - rhs))
                 if bail():
                     return Verdict(False, violations)
             # Delta e^Xi versus (e^Xi (x) e^Xi) Delta; Xi has degree 0, no signs
-            grouped = comultiply_tensor(exp_word)
+            grouped = extend_linearly(exp_word, split, TensorPairElement)
             acc: dict[tuple[Word, Word], Fraction] = {}
-            for (w1, w2), c in comultiply(basis, word).terms.items():
-                for w1p, c1 in exp_xi(xi_spec, w1).terms.items():
-                    for w2p, c2 in exp_xi(xi_spec, w2).terms.items():
+            for (w1, w2), c in split(word).terms.items():
+                for w1p, c1 in exp_plus(w1).terms.items():
+                    for w2p, c2 in exp_plus(w2).terms.items():
                         key = (w1p, w2p)
                         acc[key] = acc.get(key, Fraction(0)) + c * c1 * c2
             residual = grouped - TensorPairElement._trusted(basis, acc)
@@ -326,7 +332,7 @@ def check_gauge_equivalence(
                 violations.append(Violation("gauge-comultiplicative", names, residual))
                 if bail():
                     return Verdict(False, violations)
-            round_trip = exp_on_tensor(neg_xi, exp_word)
+            round_trip = extend_linearly(exp_word, exp_minus, TensorElement)
             identity = TensorElement.from_word(basis, word)
             if round_trip != identity:
                 violations.append(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from shleibniz.coalgebra import (
     CoderivationSpec,
     TensorElement,
     TensorPairElement,
+    apply_to_words,
     check_coderivation_axiom,
     check_dual_leibniz,
     check_hom_bracket_lift_agreement,
@@ -20,13 +22,23 @@ from shleibniz.coalgebra import (
     decompose_k,
     evaluate_coderivation,
     evaluate_on_tensor,
+    extend_linearly,
     hom_bracket,
     lift_coderivation,
     word_degree,
 )
+from shleibniz.derived import build_codifferential
 from shleibniz.errors import MalformedInputError
 from shleibniz.graded import Element, GradedBasis
-from shleibniz.multiop import MultiOp, commutator
+from shleibniz.multiop import (
+    MultiOp,
+    check_derivation,
+    check_leibniz_identity,
+    commutator,
+    n_i_d,
+    nary_bracket,
+)
+from shleibniz.results import Violation
 
 
 def small_basis() -> GradedBasis:
@@ -201,6 +213,52 @@ def test_corrupted_lift_fails_coderivation_axiom():
     assert all(len(v.site) >= 3 for v in verdict.violations)
 
 
+def coderivation_axiom_reference(
+    spec: CoderivationSpec, max_len: int, evaluate
+) -> list[Violation]:
+    """check_coderivation_axiom as first written: the map and comultiply
+    called afresh on every word and subword."""
+    basis = spec.basis
+    violations = []
+    for length in range(1, max_len + 1):
+        for word in basis.index_tuples(length):
+            lhs = extend_linearly(evaluate(word), lambda w: comultiply(basis, w), TensorPairElement)
+            acc: dict = {}
+            for (w1, w2), c in comultiply(basis, word).terms.items():
+                for w1p, c1 in evaluate(w1).terms.items():
+                    acc[w1p, w2] = acc.get((w1p, w2), Fraction(0)) + c * c1
+                jump = -1 if (spec.degree * word_degree(basis, w1)) % 2 else 1
+                for w2p, c2 in evaluate(w2).terms.items():
+                    acc[w1, w2p] = acc.get((w1, w2p), Fraction(0)) + jump * c * c2
+            residual = lhs - TensorPairElement(basis, acc)
+            if not residual.is_zero():
+                names = tuple(basis.names[i] for i in word)
+                violations.append(Violation("coderivation-axiom", names, residual))
+    return violations
+
+
+def test_corrupted_codifferential_matches_its_per_word_loop(docs, family_names):
+    # the truncated lift of each perturbed codifferential, called at most once
+    # per word by the check
+    for name in family_names:
+        bad = shipped.perturbed_family(docs[name], shipped.perturbation(name))
+        spec = build_codifferential(bad)
+        basis = spec.basis
+        calls: list = []
+
+        def truncated(word):
+            calls.append(word)
+            total = TensorElement.zero(basis)
+            for op in spec.components.values():
+                total = total + decompose_k(op, op.arity, basis, word)
+            return total
+
+        got = check_coderivation_axiom(spec, max_len=3, evaluate=truncated).violations
+        assert got, name
+        assert len(calls) == len(set(calls)), name
+        assert got == coderivation_axiom_reference(spec, 3, truncated), name
+
+
 def test_evaluate_on_tensor_is_linear():
     bracket = shipped.load_fixture("heisab").to_bracket()
     basis = bracket.basis
@@ -244,3 +302,103 @@ def test_hom_bracket_lift_agreement(docs):
     for f, g in pairs:
         verdict = check_hom_bracket_lift_agreement(f, g, max_len=3)
         assert verdict.passed, (f.arity, g.arity)
+
+
+def dense_hom_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
+    """hom_bracket as first written: f . g^c - (-1)^(|f||g|) g . f^c
+    tabulated on every one of the dim^(i+j-1) keys."""
+    f_lift, g_lift = lift_coderivation(f), lift_coderivation(g)
+    sign = -1 if (f.degree * g.degree) % 2 else 1
+
+    def fn(key: tuple[int, ...]) -> Element:
+        first = apply_to_words(f, evaluate_coderivation(g_lift, key))
+        second = apply_to_words(g, evaluate_coderivation(f_lift, key))
+        return first - second.scale(sign)
+
+    return MultiOp.from_function(f.basis, f.arity + g.arity - 1, f.degree + g.degree, fn)
+
+
+def insertions(bracket: MultiOp, unary: list[MultiOp], max_arity: int) -> list[MultiOp]:
+    """The bracket, N_3, and N_i of every unary op for i <= max_arity, nonzero only."""
+    ops = [bracket, nary_bracket(bracket, 3)]
+    ops += [n_i_d(bracket, d, i) for d in unary for i in range(1, max_arity + 1)]
+    return [op for op in ops if not op.is_zero()]
+
+
+def scrambled_op(basis: GradedBasis, degree: int, seed: int) -> MultiOp:
+    """An arity-1 operation of the given degree with small random integer entries."""
+    rng = random.Random(seed)
+    constants = {}
+    for x in range(len(basis)):
+        target = [y for y in range(len(basis)) if basis.degree(y) == basis.degree(x) + degree]
+        constants[(x,)] = Element(basis, {y: rng.randint(-2, 2) for y in target})
+    return MultiOp(basis, 1, degree, constants)
+
+
+def dual_numbers(bracket: MultiOp, unary: list[MultiOp]) -> tuple[MultiOp, list[MultiOp]]:
+    """V (x) Q[t]/t^2, t of degree 0: letter x t is x's index plus dim V,
+    {x t^a, y t^b} = {x, y} t^(a+b) up to t^2 = 0, and D acts as D (x) 1."""
+    small = bracket.basis
+    dim = len(small)
+    basis = GradedBasis(small.names + tuple("t_" + n for n in small.names), small.degrees * 2)
+
+    def carried(op: MultiOp, powers: tuple[tuple[int, ...], ...]) -> MultiOp:
+        return MultiOp(
+            basis,
+            op.arity,
+            op.degree,
+            {
+                tuple(x + a * dim for x, a in zip(key, power)): Element(
+                    basis, {t + sum(power) * dim: c for t, c in image.coeffs.items()}
+                )
+                for key, image in op.constants.items()
+                for power in powers
+            },
+        )
+
+    return carried(bracket, ((0, 0), (0, 1), (1, 0))), [carried(d, ((0,), (1,))) for d in unary]
+
+
+def hom_bracket_oracle_pools(docs) -> list[tuple[str, MultiOp, list[MultiOp], int]]:
+    """(label, bracket, operations, largest arity of a hom bracket) for the
+    oracle test."""
+    pools = []
+    for seed, (name, doc) in enumerate(sorted(docs.items())):
+        bracket = doc.to_bracket()
+        fam, gauge = doc.to_family(), doc.to_gauge()
+        unary = [d for d in fam.deltas if not d.is_zero()] if fam else []
+        unary += list(gauge.xis) if gauge else []
+        pools.append((name, bracket, insertions(bracket, unary, 3), 4))
+        scrambled = scrambled_op(bracket.basis, 1, seed)
+        pools.append((f"{name} scrambled", bracket, insertions(bracket, [scrambled], 3), 4))
+    doc = docs["endo2"]
+    unary = [d for d in doc.to_family().deltas if not d.is_zero()] + list(doc.to_gauge().xis)
+    bracket, unary = dual_numbers(doc.to_bracket(), unary)
+    pools.append(("endo2(x)Q[t]/t^2", bracket, insertions(bracket, unary, 2), 3))
+    # {e, e} = e and {e, f} = {f, e} = f with e even and f odd: not Leibniz
+    basis = GradedBasis(("e", "f"), (0, 1))
+    e, f = basis.vector(0), basis.vector(1)
+    square = MultiOp(basis, 2, 0, {(0, 0): e, (0, 1): f, (1, 0): f})
+    assert check_leibniz_identity(square)
+    pools.append(("square", square, insertions(square, [scrambled_op(basis, 1, 5)], 3), 4))
+    return pools
+
+
+def test_hom_bracket_matches_its_dense_tabulation(docs):
+    pools = hom_bracket_oracle_pools(docs)
+    assert any(
+        check_derivation(op, bracket)
+        for _, bracket, ops, _ in pools
+        for op in ops
+        if op.arity == 1
+    )
+    pairs = 0
+    for label, _, ops, max_arity in pools:
+        for f, g in itertools.product(ops, repeat=2):
+            if f.arity + g.arity - 1 > max_arity:
+                continue
+            sparse, dense = hom_bracket(f, g), dense_hom_bracket(f, g)
+            assert sparse == dense, (label, f, g)
+            assert list(sparse.constants) == list(dense.constants), (label, f, g)
+            pairs += 1
+    assert pairs > 700

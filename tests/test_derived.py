@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from shleibniz import derived
+from shleibniz import coalgebra, derived
 from shleibniz import fixtures as shipped
+from shleibniz.coalgebra import evaluate_coderivation, evaluate_on_tensor
 from shleibniz.derived import (
     DeformationFamily,
     ShLeibnizStructure,
@@ -43,6 +45,7 @@ from shleibniz.multiop import (
     n_i_d,
     nary_bracket,
 )
+from shleibniz.results import Violation
 
 
 def closed_form(bracket: MultiOp, delta: MultiOp, key: tuple[int, ...]) -> Element:
@@ -345,6 +348,49 @@ def test_routes_agree_on_perturbed_families(docs, family_names):
         assert not cod.passed, name
         assert sh.violations[0].residual is not None
         assert cod.violations[0].residual is not None
+
+
+def codifferential_reference(
+    fam: DeformationFamily, max_len: int, first_violation: bool = False
+) -> list[Violation]:
+    """check_codifferential as first written: the codifferential evaluated
+    afresh on every word and on every word of its image."""
+    spec = build_codifferential(fam)
+    basis = fam.basis
+    violations = []
+    for length in range(1, max_len + 1):
+        for word in basis.index_tuples(length):
+            twice = evaluate_on_tensor(spec, evaluate_coderivation(spec, word))
+            if not twice.is_zero():
+                names = tuple(basis.names[i] for i in word)
+                violations.append(Violation("codifferential-square", names, twice))
+                if first_violation:
+                    return violations
+    return violations
+
+
+def test_codifferential_matches_its_per_word_loop_on_perturbations(docs, family_names):
+    for name in family_names:
+        bad = shipped.perturbed_family(docs[name], shipped.perturbation(name))
+        for first in (False, True):
+            got = check_codifferential(bad, max_len=3, first_violation=first).violations
+            assert got, name
+            assert got == codifferential_reference(bad, 3, first), (name, first)
+
+
+def test_codifferential_evaluates_each_word_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(spec, word):
+        calls[word] += 1
+        return evaluate_coderivation(spec, word)
+
+    for module in (derived, coalgebra):
+        monkeypatch.setattr(module, "evaluate_coderivation", counted)
+    fam = dual_numbers_family(shipped.load_fixture("endo2").to_family())
+    assert check_codifferential(fam, max_len=3).passed
+    assert len(calls) == 8 + 8**2 + 8**3
+    assert set(calls.values()) == {1}
 
 
 def sh_residual_reference(structure: ShLeibnizStructure, xs: tuple[int, ...]) -> Element:

@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from shleibniz import fixtures as shipped
+from shleibniz import gauge as gauge_module
 from shleibniz.coalgebra import (
     CoderivationSpec,
     TensorElement,
     TensorPairElement,
     comultiply,
-    comultiply_tensor,
     evaluate_coderivation,
     evaluate_on_tensor,
+    extend_linearly,
 )
+from shleibniz.derived import build_codifferential
 from shleibniz.errors import MalformedInputError, MCRejectionError, PreconditionError
 from shleibniz.gauge import (
     GaugeFamily,
@@ -25,13 +29,13 @@ from shleibniz.gauge import (
     build_xi,
     check_deformation,
     check_gauge_equivalence,
-    exp_on_tensor,
     exp_xi,
     gauge_transform,
     mc_to_deformation,
 )
 from shleibniz.graded import Element
 from shleibniz.multiop import DgLeibnizAlgebra, MultiOp, commutator, n_i_d
+from shleibniz.results import Violation
 
 
 def test_check_deformation_passes_on_fixtures(docs, family_names):
@@ -158,7 +162,9 @@ def test_exp_xi_inverse_on_all_short_words():
     basis = gauge.basis
     for length in (1, 2, 3):
         for word in itertools.product(range(len(basis)), repeat=length):
-            round_trip = exp_on_tensor(neg, exp_xi(spec, word))
+            round_trip = extend_linearly(
+                exp_xi(spec, word), lambda w: exp_xi(neg, w), TensorElement
+            )
             assert round_trip == TensorElement.from_word(basis, word), word
 
 
@@ -178,7 +184,9 @@ def test_exp_of_odd_coderivation_is_not_comultiplicative():
     spec = CoderivationSpec(basis, 1, {2: p2})
 
     def morphism_residual(word):
-        grouped = comultiply_tensor(exp_xi(spec, word))
+        grouped = extend_linearly(
+            exp_xi(spec, word), lambda w: comultiply(basis, w), TensorPairElement
+        )
         acc: dict = {}
         for (w1, w2), c in comultiply(basis, word).terms.items():
             for w1p, c1 in exp_xi(spec, w1).terms.items():
@@ -207,6 +215,93 @@ def test_check_gauge_equivalence_on_fixture_pairs(docs, family_names):
             continue
         verdict = check_gauge_equivalence(doc.to_family(), gauge, max_len=3)
         assert verdict.passed, name
+
+
+def gauge_reference(fam, gauge, max_len: int, first_violation: bool = False) -> list[Violation]:
+    """check_gauge_equivalence as first written: every exponential, lift and
+    comultiplication computed afresh on every word and subword."""
+    fam_x = fam.extended(max(fam.order, max_len - 1))
+    partial = build_codifferential(fam_x)
+    partial_prime = build_codifferential(gauge_module.gauge_transform(fam_x, gauge))
+    xi_spec = build_xi(gauge)
+    neg_xi = CoderivationSpec(xi_spec.basis, 0, {a: -op for a, op in xi_spec.components.items()})
+    basis = fam.basis
+
+    def exp_minus(te):
+        return extend_linearly(te, lambda w: exp_xi(neg_xi, w), TensorElement)
+
+    violations = []
+    for length in range(1, max_len + 1):
+        for word in basis.index_tuples(length):
+            names = tuple(basis.names[i] for i in word)
+            exp_word = exp_xi(xi_spec, word)
+            lhs = evaluate_coderivation(partial_prime, word)
+            rhs = exp_minus(evaluate_on_tensor(partial, exp_word))
+            if lhs != rhs:
+                violations.append(Violation("gauge-conjugation", names, lhs - rhs))
+            acc: dict = {}
+            for (w1, w2), c in comultiply(basis, word).terms.items():
+                for w1p, c1 in exp_xi(xi_spec, w1).terms.items():
+                    for w2p, c2 in exp_xi(xi_spec, w2).terms.items():
+                        acc[w1p, w2p] = acc.get((w1p, w2p), Fraction(0)) + c * c1 * c2
+            grouped = extend_linearly(exp_word, lambda w: comultiply(basis, w), TensorPairElement)
+            residual = grouped - TensorPairElement(basis, acc)
+            if not residual.is_zero():
+                violations.append(Violation("gauge-comultiplicative", names, residual))
+            round_trip = exp_minus(exp_word) - TensorElement.from_word(basis, word)
+            if not round_trip.is_zero():
+                violations.append(Violation("gauge-exp-inverse", names, round_trip))
+            if first_violation and violations:
+                return violations[:1]
+    max_arity = fam_x.order + 1
+    expanded = dict(partial.components)
+    current = dict(partial.components)
+    p = 0
+    while current:
+        p += 1
+        current = gauge_module._hom_commutator_step(current, xi_spec, max_arity)
+        for a, op in current.items():
+            scaled = op.scale(Fraction(1, math.factorial(p)))
+            expanded[a] = expanded[a] + scaled if a in expanded else scaled
+    for a in range(1, max_arity + 1):
+        zero = MultiOp.zero(basis, a, 1)
+        if expanded.get(a, zero) != partial_prime.components.get(a, zero):
+            detail = (
+                f"arity-{a} component of exp([-, Xi]) partial "
+                "differs from the transformed codifferential"
+            )
+            violations.append(Violation("gauge-order-expansion", (a,), None, detail))
+            if first_violation:
+                return violations
+    return violations
+
+
+def test_untransformed_family_fails_like_the_per_word_loop(monkeypatch):
+    doc = shipped.load_fixture("endo2")
+    fam, gauge = doc.to_family(), doc.to_gauge()
+    monkeypatch.setattr(gauge_module, "gauge_transform", lambda fam, gauge, order=None: fam)
+    found = {}
+    for first in (False, True):
+        got = check_gauge_equivalence(fam, gauge, max_len=3, first_violation=first).violations
+        assert got == gauge_reference(fam, gauge, 3, first), first
+        found[first] = got
+    assert len(found[True]) == 1
+    assert {v.check for v in found[False]} == {"gauge-conjugation", "gauge-order-expansion"}
+
+
+def test_gauge_check_exponentiates_each_word_once(monkeypatch):
+    calls = collections.Counter()
+    real = gauge_module.exp_xi
+
+    def counted(spec, word):
+        calls[id(spec), word] += 1
+        return real(spec, word)
+
+    monkeypatch.setattr(gauge_module, "exp_xi", counted)
+    doc = shipped.load_fixture("endo2")
+    assert check_gauge_equivalence(doc.to_family(), doc.to_gauge(), max_len=3).passed
+    assert len({spec for spec, _ in calls}) == 2
+    assert set(calls.values()) == {1}
 
 
 def test_check_gauge_equivalence_rejects_tiny_scope():
