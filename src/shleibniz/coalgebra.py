@@ -44,11 +44,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
 from .errors import MalformedInputError
-from .graded import Element, GradedBasis, SparseVector, signed_unshuffles
+from .graded import Element, GradedBasis, Scalar, SparseVector, signed_unshuffles
 from .multiop import MultiOp
 from .results import Verdict, Violation
 
@@ -76,7 +75,7 @@ def format_pair(basis: GradedBasis, key: tuple[Word, Word]) -> str:
 
 
 class TensorElement(SparseVector):
-    """Sparse element of T(V): map from words to Fraction coefficients."""
+    """Sparse element of T(V): map from words to exact scalars."""
 
     __slots__ = ()
     _check_key = staticmethod(_check_word)
@@ -88,7 +87,7 @@ class TensorElement(SparseVector):
 
     @staticmethod
     def from_word(basis: GradedBasis, word: Word) -> "TensorElement":
-        return TensorElement(basis, {tuple(word): Fraction(1)})
+        return TensorElement(basis, {tuple(word): 1})
 
 
 class TensorPairElement(SparseVector):
@@ -119,7 +118,7 @@ def comultiply(basis: GradedBasis, word: Word) -> TensorPairElement:
         for first, second, eps, _, _ in signed_unshuffles(i, n - i, parities):
             key = (tuple(word[a] for a in first), tuple(word[a] for a in second) + last)
             acc[key] = acc.get(key, 0) + eps
-    return TensorPairElement._trusted(basis, {k: Fraction(c) for k, c in acc.items()})
+    return TensorPairElement._trusted(basis, acc)
 
 
 def extend_linearly(te: TensorElement, image: Callable[[Word], SparseVector], cls: type):
@@ -145,23 +144,23 @@ def check_dual_leibniz(basis: GradedBasis, max_len: int) -> Verdict:
     for length in range(1, max_len + 1):
         for word in basis.index_tuples(length):
             delta = split(word)
-            lhs: dict[tuple[Word, Word, Word], Fraction] = {}
+            lhs: dict[tuple[Word, Word, Word], Scalar] = {}
             for (w1, w2), c in delta.items():
                 for (w21, w22), c2 in split(w2).items():
                     key = (w1, w21, w22)
-                    lhs[key] = lhs.get(key, Fraction(0)) + c * c2
-            rhs: dict[tuple[Word, Word, Word], Fraction] = {}
+                    lhs[key] = lhs.get(key, 0) + c * c2
+            rhs: dict[tuple[Word, Word, Word], Scalar] = {}
             for (w1, w2), c in delta.items():
                 for (w11, w12), c1 in split(w1).items():
                     # (Delta (x) 1) Delta, then the same with factors swapped
                     key = (w11, w12, w2)
-                    rhs[key] = rhs.get(key, Fraction(0)) + c * c1
+                    rhs[key] = rhs.get(key, 0) + c * c1
                     swap = -1 if (word_degree(basis, w11) * word_degree(basis, w12)) % 2 else 1
                     skey = (w12, w11, w2)
-                    rhs[skey] = rhs.get(skey, Fraction(0)) + swap * c * c1
+                    rhs[skey] = rhs.get(skey, 0) + swap * c * c1
             diff = dict(lhs)
             for k, c in rhs.items():
-                diff[k] = diff.get(k, Fraction(0)) - c
+                diff[k] = diff.get(k, 0) - c
             diff = {k: c for k, c in diff.items() if c}
             if diff:
                 witness = next(iter(sorted(diff)))
@@ -218,7 +217,7 @@ def lift_coderivation(op: MultiOp) -> CoderivationSpec:
 
 def _lift_terms(
     op: MultiOp, word: Word, parities: tuple[int, ...], k: int
-) -> Iterator[tuple[Word, Fraction]]:
+) -> Iterator[tuple[Word, Scalar]]:
     """Terms of the k-th summand of op's lift on one word."""
     i = op.arity
     pinned = word[k - 1 : k]
@@ -244,7 +243,7 @@ def decompose_k(op: MultiOp, k: int, basis: GradedBasis, word: Word) -> TensorEl
     if k < op.arity or k > n:
         return TensorElement.zero(basis)
     parities = tuple(basis.degree(i) % 2 for i in word)
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Scalar] = {}
     for w, c in _lift_terms(op, word, parities, k):
         acc[w] = acc[w] + c if w in acc else c
     return TensorElement._trusted(basis, acc)
@@ -255,7 +254,7 @@ def evaluate_coderivation(spec: CoderivationSpec, word: Word) -> TensorElement:
     n = len(word)
     basis = spec.basis
     parities = tuple(basis.degree(i) % 2 for i in word)
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Scalar] = {}
     for i, op in spec.components.items():
         if i > n:
             continue
@@ -295,15 +294,15 @@ def check_coderivation_axiom(
     for length in range(1, max_len + 1):
         for word in basis.index_tuples(length):
             lhs = extend_linearly(lift(word), split, TensorPairElement)
-            acc: dict[tuple[Word, Word], Fraction] = {}
+            acc: dict[tuple[Word, Word], Scalar] = {}
             for (w1, w2), c in split(word).terms.items():
                 for w1p, c1 in lift(w1).terms.items():
                     key = (w1p, w2)
-                    acc[key] = acc.get(key, Fraction(0)) + c * c1
+                    acc[key] = acc.get(key, 0) + c * c1
                 jump = -1 if (spec.degree * word_degree(basis, w1)) % 2 else 1
                 for w2p, c2 in lift(w2).terms.items():
                     key = (w1, w2p)
-                    acc[key] = acc.get(key, Fraction(0)) + jump * c * c2
+                    acc[key] = acc.get(key, 0) + jump * c * c2
             residual = lhs - TensorPairElement._trusted(basis, acc)
             if not residual.is_zero():
                 violations.append(
@@ -318,7 +317,7 @@ def check_coderivation_axiom(
 
 def apply_to_words(op: MultiOp, te: TensorElement) -> Element:
     """Corestrict op along a tensor element whose words all have op's arity."""
-    out: dict[int, Fraction] = {}
+    out: dict[int, Scalar] = {}
     for word, c in te.terms.items():
         if len(word) != op.arity:
             raise MalformedInputError(
@@ -326,7 +325,7 @@ def apply_to_words(op: MultiOp, te: TensorElement) -> Element:
             )
         image = op.apply_indices(word)
         for i, ci in image.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + c * ci
+            out[i] = out.get(i, 0) + c * ci
     return Element._trusted(op.basis, out)
 
 

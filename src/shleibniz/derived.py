@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .coalgebra import CoderivationSpec, TensorElement, evaluate_coderivation, extend_linearly
@@ -50,6 +49,7 @@ from .errors import EngineError, MalformedInputError, PreconditionError
 from .graded import (
     Element,
     GradedBasis,
+    Scalar,
     Shift,
     apply_layer,
     shifted_degrees,
@@ -276,7 +276,7 @@ def check_sh_leibniz(
         width = const - 1
         for xs in sbasis.index_tuples(width):
             parities = tuple(sbasis.degree(b) % 2 for b in xs)
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, Scalar] = {}
             for i, j in pairs:
                 li = structure.op(i).constants
                 lj = structure.op(j).constants

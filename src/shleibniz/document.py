@@ -34,7 +34,8 @@ where a term is an optional rational coefficient followed by a generator
 name: ``b``, ``2 b``, ``-1/2 c + e``.
 
 Parsing normalises everything (entries sorted by basis index, coefficients
-reduced, zero entries dropped), so ``parse(serialize(parse(text)))`` equals
+reduced to exact scalars, an ``int`` when integral and a ``Fraction``
+otherwise, zero entries dropped), so ``parse(serialize(parse(text)))`` equals
 ``parse(text)`` for any valid input, and ``serialize`` is a bijection on
 parsed documents.
 """
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DocumentError, DocumentIssue, MalformedInputError
-from .graded import Element, GradedBasis, format_terms
+from .graded import Element, GradedBasis, Scalar, exact, format_terms
 from .multiop import MultiOp
 from .derived import DeformationFamily
 from .gauge import GaugeFamily
@@ -56,7 +57,7 @@ _HEADER_RE = re.compile(r"\[\s*([A-Za-z_]+)(?:\s+(-?\d+))?\s*\]\Z")
 _INT_RE = re.compile(r"-?\d+\Z")
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
 
-Terms = tuple[tuple[Fraction, str], ...]
+Terms = tuple[tuple[Scalar, str], ...]
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def _parse_element(
     if not signed:
         issues.append(DocumentIssue(line_no, raw, "empty element"))
         return None
-    collected: dict[str, Fraction] = {}
+    collected: dict[str, Scalar] = {}
     bad = False
     for sgn, chunk in signed:
         parts = chunk.split()
@@ -163,7 +164,7 @@ def _parse_element(
             issues.append(DocumentIssue(line_no, chunk, "malformed term"))
             bad = True
             continue
-        coeff = Fraction(sgn)
+        coeff: Scalar = sgn
         if coeff_str is not None:
             match = _RATIONAL_RE.match(coeff_str)
             if match is None:
@@ -180,7 +181,7 @@ def _parse_element(
                 )
                 bad = True
                 continue
-            coeff *= Fraction(num, den)
+            coeff = sgn * Fraction(num, den)
         if not _NAME_RE.match(name):
             issues.append(DocumentIssue(line_no, name, "bad generator name"))
             bad = True
@@ -189,11 +190,11 @@ def _parse_element(
             issues.append(DocumentIssue(line_no, name, "unknown generator"))
             bad = True
             continue
-        collected[name] = collected.get(name, Fraction(0)) + coeff
+        collected[name] = collected.get(name, 0) + coeff
     if bad:
         return None
     return tuple(
-        (coeff, name) for name, coeff in collected.items() if coeff != 0
+        (exact(coeff), name) for name, coeff in collected.items() if coeff != 0
     )
 
 

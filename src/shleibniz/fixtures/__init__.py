@@ -17,20 +17,17 @@ higher order can be annihilated by a bracket with a short top degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from ..document import AlgebraDocument, Terms, parse_document
 from ..derived import DeformationFamily
 from ..gauge import McElement
-from ..graded import Element
+from ..graded import Element, Scalar, exact
 from ..multiop import MultiOp
 
-_ONE = Fraction(1)
 
-
-def _terms(*pairs: tuple[int | str, str]) -> Terms:
-    return tuple((Fraction(c), n) for c, n in pairs)
+def _terms(*pairs: tuple[Scalar, str]) -> Terms:
+    return tuple((exact(c), n) for c, n in pairs)
 
 
 def build_l2b() -> AlgebraDocument:
@@ -217,17 +214,17 @@ class Perturbation:
     order: int
     source: str
     target: str
-    amount: Fraction
+    amount: Scalar
 
 
 # designed so that (delta_0 + tweak)^2 is nonzero on some generator,
 # except endo2 where the chain runs through the existing delta_0
 _PERTURBATIONS = {
-    "l2b": Perturbation(0, "b", "w", _ONE),
-    "abelian3": Perturbation(0, "x1", "x2", _ONE),
-    "endo2": Perturbation(0, "E01", "E00", _ONE),
-    "heisab": Perturbation(0, "a1", "w", _ONE),
-    "heis3w": Perturbation(0, "h", "w", _ONE),
+    "l2b": Perturbation(0, "b", "w", 1),
+    "abelian3": Perturbation(0, "x1", "x2", 1),
+    "endo2": Perturbation(0, "E01", "E00", 1),
+    "heisab": Perturbation(0, "a1", "w", 1),
+    "heis3w": Perturbation(0, "h", "w", 1),
 }
 
 
@@ -290,9 +287,9 @@ def mc_element(name: str) -> McElement:
     doc = build_fixture(name)
     basis = doc.to_basis()
     if name == "endo2":
-        theta = Element(basis, {basis.index("E10"): _ONE})
+        theta = Element(basis, {basis.index("E10"): 1})
     elif name == "quartic":
-        theta = Element(basis, {basis.index("v"): _ONE})
+        theta = Element(basis, {basis.index("v"): 1})
     else:
         raise KeyError(f"fixture {name!r} has no Maurer-Cartan candidate")
     return McElement((theta,))

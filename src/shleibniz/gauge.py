@@ -41,7 +41,7 @@ from .coalgebra import (
 )
 from .derived import DeformationFamily, build_codifferential
 from .errors import MalformedInputError, MCRejectionError, PreconditionError
-from .graded import Element, GradedBasis
+from .graded import Element, GradedBasis, Scalar
 from .multiop import (
     DgLeibnizAlgebra,
     MultiOp,
@@ -321,12 +321,12 @@ def check_gauge_equivalence(
                     return Verdict(False, violations)
             # Delta e^Xi versus (e^Xi (x) e^Xi) Delta; Xi has degree 0, no signs
             grouped = extend_linearly(exp_word, split, TensorPairElement)
-            acc: dict[tuple[Word, Word], Fraction] = {}
+            acc: dict[tuple[Word, Word], Scalar] = {}
             for (w1, w2), c in split(word).terms.items():
                 for w1p, c1 in exp_plus(w1).terms.items():
                     for w2p, c2 in exp_plus(w2).terms.items():
                         key = (w1p, w2p)
-                        acc[key] = acc.get(key, Fraction(0)) + c * c1 * c2
+                        acc[key] = acc.get(key, 0) + c * c1 * c2
             residual = grouped - TensorPairElement._trusted(basis, acc)
             if not residual.is_zero():
                 violations.append(Violation("gauge-comultiplicative", names, residual))

@@ -1,8 +1,10 @@
 """Graded vector spaces over the rationals: bases, Koszul signs, unshuffles.
 
 Everything downstream works with a finite homogeneous basis of an integer-graded
-vector space V = (+) V_n and exact rational coefficients.  The sign conventions
-are fixed once here and consumed everywhere else:
+vector space V = (+) V_n and exact scalars: every stored coefficient is an
+``int`` when it is integral and a ``Fraction`` with denominator > 1 otherwise
+(``exact``), never a float.  The sign conventions are fixed once here and
+consumed everywhere else:
 
 * Koszul rule for moving graded symbols past each other: exchanging adjacent
   symbols of degrees p and q costs (-1)^(p*q).  The Koszul sign eps(sigma) of a
@@ -88,8 +90,20 @@ def _letter_name(basis: GradedBasis, index: int) -> str:
     return basis.names[index]
 
 
+Scalar = int | Fraction  # an exact scalar, in the canonical form ``exact`` gives
+
+
+def exact(c: object, label: str = "scalar") -> Scalar:
+    """c in canonical exact form: an int if integral, else a Fraction; other types raise."""
+    if type(c) is int:
+        return c
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    raise MalformedInputError(f"{label} is a {type(c).__name__}, not an int or a Fraction")
+
+
 class SparseVector:
-    """Sparse vector over a GradedBasis: keys mapped to Fraction coefficients.
+    """Sparse vector over a GradedBasis: keys mapped to exact scalars.
 
     Immutable by convention; all operations return fresh vectors of the same
     class.  Zero coefficients are never stored.  Subclasses fix the kind of
@@ -104,7 +118,7 @@ class SparseVector:
             check = self._check_key
             for key, c in coeffs.items():
                 key = check(basis, key)
-                c = Fraction(c)
+                c = c if type(c) is int else exact(c, f"coefficient of {key!r}")
                 if c:
                     clean[key] = c
         object.__setattr__(self, "basis", basis)
@@ -123,14 +137,16 @@ class SparseVector:
 
     @classmethod
     def _trusted(cls, basis: GradedBasis, coeffs: Mapping):
-        """Vector from keys and Fraction values already known to be valid.
+        """Vector from valid keys and exact scalars, for arithmetic results.
 
-        For arithmetic results and engine accumulators: zeros are dropped,
-        keys and coefficients are taken as they are.
+        For arithmetic results and engine accumulators: zeros are dropped and
+        keys are taken as they are; an integral Fraction, such as
+        Fraction(1, 2) * 2, is stored as an int.
         """
         out = object.__new__(cls)
         object.__setattr__(out, "basis", basis)
-        object.__setattr__(out, "coeffs", {k: c for k, c in coeffs.items() if c})
+        clean = {k: c if type(c) is int else exact(c) for k, c in coeffs.items() if c}
+        object.__setattr__(out, "coeffs", clean)
         return out
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -178,11 +194,11 @@ class SparseVector:
     def __neg__(self):
         return self._trusted(self.basis, {k: -c for k, c in self.coeffs.items()})
 
-    def scale(self, scalar: Fraction | int):
-        scalar = Fraction(scalar)
+    def scale(self, scalar: Scalar):
+        scalar = exact(scalar)
         return self._trusted(self.basis, {k: scalar * c for k, c in self.coeffs.items()})
 
-    def __rmul__(self, scalar: Fraction | int):
+    def __rmul__(self, scalar: Scalar):
         return self.scale(scalar)
 
     def __repr__(self) -> str:
@@ -219,7 +235,7 @@ class Element(SparseVector):
         return Element._trusted(basis, self.coeffs)
 
 
-def format_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
+def format_terms(terms: Iterable[tuple[str, Scalar]]) -> str:
     """Join (name, coefficient) pairs as e.g. '1/2 g1 + h - 2 w'; no pairs render as '0'."""
     parts: list[str] = []
     for name, c in terms:

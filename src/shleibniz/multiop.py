@@ -29,11 +29,10 @@ lemma all read their operations from it.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import MalformedInputError, PreconditionError
-from .graded import Element, GradedBasis
+from .graded import Element, GradedBasis, Scalar
 from .results import Verdict, Violation
 
 
@@ -108,8 +107,8 @@ class MultiOp:
         for a in args:
             if a.basis != self.basis:
                 raise MalformedInputError("argument lives over a foreign basis")
-        acc: dict[int, Fraction] = {}
-        self._accumulate(args, 0, (), Fraction(1), acc)
+        acc: dict[int, Scalar] = {}
+        self._accumulate(args, 0, (), 1, acc)
         return Element._trusted(self.basis, acc)
 
     def _accumulate(
@@ -117,14 +116,14 @@ class MultiOp:
         args: Sequence[Element],
         pos: int,
         key: tuple[int, ...],
-        coeff: Fraction,
-        acc: dict[int, Fraction],
+        coeff: Scalar,
+        acc: dict[int, Scalar],
     ) -> None:
         if pos == self.arity:
             image = self.constants.get(key)
             if image is not None:
                 for i, c in image.coeffs.items():
-                    acc[i] = acc.get(i, Fraction(0)) + coeff * c
+                    acc[i] = acc.get(i, 0) + coeff * c
             return
         for i, c in args[pos].coeffs.items():
             self._accumulate(args, pos + 1, key + (i,), coeff * c, acc)
@@ -161,7 +160,7 @@ class MultiOp:
     def __neg__(self) -> "MultiOp":
         return self.scale(-1)
 
-    def scale(self, scalar: Fraction | int) -> "MultiOp":
+    def scale(self, scalar: Scalar) -> "MultiOp":
         return MultiOp(
             self.basis,
             self.arity,

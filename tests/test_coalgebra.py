@@ -28,9 +28,12 @@ from shleibniz.coalgebra import (
     word_degree,
 )
 from shleibniz.derived import build_codifferential
-from shleibniz.errors import MalformedInputError
+from shleibniz.errors import MalformedInputError, MCRejectionError
+from shleibniz.gauge import build_xi, exp_xi, gauge_transform, mc_to_deformation
 from shleibniz.graded import Element, GradedBasis
+from shleibniz.linalg import derivation_basis
 from shleibniz.multiop import (
+    DgLeibnizAlgebra,
     MultiOp,
     check_derivation,
     check_leibniz_identity,
@@ -94,7 +97,21 @@ def test_vector_constructors_reject_bad_keys():
             cls(basis, coeffs)
 
 
-def test_arithmetic_results_hold_nonzero_fractions():
+def is_canonical(c) -> bool:
+    """Nonzero, and an int (not a bool) or a Fraction with denominator > 1."""
+    return bool(c) and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+
+
+def assert_canonical(vectors) -> bool:
+    """Every stored coefficient is canonical; True if any carries a denominator."""
+    rational = False
+    for vec in vectors:
+        assert all(is_canonical(c) for c in vec.coeffs.values()), vec
+        rational = rational or any(type(c) is Fraction for c in vec.coeffs.values())
+    return rational
+
+
+def test_stored_coefficients_are_canonical_exact_scalars():
     basis = small_basis()
     x = Element(basis, {0: 1, 1: Fraction(1, 2)})
     t = TensorElement(basis, {(0, 1): 2, (1,): -1})
@@ -102,12 +119,52 @@ def test_arithmetic_results_hold_nonzero_fractions():
     results = []
     for v in (x, t, p):
         results += [v + v, v - v, -v, v.scale(0), v.scale(2), v.scale(Fraction(-1, 3)), 3 * v]
-        results.append(v + v.scale(-1))
+        results += [v + v.scale(-1), v.scale(Fraction(6, 2)), v.scale(6).scale(Fraction(1, 6))]
+        results.append(v.scale(Fraction(3, 2)) + v.scale(Fraction(1, 2)))
+    results.append(Element(basis, {0: Fraction(4, 2), 1: Fraction(-4, 6)}))
     results.append(comultiply(basis, (1, 1, 0)))
-    spec = lift_coderivation(MultiOp(basis, 2, 1, {(0, 0): basis.vector(1)}))
-    results.append(evaluate_coderivation(spec, (0, 0, 1, 0)))
-    for result in results:
-        assert all(type(c) is Fraction and c for c in result.coeffs.values()), result
+    op = MultiOp(basis, 2, 1, {(0, 0): basis.vector(1)})
+    spec = lift_coderivation(op)
+    word_image = evaluate_coderivation(spec, (0, 0, 1, 0))
+    results += [word_image, decompose_k(op, 2, basis, (0, 0, 1, 0)), corestriction(word_image)]
+    results += [op.apply([x, x]), op.scale(Fraction(1, 2)).apply([x, x])]
+    results.append(apply_to_words(op, TensorElement(basis, {(0, 0): Fraction(1, 3)})))
+    results.append(extend_linearly(t, lambda w: comultiply(basis, w + (0,)), TensorPairElement))
+    unit = Element(basis, {0: Fraction(1, 2)}).scale(2).coeffs[0]
+    assert unit == 1 and type(unit) is int
+    assert assert_canonical(results)
+    engine = check_coderivation_axiom(spec, 3, lambda w: decompose_k(op, len(w), basis, w))
+    assert not engine.passed
+    assert_canonical(v.residual for v in engine.violations)
+
+
+def test_genuinely_rational_outputs_are_canonical():
+    doc = shipped.load_fixture("endo2")
+    fam, gauge = doc.to_family(), doc.to_gauge()
+    basis = fam.basis
+    spec = build_xi(gauge)
+    # the 1/p! terms of the exponential series
+    images = [exp_xi(spec, w) for n in (2, 3) for w in basis.index_tuples(n)]
+    assert assert_canonical(images)
+    transformed = gauge_transform(fam, gauge, order=fam.order + 2)
+    assert assert_canonical(c for d in transformed.deltas for c in d.constants.values())
+    # Maurer-Cartan: the (1/2){theta, theta} residual, and an accepted element
+    quartic = shipped.load_fixture("quartic").to_bracket()
+    flat = DgLeibnizAlgebra(quartic.basis, quartic, MultiOp.zero(quartic.basis, 1, 1))
+    with pytest.raises(MCRejectionError) as rejected:
+        mc_to_deformation(flat, shipped.mc_element("quartic"))
+    assert assert_canonical([rejected.value.residual])
+    algebra = DgLeibnizAlgebra(basis, fam.bracket, fam.delta(0))
+    induced = mc_to_deformation(algebra, shipped.mc_element("endo2"))
+    assert_canonical(c for d in induced.deltas for c in d.constants.values())
+    # linalg solves over the rationals and feeds its vectors through Element
+    derivations = [
+        c for name in ("endo2", "heis3w", "quartic")
+        for d in derivation_basis(shipped.load_fixture(name).to_bracket())
+        for c in d.constants.values()
+    ]
+    assert derivations
+    assert_canonical(derivations)
 
 
 def test_word_degree_sums_letter_degrees():

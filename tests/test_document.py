@@ -57,6 +57,17 @@ e: 2 b - 1 b
     assert parse_document(text) == doc
 
 
+def test_parsed_coefficients_are_exact_scalars(docs):
+    doc = parse_document("[basis]\nx: 0\ny: 0\n\n[bracket]\nx x: 2/2 x - 4/6 y\n")
+    ((_, _, terms),) = doc.bracket
+    assert [(type(c), c, g) for c, g in terms] == [(int, 1, "x"), (Fraction, Fraction(-2, 3), "y")]
+    for name, fixture in docs.items():
+        for *_, entry in fixture.bracket:
+            assert all(type(c) is int for c, _ in entry), name
+        for order in fixture.deltas + fixture.gauges:
+            assert all(type(c) is int for _, entry in order for c, _ in entry), name
+
+
 def test_terms_sorted_by_basis_index():
     text = """
 [basis]

@@ -1,17 +1,23 @@
-"""Text reports pinned byte for byte, apart from the elapsed line.
+"""Text and structured reports pinned byte for byte, apart from elapsed time.
 
 Every command runs on every shipped fixture it applies to, at small scopes,
 and the failing commands run on each designated perturbation, so verdicts,
-witness lists and their order are all pinned.  The digests in
-``golden_reports.json`` were recorded from the engine before its internals
-were refactored; regenerate them only for a deliberate change of report
-content, with ``python tests/test_golden_reports.py --write``.
+witness lists and their order are all pinned.  One fixture also runs after
+a diagonal rescaling of its basis, with and without its perturbation, so
+that structure constants, residuals and gauge images carry denominators.
+Each case pins ``render_text`` minus its ``elapsed:`` line under its plain
+key and ``render_structured`` minus its ``elapsed_ms`` key under the key
+with a `` structured`` suffix.  The digests in ``golden_reports.json`` were
+recorded from the engine before its internals were refactored; regenerate
+them only for a deliberate change of report content, with
+``python tests/test_golden_reports.py --write``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -19,23 +25,66 @@ from pathlib import Path
 from shleibniz import fixtures as shipped
 from shleibniz.document import AlgebraDocument, serialize_document
 from shleibniz.errors import PreconditionError
-from shleibniz.report import render_text
+from shleibniz.report import render_structured, render_text
 from shleibniz.runner import COMMANDS, RunOptions, run_command
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 SCOPES = RunOptions(max_const=4, max_word_len=3, max_arity=2)
 FAILING_PATH = ("check-deformation", "check-sh", "check-codifferential")
+RESCALED = "endo2"
+RESCALED_COMMANDS = (
+    "check-sh",
+    "check-codifferential",
+    "check-coalgebra",
+    "check-gauge-equivalence",
+)
+# basis letter k is rescaled by LAMBDAS[k % 4]
+LAMBDAS = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
 
 
-def report_digest(command: str, text: str) -> str:
-    rendered = render_text(run_command(command, text, SCOPES))
-    kept = [line for line in rendered.splitlines() if not line.startswith("elapsed:")]
+def _digest(rendered: str, timing_prefix: str) -> str:
+    kept = [line for line in rendered.splitlines() if not line.startswith(timing_prefix)]
     return hashlib.sha256("\n".join(kept).encode()).hexdigest()
 
 
-def perturbed_text(name: str) -> str:
-    """The fixture's document with its designated perturbation written in."""
-    doc = shipped.load_fixture(name)
+def report_digests(command: str, text: str) -> tuple[str, str]:
+    """Digests of the text and of the structured rendering of one run."""
+    report = run_command(command, text, SCOPES)
+    return (
+        _digest(render_text(report), "elapsed:"),
+        _digest(render_structured(report), '  "elapsed_ms":'),
+    )
+
+
+def rescaled_document(doc: AlgebraDocument) -> AlgebraDocument:
+    """The same structure written in the basis y_k = LAMBDAS[k % 4] x_k.
+
+    A map sending x_a to sum c_g x_g sends y_a to sum (lambda_a c_g /
+    lambda_g) y_g, and a bracket likewise picks up lambda_a lambda_b /
+    lambda_g.  The change of basis is an isomorphism, so every verdict of
+    the original holds, while the constants now carry denominators.
+    """
+    scale = {name: LAMBDAS[k % len(LAMBDAS)] for k, (name, _) in enumerate(doc.basis)}
+
+    def terms(inputs: tuple[str, ...], old):
+        factor = math.prod(scale[name] for name in inputs)
+        return tuple((c * factor / scale[g], g) for c, g in old)
+
+    def unary(orders):
+        return tuple(tuple((src, terms((src,), t)) for src, t in order) for order in orders)
+
+    return AlgebraDocument(
+        doc.basis,
+        tuple((a, b, terms((a, b), t)) for a, b, t in doc.bracket),
+        unary(doc.deltas),
+        unary(doc.gauges),
+        tuple((k, f"{v}-rescaled" if k == "name" else v) for k, v in doc.metadata),
+    )
+
+
+def perturbed_text(name: str, doc: AlgebraDocument | None = None) -> str:
+    """The fixture's document (or ``doc``) with its designated perturbation written in."""
+    doc = shipped.load_fixture(name) if doc is None else doc
     tweak = shipped.perturbation(name)
     entries = {src: dict((g, c) for c, g in terms) for src, terms in doc.deltas[tweak.order]}
     image = entries.setdefault(tweak.source, {})
@@ -51,19 +100,32 @@ def perturbed_text(name: str) -> str:
     )
 
 
+def rescaled_cases() -> dict[str, str]:
+    """Case label -> document text for the rescaled fixture, plain and perturbed."""
+    doc = rescaled_document(shipped.load_fixture(RESCALED))
+    return {
+        f"{RESCALED}-rescaled": serialize_document(doc),
+        f"{RESCALED}-rescaled+perturbation": perturbed_text(RESCALED, doc),
+    }
+
+
 def compute_digests() -> dict[str, str]:
-    out: dict[str, str] = {}
+    runs: list[tuple[str, str, str]] = []
     for name in shipped.fixture_names():
-        text = shipped.fixture_text(name)
-        for command in COMMANDS:
-            try:
-                out[f"{command} {name}"] = report_digest(command, text)
-            except PreconditionError:
-                pass
+        runs.extend((command, name, shipped.fixture_text(name)) for command in COMMANDS)
     for name in shipped.family_fixture_names():
         text = perturbed_text(name)
-        for command in FAILING_PATH:
-            out[f"{command} {name}+perturbation"] = report_digest(command, text)
+        runs.extend((command, f"{name}+perturbation", text) for command in FAILING_PATH)
+    for label, text in rescaled_cases().items():
+        runs.extend((command, label, text) for command in RESCALED_COMMANDS)
+    out: dict[str, str] = {}
+    for command, label, text in runs:
+        try:
+            text_digest, structured_digest = report_digests(command, text)
+        except PreconditionError:
+            continue
+        out[f"{command} {label}"] = text_digest
+        out[f"{command} {label} structured"] = structured_digest
     return out
 
 
@@ -78,6 +140,20 @@ def test_perturbed_reports_fail():
     for name in shipped.family_fixture_names():
         report = run_command("check-sh", perturbed_text(name), SCOPES)
         assert not report.passed, name
+
+
+def test_rescaled_fixture_carries_denominators_and_keeps_its_verdicts():
+    doc = rescaled_document(shipped.load_fixture(RESCALED))
+    constants = [c for *_, terms in doc.bracket for c, _ in terms]
+    constants += [c for order in doc.deltas for _, terms in order for c, _ in terms]
+    assert any(Fraction(c).denominator > 1 for c in constants)
+    originals = (shipped.fixture_text(RESCALED), perturbed_text(RESCALED))
+    for text, original in zip(rescaled_cases().values(), originals):
+        for command in RESCALED_COMMANDS:
+            assert (
+                run_command(command, text, SCOPES).passed
+                == run_command(command, original, SCOPES).passed
+            ), (command, text)
 
 
 if __name__ == "__main__":

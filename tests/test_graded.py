@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shleibniz.coalgebra import TensorElement, TensorPairElement
 from shleibniz.errors import MalformedInputError
 from shleibniz.graded import (
     Element,
@@ -24,6 +26,7 @@ from shleibniz.graded import (
     Shift,
     anti_koszul_sign,
     apply_layer,
+    exact,
     format_element,
     koszul_sign,
     layer_sign,
@@ -33,6 +36,7 @@ from shleibniz.graded import (
     suspension_factor,
     unshuffles,
 )
+from shleibniz.multiop import MultiOp
 
 DEGREES = (-2, -1, 0, 1, 2, 3)
 
@@ -253,6 +257,38 @@ def test_element_arithmetic_and_homogeneity():
         (x + y).homogeneous_degree()
     assert x.homogeneous_degree() == 0
     assert Element(basis, {}).homogeneous_degree() is None
+
+
+def test_coefficients_are_stored_as_exact_scalars():
+    basis = GradedBasis(("x", "y", "z"), (0, 1, 1))
+    elt = Element(basis, {0: Fraction(4, 2), 1: Fraction(-4, 6), 2: 1})
+    assert [(type(c), c) for _, c in elt.items()] == [
+        (int, 2), (Fraction, Fraction(-2, 3)), (int, 1)
+    ]
+    assert [type(c) for _, c in elt.scale(Fraction(3, 2)).items()] == [int, int, Fraction]
+    assert exact(Fraction(-6, 3)) == -2 and type(exact(Fraction(-6, 3))) is int
+    assert exact(7) == 7 and exact(Fraction(1, 3)) == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1", "1/2", Decimal("0.5"), True, None, 1j])
+def test_inexact_coefficients_are_refused(bad):
+    basis = GradedBasis(("x", "y"), (0, 1))
+    kind = type(bad).__name__
+    with pytest.raises(MalformedInputError, match=rf"coefficient of 1 is a {kind}\b"):
+        Element(basis, {0: 1, 1: bad})
+    with pytest.raises(MalformedInputError, match=rf"coefficient of \(0, 1\) is a {kind}\b"):
+        TensorElement(basis, {(0, 1): bad})
+    with pytest.raises(MalformedInputError, match=rf"coefficient of \(\(0,\), \(1,\)\) is a {kind}"):
+        TensorPairElement(basis, {((0,), (1,)): bad})
+    with pytest.raises(MalformedInputError, match=rf"scalar is a {kind}\b"):
+        basis.vector("x").scale(bad)
+    with pytest.raises(MalformedInputError, match=rf"scalar is a {kind}\b"):
+        bad * basis.vector("x")
+    op = MultiOp(basis, 1, 1, {(0,): basis.vector("y")})
+    with pytest.raises(MalformedInputError, match=rf"scalar is a {kind}\b"):
+        op.scale(bad)
+    with pytest.raises(MalformedInputError, match=rf"coefficient of 1 is a {kind}\b"):
+        MultiOp(basis, 1, 1, {(0,): Element(basis, {1: bad})})
 
 
 @given(
