@@ -27,6 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .coalgebra import (
     CoderivationSpec,
@@ -34,7 +35,6 @@ from .coalgebra import (
     Word,
     comultiply,
     evaluate_coderivation,
-    evaluate_on_tensor,
     extend_linearly,
     hom_bracket,
     TensorPairElement,
@@ -238,6 +238,14 @@ def exp_xi(spec: CoderivationSpec, word: Word) -> TensorElement:
     Requires every component arity >= 2 (an arity-1 component would make the
     exponential an infinite series).
     """
+    return _exponential(spec, word, lambda w: evaluate_coderivation(spec, w))
+
+
+def _exponential(
+    spec: CoderivationSpec, word: Word, lift: Callable[[Word], TensorElement]
+) -> TensorElement:
+    """exp_xi with the lift of spec on one word given by lift, so a caller
+    can share one table of lifts across the powers and across words."""
     low = spec.min_arity()
     if low is not None and low < 2:
         raise PreconditionError("exponential needs all component arities >= 2")
@@ -246,7 +254,7 @@ def exp_xi(spec: CoderivationSpec, word: Word) -> TensorElement:
     p = 0
     while not term.is_zero():
         p += 1
-        term = evaluate_on_tensor(spec, term).scale(Fraction(1, p))
+        term = extend_linearly(term, lift, TensorElement).scale(Fraction(1, p))
         total = total + term
     return total
 
@@ -287,7 +295,9 @@ def check_gauge_equivalence(
 
     Each word's e^{Xi}, e^{-Xi}, partial and comultiplication are computed at
     most once per call: every word they are needed on is no longer than the
-    word being checked.
+    word being checked.  Every power of both exponentials draws from one table
+    of Xi lifts and one of -Xi lifts, so each word is lifted at most once
+    by each.
     """
     if max_len < 1:
         raise MalformedInputError("max_len must be >= 1")
@@ -298,8 +308,10 @@ def check_gauge_equivalence(
     xi_spec = build_xi(gauge)
     neg_xi = _negate_spec(xi_spec)
     basis = fam.basis
-    exp_plus = functools.cache(lambda word: exp_xi(xi_spec, word))
-    exp_minus = functools.cache(lambda word: exp_xi(neg_xi, word))
+    xi_lift = functools.cache(lambda word: evaluate_coderivation(xi_spec, word))
+    neg_lift = functools.cache(lambda word: evaluate_coderivation(neg_xi, word))
+    exp_plus = functools.cache(lambda word: _exponential(xi_spec, word, xi_lift))
+    exp_minus = functools.cache(lambda word: _exponential(neg_xi, word, neg_lift))
     lift = functools.cache(lambda word: evaluate_coderivation(partial, word))
     split = functools.cache(lambda word: comultiply(basis, word))
     violations: list[Violation] = []

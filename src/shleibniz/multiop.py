@@ -283,7 +283,9 @@ def n_i_d(bracket: MultiOp, op: MultiOp, i: int) -> MultiOp:
     N_i D(x_1, ..., x_i) = {N_{i-1} D(x_1, ..., x_{i-1}), x_i}: each level
     brackets the nonzero images of the previous one on the right with every
     basis vector and keeps the nonzero results, so tuples whose leftmost
-    letter op kills are never visited.  No Koszul sign: op acts on the first
+    letter op kills are never visited.  The images are plain coefficient
+    dicts read against the bracket's constants {y, x}; the result is
+    validated once, as a MultiOp.  No Koszul sign: op acts on the first
     tensor factor, jumping over nothing.
     """
     if op.arity != 1:
@@ -295,17 +297,27 @@ def n_i_d(bracket: MultiOp, op: MultiOp, i: int) -> MultiOp:
     basis = bracket.basis
     if op.basis != basis:
         raise MalformedInputError("operation and bracket live over different bases")
-    vectors = [basis.vector(x) for x in range(len(basis))]
-    level = dict(sorted(op.constants.items()))
+    # right[y] lists (x, {y, x}) over the nonzero brackets, x ascending
+    right: dict[int, list[tuple[int, dict[int, Scalar]]]] = {}
+    for (y, x), image in sorted(bracket.constants.items()):
+        right.setdefault(y, []).append((x, image.coeffs))
+    level = {key: image.coeffs for key, image in sorted(op.constants.items())}
     for _ in range(i - 1):
-        longer: dict[tuple[int, ...], Element] = {}
-        for key, image in level.items():
-            for x, vector in enumerate(vectors):
-                value = bracket.apply([image, vector])
-                if not value.is_zero():
+        longer: dict[tuple[int, ...], dict[int, Scalar]] = {}
+        for key, coeffs in level.items():
+            by_x: dict[int, dict[int, Scalar]] = {}
+            for y, c in coeffs.items():
+                for x, image in right.get(y, ()):
+                    acc = by_x.setdefault(x, {})
+                    for z, cz in image.items():
+                        acc[z] = acc.get(z, 0) + c * cz
+            for x in sorted(by_x):
+                value = {z: c for z, c in by_x[x].items() if c}
+                if value:
                     longer[key + (x,)] = value
         level = longer
-    return MultiOp(basis, i, op.degree, level)
+    constants = {key: Element._trusted(basis, coeffs) for key, coeffs in level.items()}
+    return MultiOp(basis, i, op.degree, constants)
 
 
 def check_rearrangement(bracket: MultiOp, max_n: int = 3) -> Verdict:

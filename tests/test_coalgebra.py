@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from shleibniz import coalgebra
 from shleibniz import fixtures as shipped
 from shleibniz.coalgebra import (
     CoderivationSpec,
@@ -42,6 +44,7 @@ from shleibniz.multiop import (
     nary_bracket,
 )
 from shleibniz.results import Violation
+from test_derived import direct_sum_family, dual_numbers_family
 
 
 def small_basis() -> GradedBasis:
@@ -270,22 +273,57 @@ def test_corrupted_lift_fails_coderivation_axiom():
     assert all(len(v.site) >= 3 for v in verdict.violations)
 
 
-def coderivation_axiom_reference(
-    spec: CoderivationSpec, max_len: int, evaluate
-) -> list[Violation]:
-    """check_coderivation_axiom as first written: the map and comultiply
-    called afresh on every word and subword."""
-    basis = spec.basis
+def dense_check_dual_leibniz(basis: GradedBasis, max_len: int) -> list[Violation]:
+    """check_dual_leibniz as a walk over every word, before parity patterns."""
+    split = functools.cache(lambda word: comultiply(basis, word).terms)
     violations = []
     for length in range(1, max_len + 1):
         for word in basis.index_tuples(length):
-            lhs = extend_linearly(evaluate(word), lambda w: comultiply(basis, w), TensorPairElement)
+            delta = split(word)
+            lhs: dict = {}
+            for (w1, w2), c in delta.items():
+                for (w21, w22), c2 in split(w2).items():
+                    key = (w1, w21, w22)
+                    lhs[key] = lhs.get(key, 0) + c * c2
+            rhs: dict = {}
+            for (w1, w2), c in delta.items():
+                for (w11, w12), c1 in split(w1).items():
+                    key = (w11, w12, w2)
+                    rhs[key] = rhs.get(key, 0) + c * c1
+                    swap = -1 if (word_degree(basis, w11) * word_degree(basis, w12)) % 2 else 1
+                    skey = (w12, w11, w2)
+                    rhs[skey] = rhs.get(skey, 0) + swap * c * c1
+            diff = dict(lhs)
+            for k, c in rhs.items():
+                diff[k] = diff.get(k, 0) - c
+            diff = {k: c for k, c in diff.items() if c}
+            if diff:
+                witness = next(iter(sorted(diff)))
+                names = tuple(basis.names[i] for i in word)
+                detail = f"first mismatched triple {witness}: {diff[witness]}"
+                violations.append(Violation("dual-leibniz", names, None, detail))
+    return violations
+
+
+def dense_check_coderivation_axiom(
+    spec: CoderivationSpec, max_len: int, evaluate=None
+) -> list[Violation]:
+    """check_coderivation_axiom as a walk over every word, before parity patterns."""
+    basis = spec.basis
+    if evaluate is None:
+        evaluate = lambda word: evaluate_coderivation(spec, word)
+    lift = functools.cache(evaluate)
+    split = functools.cache(lambda word: comultiply(basis, word))
+    violations = []
+    for length in range(1, max_len + 1):
+        for word in basis.index_tuples(length):
+            lhs = extend_linearly(lift(word), split, TensorPairElement)
             acc: dict = {}
-            for (w1, w2), c in comultiply(basis, word).terms.items():
-                for w1p, c1 in evaluate(w1).terms.items():
+            for (w1, w2), c in split(word).terms.items():
+                for w1p, c1 in lift(w1).terms.items():
                     acc[w1p, w2] = acc.get((w1p, w2), Fraction(0)) + c * c1
                 jump = -1 if (spec.degree * word_degree(basis, w1)) % 2 else 1
-                for w2p, c2 in evaluate(w2).terms.items():
+                for w2p, c2 in lift(w2).terms.items():
                     acc[w1, w2p] = acc.get((w1, w2p), Fraction(0)) + jump * c * c2
             residual = lhs - TensorPairElement(basis, acc)
             if not residual.is_zero():
@@ -313,7 +351,7 @@ def test_corrupted_codifferential_matches_its_per_word_loop(docs, family_names):
         got = check_coderivation_axiom(spec, max_len=3, evaluate=truncated).violations
         assert got, name
         assert len(calls) == len(set(calls)), name
-        assert got == coderivation_axiom_reference(spec, 3, truncated), name
+        assert got == dense_check_coderivation_axiom(spec, 3, truncated), name
 
 
 def test_evaluate_on_tensor_is_linear():
@@ -459,3 +497,97 @@ def test_hom_bracket_matches_its_dense_tabulation(docs):
             assert list(sparse.constants) == list(dense.constants), (label, f, g)
             pairs += 1
     assert pairs > 700
+
+
+def coalgebra_oracle_cases(docs) -> list[tuple[str, GradedBasis, list[CoderivationSpec], int]]:
+    """(label, basis, specs, max_len): every fixture with every shipped op, its
+    codifferential and Xi (several components each) and a scrambled op; the
+    dimension-8 sum endo2 + heis3w and product endo2 (x) Q[t]/t^2 at length 3."""
+    cases = []
+    for seed, (name, doc) in enumerate(sorted(docs.items())):
+        bracket = doc.to_bracket()
+        fam, gauge = doc.to_family(), doc.to_gauge()
+        ops = [bracket] + (list(fam.deltas) if fam else []) + (list(gauge.xis) if gauge else [])
+        ops.append(scrambled_op(bracket.basis, 1, seed))
+        specs = [lift_coderivation(op) for op in ops if not op.is_zero()]
+        specs += [build_codifferential(fam)] if fam else []
+        specs += [build_xi(gauge)] if gauge else []
+        cases.append((name, bracket.basis, specs, 4))
+    endo2, heis3w = docs["endo2"].to_family(), docs["heis3w"].to_family()
+    for label, fam in (
+        ("endo2+heis3w", direct_sum_family(endo2, heis3w)),
+        ("endo2(x)Q[t]/t^2", dual_numbers_family(endo2)),
+    ):
+        specs = [lift_coderivation(fam.bracket), lift_coderivation(fam.delta(1))]
+        cases.append((label, fam.basis, specs + [build_codifferential(fam)], 3))
+    return cases
+
+
+def assert_certificates_match_the_dense_walk(cases) -> int:
+    """Same verdicts and violation lists, in the same order; returns the
+    number of violations seen."""
+    seen = 0
+    for label, basis, specs, max_len in cases:
+        got = check_dual_leibniz(basis, max_len)
+        want = dense_check_dual_leibniz(basis, max_len)
+        assert (got.passed, got.violations) == (not want, want), label
+        seen += len(want)
+        for spec in specs:
+            got = check_coderivation_axiom(spec, max_len)
+            want = dense_check_coderivation_axiom(spec, max_len)
+            assert (got.passed, got.violations) == (not want, want), (label, spec.arities())
+            seen += len(want)
+    return seen
+
+
+@pytest.fixture
+def fresh_certificates():
+    """Generic verdicts are cached for the whole process; a test that changes
+    a sign must not leave its verdicts behind, nor see earlier ones."""
+    caches = (coalgebra._dual_leibniz_certified, coalgebra._coderivation_certified)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_parity_certificates_match_the_dense_walk(docs, fresh_certificates):
+    assert assert_certificates_match_the_dense_walk(coalgebra_oracle_cases(docs)) == 0
+
+
+def test_parity_certificates_match_the_dense_walk_on_generated_bases(fresh_certificates):
+    rng = random.Random(7)
+    cases = []
+    for n in range(6):
+        dim = rng.randint(1, 4)
+        basis = GradedBasis(
+            tuple(f"e{k}" for k in range(dim)), tuple(rng.randint(-2, 2) for _ in range(dim))
+        )
+        specs = [lift_coderivation(scrambled_op(basis, degree, n)) for degree in (0, 1)]
+        specs = [spec for spec in specs if spec.components]
+        cases.append((f"generated {n}", basis, specs, 4))
+    assert assert_certificates_match_the_dense_walk(cases) == 0
+
+
+@pytest.mark.parametrize("target", [(0, 1), (1, 1)])
+def test_parity_certificates_match_the_dense_walk_under_a_flipped_sign(
+    docs, fresh_certificates, monkeypatch, target
+):
+    # flipping eps for one parity tuple breaks comultiply and the lifts on the
+    # generic and the concrete words alike: both walks must find the same
+    # witnesses, which the generic words alone could not list
+    real = coalgebra.signed_unshuffles
+
+    def flipped(p, q, parities):
+        rows = real(p, q, parities)
+        if parities != target:
+            return rows
+        return tuple((first, second, -eps, sgn, jumped) for first, second, eps, sgn, jumped in rows)
+
+    monkeypatch.setattr(coalgebra, "signed_unshuffles", flipped)
+    cases = [case for case in coalgebra_oracle_cases(docs) if case[3] == 4]
+    assert assert_certificates_match_the_dense_walk(cases) > 100
+    # some patterns of length 4 are still certified, so the walk is filtered
+    verdicts = {coalgebra._dual_leibniz_certified(p) for p in itertools.product((0, 1), repeat=4)}
+    assert verdicts == {True, False}

@@ -291,15 +291,32 @@ def test_untransformed_family_fails_like_the_per_word_loop(monkeypatch):
 
 def test_gauge_check_exponentiates_each_word_once(monkeypatch):
     calls = collections.Counter()
-    real = gauge_module.exp_xi
+    real = gauge_module._exponential
 
-    def counted(spec, word):
+    def counted(spec, word, lift):
         calls[id(spec), word] += 1
-        return real(spec, word)
+        return real(spec, word, lift)
 
-    monkeypatch.setattr(gauge_module, "exp_xi", counted)
+    monkeypatch.setattr(gauge_module, "_exponential", counted)
     doc = shipped.load_fixture("endo2")
     assert check_gauge_equivalence(doc.to_family(), doc.to_gauge(), max_len=3).passed
+    assert len({spec for spec, _ in calls}) == 2
+    assert set(calls.values()) == {1}
+
+
+def test_gauge_check_lifts_xi_once_per_word(monkeypatch):
+    # every power of e^Xi and of e^-Xi draws from one table of lifts each
+    calls = collections.Counter()
+    real = gauge_module.evaluate_coderivation
+
+    def counted(spec, word):
+        if spec.degree == 0:
+            calls[id(spec), word] += 1
+        return real(spec, word)
+
+    monkeypatch.setattr(gauge_module, "evaluate_coderivation", counted)
+    doc = shipped.load_fixture("endo2")
+    assert check_gauge_equivalence(doc.to_family(), doc.to_gauge(), max_len=4).passed
     assert len({spec for spec, _ in calls}) == 2
     assert set(calls.values()) == {1}
 
