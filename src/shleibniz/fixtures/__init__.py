@@ -1,8 +1,19 @@
-"""Shipped example algebras, as documents and as parsed objects.
+"""Shipped example algebras, and sums and products generated from them.
 
-Each fixture exists twice: as a builder here (the reference object) and as
-an ``.alg`` file next to this module (the reference text).  Tests assert
-the two agree, so either can be treated as the source of truth.
+The ``.alg`` files next to this module are the corpus; ``fixture_names``
+lists them and ``load_fixture`` parses one.  Why each one ships:
+
+- ``abelian3``: abelian dg algebra, one generator per degree; every bracket
+  vanishes.
+- ``endo2``: graded commutator on the matrix units of a complex in degrees 0
+  and 1; ad E10 at orders 0-3 keeps derived brackets nonzero up to arity 4.
+- ``heis3w``: Heisenberg dg Lie algebra with g0 -> h at orders 0 to 2.
+- ``heisab``: the abelian span of a and a1 is closed under the derived
+  brackets, since the order-1 component a -> h gives {h, a} = a1.
+- ``l2b``: not Lie, as {e, e} = c; its inner gauge {e, -} is square-zero, so
+  the gauge exponential has exactly two terms.
+- ``quartic``: {v, v} = w, so the odd v passes at first order but is not
+  integrable to a Maurer-Cartan element; no family, hosts the rejection test.
 
 Every fixture that carries a deformation family also carries a designated
 single-constant perturbation, chosen so that adding that one constant to
@@ -12,6 +23,10 @@ order-0 component along a degree chain d -> d+1 -> d+2, because an order-0
 residual is the arity-one component of the squared codifferential and is
 therefore visible no matter how degenerate the bracket is; residuals at
 higher order can be annihilated by a bracket with a short top degree.
+
+``direct_sum`` and ``tensor_dual_numbers`` build larger inputs from parsed
+documents.  Each returns a normalised (serialised and parsed again) document,
+exactly what a user would feed the CLI as a file.
 """
 
 from __future__ import annotations
@@ -19,192 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from ..document import AlgebraDocument, Terms, parse_document
+from ..document import AlgebraDocument, Terms, parse_document, serialize_document
 from ..derived import DeformationFamily
 from ..gauge import McElement
-from ..graded import Element, Scalar, exact
+from ..graded import Element, Scalar
 from ..multiop import MultiOp
-
-
-def _terms(*pairs: tuple[Scalar, str]) -> Terms:
-    return tuple((exact(c), n) for c, n in pairs)
-
-
-def build_l2b() -> AlgebraDocument:
-    """Non-Lie Leibniz algebra: one even generator squaring to a centre.
-
-    The bracket {e,e} = c is not antisymmetrisable.  The family repeats
-    the differential e -> b at orders 0 and 1; the gauge generator is the
-    inner derivation {e,-}, which is square-zero, so its exponential
-    series has exactly two terms.
-    """
-    return AlgebraDocument(
-        basis=(("e", 0), ("c", 0), ("b", 1), ("w", 2)),
-        bracket=(("e", "e", _terms((1, "c"))),),
-        deltas=(
-            (("e", _terms((1, "b"))),),
-            (("e", _terms((1, "b"))),),
-        ),
-        gauges=((("e", _terms((1, "c"))),),),
-        metadata=(
-            ("name", "l2b"),
-            ("notes", "non-Lie Leibniz algebra, square-zero inner gauge"),
-        ),
-    )
-
-
-def build_abelian3() -> AlgebraDocument:
-    """Three-dimensional abelian dg algebra, one generator per degree."""
-    return AlgebraDocument(
-        basis=(("x0", 0), ("x1", 1), ("x2", 2)),
-        bracket=(),
-        deltas=(
-            (("x0", _terms((1, "x1"))),),
-            (("x0", _terms((1, "x1"))),),
-        ),
-        gauges=((("x0", _terms((1, "x0"))),),),
-        metadata=(
-            ("name", "abelian3"),
-            ("notes", "abelian chain, all brackets vanish"),
-        ),
-    )
-
-
-def build_endo2() -> AlgebraDocument:
-    """Endomorphisms of a two-term complex under the graded commutator.
-
-    Matrix units E_ij send the j-th generator of the complex to the i-th;
-    with the complex concentrated in degrees 0 and 1 this grades the four
-    units as -1, 0, 0, +1.  The differential is the inner derivation by
-    E10 at every order through 3, giving a depth-4 family whose derived
-    brackets are nonzero up to arity 4.  The two gauge generators are the
-    inner derivations by the even idempotents.
-    """
-    return AlgebraDocument(
-        basis=(("E01", -1), ("E00", 0), ("E11", 0), ("E10", 1)),
-        bracket=(
-            ("E01", "E00", _terms((-1, "E01"))),
-            ("E01", "E11", _terms((1, "E01"))),
-            ("E01", "E10", _terms((1, "E00"), (1, "E11"))),
-            ("E00", "E01", _terms((1, "E01"))),
-            ("E00", "E10", _terms((-1, "E10"))),
-            ("E11", "E01", _terms((-1, "E01"))),
-            ("E11", "E10", _terms((1, "E10"))),
-            ("E10", "E01", _terms((1, "E00"), (1, "E11"))),
-            ("E10", "E00", _terms((1, "E10"))),
-            ("E10", "E11", _terms((-1, "E10"))),
-        ),
-        deltas=tuple(
-            (
-                ("E01", _terms((1, "E00"), (1, "E11"))),
-                ("E00", _terms((1, "E10"))),
-                ("E11", _terms((-1, "E10"))),
-            )
-            for _ in range(4)
-        ),
-        gauges=(
-            (
-                ("E01", _terms((1, "E01"))),
-                ("E10", _terms((-1, "E10"))),
-            ),
-            (
-                ("E01", _terms((-1, "E01"))),
-                ("E10", _terms((1, "E10"))),
-            ),
-        ),
-        metadata=(
-            ("name", "endo2"),
-            ("notes", "graded commutator algebra of a two-term complex"),
-        ),
-    )
-
-
-def build_heisab() -> AlgebraDocument:
-    """Heisenberg-type dg Lie algebra with an abelian graded subalgebra.
-
-    The span of a and a1 is abelian and closed under both the order-0
-    differential a -> a1 and the binary derived bracket of the order-1
-    component a -> h, since {h,a} = a1 lands back in the span.  The
-    degree-2 generator w receives the designated perturbation.
-    """
-    return AlgebraDocument(
-        basis=(("a", 0), ("a1", 1), ("h", 1), ("w", 2)),
-        bracket=(
-            ("a", "h", _terms((-1, "a1"))),
-            ("h", "a", _terms((1, "a1"))),
-        ),
-        deltas=(
-            (("a", _terms((1, "a1"))),),
-            (("a", _terms((1, "h"))),),
-        ),
-        gauges=((("h", _terms((1, "a1"))),),),
-        metadata=(
-            ("name", "heisab"),
-            ("notes", "dg Lie algebra with abelian subalgebra spanned by a, a1"),
-        ),
-    )
-
-
-def build_heis3w() -> AlgebraDocument:
-    """Heisenberg dg Lie algebra with a repeated differential at depth 3."""
-    return AlgebraDocument(
-        basis=(("g0", 0), ("g1", 1), ("h", 1), ("w", 2)),
-        bracket=(
-            ("g0", "h", _terms((-1, "g1"))),
-            ("h", "g0", _terms((1, "g1"))),
-        ),
-        deltas=(
-            (("g0", _terms((1, "h"))),),
-            (("g0", _terms((1, "h"))),),
-            (("g0", _terms((1, "h"))),),
-        ),
-        gauges=(
-            (
-                ("g0", _terms((1, "g0"))),
-                ("g1", _terms((1, "g1"))),
-            ),
-            (("h", _terms((1, "g1"))),),
-        ),
-        metadata=(
-            ("name", "heis3w"),
-            ("notes", "heisenberg algebra, depth-3 constant family"),
-        ),
-    )
-
-
-def build_quartic() -> AlgebraDocument:
-    """Graded Lie algebra whose odd generator has a nonzero square bracket.
-
-    {v,v} = w makes the half-square of v a nonzero obstruction, so v is
-    not a Maurer-Cartan element even though it passes at first order.
-    Ships without a deformation family; it hosts the rejection test.
-    """
-    return AlgebraDocument(
-        basis=(("u", 0), ("v", 1), ("w", 2)),
-        bracket=(
-            ("u", "v", _terms((1, "v"))),
-            ("u", "w", _terms((2, "w"))),
-            ("v", "u", _terms((-1, "v"))),
-            ("v", "v", _terms((1, "w"))),
-            ("w", "u", _terms((-2, "w"))),
-        ),
-        deltas=(),
-        gauges=(),
-        metadata=(
-            ("name", "quartic"),
-            ("notes", "graded Lie algebra with a non-integrable odd element"),
-        ),
-    )
-
-
-_BUILDERS = {
-    "l2b": build_l2b,
-    "abelian3": build_abelian3,
-    "endo2": build_endo2,
-    "heisab": build_heisab,
-    "heis3w": build_heis3w,
-    "quartic": build_quartic,
-}
 
 
 @dataclass(frozen=True)
@@ -229,26 +63,20 @@ _PERTURBATIONS = {
 
 
 def fixture_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILDERS))
+    """The packaged ``.alg`` files' names, in sorted order."""
+    files = [f.name for f in resources.files(__package__).iterdir()]
+    return tuple(sorted(f.removesuffix(".alg") for f in files if f.endswith(".alg")))
 
 
 def family_fixture_names() -> tuple[str, ...]:
     """Fixtures shipping a deformation family, in sorted order."""
-    return tuple(n for n in fixture_names() if _BUILDERS[n]().deltas)
-
-
-def build_fixture(name: str) -> AlgebraDocument:
-    if name not in _BUILDERS:
-        raise KeyError(f"unknown fixture {name!r}")
-    return _BUILDERS[name]()
+    return tuple(n for n in fixture_names() if load_fixture(n).deltas)
 
 
 def fixture_text(name: str) -> str:
-    if name not in _BUILDERS:
+    if name not in fixture_names():
         raise KeyError(f"unknown fixture {name!r}")
-    return (
-        resources.files(__package__).joinpath(f"{name}.alg").read_text("utf-8")
-    )
+    return resources.files(__package__).joinpath(f"{name}.alg").read_text("utf-8")
 
 
 def load_fixture(name: str) -> AlgebraDocument:
@@ -284,8 +112,7 @@ def perturbed_family(doc: AlgebraDocument, tweak: Perturbation) -> DeformationFa
 
 def mc_element(name: str) -> McElement:
     """Maurer-Cartan candidates: accepted on endo2, rejected on quartic."""
-    doc = build_fixture(name)
-    basis = doc.to_basis()
+    basis = load_fixture(name).to_basis()
     if name == "endo2":
         theta = Element(basis, {basis.index("E10"): 1})
     elif name == "quartic":
@@ -300,3 +127,77 @@ def abelian_subalgebra(name: str) -> tuple[str, ...]:
     if name != "heisab":
         raise KeyError(f"fixture {name!r} has no designated abelian subalgebra")
     return ("a", "a1")
+
+
+def _normalise(doc: AlgebraDocument) -> AlgebraDocument:
+    return parse_document(serialize_document(doc))
+
+
+def _rename_terms(terms: Terms, prefix: str) -> Terms:
+    return tuple((c, prefix + n) for c, n in terms)
+
+
+def _rename_entries(entries, prefix: str):
+    return tuple((prefix + n, _rename_terms(t, prefix)) for n, t in entries)
+
+
+def _pad(sections: tuple, length: int) -> tuple:
+    return sections + ((),) * (length - len(sections))
+
+
+def direct_sum(
+    docs: list[AlgebraDocument], prefixes: list[str], name: str
+) -> AlgebraDocument:
+    """Block-diagonal sum: generator names prefixed, brackets between
+    summands zero, deltas and gauges added summand by summand with shorter
+    summands padded by zero orders."""
+    if len(docs) != len(prefixes) or len(set(prefixes)) != len(prefixes):
+        raise ValueError("need one distinct prefix per summand")
+    n_deltas = max(len(d.deltas) for d in docs)
+    n_gauges = max(len(d.gauges) for d in docs)
+    basis, bracket = [], []
+    deltas = [[] for _ in range(n_deltas)]
+    gauges = [[] for _ in range(n_gauges)]
+    for doc, p in zip(docs, prefixes):
+        basis += [(p + n, deg) for n, deg in doc.basis]
+        bracket += [(p + a, p + b, _rename_terms(t, p)) for a, b, t in doc.bracket]
+        for out, section in zip(deltas, _pad(doc.deltas, n_deltas)):
+            out.extend(_rename_entries(section, p))
+        for out, section in zip(gauges, _pad(doc.gauges, n_gauges)):
+            out.extend(_rename_entries(section, p))
+    return _normalise(
+        AlgebraDocument(
+            basis=tuple(basis),
+            bracket=tuple(bracket),
+            deltas=tuple(tuple(s) for s in deltas),
+            gauges=tuple(tuple(s) for s in gauges),
+            metadata=(("name", name),),
+        )
+    )
+
+
+def tensor_dual_numbers(doc: AlgebraDocument, name: str) -> AlgebraDocument:
+    """V (x) Q[t]/t^2 with t in degree 0.
+
+    Generator x t^i is named ``x`` for i = 0 and ``t_x`` for i = 1; the
+    bracket is {x t^i, y t^j} = {x, y} t^(i+j) (zero once t^2 appears), and
+    every delta and gauge acts as op (x) 1.  t has degree 0 and Q[t]/t^2 is
+    commutative, so no Koszul signs enter.
+    """
+    powers = ("", "t_")
+    basis = [(p + n, deg) for p in powers for n, deg in doc.basis]
+    bracket = []
+    for i, pi in enumerate(powers):
+        for j, pj in enumerate(powers):
+            if i + j < len(powers):
+                out = powers[i + j]
+                bracket += [(pi + a, pj + b, _rename_terms(t, out)) for a, b, t in doc.bracket]
+    return _normalise(
+        AlgebraDocument(
+            basis=tuple(basis),
+            bracket=tuple(bracket),
+            deltas=tuple(sum((_rename_entries(s, p) for p in powers), ()) for s in doc.deltas),
+            gauges=tuple(sum((_rename_entries(s, p) for p in powers), ()) for s in doc.gauges),
+            metadata=(("name", name),),
+        )
+    )

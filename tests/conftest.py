@@ -16,3 +16,13 @@ def docs() -> dict[str, AlgebraDocument]:
 @pytest.fixture(scope="session")
 def family_names() -> tuple[str, ...]:
     return shipped.family_fixture_names()
+
+
+@pytest.fixture(scope="session")
+def generated(docs) -> dict[str, AlgebraDocument]:
+    """The dimension-8 sum and product the sparse-against-dense oracles use."""
+    endo2, heis3w = docs["endo2"], docs["heis3w"]
+    return {
+        "endo2+heis3w": shipped.direct_sum([endo2, heis3w], ["", "r_"], "endo2+heis3w"),
+        "endo2(x)Q[t]/t^2": shipped.tensor_dual_numbers(endo2, "endo2xt"),
+    }

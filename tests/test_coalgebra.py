@@ -44,7 +44,6 @@ from shleibniz.multiop import (
     nary_bracket,
 )
 from shleibniz.results import Violation
-from test_derived import direct_sum_family, dual_numbers_family
 
 
 def small_basis() -> GradedBasis:
@@ -430,31 +429,7 @@ def scrambled_op(basis: GradedBasis, degree: int, seed: int) -> MultiOp:
     return MultiOp(basis, 1, degree, constants)
 
 
-def dual_numbers(bracket: MultiOp, unary: list[MultiOp]) -> tuple[MultiOp, list[MultiOp]]:
-    """V (x) Q[t]/t^2, t of degree 0: letter x t is x's index plus dim V,
-    {x t^a, y t^b} = {x, y} t^(a+b) up to t^2 = 0, and D acts as D (x) 1."""
-    small = bracket.basis
-    dim = len(small)
-    basis = GradedBasis(small.names + tuple("t_" + n for n in small.names), small.degrees * 2)
-
-    def carried(op: MultiOp, powers: tuple[tuple[int, ...], ...]) -> MultiOp:
-        return MultiOp(
-            basis,
-            op.arity,
-            op.degree,
-            {
-                tuple(x + a * dim for x, a in zip(key, power)): Element(
-                    basis, {t + sum(power) * dim: c for t, c in image.coeffs.items()}
-                )
-                for key, image in op.constants.items()
-                for power in powers
-            },
-        )
-
-    return carried(bracket, ((0, 0), (0, 1), (1, 0))), [carried(d, ((0,), (1,))) for d in unary]
-
-
-def hom_bracket_oracle_pools(docs) -> list[tuple[str, MultiOp, list[MultiOp], int]]:
+def hom_bracket_oracle_pools(docs, generated) -> list[tuple[str, MultiOp, list[MultiOp], int]]:
     """(label, bracket, operations, largest arity of a hom bracket) for the
     oracle test."""
     pools = []
@@ -466,9 +441,9 @@ def hom_bracket_oracle_pools(docs) -> list[tuple[str, MultiOp, list[MultiOp], in
         pools.append((name, bracket, insertions(bracket, unary, 3), 4))
         scrambled = scrambled_op(bracket.basis, 1, seed)
         pools.append((f"{name} scrambled", bracket, insertions(bracket, [scrambled], 3), 4))
-    doc = docs["endo2"]
+    doc = generated["endo2(x)Q[t]/t^2"]
     unary = [d for d in doc.to_family().deltas if not d.is_zero()] + list(doc.to_gauge().xis)
-    bracket, unary = dual_numbers(doc.to_bracket(), unary)
+    bracket = doc.to_bracket()
     pools.append(("endo2(x)Q[t]/t^2", bracket, insertions(bracket, unary, 2), 3))
     # {e, e} = e and {e, f} = {f, e} = f with e even and f odd: not Leibniz
     basis = GradedBasis(("e", "f"), (0, 1))
@@ -479,8 +454,8 @@ def hom_bracket_oracle_pools(docs) -> list[tuple[str, MultiOp, list[MultiOp], in
     return pools
 
 
-def test_hom_bracket_matches_its_dense_tabulation(docs):
-    pools = hom_bracket_oracle_pools(docs)
+def test_hom_bracket_matches_its_dense_tabulation(docs, generated):
+    pools = hom_bracket_oracle_pools(docs, generated)
     assert any(
         check_derivation(op, bracket)
         for _, bracket, ops, _ in pools
@@ -499,7 +474,7 @@ def test_hom_bracket_matches_its_dense_tabulation(docs):
     assert pairs > 700
 
 
-def coalgebra_oracle_cases(docs) -> list[tuple[str, GradedBasis, list[CoderivationSpec], int]]:
+def coalgebra_oracle_cases(docs, generated) -> list[tuple[str, GradedBasis, list[CoderivationSpec], int]]:
     """(label, basis, specs, max_len): every fixture with every shipped op, its
     codifferential and Xi (several components each) and a scrambled op; the
     dimension-8 sum endo2 + heis3w and product endo2 (x) Q[t]/t^2 at length 3."""
@@ -513,11 +488,8 @@ def coalgebra_oracle_cases(docs) -> list[tuple[str, GradedBasis, list[Coderivati
         specs += [build_codifferential(fam)] if fam else []
         specs += [build_xi(gauge)] if gauge else []
         cases.append((name, bracket.basis, specs, 4))
-    endo2, heis3w = docs["endo2"].to_family(), docs["heis3w"].to_family()
-    for label, fam in (
-        ("endo2+heis3w", direct_sum_family(endo2, heis3w)),
-        ("endo2(x)Q[t]/t^2", dual_numbers_family(endo2)),
-    ):
+    for label, doc in generated.items():
+        fam = doc.to_family()
         specs = [lift_coderivation(fam.bracket), lift_coderivation(fam.delta(1))]
         cases.append((label, fam.basis, specs + [build_codifferential(fam)], 3))
     return cases
@@ -552,8 +524,8 @@ def fresh_certificates():
         cache.cache_clear()
 
 
-def test_parity_certificates_match_the_dense_walk(docs, fresh_certificates):
-    assert assert_certificates_match_the_dense_walk(coalgebra_oracle_cases(docs)) == 0
+def test_parity_certificates_match_the_dense_walk(docs, generated, fresh_certificates):
+    assert assert_certificates_match_the_dense_walk(coalgebra_oracle_cases(docs, generated)) == 0
 
 
 def test_parity_certificates_match_the_dense_walk_on_generated_bases(fresh_certificates):
@@ -572,7 +544,7 @@ def test_parity_certificates_match_the_dense_walk_on_generated_bases(fresh_certi
 
 @pytest.mark.parametrize("target", [(0, 1), (1, 1)])
 def test_parity_certificates_match_the_dense_walk_under_a_flipped_sign(
-    docs, fresh_certificates, monkeypatch, target
+    docs, generated, fresh_certificates, monkeypatch, target
 ):
     # flipping eps for one parity tuple breaks comultiply and the lifts on the
     # generic and the concrete words alike: both walks must find the same
@@ -586,7 +558,7 @@ def test_parity_certificates_match_the_dense_walk_under_a_flipped_sign(
         return tuple((first, second, -eps, sgn, jumped) for first, second, eps, sgn, jumped in rows)
 
     monkeypatch.setattr(coalgebra, "signed_unshuffles", flipped)
-    cases = [case for case in coalgebra_oracle_cases(docs) if case[3] == 4]
+    cases = [case for case in coalgebra_oracle_cases(docs, generated) if case[3] == 4]
     assert assert_certificates_match_the_dense_walk(cases) > 100
     # some patterns of length 4 are still certified, so the walk is filtered
     verdicts = {coalgebra._dual_leibniz_certified(p) for p in itertools.product((0, 1), repeat=4)}

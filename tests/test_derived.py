@@ -174,59 +174,6 @@ def dense_partial_i(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
     return MultiOp.from_function(basis, i, 1, via_shift)
 
 
-def embedded(op: MultiOp, basis: GradedBasis, offset: int) -> MultiOp:
-    """op carried into a larger basis whose letters offset.. are op's letters."""
-    return MultiOp(
-        basis,
-        op.arity,
-        op.degree,
-        {
-            tuple(b + offset for b in key): Element(
-                basis, {t + offset: c for t, c in image.coeffs.items()}
-            )
-            for key, image in op.constants.items()
-        },
-    )
-
-
-def direct_sum_family(left: DeformationFamily, right: DeformationFamily) -> DeformationFamily:
-    """Block-diagonal sum: letters of the right summand primed, brackets
-    between the summands zero, the shorter family padded by zero deltas."""
-    order = max(left.order, right.order)
-    lb, rb = left.basis, right.basis
-    basis = GradedBasis(
-        lb.names + tuple(n + "'" for n in rb.names), lb.degrees + rb.degrees
-    )
-
-    def total(a: MultiOp, b: MultiOp) -> MultiOp:
-        return embedded(a, basis, 0) + embedded(b, basis, len(lb))
-
-    deltas = tuple(
-        total(left.extended(order).deltas[n], right.extended(order).deltas[n])
-        for n in range(order + 1)
-    )
-    return DeformationFamily(total(left.bracket, right.bracket), deltas)
-
-
-def dual_numbers_family(fam: DeformationFamily) -> DeformationFamily:
-    """V (x) Q[t]/t^2 with t of degree 0: letter x t is x's index plus dim V,
-    {x t^a, y t^b} = {x, y} t^(a+b) (zero once t^2 appears), and every delta
-    acts as delta (x) 1."""
-    small = fam.basis
-    dim = len(small)
-    basis = GradedBasis(small.names + tuple("t_" + n for n in small.names), small.degrees * 2)
-    constants: dict[tuple[int, ...], Element] = {}
-    for (x, y), image in fam.bracket.constants.items():
-        for a, b in ((0, 0), (0, 1), (1, 0)):
-            shift = (a + b) * dim
-            constants[(x + a * dim, y + b * dim)] = Element(
-                basis, {t + shift: c for t, c in image.coeffs.items()}
-            )
-    bracket = MultiOp(basis, 2, 0, constants)
-    deltas = tuple(embedded(d, basis, 0) + embedded(d, basis, dim) for d in fam.deltas)
-    return DeformationFamily(bracket, deltas)
-
-
 def scrambled_deformation(basis: GradedBasis, seed: int) -> MultiOp:
     """A degree +1 arity-1 operation with small random integer entries."""
     rng = random.Random(seed)
@@ -245,7 +192,7 @@ def squares_with_odd_partner() -> MultiOp:
     return MultiOp(basis, 2, 0, {(0, 0): e, (0, 1): f, (1, 0): f})
 
 
-def oracle_inputs(docs) -> list[tuple[str, MultiOp, list[MultiOp]]]:
+def oracle_inputs(docs, generated) -> list[tuple[str, MultiOp, list[MultiOp]]]:
     """(label, bracket, deltas) on and off the happy path; fixtures without a
     family contribute their bracket with a scrambled delta only."""
     inputs = []
@@ -254,11 +201,8 @@ def oracle_inputs(docs) -> list[tuple[str, MultiOp, list[MultiOp]]]:
         fam = doc.to_family()
         shipped_deltas = [d for d in fam.deltas if not d.is_zero()] if fam else []
         inputs.append((name, bracket, shipped_deltas + [scrambled_deformation(bracket.basis, seed)]))
-    endo2, heis3w = docs["endo2"].to_family(), docs["heis3w"].to_family()
-    for label, fam in (
-        ("endo2+heis3w", direct_sum_family(endo2, heis3w)),
-        ("endo2(x)Q[t]/t^2", dual_numbers_family(endo2)),
-    ):
+    for label, doc in generated.items():
+        fam = doc.to_family()
         inputs.append((label, fam.bracket, [d for d in fam.deltas if not d.is_zero()]))
     square = squares_with_odd_partner()
     assert check_leibniz_identity(square)
@@ -266,8 +210,8 @@ def oracle_inputs(docs) -> list[tuple[str, MultiOp, list[MultiOp]]]:
     return inputs
 
 
-def test_route_a_matches_its_dense_tabulation(docs):
-    inputs = oracle_inputs(docs)
+def test_route_a_matches_its_dense_tabulation(docs, generated):
+    inputs = oracle_inputs(docs, generated)
     assert any(check_derivation(d, bracket) for _, bracket, deltas in inputs for d in deltas)
     for label, bracket, deltas in inputs:
         assert deltas and all(d.basis == bracket.basis for d in deltas)
@@ -280,8 +224,8 @@ def test_route_a_matches_its_dense_tabulation(docs):
                 assert sparse == derived_bracket_explicit(bracket, delta, i), (label, i)
 
 
-def test_partial_i_matches_its_dense_tabulation(docs):
-    for label, bracket, deltas in oracle_inputs(docs):
+def test_partial_i_matches_its_dense_tabulation(docs, generated):
+    for label, bracket, deltas in oracle_inputs(docs, generated):
         for delta in deltas:
             for i in range(1, 4):
                 assert partial_i(bracket, delta, i) == dense_partial_i(bracket, delta, i), (label, i)
@@ -378,7 +322,7 @@ def test_codifferential_matches_its_per_word_loop_on_perturbations(docs, family_
             assert got == codifferential_reference(bad, 3, first), (name, first)
 
 
-def test_codifferential_evaluates_each_word_once(monkeypatch):
+def test_codifferential_evaluates_each_word_once(generated, monkeypatch):
     calls = collections.Counter()
 
     def counted(spec, word):
@@ -387,7 +331,7 @@ def test_codifferential_evaluates_each_word_once(monkeypatch):
 
     for module in (derived, coalgebra):
         monkeypatch.setattr(module, "evaluate_coderivation", counted)
-    fam = dual_numbers_family(shipped.load_fixture("endo2").to_family())
+    fam = generated["endo2(x)Q[t]/t^2"].to_family()
     assert check_codifferential(fam, max_len=3).passed
     assert len(calls) == 8 + 8**2 + 8**3
     assert set(calls.values()) == {1}

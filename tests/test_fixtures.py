@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
 from shleibniz import fixtures as shipped
+from shleibniz.document import parse_document, serialize_document
 from shleibniz.gauge import check_deformation
 from shleibniz.multiop import check_leibniz_identity
 
@@ -19,14 +23,6 @@ def test_roster():
     assert len(family) >= 5
     assert set(family) <= set(names)
     assert "quartic" in set(names) - set(family)
-
-
-def test_files_match_builders():
-    for name in shipped.fixture_names():
-        from shleibniz.document import parse_document
-
-        assert parse_document(shipped.fixture_text(name)) == shipped.build_fixture(name)
-        assert shipped.load_fixture(name) == shipped.build_fixture(name)
 
 
 def test_fixtures_stay_small():
@@ -70,10 +66,13 @@ def test_designated_perturbations_are_minimal_and_effective(docs, family_names):
 
 
 def test_unknown_names_raise():
+    # lookup is by membership in the packaged roster, never by a path built
+    # from the name
+    for name in ("nope", "../pyproject", "endo2.alg"):
+        with pytest.raises(KeyError):
+            shipped.fixture_text(name)
     with pytest.raises(KeyError):
-        shipped.build_fixture("nope")
-    with pytest.raises(KeyError):
-        shipped.fixture_text("nope")
+        shipped.load_fixture("nope")
     with pytest.raises(KeyError):
         shipped.perturbation("quartic")
     with pytest.raises(KeyError):
@@ -117,3 +116,65 @@ def test_abelian_subalgebra_contract():
 def test_fixture_gauges_are_present_for_families(docs, family_names):
     for name in family_names:
         assert docs[name].to_gauge() is not None, name
+
+
+def test_direct_sum_prefixes_and_pads():
+    endo2, heis3w = shipped.load_fixture("endo2"), shipped.load_fixture("heis3w")
+    doc = shipped.direct_sum([heis3w, endo2], ["p_", "q_"], "sum")
+    assert len(doc.basis) == 8
+    assert doc.basis[0] == ("p_g0", 0) and doc.basis[4] == ("q_E01", -1)
+    assert len(doc.deltas) == 4 and len(doc.gauges) == 2
+    # heis3w has orders 0..2 only, so its part of delta_3 is zero
+    assert all(name.startswith("q_") for name, _ in doc.deltas[3])
+
+
+def test_tensor_with_dual_numbers_multiplies_powers_of_t():
+    doc = shipped.tensor_dual_numbers(shipped.load_fixture("heis3w"), "prod")
+    bracket = {(a, b): terms for a, b, terms in doc.bracket}
+    assert len(doc.basis) == 8
+    assert [n for _, n in bracket[("g0", "t_h")]] == ["t_g1"]
+    assert ("t_g0", "t_h") not in bracket  # t^2 = 0
+
+
+def generated_inputs(docs, family_names):
+    """Every ordered sum of two distinct family fixtures, and every family
+    fixture tensored with Q[t]/t^2: dimension at most 8."""
+    for left, right in itertools.permutations(family_names, 2):
+        yield shipped.direct_sum([docs[left], docs[right]], ["l_", "r_"], f"{left}+{right}")
+    for name in family_names:
+        yield shipped.tensor_dual_numbers(docs[name], f"{name}xt")
+
+
+def test_generated_inputs_are_valid_inputs(docs, family_names):
+    for doc in generated_inputs(docs, family_names):
+        assert len(doc.basis) <= 8, doc.name
+        assert parse_document(serialize_document(doc)) == doc, doc.name
+        assert check_leibniz_identity(doc.to_bracket()) == [], doc.name
+        assert check_deformation(doc.to_family()) == [], doc.name
+
+
+def load_bench_gen():
+    """bench/gen.py, loaded read-only from its file: bench/ is not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_generators_match_the_package(docs):
+    # the benchmark's recipes: its two sums in every summand order, prefixed
+    # from its letters, and its two products; equal documents serialise to
+    # equal text, so the benchmark's reference digests carry over
+    gen = load_bench_gen()
+    letters = ("a", "b", "p", "q", "u", "v", "x", "y")
+    rng = random.Random(0)
+    for summands in (("endo2", "heis3w"), ("heis3w", "heisab", "l2b")):
+        for order in itertools.permutations(summands):
+            parts = [docs[s] for s in order]
+            prefixes = [p + "_" for p in rng.sample(letters, len(order))]
+            name = "+".join(order)
+            assert shipped.direct_sum(parts, prefixes, name) == gen.direct_sum(parts, prefixes, name)
+    for base in ("endo2", "heis3w"):
+        name = f"{base}xt"
+        assert shipped.tensor_dual_numbers(docs[base], name) == gen.tensor_dual_numbers(docs[base], name)
