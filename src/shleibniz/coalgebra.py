@@ -67,7 +67,7 @@ from typing import Callable, Iterator, Mapping
 
 from .errors import MalformedInputError
 from .graded import Element, GradedBasis, Scalar, SparseVector, signed_unshuffles
-from .multiop import MultiOp
+from .multiop import MultiOp, reachable_keys
 from .results import Verdict, Violation
 
 Word = tuple[int, ...]
@@ -331,10 +331,6 @@ def evaluate_coderivation(spec: CoderivationSpec, word: Word) -> TensorElement:
     return TensorElement._trusted(basis, acc)
 
 
-def evaluate_on_tensor(spec: CoderivationSpec, te: TensorElement) -> TensorElement:
-    return extend_linearly(te, lambda word: evaluate_coderivation(spec, word), TensorElement)
-
-
 def corestriction(te: TensorElement) -> Element:
     """Project onto the single-letter words."""
     coeffs = {w[0]: c for w, c in te.terms.items() if len(w) == 1}
@@ -451,35 +447,6 @@ def apply_to_words(op: MultiOp, te: TensorElement) -> Element:
     return Element._trusted(op.basis, out)
 
 
-def _interleavings(a: Word, b: Word) -> Iterator[Word]:
-    """Every merge of a and b that keeps the letter order of each."""
-    n = len(a) + len(b)
-    for first, second, *_ in signed_unshuffles(len(a), len(b), (0,) * n):
-        merged = dict(zip(first, a)) | dict(zip(second, b))
-        yield tuple(merged[p] for p in range(n))
-
-
-def _reachable_keys(f: MultiOp, g: MultiOp) -> set[Word]:
-    """The keys on which f . g^c can be nonzero.
-
-    g^c replaces gk[:-1], interleaved with the letters before gk[-1], and
-    gk[-1] itself by a letter z of g(gk).  So f reaches its key
-    prefix + (z,) + suffix only from an interleaving of prefix with gk[:-1],
-    followed by gk[-1] and then suffix.
-    """
-    around: dict[int, list[tuple[Word, Word]]] = {}
-    for key in f.constants:
-        for p, z in enumerate(key):
-            around.setdefault(z, []).append((key[:p], key[p + 1 :]))
-    keys: set[Word] = set()
-    for gk, image in g.constants.items():
-        for z in image.coeffs:
-            for prefix, suffix in around.get(z, ()):
-                for mixed in _interleavings(prefix, gk[:-1]):
-                    keys.add(mixed + gk[-1:] + suffix)
-    return keys
-
-
 def hom_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
     """(f, g) = f . g^c - (-1)^(|f||g|) g . f^c, an operation of arity i+j-1.
 
@@ -497,7 +464,7 @@ def hom_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
         second = apply_to_words(g, evaluate_coderivation(f_lift, key))
         return first - second.scale(sign)
 
-    keys = sorted(_reachable_keys(f, g) | _reachable_keys(g, f))
+    keys = sorted(reachable_keys(f, g) | reachable_keys(g, f))
     return MultiOp(f.basis, f.arity + g.arity - 1, f.degree + g.degree, {k: fn(k) for k in keys})
 
 

@@ -33,7 +33,13 @@ the family is square zero; the identity checked at each weight Const is
             l_j(x_sigma(k-j+1), ..., x_sigma(k-1), x_k), x_{k+1}, ..., x_{i+j-1}) = 0,
 
 with sigma running over the (k-j, j-1)-unshuffles of S_{k-1}, so the argument
-x_k is pinned.  Equivalently, the coderivation with components
+x_k is pinned.  The (i, j) term is l_i . l_j^c on the tuple, so it can be
+nonzero only on a tuple that interleaves the letters before a letter z of
+l_j(jk) in a key of l_i with jk[:-1], then carries jk[-1] and the letters
+after z, for some key jk of l_j.  check_sh_leibniz evaluates each weight on
+the union of those reachable tuples over its pairs, sorted, so the
+witnesses come out as from a walk over all dim^(Const-1) tuples.
+Equivalently, the coderivation with components
 partial_i = N_i(delta_{i-1} (x) 1^(i-1)) squares to zero on the tensor
 coalgebra; both formulations are exposed and must agree.
 """
@@ -56,7 +62,15 @@ from .graded import (
     signed_unshuffles,
     suspension_factor,
 )
-from .multiop import MultiOp, check_derivation, commutator, compose_unary, n_i_d, nary_bracket
+from .multiop import (
+    MultiOp,
+    check_derivation,
+    commutator,
+    compose_unary,
+    n_i_d,
+    nary_bracket,
+    reachable_keys,
+)
 from .results import Verdict, Violation
 
 
@@ -256,8 +270,13 @@ def check_sh_leibniz(
 ) -> Verdict:
     """The strong homotopy Leibniz identities for 2 <= Const <= max_const.
 
-    Truncation-vacuous weights (every (i, j) term missing an operation) are
-    reported in the notes rather than silently passing.
+    Each weight is evaluated on the tuples reachable_keys(l_i, l_j) returns
+    for its pairs (i, j), in lexicographic order; the residual is exactly
+    zero on every other tuple, so witnesses and their order are those of a
+    walk over every tuple.  Truncation-vacuous weights (every (i, j) term
+    missing an operation) are reported in the notes rather than silently
+    passing; a weight with pairs but no reachable tuple is a pass over zero
+    live tuples.
     """
     if max_const < 2:
         raise MalformedInputError("max_const must be >= 2")
@@ -273,8 +292,10 @@ def check_sh_leibniz(
         if not pairs:
             notes.append(f"Const={const} vacuous under truncation")
             continue
-        width = const - 1
-        for xs in sbasis.index_tuples(width):
+        live = set().union(
+            *(reachable_keys(structure.op(i), structure.op(j)) for i, j in pairs)
+        )
+        for xs in sorted(live):
             parities = tuple(sbasis.degree(b) % 2 for b in xs)
             acc: dict[int, Scalar] = {}
             for i, j in pairs:

@@ -29,10 +29,10 @@ lemma all read their operations from it.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import MalformedInputError, PreconditionError
-from .graded import Element, GradedBasis, Scalar
+from .graded import Element, GradedBasis, Scalar, signed_unshuffles
 from .results import Verdict, Violation
 
 
@@ -233,7 +233,15 @@ def check_leibniz_identity(bracket: MultiOp) -> list[Violation]:
 
 
 def check_derivation(op: MultiOp, bracket: MultiOp) -> list[Violation]:
-    """Graded derivation rule for an arity-1 op of any degree."""
+    """Graded derivation rule for an arity-1 op of any degree.
+
+    The residual D{x, y} - {Dx, y} - (-1)^(|x||D|) {x, Dy} on the pair (x, y)
+    can be nonzero only when (x, y) is a key of the bracket, x is a key of D
+    or y is a key of D: each term is linear in a constant of the bracket or
+    of D on those letters.  The three terms are accumulated per pair from
+    the nonzero constants alone, with the bracket indexed by its left and by
+    its right letter, and residuals come out in lexicographic pair order.
+    """
     if op.arity != 1:
         raise MalformedInputError("derivation check needs an arity-1 operation")
     if bracket.arity != 2:
@@ -241,15 +249,40 @@ def check_derivation(op: MultiOp, bracket: MultiOp) -> list[Violation]:
     if op.basis != bracket.basis:
         raise MalformedInputError("operation and bracket live over different bases")
     basis = bracket.basis
+    d = {x: image.coeffs for (x,), image in op.constants.items()}
+    by_left: dict[int, list[tuple[int, dict[int, Scalar]]]] = {}
+    by_right: dict[int, list[tuple[int, dict[int, Scalar]]]] = {}
+    for (x, y), image in bracket.constants.items():
+        by_left.setdefault(x, []).append((y, image.coeffs))
+        by_right.setdefault(y, []).append((x, image.coeffs))
+    acc: dict[tuple[int, int], dict[int, Scalar]] = {}
+
+    def add(pair: tuple[int, int], coeff: Scalar, image: Mapping[int, Scalar]) -> None:
+        out = acc.setdefault(pair, {})
+        for b, cb in image.items():
+            out[b] = out.get(b, 0) + coeff * cb
+
+    # D{x, y}
+    for pair, image in bracket.constants.items():
+        for z, c in image.coeffs.items():
+            if z in d:
+                add(pair, c, d[z])
+    # -{Dx, y}
+    for x, dx in d.items():
+        for z, c in dx.items():
+            for y, image in by_left.get(z, ()):
+                add((x, y), -c, image)
+    # -(-1)^(|x||D|) {x, Dy}
+    odd = op.degree % 2
+    for y, dy in d.items():
+        for z, c in dy.items():
+            for x, image in by_right.get(z, ()):
+                add((x, y), c if odd and basis.degree(x) % 2 else -c, image)
     out: list[Violation] = []
-    for x, y in basis.index_tuples(2):
-        lhs = op.apply([bracket.apply_indices((x, y))])
-        first = bracket.apply([op.apply_indices((x,)), basis.vector(y)])
-        sign = -1 if (basis.degree(x) * op.degree) % 2 else 1
-        second = bracket.apply([basis.vector(x), op.apply_indices((y,))]).scale(sign)
-        residual = lhs - first - second
+    for pair in sorted(acc):
+        residual = Element._trusted(basis, acc[pair])
         if not residual.is_zero():
-            out.append(Violation("derivation", _names(basis, (x, y)), residual))
+            out.append(Violation("derivation", _names(basis, pair), residual))
     return out
 
 
@@ -318,6 +351,37 @@ def n_i_d(bracket: MultiOp, op: MultiOp, i: int) -> MultiOp:
         level = longer
     constants = {key: Element._trusted(basis, coeffs) for key, coeffs in level.items()}
     return MultiOp(basis, i, op.degree, constants)
+
+
+def _interleavings(a: tuple[int, ...], b: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every merge of a and b that keeps the letter order of each."""
+    n = len(a) + len(b)
+    for first, second, *_ in signed_unshuffles(len(a), len(b), (0,) * n):
+        merged = dict(zip(first, a)) | dict(zip(second, b))
+        yield tuple(merged[p] for p in range(n))
+
+
+def reachable_keys(f: MultiOp, g: MultiOp) -> set[tuple[int, ...]]:
+    """The keys on which the composite f . g^c can be nonzero.
+
+    The lift g^c replaces gk[:-1], interleaved with the letters before
+    gk[-1], and gk[-1] itself by a letter z of g(gk), for a key gk of g.  So
+    f reaches its key prefix + (z,) + suffix only from an interleaving of
+    prefix with gk[:-1], followed by gk[-1] and then suffix.  The same holds
+    for each term l_i . l_j^c of the sh identities, which feed l_j into l_i
+    exactly this way.
+    """
+    around: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    for key in f.constants:
+        for p, z in enumerate(key):
+            around.setdefault(z, []).append((key[:p], key[p + 1 :]))
+    keys: set[tuple[int, ...]] = set()
+    for gk, image in g.constants.items():
+        for z in image.coeffs:
+            for prefix, suffix in around.get(z, ()):
+                for mixed in _interleavings(prefix, gk[:-1]):
+                    keys.add(mixed + gk[-1:] + suffix)
+    return keys
 
 
 def check_rearrangement(bracket: MultiOp, max_n: int = 3) -> Verdict:

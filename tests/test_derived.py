@@ -11,7 +11,7 @@ import pytest
 
 from shleibniz import coalgebra, derived
 from shleibniz import fixtures as shipped
-from shleibniz.coalgebra import evaluate_coderivation, evaluate_on_tensor
+from shleibniz.coalgebra import TensorElement, evaluate_coderivation, extend_linearly
 from shleibniz.derived import (
     DeformationFamily,
     ShLeibnizStructure,
@@ -34,6 +34,7 @@ from shleibniz.graded import (
     anti_koszul_sign,
     apply_layer,
     shifted_degrees,
+    signed_unshuffles,
     suspension_factor,
     unshuffles,
 )
@@ -45,7 +46,7 @@ from shleibniz.multiop import (
     n_i_d,
     nary_bracket,
 )
-from shleibniz.results import Violation
+from shleibniz.results import Verdict, Violation
 
 
 def closed_form(bracket: MultiOp, delta: MultiOp, key: tuple[int, ...]) -> Element:
@@ -304,7 +305,11 @@ def codifferential_reference(
     violations = []
     for length in range(1, max_len + 1):
         for word in basis.index_tuples(length):
-            twice = evaluate_on_tensor(spec, evaluate_coderivation(spec, word))
+            twice = extend_linearly(
+                evaluate_coderivation(spec, word),
+                lambda w: evaluate_coderivation(spec, w),
+                TensorElement,
+            )
             if not twice.is_zero():
                 names = tuple(basis.names[i] for i in word)
                 violations.append(Violation("codifferential-square", names, twice))
@@ -363,10 +368,15 @@ def sh_residual_reference(structure: ShLeibnizStructure, xs: tuple[int, ...]) ->
     return total
 
 
-def random_op(basis: GradedBasis, arity: int, degree: int, rng: random.Random) -> MultiOp:
-    """Small random integer constants on every tuple, homogeneous of the given degree."""
+def random_op(
+    basis: GradedBasis, arity: int, degree: int, rng: random.Random, density: float = 1.0
+) -> MultiOp:
+    """Small random integer constants, homogeneous of the given degree, on
+    every tuple or, below density 1, on about that share of the tuples."""
     constants = {}
     for key in basis.index_tuples(arity):
+        if density < 1 and rng.random() >= density:
+            continue
         target = sum(basis.degree(b) for b in key) + degree
         constants[key] = Element(
             basis,
@@ -394,6 +404,110 @@ def test_sh_residuals_match_the_defining_formula_on_an_invalid_structure():
             compared += 1
     assert compared == 84 and not engine
     assert not verdict.passed
+
+
+def dense_check_sh_leibniz(
+    structure: ShLeibnizStructure, max_const: int, first_violation: bool = False
+) -> Verdict:
+    """check_sh_leibniz as first written: the residual accumulated on every
+    one of the dim^(Const-1) tuples of each weight."""
+    sbasis = structure.basis
+    violations: list[Violation] = []
+    notes: list[str] = []
+    for const in range(2, max_const + 1):
+        pairs = [
+            (i, const - i)
+            for i in range(1, const)
+            if structure.op(i) is not None and structure.op(const - i) is not None
+        ]
+        if not pairs:
+            notes.append(f"Const={const} vacuous under truncation")
+            continue
+        for xs in sbasis.index_tuples(const - 1):
+            parities = tuple(sbasis.degree(b) % 2 for b in xs)
+            acc: dict = {}
+            for i, j in pairs:
+                li = structure.op(i).constants
+                lj = structure.op(j).constants
+                for k in range(j, const):
+                    base_sign = -1 if ((k + 1 - j) * (j - 1)) % 2 else 1
+                    pinned = xs[k - 1 : k]
+                    suffix = xs[k:]
+                    for first, second, eps, sgn, jumped in signed_unshuffles(
+                        k - j, j - 1, parities[: k - 1]
+                    ):
+                        inner = lj.get(tuple(xs[a] for a in second) + pinned)
+                        if inner is None:
+                            continue
+                        sign = eps * sgn * base_sign * (-1 if j % 2 and jumped else 1)
+                        prefix = tuple(xs[a] for a in first)
+                        for letter, c in inner.coeffs.items():
+                            image = li.get(prefix + (letter,) + suffix)
+                            if image is None:
+                                continue
+                            for b, cb in image.coeffs.items():
+                                acc[b] = acc.get(b, 0) + sign * c * cb
+            residual = Element._trusted(sbasis, acc)
+            if not residual.is_zero():
+                site = (const,) + tuple(sbasis.names[b] for b in xs)
+                violations.append(Violation("sh-leibniz", site, residual))
+                if first_violation:
+                    return Verdict(False, violations, notes)
+    return Verdict.from_violations(violations, notes)
+
+
+# a single constant of delta_1 added on endo2 (x) Q[t]/t^2
+PRODUCT_TWEAK = shipped.Perturbation(1, "t_E01", "E00", 1)
+
+
+def sh_oracle_inputs(docs, family_names, generated) -> list[tuple[str, ShLeibnizStructure, int]]:
+    """(label, structure, max_const): the corpus families and their designated
+    perturbations, the dimension-8 sum and product, a perturbed product, and
+    seeded random structures with odd letters and sparse l_1, l_2, l_3."""
+    inputs = []
+    for name in family_names:
+        doc = docs[name]
+        inputs.append((name, build_sh_structure(doc.to_family()), 6))
+        bad = shipped.perturbed_family(doc, shipped.perturbation(name))
+        inputs.append((f"{name}+tweak", build_sh_structure(bad), 6))
+    for label, doc in generated.items():
+        inputs.append((label, build_sh_structure(doc.to_family()), 5))
+    product = generated["endo2(x)Q[t]/t^2"]
+    bad = shipped.perturbed_family(product, PRODUCT_TWEAK)
+    inputs.append(("endo2(x)Q[t]/t^2+tweak", build_sh_structure(bad), 5))
+    basis = GradedBasis(("a", "b", "c", "d", "e"), (0, 1, 1, 2, -1))
+    for seed in range(4):
+        rng = random.Random(seed)
+        ops = tuple(random_op(basis, i, 2 - i, rng, density=0.3) for i in (1, 2, 3))
+        inputs.append((f"random{seed}", ShLeibnizStructure(basis, ops), 5))
+    return inputs
+
+
+def test_sh_check_matches_its_dense_loop(docs, family_names, generated):
+    witnesses = collections.Counter()
+    for label, structure, max_const in sh_oracle_inputs(docs, family_names, generated):
+        for first in (False, True):
+            sparse = check_sh_leibniz(structure, max_const, first_violation=first)
+            assert sparse == dense_check_sh_leibniz(structure, max_const, first), (label, first)
+            if not first:
+                witnesses.update((label, v.site[0]) for v in sparse.violations)
+    assert witnesses["endo2(x)Q[t]/t^2+tweak", 5] > 0
+    assert all(witnesses[f"{name}+tweak", 2] > 0 for name in family_names)
+    # weight 4 holds l_2 . l_2^c, whose (1, 1)-unshuffle swaps two letters,
+    # so a wrong permutation sign changes these residuals
+    assert sum(witnesses[f"random{seed}", 4] for seed in range(4)) > 0
+
+
+def test_sh_check_never_walks_every_tuple(generated, monkeypatch):
+    structure = build_sh_structure(generated["endo2+heis3w"].to_family())
+    expected = dense_check_sh_leibniz(structure, 6)
+    assert expected.passed
+
+    def refuse(self, length):
+        raise AssertionError("check_sh_leibniz walked every basis tuple")
+
+    monkeypatch.setattr(GradedBasis, "index_tuples", refuse)
+    assert check_sh_leibniz(structure, 6) == expected
 
 
 def test_vacuous_weights_are_noted_not_passed():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from shleibniz import fixtures as shipped
 from shleibniz.errors import MalformedInputError, PreconditionError
 from shleibniz.graded import Element, GradedBasis
+from shleibniz.linalg import derivation_basis
 from shleibniz.multiop import (
     DgLeibnizAlgebra,
     LeibnizAlgebra,
@@ -28,6 +29,7 @@ from shleibniz.multiop import (
     n_i_d,
     nary_bracket,
 )
+from shleibniz.results import Violation
 
 
 def one_dim_square() -> MultiOp:
@@ -242,6 +244,87 @@ def test_n_i_d_rejects_malformed_input():
     for args in ((bracket, 0), (delta, 2)):
         with pytest.raises(MalformedInputError):
             nary_bracket(*args)
+
+
+def dense_check_derivation(op: MultiOp, bracket: MultiOp) -> list[Violation]:
+    """check_derivation as first written: the residual
+    D{x, y} - {Dx, y} - (-1)^(|x||D|) {x, Dy} on every one of the dim^2 pairs."""
+    basis = bracket.basis
+    out = []
+    for x, y in basis.index_tuples(2):
+        lhs = op.apply([bracket.apply_indices((x, y))])
+        first = bracket.apply([op.apply_indices((x,)), basis.vector(y)])
+        sign = -1 if (basis.degree(x) * op.degree) % 2 else 1
+        second = bracket.apply([basis.vector(x), op.apply_indices((y,))]).scale(sign)
+        residual = lhs - first - second
+        if not residual.is_zero():
+            out.append(Violation("derivation", (basis.names[x], basis.names[y]), residual))
+    return out
+
+
+def random_unary(basis: GradedBasis, degree: int, rng: random.Random) -> MultiOp:
+    """A homogeneous arity-1 operation with small random integer entries on
+    about half the letters, so most such operations are not derivations."""
+    constants = {}
+    for x in range(len(basis)):
+        if rng.random() < 0.5:
+            continue
+        target = basis.degree(x) + degree
+        constants[(x,)] = Element(
+            basis, {t: rng.randint(-2, 2) for t in range(len(basis)) if basis.degree(t) == target}
+        )
+    return MultiOp(basis, 1, degree, constants)
+
+
+def derivation_oracle_inputs(docs, generated) -> list[tuple[str, MultiOp, list[MultiOp]]]:
+    """(label, bracket, ops): the shipped deltas and gauges, the perturbed
+    deltas, a spanning set of the derivations, and random homogeneous
+    operations of degrees -1, 0, 1 and 2, over the corpus, the dimension-8
+    inputs and a bracket that is not Leibniz."""
+    rng = random.Random(20091)
+    inputs = []
+    for name, doc in sorted(docs.items()) + sorted(generated.items()):
+        bracket = doc.to_bracket()
+        ops = fixture_derivations(doc)
+        if name in shipped.family_fixture_names():
+            ops += list(shipped.perturbed_family(doc, shipped.perturbation(name)).deltas)
+        ops += derivation_basis(bracket)
+        ops += [random_unary(bracket.basis, g, rng) for g in (-1, 0, 1, 2) for _ in range(3)]
+        inputs.append((name, bracket, ops))
+    square = one_dim_square()
+    inputs.append(("square", square, [identity_op(square.basis), scrambled_op(square.basis, 1)]))
+    return inputs
+
+
+def test_derivation_check_matches_its_dense_loop(docs, generated):
+    failing = odd_failing = 0
+    for label, bracket, ops in derivation_oracle_inputs(docs, generated):
+        for op in ops:
+            sparse = check_derivation(op, bracket)
+            assert sparse == dense_check_derivation(op, bracket), (label, op)
+            failing += bool(sparse)
+            odd_failing += bool(sparse) and op.degree % 2
+    # enough failures, with odd operations among them, that a wrong pair,
+    # order or (-1)^(|x||D|) sign would show
+    assert failing >= 40 and odd_failing >= 20, (failing, odd_failing)
+
+
+def test_derivation_check_never_walks_every_pair(docs, monkeypatch):
+    cases = []
+    for name, doc in sorted(docs.items()):
+        gauge = doc.to_gauge()
+        if gauge is None:
+            continue
+        ops = list(gauge.xis) + [scrambled_op(gauge.basis, len(cases))]
+        cases += [(name, gauge.bracket, op, dense_check_derivation(op, gauge.bracket)) for op in ops]
+    assert any(expected for *_, expected in cases)
+
+    def refuse(self, length):
+        raise AssertionError("check_derivation walked every basis tuple")
+
+    monkeypatch.setattr(GradedBasis, "index_tuples", refuse)
+    for name, bracket, op, expected in cases:
+        assert check_derivation(op, bracket) == expected, name
 
 
 def test_rearrangement_identity_on_fixture_brackets(docs):
