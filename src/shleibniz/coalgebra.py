@@ -27,13 +27,15 @@ produced by a k < n term still ends in x_n.  The bracket of operations is
 
     (f, g) = f . g^c - (-1)^(|f||g|) g . f^c,
 
-computed by corestricting the composite.  g^c feeds f only through a letter z
-of some g(gk), so a key reaches f only when it interleaves the letters before
-z in a key of f with gk[:-1], then carries gk[-1] and the letters after z.
-hom_bracket evaluates the composite on the keys reachable this way from
-(f, g) or from (g, f); it is exactly zero on every other key.  On words of
-length at most four a cross-check path lifts both arguments and commutes the
-coderivations instead.
+computed by corestricting the composite.  g^c feeds f only through a letter
+z of some g(gk), so f meets its key fk, with z at position p, only on the
+keys that interleave fk[:p] with gk[:-1], then carry gk[-1] and fk[p+1:].
+Each such term adds +-c f(fk) to its key, where c is the coefficient of z in
+g(gk) and the sign is that of the lift's unshuffle row.  hom_bracket scatters
+both composites this way straight from the constants of f and g, and
+evaluates no lift; it is exactly zero on every key no term reaches.
+check_hom_bracket_lift_agreement compares it, word by word, with the
+commutator of the lifts.
 
 The checks that walk words compute each word's image (a lift, an override or
 a comultiplication) at most once per call, in a table that lives only for that
@@ -67,7 +69,7 @@ from typing import Callable, Iterator, Mapping
 
 from .errors import MalformedInputError
 from .graded import Element, GradedBasis, Scalar, SparseVector, signed_unshuffles
-from .multiop import MultiOp, reachable_keys
+from .multiop import MultiOp, compose_into, op_from_terms
 from .results import Verdict, Violation
 
 Word = tuple[int, ...]
@@ -433,39 +435,21 @@ def check_coderivation_axiom(
     return Verdict.from_violations(violations)
 
 
-def apply_to_words(op: MultiOp, te: TensorElement) -> Element:
-    """Corestrict op along a tensor element whose words all have op's arity."""
-    out: dict[int, Scalar] = {}
-    for word, c in te.terms.items():
-        if len(word) != op.arity:
-            raise MalformedInputError(
-                f"word of length {len(word)} fed to an arity-{op.arity} operation"
-            )
-        image = op.apply_indices(word)
-        for i, ci in image.coeffs.items():
-            out[i] = out.get(i, 0) + c * ci
-    return Element._trusted(op.basis, out)
-
-
 def hom_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
     """(f, g) = f . g^c - (-1)^(|f||g|) g . f^c, an operation of arity i+j-1.
 
-    Evaluated on the keys reachable from (f, g) or (g, f), in lexicographic
-    order; it is exactly zero on every other key.
+    Both composites are scattered from the constants of f and g into one
+    accumulator (compose_into): no lift is evaluated, and only the keys
+    reachable from (f, g) or (g, f) ever get a term.  Keys come out in
+    lexicographic order.
     """
     if f.basis != g.basis:
         raise MalformedInputError("operations live over different bases")
-    f_lift = lift_coderivation(f)
-    g_lift = lift_coderivation(g)
     sign = -1 if (f.degree * g.degree) % 2 else 1
-
-    def fn(key: tuple[int, ...]) -> Element:
-        first = apply_to_words(f, evaluate_coderivation(g_lift, key))
-        second = apply_to_words(g, evaluate_coderivation(f_lift, key))
-        return first - second.scale(sign)
-
-    keys = sorted(reachable_keys(f, g) | reachable_keys(g, f))
-    return MultiOp(f.basis, f.arity + g.arity - 1, f.degree + g.degree, {k: fn(k) for k in keys})
+    acc: dict[Word, dict[int, Scalar]] = {}
+    compose_into(acc, f, g, 1)
+    compose_into(acc, g, f, -sign)
+    return op_from_terms(f.basis, f.arity + g.arity - 1, f.degree + g.degree, acc)
 
 
 def check_hom_bracket_lift_agreement(f: MultiOp, g: MultiOp, max_len: int = 4) -> Verdict:

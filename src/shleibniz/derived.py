@@ -377,7 +377,8 @@ def check_key_lemma(
         raise MalformedInputError("arities must be >= 1")
     _require_derivation("first", d1, bracket)
     _require_derivation("second", d2, bracket)
-    return _key_lemma_residuals(bracket, d1, d2, i, j)
+    lhs = n_i_d(bracket, commutator(d1, d2), i + j - 1)
+    return _key_lemma_residuals(lhs, n_i_d(bracket, d1, i), n_i_d(bracket, d2, j))
 
 
 def _require_derivation(label: str, d: MultiOp, bracket: MultiOp) -> None:
@@ -388,16 +389,15 @@ def _require_derivation(label: str, d: MultiOp, bracket: MultiOp) -> None:
         raise PreconditionError(f"{label} operation is not a derivation of the bracket")
 
 
-def _key_lemma_residuals(
-    bracket: MultiOp, d1: MultiOp, d2: MultiOp, i: int, j: int
-) -> Verdict:
-    """check_key_lemma on inputs already known to be derivations."""
+def _key_lemma_residuals(lhs: MultiOp, left: MultiOp, right: MultiOp) -> Verdict:
+    """Compare lhs = N_{i+j-1}([D, D']) with (left, right) = (N_i D, N_j D'),
+    for inputs already known to be derivations."""
     from .coalgebra import hom_bracket
 
-    lhs = n_i_d(bracket, commutator(d1, d2), i + j - 1)
-    rhs = hom_bracket(n_i_d(bracket, d1, i), n_i_d(bracket, d2, j))
+    i, j = left.arity, right.arity
+    rhs = hom_bracket(left, right)
     violations: list[Violation] = []
-    basis = bracket.basis
+    basis = lhs.basis
     # every other key is zero on both sides
     for key in sorted(lhs.constants.keys() | rhs.constants.keys()):
         residual = lhs.apply_indices(key) - rhs.apply_indices(key)
@@ -446,9 +446,10 @@ def leibniz_cohomology_check(
     partial2 = n_i_d(bracket, delta1, 2)
     violations: list[Violation] = []
     for label, d in enumerate(derivations):
+        bracketed = commutator(delta1, d)
         for i in range(1, i_max + 1):
             image = hom_bracket(partial2, n_i_d(bracket, d, i))
-            expected = n_i_d(bracket, commutator(delta1, d), i + 1)
+            expected = n_i_d(bracket, bracketed, i + 1)
             if image != expected:
                 violations.append(
                     Violation(

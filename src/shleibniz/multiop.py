@@ -191,24 +191,38 @@ def identity_op(basis: GradedBasis) -> MultiOp:
     return MultiOp.from_function(basis, 1, 0, lambda key: basis.vector(key[0]))
 
 
-def compose_unary(outer: MultiOp, inner: MultiOp) -> MultiOp:
-    """outer . inner for arity-1 operations."""
+def _require_unary_pair(outer: MultiOp, inner: MultiOp) -> None:
     if outer.arity != 1 or inner.arity != 1:
         raise MalformedInputError("compose_unary needs arity-1 operations")
     if outer.basis != inner.basis:
         raise MalformedInputError("operations live over different bases")
-    return MultiOp.from_function(
-        inner.basis,
-        1,
-        outer.degree + inner.degree,
-        lambda key: outer.apply([inner.apply_indices(key)]),
-    )
+
+
+def compose_unary(outer: MultiOp, inner: MultiOp) -> MultiOp:
+    """outer . inner for arity-1 operations.
+
+    Read off the constants: each letter y of inner(x) contributes its
+    coefficient times outer(y) to the image of x, so only letters that are
+    keys of inner are visited.  Keys come out in ascending order.
+    """
+    _require_unary_pair(outer, inner)
+    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
+    compose_into(acc, outer, inner, 1)
+    return op_from_terms(inner.basis, 1, outer.degree + inner.degree, acc)
 
 
 def commutator(a: MultiOp, b: MultiOp) -> MultiOp:
-    """Graded commutator [a, b] = a.b - (-1)^(|a||b|) b.a of arity-1 operations."""
+    """Graded commutator [a, b] = a.b - (-1)^(|a||b|) b.a of arity-1 operations.
+
+    Both composites are read off the constants, as in compose_unary, into
+    one accumulator, and one operation is built from it.
+    """
+    _require_unary_pair(a, b)
     sign = -1 if (a.degree * b.degree) % 2 else 1
-    return compose_unary(a, b) - compose_unary(b, a).scale(sign)
+    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
+    compose_into(acc, a, b, 1)
+    compose_into(acc, b, a, -sign)
+    return op_from_terms(a.basis, 1, a.degree + b.degree, acc)
 
 
 def _names(basis: GradedBasis, key: tuple[int, ...]) -> tuple[str, ...]:
@@ -349,39 +363,86 @@ def n_i_d(bracket: MultiOp, op: MultiOp, i: int) -> MultiOp:
                 if value:
                     longer[key + (x,)] = value
         level = longer
-    constants = {key: Element._trusted(basis, coeffs) for key, coeffs in level.items()}
-    return MultiOp(basis, i, op.degree, constants)
+    return op_from_terms(basis, i, op.degree, level)
 
 
-def _interleavings(a: tuple[int, ...], b: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every merge of a and b that keeps the letter order of each."""
-    n = len(a) + len(b)
-    for first, second, *_ in signed_unshuffles(len(a), len(b), (0,) * n):
-        merged = dict(zip(first, a)) | dict(zip(second, b))
-        yield tuple(merged[p] for p in range(n))
+def _composite_terms(
+    f: MultiOp, g: MultiOp
+) -> Iterator[tuple[tuple[int, ...], int, Scalar, int, tuple[int, ...]]]:
+    """Every term (fk, p, c, r, key) of the composite f . g^c.
+
+    The lift g^c replaces gk[:-1], interleaved with the letters before
+    gk[-1], and gk[-1] itself by a letter z of g(gk), for a key gk of g.  So
+    f reaches its key fk, with z at position p, only from the key
+    merged + gk[-1:] + fk[p + 1:], where merged places fk[:p] among gk[:-1].
+    c is the coefficient of z in g(gk), and r is the row of
+    signed_unshuffles(p, |gk| - 1, ...) that does the placing: rows follow
+    the order of unshuffles for every parity tuple, so r indexes the signed
+    row of the key's own parities too.  Terms carry no sign.
+    """
+    q = g.arity - 1
+    around: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for fk in f.constants:
+        for p, z in enumerate(fk):
+            around.setdefault(z, []).append((fk, p))
+    # per p, for each row the source index (into fk[:p] + gk[:-1]) of each
+    # merged position
+    gathers: dict[int, list[tuple[int, ...]]] = {}
+    for gk, image in g.constants.items():
+        head, last = gk[:-1], gk[-1:]
+        for z, c in image.coeffs.items():
+            for fk, p in around.get(z, ()):
+                orders = gathers.get(p)
+                if orders is None:
+                    orders = gathers[p] = [
+                        tuple(sorted(range(p + q), key=(first + second).__getitem__))
+                        for first, second, *_ in signed_unshuffles(p, q, (0,) * (p + q))
+                    ]
+                letters = fk[:p] + head
+                suffix = last + fk[p + 1 :]
+                for r, order in enumerate(orders):
+                    yield fk, p, c, r, tuple(letters[k] for k in order) + suffix
 
 
 def reachable_keys(f: MultiOp, g: MultiOp) -> set[tuple[int, ...]]:
     """The keys on which the composite f . g^c can be nonzero.
 
-    The lift g^c replaces gk[:-1], interleaved with the letters before
-    gk[-1], and gk[-1] itself by a letter z of g(gk), for a key gk of g.  So
-    f reaches its key prefix + (z,) + suffix only from an interleaving of
-    prefix with gk[:-1], followed by gk[-1] and then suffix.  The same holds
-    for each term l_i . l_j^c of the sh identities, which feed l_j into l_i
-    exactly this way.
+    They are the keys of the terms _composite_terms enumerates; no sign is
+    computed.  The same holds for each term l_i . l_j^c of the sh
+    identities, which feed l_j into l_i exactly this way.
     """
-    around: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    for key in f.constants:
-        for p, z in enumerate(key):
-            around.setdefault(z, []).append((key[:p], key[p + 1 :]))
-    keys: set[tuple[int, ...]] = set()
-    for gk, image in g.constants.items():
-        for z in image.coeffs:
-            for prefix, suffix in around.get(z, ()):
-                for mixed in _interleavings(prefix, gk[:-1]):
-                    keys.add(mixed + gk[-1:] + suffix)
-    return keys
+    return {key for *_, key in _composite_terms(f, g)}
+
+
+def compose_into(
+    acc: dict[tuple[int, ...], dict[int, Scalar]], f: MultiOp, g: MultiOp, scale: Scalar
+) -> None:
+    """Add scale * (f . g^c) to acc, a map from keys to coefficient dicts.
+
+    Scattered from the constants: each term of _composite_terms adds
+    +-c * f(fk) to its key.  The sign is the Koszul sign eps of its
+    unshuffle row times (-1)^(|g| |fk[:p]|), both read off
+    signed_unshuffles for the key's parities.
+    """
+    parity = [d % 2 for d in f.basis.degrees]
+    q = g.arity - 1
+    odd = g.degree % 2
+    for fk, p, c, r, key in _composite_terms(f, g):
+        row = signed_unshuffles(p, q, tuple(parity[x] for x in key[: p + q]))[r]
+        eps = -row[2] if odd and row[4] else row[2]
+        coeff = eps * scale * c
+        out = acc.setdefault(key, {})
+        for letter, cf in f.constants[fk].coeffs.items():
+            out[letter] = out.get(letter, 0) + coeff * cf
+
+
+def op_from_terms(
+    basis: GradedBasis, arity: int, degree: int, acc: Mapping[tuple[int, ...], Mapping[int, Scalar]]
+) -> MultiOp:
+    """The operation with these coefficient dicts as images, keys ascending."""
+    return MultiOp(
+        basis, arity, degree, {key: Element._trusted(basis, acc[key]) for key in sorted(acc)}
+    )
 
 
 def check_rearrangement(bracket: MultiOp, max_n: int = 3) -> Verdict:

@@ -8,6 +8,7 @@ lacks the sections the command needs; both map to exit code 2 in the CLI.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -25,7 +26,7 @@ from .document import AlgebraDocument, parse_document
 from .errors import PreconditionError
 from .gauge import GaugeFamily, check_deformation, check_gauge_equivalence, gauge_transform
 from .graded import format_element
-from .multiop import MultiOp, check_leibniz_identity
+from .multiop import MultiOp, check_leibniz_identity, commutator, n_i_d
 from .report import CheckResult, Report
 from .results import Violation
 
@@ -176,12 +177,16 @@ def _cmd_check_key_lemma(doc: AlgebraDocument, options: RunOptions) -> list[Chec
     # use gives it, so a failure reads as check_key_lemma's on the same call
     validated: set[int] = set()
     members = list(enumerate(pool))
+    # N_i D per member and arity, and [D, D'] per pair, are built once
+    nested = functools.cache(lambda n, i: n_i_d(bracket, pool[n][1], i))
+    commuted = functools.cache(lambda n1, n2: commutator(pool[n1][1], pool[n2][1]))
     for (n1, (name1, d1)), (n2, (name2, d2)), i, j in product(members, members, arities, arities):
         for label, n, d in (("first", n1, d1), ("second", n2, d2)):
             if n not in validated:
                 _require_derivation(label, d, bracket)
                 validated.add(n)
-        verdict = _key_lemma_residuals(bracket, d1, d2, i, j)
+        lhs = n_i_d(bracket, commuted(n1, n2), i + j - 1)
+        verdict = _key_lemma_residuals(lhs, nested(n1, i), nested(n2, j))
         pairs += 1
         for v in verdict.violations:
             violations.append(Violation(v.check, (name1, name2) + v.site, v.residual))

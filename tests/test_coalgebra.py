@@ -15,7 +15,6 @@ from shleibniz.coalgebra import (
     CoderivationSpec,
     TensorElement,
     TensorPairElement,
-    apply_to_words,
     check_coderivation_axiom,
     check_dual_leibniz,
     check_hom_bracket_lift_agreement,
@@ -39,10 +38,13 @@ from shleibniz.multiop import (
     check_derivation,
     check_leibniz_identity,
     commutator,
+    compose_unary,
     n_i_d,
     nary_bracket,
 )
 from shleibniz.results import Violation
+from test_derived import random_op
+from test_multiop import dense_commutator, dense_compose_unary
 
 
 def small_basis() -> GradedBasis:
@@ -129,7 +131,6 @@ def test_stored_coefficients_are_canonical_exact_scalars():
     word_image = evaluate_coderivation(spec, (0, 0, 1, 0))
     results += [word_image, decompose_k(op, 2, basis, (0, 0, 1, 0)), corestriction(word_image)]
     results += [op.apply([x, x]), op.scale(Fraction(1, 2)).apply([x, x])]
-    results.append(apply_to_words(op, TensorElement(basis, {(0, 0): Fraction(1, 3)})))
     results.append(extend_linearly(t, lambda w: comultiply(basis, w + (0,)), TensorPairElement))
     unit = Element(basis, {0: Fraction(1, 2)}).scale(2).coeffs[0]
     assert unit == 1 and type(unit) is int
@@ -406,9 +407,17 @@ def dense_hom_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
     f_lift, g_lift = lift_coderivation(f), lift_coderivation(g)
     sign = -1 if (f.degree * g.degree) % 2 else 1
 
+    def corestrict(op: MultiOp, te: TensorElement) -> Element:
+        out: dict = {}
+        for word, c in te.terms.items():
+            assert len(word) == op.arity
+            for i, ci in op.apply_indices(word).coeffs.items():
+                out[i] = out.get(i, 0) + c * ci
+        return Element(op.basis, out)
+
     def fn(key: tuple[int, ...]) -> Element:
-        first = apply_to_words(f, evaluate_coderivation(g_lift, key))
-        second = apply_to_words(g, evaluate_coderivation(f_lift, key))
+        first = corestrict(f, evaluate_coderivation(g_lift, key))
+        second = corestrict(g, evaluate_coderivation(f_lift, key))
         return first - second.scale(sign)
 
     return MultiOp.from_function(f.basis, f.arity + g.arity - 1, f.degree + g.degree, fn)
@@ -453,27 +462,76 @@ def hom_bracket_oracle_pools(docs, generated) -> list[tuple[str, MultiOp, list[M
     square = MultiOp(basis, 2, 0, {(0, 0): e, (0, 1): f, (1, 0): f})
     assert check_leibniz_identity(square)
     pools.append(("square", square, insertions(square, [scrambled_op(basis, 1, 5)], 3), 4))
+    # sparse random operations of every arity up to 3 over mixed parities
+    rng = random.Random(20093)
+    basis = GradedBasis(("a", "b", "c", "d"), (0, 1, 1, 2))
+    ops = [
+        random_op(basis, arity, degree, rng, density=0.5)
+        for arity in (1, 2, 3)
+        for degree in (0, 1, 1, 2, -1)
+    ]
+    ops = [op for op in ops if not op.is_zero()]
+    bracket = next(op for op in ops if (op.arity, op.degree) == (2, 0))
+    pools.append(("random", bracket, ops, 4))
     return pools
 
 
-def test_hom_bracket_matches_its_dense_tabulation(docs, generated):
-    pools = hom_bracket_oracle_pools(docs, generated)
+def shared_letter(f: MultiOp, g: MultiOp) -> bool:
+    """Whether g feeds some key of f whose letters before the fed letter
+    share one with the key of g, so that two interleavings give one key."""
+    for gk, image in g.constants.items():
+        for fk in f.constants:
+            for p, z in enumerate(fk):
+                if z in image.coeffs and set(fk[:p]) & set(gk[:-1]):
+                    return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def hom_bracket_oracle(docs, generated) -> list[tuple[str, MultiOp, MultiOp, MultiOp]]:
+    """(label, f, g, dense_hom_bracket(f, g)) for every pair of an oracle pool
+    whose bracket has at most the pool's largest arity."""
+    return [
+        (label, f, g, dense_hom_bracket(f, g))
+        for label, _, ops, max_arity in hom_bracket_oracle_pools(docs, generated)
+        for f, g in itertools.product(ops, repeat=2)
+        if f.arity + g.arity - 1 <= max_arity
+    ]
+
+
+def test_hom_bracket_matches_its_dense_tabulation(docs, generated, hom_bracket_oracle):
     assert any(
         check_derivation(op, bracket)
-        for _, bracket, ops, _ in pools
+        for _, bracket, ops, _ in hom_bracket_oracle_pools(docs, generated)
         for op in ops
         if op.arity == 1
     )
-    pairs = 0
-    for label, _, ops, max_arity in pools:
-        for f, g in itertools.product(ops, repeat=2):
-            if f.arity + g.arity - 1 > max_arity:
-                continue
-            sparse, dense = hom_bracket(f, g), dense_hom_bracket(f, g)
-            assert sparse == dense, (label, f, g)
-            assert list(sparse.constants) == list(dense.constants), (label, f, g)
-            pairs += 1
-    assert pairs > 700
+    odd = shared = 0
+    for label, f, g, dense in hom_bracket_oracle:
+        sparse = hom_bracket(f, g)
+        assert sparse == dense, (label, f, g)
+        assert list(sparse.constants) == list(dense.constants), (label, f, g)
+        if not sparse.is_zero() and label == "random":
+            # (-1)^(|g| |fk[:p]|) needs g odd and a letter before z
+            odd += f.degree % 2 and g.degree % 2 and min(f.arity, g.arity) >= 2
+            shared += shared_letter(f, g) or shared_letter(g, f)
+    assert len(hom_bracket_oracle) > 800 and odd >= 10 and shared >= 20, (odd, shared)
+
+
+def test_compositions_evaluate_no_lift_and_no_table(hom_bracket_oracle, monkeypatch):
+    unary = [(f, g) for _, f, g, _ in hom_bracket_oracle if f.arity == g.arity == 1]
+    expected = [(dense_compose_unary(f, g), dense_commutator(f, g)) for f, g in unary]
+    assert len(unary) > 100 and any(not c.is_zero() for _, c in expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a composition lifted a word or tabulated every letter")
+
+    monkeypatch.setattr(coalgebra, "evaluate_coderivation", refuse)
+    monkeypatch.setattr(MultiOp, "from_function", staticmethod(refuse))
+    for label, f, g, dense in hom_bracket_oracle:
+        assert hom_bracket(f, g) == dense, (label, f, g)
+    for (f, g), (composite, bracketed) in zip(unary, expected):
+        assert compose_unary(f, g) == composite and commutator(f, g) == bracketed
 
 
 def coalgebra_oracle_cases(docs, generated) -> list[tuple[str, GradedBasis, list[CoderivationSpec], int]]:

@@ -327,6 +327,45 @@ def test_derivation_check_never_walks_every_pair(docs, monkeypatch):
         assert check_derivation(op, bracket) == expected, name
 
 
+def dense_compose_unary(outer: MultiOp, inner: MultiOp) -> MultiOp:
+    """compose_unary as first written: outer . inner tabulated on every
+    letter through from_function and the generic apply."""
+    return MultiOp.from_function(
+        inner.basis,
+        1,
+        outer.degree + inner.degree,
+        lambda key: outer.apply([inner.apply_indices(key)]),
+    )
+
+
+def dense_commutator(a: MultiOp, b: MultiOp) -> MultiOp:
+    """[a, b] from the two dense composites, tabulated on every letter."""
+    sign = -1 if (a.degree * b.degree) % 2 else 1
+    ab, ba = dense_compose_unary(a, b), dense_compose_unary(b, a)
+    return MultiOp.from_function(
+        a.basis,
+        1,
+        a.degree + b.degree,
+        lambda key: ab.apply_indices(key) - ba.apply_indices(key).scale(sign),
+    )
+
+
+def test_compositions_match_their_dense_tabulation(docs, generated):
+    pairs = nonzero = 0
+    for label, _, ops in derivation_oracle_inputs(docs, generated):
+        for a, b in itertools.product(ops, repeat=2):
+            bracketed = commutator(a, b)
+            for fast, dense in (
+                (compose_unary(a, b), dense_compose_unary(a, b)),
+                (bracketed, dense_commutator(a, b)),
+            ):
+                assert fast == dense, (label, a, b)
+                assert list(fast.constants) == list(dense.constants), (label, a, b)
+            pairs += 1
+            nonzero += not bracketed.is_zero()
+    assert pairs > 6000 and nonzero > 2500, (pairs, nonzero)
+
+
 def test_rearrangement_identity_on_fixture_brackets(docs):
     for name in ("endo2", "quartic", "heisab"):
         verdict = check_rearrangement(docs[name].to_bracket(), max_n=3)
