@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from shleibniz import fixtures as shipped
 from shleibniz.document import AlgebraDocument, parse_document, serialize_document
-from shleibniz.errors import DocumentError
+from shleibniz.errors import DocumentError, PreconditionError
 
 
 def issues_of(text: str):
@@ -208,3 +209,69 @@ def test_serialize_coefficient_rendering():
     text = serialize_document(doc)
     assert "x: -y + 3/2 z" in text
     assert parse_document(text) == doc
+
+
+# --- pinned parse outcomes over generated variants of the shipped texts ---
+
+_EDITS = (
+    ("0", "1"), ("1", "0"), ("1", "-1"), ("0", "x"), ("2", "1/0"), ("+", "-"),
+    (":", " "), ("delta", "gauge"), ("gauge", "delta"), ("basis", "bracket"),
+    ("[", ""), ("]", ""), (" ", "  q "),
+)
+
+_EDGE_CASES = (
+    "",
+    "[metadata]\nname: nobasis\n",
+    "[basis 1]\nx: 0\n",
+    "[basis]\nx: 0\ny: 1\n\n[delta]\nx: y\n",
+    "[basis]\nx: 0\ny: 1\n\n[delta -1]\nx: y\n",
+    "[basis]\nx: 0\ny: 0\n\n[gauge 0]\nx: y\n",
+    "[basis]\nx: 0\ny: 0\n\n[gauge 2]\nx: y\n",
+    "[basis]\nx: 0\ny: 1\n\n[delta 0]\nx: y\n\n[delta 0]\nx: y\n",
+    "x: 0\n[basis]\nx: 0\n",
+    "[basis]\nx: 0\ny: 1\n\n[delta 0]\nx: y +\n",
+    "[basis]\nx: 0\ny: 1\n\n[delta 0]\nx:\n",
+)
+
+
+def document_variants() -> list[str]:
+    """Every fixture text with one line dropped, one line duplicated, or one
+    token edited, plus the edge cases; identical texts appear once."""
+    texts: list[str] = []
+    for name in shipped.fixture_names():
+        lines = shipped.fixture_text(name).splitlines(keepends=True)
+        for k, line in enumerate(lines):
+            texts.append("".join(lines[:k] + lines[k + 1:]))
+            texts.append("".join(lines[:k + 1] + lines[k:]))
+            for old, new in _EDITS:
+                if old in line:
+                    edited = line.replace(old, new, 1)
+                    texts.append("".join(lines[:k] + [edited] + lines[k + 1:]))
+    return list(dict.fromkeys(texts + list(_EDGE_CASES)))
+
+
+def parse_outcome(text: str):
+    """The parsed fields plus the serialisation, or the issues raised."""
+    try:
+        doc = parse_document(text)
+    except DocumentError as exc:
+        return tuple((i.line, i.field, i.message) for i in exc.issues)
+    fields = (doc.basis, doc.bracket, doc.deltas, doc.gauges, doc.metadata)
+    return repr(fields), serialize_document(doc)
+
+
+PARSE_DIGEST = "c17331862f3f9eb27d9770bff47e126e78903b4c9dda60ddfa5ef06c71e974a8"
+
+
+def test_parse_outcomes_pinned_on_generated_variants():
+    digest = hashlib.sha256()
+    skipped = []
+    for text in document_variants():
+        try:
+            outcome = parse_outcome(text)
+        except PreconditionError:
+            skipped.append(text)
+            continue
+        digest.update(repr((text, outcome)).encode())
+    assert len(skipped) == 6
+    assert digest.hexdigest() == PARSE_DIGEST
