@@ -46,7 +46,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DocumentError, DocumentIssue, MalformedInputError
+from .errors import DocumentError, DocumentIssue
 from .graded import Element, GradedBasis, Scalar, exact, format_terms
 from .multiop import MultiOp
 from .derived import DeformationFamily
@@ -59,16 +59,52 @@ _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
 
 Terms = tuple[tuple[Scalar, str], ...]
 
+# the numbered sections: first order, image-degree shift, and the issue for an
+# order below the first; [bracket] entries have shift 0
+_NUMBERED = {
+    "delta": (0, 1, "negative delta order"),
+    "gauge": (1, 0, "gauge orders start at 1"),
+}
+
 
 @dataclass(frozen=True)
 class AlgebraDocument:
-    """Parsed, normalised content of an algebra document."""
+    """Parsed, normalised content of an algebra document.
+
+    Construction builds the basis, the bracket, the family and the gauge once,
+    through the operator layer's validation; the ``to_*`` methods return them.
+    """
 
     basis: tuple[tuple[str, int], ...]
     bracket: tuple[tuple[str, str, Terms], ...]
     deltas: tuple[tuple[tuple[str, Terms], ...], ...]
     gauges: tuple[tuple[tuple[str, Terms], ...], ...]
     metadata: tuple[tuple[str, str], ...] = field(default=())
+    _basis: GradedBasis = field(init=False, repr=False, compare=False)
+    _bracket: MultiOp = field(init=False, repr=False, compare=False)
+    _family: DeformationFamily | None = field(init=False, repr=False, compare=False)
+    _gauge: GaugeFamily | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        basis = GradedBasis(tuple(n for n, _ in self.basis), tuple(d for _, d in self.basis))
+
+        def op(arity: int, degree: int, entries: tuple[tuple, ...]) -> MultiOp:
+            # an entry is its generator names followed by the image's terms
+            constants = {
+                tuple(basis.index(n) for n in entry[:-1]): Element(
+                    basis, {basis.index(n): c for c, n in entry[-1]}
+                )
+                for entry in entries
+            }
+            return MultiOp(basis, arity, degree, constants)
+
+        bracket = op(2, 0, self.bracket)
+        deltas = tuple(op(1, 1, entries) for entries in self.deltas)
+        xis = tuple(op(1, 0, entries) for entries in self.gauges)
+        object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "_bracket", bracket)
+        object.__setattr__(self, "_family", DeformationFamily(bracket, deltas) if deltas else None)
+        object.__setattr__(self, "_gauge", GaugeFamily(bracket, xis) if xis else None)
 
     @property
     def name(self) -> str:
@@ -78,41 +114,16 @@ class AlgebraDocument:
         return "unnamed"
 
     def to_basis(self) -> GradedBasis:
-        return GradedBasis(
-            tuple(n for n, _ in self.basis), tuple(d for _, d in self.basis)
-        )
-
-    def _element(self, basis: GradedBasis, terms: Terms) -> Element:
-        coeffs = {basis.index(name): coeff for coeff, name in terms}
-        return Element(basis, coeffs)
+        return self._basis
 
     def to_bracket(self) -> MultiOp:
-        basis = self.to_basis()
-        constants = {
-            (basis.index(a), basis.index(b)): self._element(basis, terms)
-            for a, b, terms in self.bracket
-        }
-        return MultiOp(basis, 2, 0, constants)
-
-    def _unary(self, entries: tuple[tuple[str, Terms], ...], degree: int) -> MultiOp:
-        basis = self.to_basis()
-        constants = {
-            (basis.index(name),): self._element(basis, terms)
-            for name, terms in entries
-        }
-        return MultiOp(basis, 1, degree, constants)
+        return self._bracket
 
     def to_family(self) -> DeformationFamily | None:
-        if not self.deltas:
-            return None
-        ops = tuple(self._unary(entries, 1) for entries in self.deltas)
-        return DeformationFamily(self.to_bracket(), ops)
+        return self._family
 
     def to_gauge(self) -> GaugeFamily | None:
-        if not self.gauges:
-            return None
-        ops = tuple(self._unary(entries, 0) for entries in self.gauges)
-        return GaugeFamily(self.to_bracket(), ops)
+        return self._gauge
 
 
 def _parse_element(
@@ -198,70 +209,50 @@ def _parse_element(
     )
 
 
-def _term_degree(terms: Terms, degrees: dict[str, int]) -> set[int]:
-    return {degrees[name] for _, name in terms}
-
-
 def parse_document(text: str) -> AlgebraDocument:
     """Parse document text, collecting every issue before failing."""
     issues: list[DocumentIssue] = []
-    # first pass: split into sections
-    section: str | None = None
-    section_no: int | None = None
+    # first pass: split into sections; a section is (name, order or None)
+    section: tuple[str, int | None] | None = None
     basis_entries: list[tuple[str, int, int]] = []  # name, degree, line
     metadata: dict[str, str] = {}
-    bracket_lines: list[tuple[int, str, str, str]] = []
-    delta_lines: dict[int, list[tuple[int, str, str]]] = {}
-    gauge_lines: dict[int, list[tuple[int, str, str]]] = {}
-    seen_sections: set[tuple[str, int | None]] = set()
+    # (line, generator names, element text) per [bracket], [delta N], [gauge N]
+    entries: dict[tuple[str, int | None], list[tuple[int, tuple[str, ...], str]]] = {}
+    headers: dict[tuple[str, int | None], int] = {}  # first line of each section
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("["):
+            section = None
             match = _HEADER_RE.match(line)
             if match is None:
                 issues.append(DocumentIssue(line_no, line, "malformed section header"))
-                section = None
                 continue
             name, number = match.group(1), match.group(2)
             if name in ("metadata", "basis", "bracket"):
                 if number is not None:
-                    issues.append(
-                        DocumentIssue(line_no, line, "section takes no number")
-                    )
-                section, section_no = name, None
-            elif name in ("delta", "gauge"):
+                    issues.append(DocumentIssue(line_no, line, "section takes no number"))
+                found: tuple[str, int | None] = (name, None)
+            elif name in _NUMBERED:
                 if number is None:
-                    issues.append(
-                        DocumentIssue(line_no, line, "section needs an order number")
-                    )
-                    section = None
+                    issues.append(DocumentIssue(line_no, line, "section needs an order number"))
                     continue
-                section, section_no = name, int(number)
-                if name == "delta" and section_no < 0:
-                    issues.append(DocumentIssue(line_no, line, "negative delta order"))
-                    section = None
+                first, _, below = _NUMBERED[name]
+                if int(number) < first:
+                    issues.append(DocumentIssue(line_no, line, below))
                     continue
-                if name == "gauge" and section_no < 1:
-                    issues.append(
-                        DocumentIssue(line_no, line, "gauge orders start at 1")
-                    )
-                    section = None
-                    continue
+                found = (name, int(number))
             else:
                 issues.append(DocumentIssue(line_no, name, "unknown section"))
-                section = None
                 continue
-            key = (section, section_no)
-            if key in seen_sections:
+            if found in headers:
                 issues.append(DocumentIssue(line_no, line, "duplicate section"))
-            seen_sections.add(key)
-            if section == "delta":
-                delta_lines.setdefault(section_no, [])
-            if section == "gauge":
-                gauge_lines.setdefault(section_no, [])
+            headers.setdefault(found, line_no)
+            if name not in ("metadata", "basis"):
+                entries.setdefault(found, [])
+            section = found
             continue
         if ":" not in line:
             issues.append(DocumentIssue(line_no, line, "expected 'key: value'"))
@@ -272,11 +263,11 @@ def parse_document(text: str) -> AlgebraDocument:
         if section is None:
             issues.append(DocumentIssue(line_no, line, "entry outside any section"))
             continue
-        if section == "metadata":
+        if section[0] == "metadata":
             if key in metadata:
                 issues.append(DocumentIssue(line_no, key, "duplicate metadata key"))
             metadata[key] = value
-        elif section == "basis":
+        elif section[0] == "basis":
             if not _NAME_RE.match(key):
                 issues.append(DocumentIssue(line_no, key, "bad generator name"))
                 continue
@@ -284,18 +275,11 @@ def parse_document(text: str) -> AlgebraDocument:
                 issues.append(DocumentIssue(line_no, value, "degree must be an integer"))
                 continue
             basis_entries.append((key, int(value), line_no))
-        elif section == "bracket":
-            parts = key.split()
-            if len(parts) != 2:
-                issues.append(
-                    DocumentIssue(line_no, key, "bracket key needs two generator names")
-                )
-                continue
-            bracket_lines.append((line_no, parts[0], parts[1], value))
-        elif section == "delta":
-            delta_lines[section_no].append((line_no, key, value))
-        elif section == "gauge":
-            gauge_lines[section_no].append((line_no, key, value))
+        elif section[0] == "bracket" and len(key.split()) != 2:
+            issues.append(DocumentIssue(line_no, key, "bracket key needs two generator names"))
+        else:
+            names = tuple(key.split()) if section[0] == "bracket" else (key,)
+            entries[section].append((line_no, names, value))
 
     # basis table
     degrees: dict[str, int] = {}
@@ -311,124 +295,71 @@ def parse_document(text: str) -> AlgebraDocument:
         raise DocumentError(issues)
     index = {name: i for i, (name, _) in enumerate(order)}
 
-    def resolve_entries(
-        lines: list[tuple[int, str, str]], image_shift: int, what: str
-    ) -> tuple[tuple[str, Terms], ...]:
-        out: dict[str, Terms] = {}
-        for line_no, key, value in lines:
-            if key not in degrees:
-                issues.append(DocumentIssue(line_no, key, "unknown generator"))
+    def resolve(kind: str, shift: int, lines: list[tuple[int, tuple[str, ...], str]]):
+        """Entries as names + (terms,), nonzero ones only, sorted by basis index;
+        an image must have the names' degree sum plus the section's shift."""
+        out: dict[tuple[str, ...], Terms] = {}
+        for line_no, names, value in lines:
+            missing = [n for n in names if n not in degrees]
+            for n in missing:
+                issues.append(DocumentIssue(line_no, n, "unknown generator"))
+            if missing:
                 continue
-            if key in out:
-                issues.append(DocumentIssue(line_no, key, f"duplicate {what} entry"))
+            if names in out:
+                issues.append(DocumentIssue(line_no, " ".join(names), f"duplicate {kind} entry"))
                 continue
             terms = _parse_element(value, line_no, degrees, issues)
             if terms is None:
                 continue
-            terms = tuple(sorted(terms, key=lambda item: index[item[1]]))
-            want = degrees[key] + image_shift
-            got = _term_degree(terms, degrees)
-            if got and got != {want}:
+            want = sum(degrees[n] for n in names) + shift
+            got = sorted({degrees[n] for _, n in terms})
+            if got and got != [want]:
                 issues.append(
                     DocumentIssue(
                         line_no,
-                        key,
-                        f"{what} image must have degree {want}, found "
-                        + ", ".join(str(d) for d in sorted(got)),
+                        " ".join(names),
+                        f"{kind} image must have degree {want}, found "
+                        + ", ".join(str(d) for d in got),
                     )
                 )
                 continue
             if terms:
-                out[key] = terms
-        return tuple(
-            sorted(out.items(), key=lambda item: index[item[0]])
-        )
+                out[names] = tuple(sorted(terms, key=lambda item: index[item[1]]))
+        ordered = sorted(out.items(), key=lambda item: [index[n] for n in item[0]])
+        return tuple(names + (terms,) for names, terms in ordered)
 
-    # bracket
-    bracket_out: dict[tuple[str, str], Terms] = {}
-    for line_no, left, right, value in bracket_lines:
-        missing = [n for n in (left, right) if n not in degrees]
-        if missing:
-            for n in missing:
-                issues.append(DocumentIssue(line_no, n, "unknown generator"))
-            continue
-        if (left, right) in bracket_out:
-            issues.append(
-                DocumentIssue(line_no, f"{left} {right}", "duplicate bracket entry")
-            )
-            continue
-        terms = _parse_element(value, line_no, degrees, issues)
-        if terms is None:
-            continue
-        terms = tuple(sorted(terms, key=lambda item: index[item[1]]))
-        want = degrees[left] + degrees[right]
-        got = _term_degree(terms, degrees)
-        if got and got != {want}:
-            issues.append(
-                DocumentIssue(
-                    line_no,
-                    f"{left} {right}",
-                    f"bracket image must have degree {want}, found "
-                    + ", ".join(str(d) for d in sorted(got)),
-                )
-            )
-            continue
-        if terms:
-            bracket_out[(left, right)] = terms
-
-    # delta / gauge order contiguity
-    def check_orders(present: list[int], start: int, what: str) -> None:
-        if not present:
-            return
-        want = list(range(start, start + len(present)))
-        if sorted(present) != want:
+    bracket = resolve("bracket", 0, entries.get(("bracket", None), []))
+    # numbered sections: orders must be contiguous from the first
+    orders: dict[str, list[int]] = {}
+    for kind, (first, _, _) in _NUMBERED.items():
+        present = sorted(n for k, n in entries if k == kind)
+        want = list(range(first, first + len(present)))
+        orders[kind] = present if present == want else []
+        if present != want:
             issues.append(
                 DocumentIssue(
                     0,
-                    what,
-                    f"{what} orders must be exactly {want[0]}..{want[-1]}, found "
-                    + ", ".join(str(n) for n in sorted(present)),
+                    kind,
+                    f"{kind} orders must be exactly {want[0]}..{want[-1]}, found "
+                    + ", ".join(str(n) for n in present),
                 )
             )
-
-    check_orders(list(delta_lines), 0, "delta")
-    check_orders(list(gauge_lines), 1, "gauge")
-
-    deltas: tuple[tuple[tuple[str, Terms], ...], ...] = ()
-    if sorted(delta_lines) == list(range(len(delta_lines))):
-        deltas = tuple(
-            resolve_entries(delta_lines[n], 1, "delta") for n in sorted(delta_lines)
-        )
-    gauges: tuple[tuple[tuple[str, Terms], ...], ...] = ()
-    if sorted(gauge_lines) == list(range(1, len(gauge_lines) + 1)):
-        gauges = tuple(
-            resolve_entries(gauge_lines[n], 0, "gauge") for n in sorted(gauge_lines)
-        )
+    deltas, gauges = (
+        tuple(resolve(kind, shift, entries[(kind, n)]) for n in orders[kind])
+        for kind, (_, shift, _) in _NUMBERED.items()
+    )
 
     if issues:
         raise DocumentError(issues)
-
-    doc = AlgebraDocument(
+    # the operator layer validates the structure; Leibniz is not required at
+    # parse time, documents may hold invalid data for checking
+    return AlgebraDocument(
         basis=tuple(order),
-        bracket=tuple(
-            (left, right, terms)
-            for (left, right), terms in sorted(
-                bracket_out.items(), key=lambda kv: (index[kv[0][0]], index[kv[0][1]])
-            )
-        ),
+        bracket=bracket,
         deltas=deltas,
         gauges=gauges,
         metadata=tuple(sorted(metadata.items())),
     )
-    # final structural validation through the operator layer; Leibniz is not
-    # required at parse time, documents may hold invalid data for checking
-    try:
-        doc.to_bracket()
-        doc.to_family()
-        doc.to_gauge()
-    except MalformedInputError as exc:
-        raise DocumentError([DocumentIssue(0, "document", str(exc))]) from exc
-    return doc
 
 
 def _format_terms(terms: Terms) -> str:
@@ -439,25 +370,12 @@ def serialize_document(doc: AlgebraDocument) -> str:
     """Render a document canonically; parse(serialize(doc)) == doc."""
     lines: list[str] = []
     if doc.metadata:
-        lines.append("[metadata]")
-        for key, value in sorted(doc.metadata):
-            lines.append(f"{key}: {value}")
-        lines.append("")
-    lines.append("[basis]")
-    for name, degree in doc.basis:
-        lines.append(f"{name}: {degree}")
-    lines.append("")
-    lines.append("[bracket]")
-    for left, right, terms in doc.bracket:
-        lines.append(f"{left} {right}: {_format_terms(terms)}")
-    for n, entries in enumerate(doc.deltas):
-        lines.append("")
-        lines.append(f"[delta {n}]")
-        for name, terms in entries:
-            lines.append(f"{name}: {_format_terms(terms)}")
-    for n, entries in enumerate(doc.gauges, start=1):
-        lines.append("")
-        lines.append(f"[gauge {n}]")
-        for name, terms in entries:
-            lines.append(f"{name}: {_format_terms(terms)}")
+        lines += ["[metadata]", *(f"{key}: {value}" for key, value in sorted(doc.metadata)), ""]
+    lines += ["[basis]", *(f"{name}: {degree}" for name, degree in doc.basis)]
+    sections = [("bracket", doc.bracket)]
+    for (kind, (first, _, _)), orders in zip(_NUMBERED.items(), (doc.deltas, doc.gauges)):
+        sections += [(f"{kind} {n}", entries) for n, entries in enumerate(orders, start=first)]
+    for header, entries in sections:
+        lines += ["", f"[{header}]"]
+        lines += [f"{' '.join(entry[:-1])}: {_format_terms(entry[-1])}" for entry in entries]
     return "\n".join(lines) + "\n"

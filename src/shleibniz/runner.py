@@ -148,19 +148,20 @@ def _cmd_check_codifferential(
     ]
 
 
+def _named_unary(doc: AlgebraDocument) -> list[tuple[str, MultiOp]]:
+    """The document's nonzero delta_n and xi_n, named by component."""
+    fam, gauge = doc.to_family(), doc.to_gauge()
+    ops = [(f"delta_{n}", d) for n, d in enumerate(fam.deltas)] if fam else []
+    ops += [(f"xi_{n}", x) for n, x in enumerate(gauge.xis, 1)] if gauge else []
+    return [(name, op) for name, op in ops if not op.is_zero()]
+
+
 def _derivation_pool(doc: AlgebraDocument) -> list[tuple[str, MultiOp]]:
-    """Nonzero deltas and gauge generators shipped with the document."""
+    """Nonzero deltas and gauge generators shipped with the document, each once."""
     pool: list[tuple[str, MultiOp]] = []
-    fam = doc.to_family()
-    if fam is not None:
-        for n, delta in enumerate(fam.deltas):
-            if not delta.is_zero() and all(op != delta for _, op in pool):
-                pool.append((f"delta_{n}", delta))
-    gauge = doc.to_gauge()
-    if gauge is not None:
-        for n, xi in enumerate(gauge.xis, start=1):
-            if not xi.is_zero() and all(op != xi for _, op in pool):
-                pool.append((f"xi_{n}", xi))
+    for name, op in _named_unary(doc):
+        if all(op != other for _, other in pool):
+            pool.append((name, op))
     if not pool:
         raise PreconditionError("document ships no nonzero derivations to check")
     return pool
@@ -247,13 +248,7 @@ def _cmd_check_coalgebra(doc: AlgebraDocument, options: RunOptions) -> list[Chec
     dual = check_dual_leibniz(basis, options.max_word_len)
     results = [CheckResult("dual-leibniz", dual.passed, dual.violations)]
     lifted: list[Violation] = []
-    ops: list[tuple[str, MultiOp]] = [("bracket", doc.to_bracket())]
-    fam = doc.to_family()
-    if fam is not None:
-        ops += [(f"delta_{n}", d) for n, d in enumerate(fam.deltas) if not d.is_zero()]
-    gauge = doc.to_gauge()
-    if gauge is not None:
-        ops += [(f"xi_{n}", x) for n, x in enumerate(gauge.xis, 1) if not x.is_zero()]
+    ops = [("bracket", doc.to_bracket())] + _named_unary(doc)
     for name, op in ops:
         verdict = check_coderivation_axiom(lift_coderivation(op), options.max_word_len)
         for v in verdict.violations:
