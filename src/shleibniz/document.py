@@ -46,7 +46,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DocumentError, DocumentIssue
+from .errors import DocumentError, DocumentIssue, GaugeDerivationError
 from .graded import Element, GradedBasis, Scalar, exact, format_terms
 from .multiop import MultiOp
 from .derived import DeformationFamily
@@ -352,14 +352,19 @@ def parse_document(text: str) -> AlgebraDocument:
     if issues:
         raise DocumentError(issues)
     # the operator layer validates the structure; Leibniz is not required at
-    # parse time, documents may hold invalid data for checking
-    return AlgebraDocument(
-        basis=tuple(order),
-        bracket=bracket,
-        deltas=deltas,
-        gauges=gauges,
-        metadata=tuple(sorted(metadata.items())),
-    )
+    # parse time, documents may hold invalid data for checking, but a gauge
+    # generator must be a derivation
+    try:
+        return AlgebraDocument(
+            basis=tuple(order),
+            bracket=bracket,
+            deltas=deltas,
+            gauges=gauges,
+            metadata=tuple(sorted(metadata.items())),
+        )
+    except GaugeDerivationError as exc:
+        line_no = headers[("gauge", exc.order)]
+        raise DocumentError([DocumentIssue(line_no, f"gauge {exc.order}", str(exc))]) from exc
 
 
 def _format_terms(terms: Terms) -> str:

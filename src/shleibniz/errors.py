@@ -26,6 +26,14 @@ class MCRejectionError(PreconditionError):
         super().__init__(f"Maurer-Cartan equation fails at order {order}: {residual}")
 
 
+class GaugeDerivationError(PreconditionError):
+    """A gauge generator xi_n that is not a derivation of the bracket."""
+
+    def __init__(self, order: int):
+        self.order = order
+        super().__init__(f"xi_{order} is not a derivation of the bracket")
+
+
 @dataclass(frozen=True)
 class DocumentIssue:
     """One located parse or validation problem in an algebra document."""

@@ -40,7 +40,7 @@ from .coalgebra import (
     TensorPairElement,
 )
 from .derived import DeformationFamily, build_codifferential
-from .errors import MalformedInputError, MCRejectionError, PreconditionError
+from .errors import GaugeDerivationError, MalformedInputError, MCRejectionError, PreconditionError
 from .graded import Element, GradedBasis, Scalar
 from .multiop import (
     DgLeibnizAlgebra,
@@ -69,7 +69,7 @@ class GaugeFamily:
             if xi.arity != 1 or xi.degree != 0:
                 raise MalformedInputError(f"xi_{order} must have arity 1 and degree 0")
             if check_derivation(xi, self.bracket):
-                raise PreconditionError(f"xi_{order} is not a derivation of the bracket")
+                raise GaugeDerivationError(order)
 
     @property
     def basis(self) -> GradedBasis:

@@ -59,6 +59,13 @@ def test_exit_two_on_parse_errors():
     assert "line 2" in result.output
 
 
+def test_gauge_that_is_not_a_derivation_exits_two_with_its_line():
+    text = "[basis]\nx: 0\ny: 0\n\n[bracket]\nx x: y\n\n[gauge 1]\nx: x\n"
+    result = run("validate", "-", text=text)
+    assert result.exit_code == 2
+    assert "line 8: [gauge 1] xi_1 is not a derivation of the bracket" in result.output
+
+
 def test_exit_two_on_missing_gauge():
     text = shipped.fixture_text("quartic")
     result = run("gauge", "-", text=text)
