@@ -16,7 +16,6 @@ from .coalgebra import (
     TensorPairElement,
     check_coderivation_axiom,
     check_dual_leibniz,
-    check_hom_bracket_lift_agreement,
     comultiply,
     corestriction,
     decompose_k,

@@ -34,8 +34,6 @@ Each such term adds +-c f(fk) to its key, where c is the coefficient of z in
 g(gk) and the sign is that of the lift's unshuffle row.  hom_bracket scatters
 both composites this way straight from the constants of f and g, and
 evaluates no lift; it is exactly zero on every key no term reaches.
-check_hom_bracket_lift_agreement compares it, word by word, with the
-commutator of the lifts.
 
 The checks that walk words compute each word's image (a lift, an override or
 a comultiplication) at most once per call, in a table that lives only for that
@@ -450,35 +448,3 @@ def hom_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
     compose_into(acc, f, g, 1)
     compose_into(acc, g, f, -sign)
     return op_from_terms(f.basis, f.arity + g.arity - 1, f.degree + g.degree, acc)
-
-
-def check_hom_bracket_lift_agreement(f: MultiOp, g: MultiOp, max_len: int = 4) -> Verdict:
-    """Cross-check: the lift of (f, g) equals the commutator of the lifts.
-
-    [f^c, g^c] = f^c g^c - (-1)^(|f||g|) g^c f^c, compared word by word for
-    lengths <= max_len.  The lifts of f and g are computed at most once per
-    word; the lift of (f, g) is needed once per word anyway.
-    """
-    basis = f.basis
-    bracket_lift = lift_coderivation(hom_bracket(f, g))
-    f_spec, g_spec = lift_coderivation(f), lift_coderivation(g)
-    f_lift = functools.cache(lambda word: evaluate_coderivation(f_spec, word))
-    g_lift = functools.cache(lambda word: evaluate_coderivation(g_spec, word))
-    sign = -1 if (f.degree * g.degree) % 2 else 1
-    violations: list[Violation] = []
-    for length in range(1, max_len + 1):
-        for word in basis.index_tuples(length):
-            lhs = evaluate_coderivation(bracket_lift, word)
-            rhs = extend_linearly(g_lift(word), f_lift, TensorElement) - (
-                extend_linearly(f_lift(word), g_lift, TensorElement).scale(sign)
-            )
-            residual = lhs - rhs
-            if not residual.is_zero():
-                violations.append(
-                    Violation(
-                        "hom-bracket-lift",
-                        tuple(basis.names[i] for i in word),
-                        residual,
-                    )
-                )
-    return Verdict.from_violations(violations)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import MalformedInputError
-from .graded import Element, GradedBasis
+from .graded import Element
 from .multiop import MultiOp, check_derivation
 
 

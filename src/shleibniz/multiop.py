@@ -128,9 +128,6 @@ class MultiOp:
         for i, c in args[pos].coeffs.items():
             self._accumulate(args, pos + 1, key + (i,), coeff * c, acc)
 
-    def __call__(self, *args: Element) -> Element:
-        return self.apply(args)
-
     def apply_indices(self, key: tuple[int, ...]) -> Element:
         """Evaluation on a basis tuple, the common fast path."""
         image = self.constants.get(key)
@@ -154,9 +151,6 @@ class MultiOp:
             },
         )
 
-    def __sub__(self, other: "MultiOp") -> "MultiOp":
-        return self + (-other)
-
     def __neg__(self) -> "MultiOp":
         return self.scale(-1)
 
@@ -177,11 +171,6 @@ class MultiOp:
             and self.degree == other.degree
             and self.constants == other.constants
         )
-
-    def __hash__(self) -> int:
-        return hash((self.basis, self.arity, self.degree, tuple(sorted(
-            (k, tuple(v.items())) for k, v in self.constants.items()
-        ))))
 
     def __repr__(self) -> str:
         return f"MultiOp(arity={self.arity}, degree={self.degree}, {len(self.constants)} constants)"
