@@ -16,18 +16,25 @@ Sections:
 
 ``[bracket]``
     ``left right: element`` giving the bracket of two generators.  Missing
-    pairs are zero.  Every term of the element must have degree
-    ``|left| + |right|``.
+    pairs are zero.
 
 ``[delta N]``
     Order-N component of a deformation of the differential, one line per
-    generator with a nonzero image: ``name: element``.  Terms must have
-    degree ``|name| + 1``.  The orders present must be exactly 0..m for
-    some m; a trailing zero component is written as an empty section.
+    generator with a nonzero image: ``name: element``.  The orders present
+    must be exactly 0..m for some m; a trailing zero component is written as
+    an empty section.
 
 ``[gauge N]``
-    Order-N gauge generator, same entry shape as ``[delta N]`` but with
-    degree-0 images, orders exactly 1..k.
+    Order-N gauge generator, same entry shape as ``[delta N]``, orders
+    exactly 1..k.  A generator that is not a derivation of the bracket is
+    reported at its section header.
+
+These three sections take one path through the parser and the serializer.
+An entry is keyed by a tuple of generator names, two for ``[bracket]`` and
+one otherwise, and every term of its image must have the names' degree sum
+plus the section's shift: 0 for ``[bracket]`` and ``[gauge N]``, 1 for
+``[delta N]``.  The numbered kinds differ only in their first order and
+shift, which one table holds.
 
 Elements are ``0`` or a signed sum of terms, ``term (('+'|'-') term)*``,
 where a term is an optional rational coefficient followed by a generator
@@ -37,7 +44,8 @@ Parsing normalises everything (entries sorted by basis index, coefficients
 reduced to exact scalars, an ``int`` when integral and a ``Fraction``
 otherwise, zero entries dropped), so ``parse(serialize(parse(text)))`` equals
 ``parse(text)`` for any valid input, and ``serialize`` is a bijection on
-parsed documents.
+parsed documents.  An ``AlgebraDocument`` builds its basis, bracket, family
+and gauge once, when it is constructed; the ``to_*`` methods return them.
 """
 
 from __future__ import annotations
