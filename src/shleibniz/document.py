@@ -342,7 +342,6 @@ def parse_document(text: str) -> AlgebraDocument:
     for kind, (first, _, _) in _NUMBERED.items():
         present = sorted(n for k, n in entries if k == kind)
         want = list(range(first, first + len(present)))
-        orders[kind] = present if present == want else []
         if present != want:
             issues.append(
                 DocumentIssue(
@@ -352,6 +351,8 @@ def parse_document(text: str) -> AlgebraDocument:
                     + ", ".join(str(n) for n in present),
                 )
             )
+            present = []
+        orders[kind] = present
     deltas, gauges = (
         tuple(resolve(kind, shift, entries[(kind, n)]) for n in orders[kind])
         for kind, (_, shift, _) in _NUMBERED.items()
