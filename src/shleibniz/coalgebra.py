@@ -156,6 +156,15 @@ def extend_linearly(te: TensorElement, image: Callable[[Word], SparseVector], cl
     return cls._trusted(te.basis, acc)
 
 
+def _failing_patterns(
+    basis: GradedBasis, length: int, certified: Callable[[tuple[int, ...]], bool]
+) -> set[tuple[int, ...]]:
+    """The parity patterns of this length, built from the parities present in
+    the basis, that do not certify."""
+    present = sorted({d % 2 for d in basis.degrees})
+    return {p for p in itertools.product(present, repeat=length) if not certified(p)}
+
+
 def _uncertified_words(
     basis: GradedBasis, max_len: int, certified: Callable[[tuple[int, ...]], bool]
 ) -> Iterator[Word]:
@@ -166,9 +175,8 @@ def _uncertified_words(
     Only patterns built from the parities present in the basis are asked for.
     """
     parity = tuple(d % 2 for d in basis.degrees)
-    present = sorted(set(parity))
     for length in range(1, max_len + 1):
-        failing = {p for p in itertools.product(present, repeat=length) if not certified(p)}
+        failing = _failing_patterns(basis, length, certified)
         if not failing:
             continue
         for word in basis.index_tuples(length):
@@ -384,6 +392,29 @@ def _coderivation_certified(
     return _coderivation_residual(spec, tuple(range(n)), lift, split).is_zero()
 
 
+def _lift_certificate(spec: CoderivationSpec) -> Callable[[tuple[int, ...]], bool]:
+    """The per-pattern certificate of spec's lift: whether the free
+    operations of the component arities that fit in a parity pattern, with
+    spec's degree parity, pass on its generic word (_coderivation_certified)."""
+    arities, parity = spec.arities(), spec.degree % 2
+
+    def certified(pattern: tuple[int, ...]) -> bool:
+        fitting = tuple(a for a in arities if a <= len(pattern))
+        return _coderivation_certified(pattern, fitting, parity)
+
+    return certified
+
+
+def lift_certified(spec: CoderivationSpec, max_len: int) -> bool:
+    """Whether the parity patterns prove that the lift of spec satisfies the
+    coderivation axiom on every word of length <= max_len; no word is
+    evaluated."""
+    certified = _lift_certificate(spec)
+    return not any(
+        _failing_patterns(spec.basis, n, certified) for n in range(1, max_len + 1)
+    )
+
+
 def check_coderivation_axiom(
     spec: CoderivationSpec,
     max_len: int,
@@ -409,12 +440,7 @@ def check_coderivation_axiom(
     basis = spec.basis
     if evaluate is None:
         evaluate = lambda word: evaluate_coderivation(spec, word)
-        arities, parity = spec.arities(), spec.degree % 2
-
-        def certified(pattern: tuple[int, ...]) -> bool:
-            fitting = tuple(a for a in arities if a <= len(pattern))
-            return _coderivation_certified(pattern, fitting, parity)
-
+        certified = _lift_certificate(spec)
     else:
         certified = lambda pattern: False
     lift = functools.cache(evaluate)

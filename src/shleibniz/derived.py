@@ -42,15 +42,40 @@ witnesses come out as from a walk over all dim^(Const-1) tuples.
 Equivalently, the coderivation with components
 partial_i = N_i(delta_{i-1} (x) 1^(i-1)) squares to zero on the tensor
 coalgebra; both formulations are exposed and must agree.
+
+check_codifferential proves a pass from a certificate before it walks any
+word.  partial is odd, so where it is a coderivation, partial . partial =
+1/2 [partial, partial] is one too, and a coderivation D that vanishes after
+corestriction on the words of length <= L vanishes on them: by induction on
+the length, Delta D(w) = (D (x) 1 + 1 (x) D) Delta(w) is zero, and Delta is
+injective on words of length >= 2.  On a word of length n the corestriction
+of partial . partial is the sum of partial_m . partial_j^c over
+m + j - 1 = n, so it can be nonzero only on reachable_keys(partial_m,
+partial_j).  The certificate requires every parity pattern up to L to
+certify the lift as a coderivation, as in check_coderivation_axiom, then
+evaluates partial(w) through the lift on those reachable words, sorted, and
+sums c partial_|u|(u) over its terms c u.  If every such residual is zero,
+the check passes.  Otherwise, or if a pattern does not certify, every word is
+walked as before and the walk's witnesses are reported: the corestriction
+can vanish on a word where the square does not, so the certificate's
+failing words are fewer than the walk's.  Only the key enumeration is
+shared with check_sh_leibniz; the values come from the unshifted partial_i
+and the lift's signs.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .coalgebra import CoderivationSpec, TensorElement, evaluate_coderivation, extend_linearly
+from .coalgebra import (
+    CoderivationSpec,
+    TensorElement,
+    evaluate_coderivation,
+    extend_linearly,
+    lift_certified,
+)
 from .errors import EngineError, MalformedInputError, PreconditionError
 from .graded import (
     Element,
@@ -339,13 +364,23 @@ def check_codifferential(fam: DeformationFamily, max_len: int, first_violation: 
 
     Equivalent to check_sh_leibniz with max_const = max_len + 1 on the same
     family: the square of the codifferential on words of length n collects
-    exactly the weight-(n + 1) identities.  The coderivation never lengthens a
-    word, so it is evaluated at most once per word and reused.
+    exactly the weight-(n + 1) identities.
+
+    A pass is certified first (see the module docstring): when the parity
+    patterns prove the lift a coderivation up to max_len and the
+    corestriction of partial . partial vanishes on the reachable words, the
+    check passes without visiting any other word.  Otherwise every word is
+    walked, shortest first and lexicographically within a length, and the
+    witnesses are the walk's, since the certificate's failing words are
+    fewer.  In that walk the coderivation never lengthens a word, so it is
+    evaluated at most once per word, in a table the certificate shares.
     """
     if max_len < 1:
         raise MalformedInputError("max_len must be >= 1")
     spec = build_codifferential(fam)
     once = functools.cache(lambda word: evaluate_coderivation(spec, word))
+    if _square_certified(spec, max_len, once):
+        return Verdict.from_violations([])
     basis = fam.basis
     violations: list[Violation] = []
     for length in range(1, max_len + 1):
@@ -362,6 +397,31 @@ def check_codifferential(fam: DeformationFamily, max_len: int, first_violation: 
                 if first_violation:
                     return Verdict(False, violations)
     return Verdict.from_violations(violations)
+
+
+def _square_certified(
+    spec: CoderivationSpec, max_len: int, once: Callable[[tuple[int, ...]], TensorElement]
+) -> bool:
+    """Whether partial . partial = 0 on every word of length <= max_len
+    follows from the lift being certified a coderivation and from
+    corestriction(partial(partial(w))) = sum c * partial_|u|(u), over the
+    terms c * u of partial(w), vanishing on every reachable word w."""
+    if not lift_certified(spec, max_len):
+        return False
+    ops = spec.components
+    images = {key: image.coeffs for op in ops.values() for key, image in op.constants.items()}
+    for length in range(1, max_len + 1):
+        live = set().union(
+            *(reachable_keys(ops[m], ops[length + 1 - m]) for m in ops if length + 1 - m in ops)
+        )
+        for word in sorted(live):
+            acc: dict[int, Scalar] = {}
+            for u, c in once(word).terms.items():
+                for b, cb in images.get(u, {}).items():
+                    acc[b] = acc.get(b, 0) + c * cb
+            if any(acc.values()):
+                return False
+    return True
 
 
 def check_key_lemma(

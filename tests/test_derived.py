@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -11,7 +12,12 @@ import pytest
 
 from shleibniz import coalgebra, derived
 from shleibniz import fixtures as shipped
-from shleibniz.coalgebra import TensorElement, evaluate_coderivation, extend_linearly
+from shleibniz.coalgebra import (
+    TensorElement,
+    corestriction,
+    evaluate_coderivation,
+    extend_linearly,
+)
 from shleibniz.derived import (
     DeformationFamily,
     ShLeibnizStructure,
@@ -45,6 +51,7 @@ from shleibniz.multiop import (
     check_skewsymmetry,
     n_i_d,
     nary_bracket,
+    reachable_keys,
 )
 from shleibniz.results import Verdict, Violation
 
@@ -318,16 +325,72 @@ def codifferential_reference(
     return violations
 
 
-def test_codifferential_matches_its_per_word_loop_on_perturbations(docs, family_names):
-    for name in family_names:
-        bad = shipped.perturbed_family(docs[name], shipped.perturbation(name))
-        for first in (False, True):
-            got = check_codifferential(bad, max_len=3, first_violation=first).violations
-            assert got, name
-            assert got == codifferential_reference(bad, 3, first), (name, first)
+def chain_perturbations(fam: DeformationFamily) -> list[shipped.Perturbation]:
+    """Every single constant source -> target with |target| = |source| + 1,
+    at every order of the family."""
+    basis = fam.basis
+    return [
+        shipped.Perturbation(order, basis.names[x], basis.names[y], 1)
+        for order in range(fam.order + 1)
+        for x in range(len(basis))
+        for y in range(len(basis))
+        if basis.degree(y) == basis.degree(x) + 1
+    ]
 
 
-def test_codifferential_evaluates_each_word_once(generated, monkeypatch):
+def test_codifferential_matches_its_per_word_loop_on_perturbations(docs, family_names, generated):
+    inputs = [(name, docs[name]) for name in family_names] + [
+        (label, generated[label]) for label in ("endo2(x)Q[t]/t^2", "endo2+heis3w")
+    ]
+    outcomes = collections.Counter()
+    for label, doc in inputs:
+        fam = doc.to_family()
+        tweaks = chain_perturbations(fam)
+        assert label not in family_names or shipped.perturbation(label) in tweaks
+        max_len = 2 if len(fam.basis) >= 8 else 3
+        for tweak in tweaks:
+            bad = shipped.perturbed_family(doc, tweak)
+            every = codifferential_reference(bad, max_len)
+            for length in range(1, max_len + 1):
+                expected = [v for v in every if len(v.site) <= length]
+                for first in (False, True):
+                    got = check_codifferential(bad, length, first_violation=first)
+                    want = Verdict.from_violations(expected[:1] if first else expected)
+                    assert got == want, (label, tweak, length, first)
+            # the shortest failing word length, 0 for a pass at max_len
+            outcomes[len(every[0].site) if every else 0] += 1
+    # passes the certificate must prove, and failures it must leave to the
+    # walk although every shorter word holds
+    assert outcomes[0] >= 50 and outcomes[2] + outcomes[3] >= 20, outcomes
+
+
+def test_reachable_words_hold_every_nonzero_corestricted_square():
+    # the certificate evaluates only these words; random brackets and deltas,
+    # neither Leibniz nor square zero, give nonzero corestrictions on words
+    # that only a reordering row of _composite_terms reaches
+    basis = GradedBasis(("a", "b", "c", "d", "e"), (0, 1, 1, 2, -1))
+    nonzero = 0
+    for seed in range(4):
+        rng = random.Random(seed)
+        bracket = random_op(basis, 2, 0, rng, density=0.5)
+        deltas = tuple(random_op(basis, 1, 1, rng) for _ in range(2))
+        spec = build_codifferential(DeformationFamily(bracket, deltas))
+        ops = spec.components
+        lift = functools.partial(evaluate_coderivation, spec)
+        for length in range(1, 4):
+            live = set().union(
+                *(reachable_keys(ops[m], ops[length + 1 - m]) for m in ops if length + 1 - m in ops)
+            )
+            for word in basis.index_tuples(length):
+                square = extend_linearly(lift(word), lift, TensorElement)
+                if not corestriction(square).is_zero():
+                    assert word in live, (seed, word)
+                    nonzero += 1
+    assert nonzero > 50, nonzero
+
+
+def count_evaluations(monkeypatch) -> collections.Counter:
+    """Count evaluate_coderivation calls per word, wherever they come from."""
     calls = collections.Counter()
 
     def counted(spec, word):
@@ -336,8 +399,34 @@ def test_codifferential_evaluates_each_word_once(generated, monkeypatch):
 
     for module in (derived, coalgebra):
         monkeypatch.setattr(module, "evaluate_coderivation", counted)
+    return calls
+
+
+def test_certified_codifferential_never_walks_every_word(generated, monkeypatch):
     fam = generated["endo2(x)Q[t]/t^2"].to_family()
-    assert check_codifferential(fam, max_len=3).passed
+    calls = count_evaluations(monkeypatch)
+
+    def refuse(self, length):
+        raise AssertionError("check_codifferential walked every word")
+
+    monkeypatch.setattr(GradedBasis, "index_tuples", refuse)
+    assert check_codifferential(fam, max_len=3) == Verdict(True, [])
+    assert calls and set(calls.values()) == {1}
+    assert len(calls) < 8 + 8**2 + 8**3
+
+
+def test_uncertified_lift_falls_back_to_the_walk(generated, monkeypatch):
+    fam = generated["endo2(x)Q[t]/t^2"].to_family()
+    calls = count_evaluations(monkeypatch)
+    monkeypatch.setattr(coalgebra, "_coderivation_certified", lambda *args: False)
+    assert check_codifferential(fam, max_len=3) == Verdict(True, [])
+    assert len(calls) == 8 + 8**2 + 8**3
+
+
+def test_codifferential_fallback_evaluates_each_word_once(generated, monkeypatch):
+    bad = shipped.perturbed_family(generated["endo2(x)Q[t]/t^2"], PRODUCT_TWEAK)
+    calls = count_evaluations(monkeypatch)
+    assert not check_codifferential(bad, max_len=3).passed
     assert len(calls) == 8 + 8**2 + 8**3
     assert set(calls.values()) == {1}
 

@@ -9,8 +9,9 @@ import pytest
 
 from shleibniz import fixtures as shipped
 from shleibniz.derived import check_key_lemma
-from shleibniz.document import parse_document
+from shleibniz.document import parse_document, serialize_document
 from shleibniz.errors import PreconditionError
+from shleibniz.graded import GradedBasis
 from shleibniz.report import WITNESS_LIMIT, render_structured, render_text
 from shleibniz.runner import RunOptions, _derivation_pool, run_command
 
@@ -22,6 +23,22 @@ def broken_endo2_text() -> str:
     text = base.replace("[delta 0]\nE01: E00 + E11\n", "[delta 0]\nE01: E00\n")
     assert text != base
     return text
+
+
+def test_codifferential_at_length_five_on_a_dimension_11_sum_walks_no_word(monkeypatch):
+    # a walk over the 11 + ... + 11^5 words takes seconds; the certificate
+    # proves the pass from the reachable words alone
+    names = ("endo2", "heis3w", "quartic")
+    doc = shipped.direct_sum([shipped.load_fixture(n) for n in names], ["", "r_", "q_"], "sum11")
+    text = serialize_document(doc)
+    assert len(doc.basis) == 11
+
+    def refuse(self, length):
+        raise AssertionError("check-codifferential walked every word")
+
+    monkeypatch.setattr(GradedBasis, "index_tuples", refuse)
+    report = run_command("check-codifferential", text, RunOptions(max_word_len=5))
+    assert [r.passed for r in report.results] == [True]
 
 
 def test_unknown_command_raises():
