@@ -14,11 +14,14 @@ induces operations on the shifted space sV:
 an arity-i operation of degree 2-i.  Two independent evaluation routes are
 implemented and their structure constants asserted equal:
 
-* route (a) runs the displayed composite through the signed tensor-layer
-  evaluator, letting the Koszul rule produce every sign.  It evaluates the
-  composite only on the tuples (x_1, x_2, ..., x_i) where some letter y of
-  delta_{i-1} x_1 starts a nonzero constant (y, x_2, ..., x_i) of N_i; by
-  multilinearity the composite is exactly zero on every other tuple;
+* route (a) runs the displayed composite one tensor layer at a time, in one
+  pass over coefficient dicts read off the constants of delta_{i-1} and N_i,
+  letting the Koszul rule produce every sign: each layer's sign is
+  layer_sign of its operator degrees against the degrees of the slots it
+  hits.  It evaluates the composite only on the tuples (x_1, x_2, ..., x_i)
+  where some letter y of delta_{i-1} x_1 starts a nonzero constant
+  (y, x_2, ..., x_i) of N_i; by multilinearity the composite is exactly zero
+  on every other tuple;
 * route (b) uses the worked-out closed form
       l_i(s x_1, ..., s x_i) = (-1)^e s N_i(delta_{i-1} x_1, x_2, ..., x_i),
   where e sums the degrees |x_j| over j < i with i - j odd, on the nonzero
@@ -83,6 +86,7 @@ from .graded import (
     Scalar,
     Shift,
     apply_layer,
+    layer_sign,
     shifted_degrees,
     signed_unshuffles,
     suspension_factor,
@@ -94,6 +98,7 @@ from .multiop import (
     compose_unary,
     n_i_d,
     nary_bracket,
+    op_from_terms,
     reachable_keys,
 )
 from .results import Verdict, Violation
@@ -176,12 +181,17 @@ def _require_deformation_slot(delta: MultiOp) -> None:
 
 
 def derived_bracket_tensor(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
-    """Route (a): evaluate the defining composite with the layer evaluator.
+    """Route (a): the defining composite as one signed layer pass.
 
     The composite is multilinear and starts with delta on x_1, so its value on
     (x_1, ..., x_i) is zero unless some letter y of delta x_1 starts a nonzero
-    constant (y, x_2, ..., x_i) of N_i.  It is evaluated on exactly those
-    tuples; the signs still come from the layers alone.
+    constant (y, x_2, ..., x_i) of N_i.  Only those tuples get a term, and
+    each layer acts on coefficient dicts read off the constants: delta x_1
+    off delta, then N_i(y, x_2, ..., x_i) off N_i for each letter y.  Every
+    layer's sign is layer_sign of its operator degrees against the shifted
+    degrees of the slots it hits: s delta s^{-1} (x) 1 on (x_1, ..., x_i),
+    s^{-1}(i) on (y, x_2, ..., x_i) and s on the value.  The first and the
+    last give +1 identically, since one operator jumps nothing.
     """
     _require_deformation_slot(delta)
     if i < 1:
@@ -190,46 +200,36 @@ def derived_bracket_tensor(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
     if delta.basis != basis:
         raise MalformedInputError("operation and bracket live over different bases")
     sbasis = shifted_degrees(basis, Shift.RAISE)
-    nested = nary_bracket(bracket, i)
-    up = suspension_factor(basis, Shift.RAISE)
-    down = suspension_factor(sbasis, Shift.LOWER)
+    sdeg = sbasis.degrees
     prefactor = -1 if (((i - 1) * (i - 2)) // 2) % 2 else 1
-
-    def s_delta_s_inv(e: Element) -> Element:
-        lowered = e.reshape(basis)
-        return delta.apply([lowered]).reshape(sbasis)
-
-    def fn(key: tuple[int, ...]) -> Element:
-        slots = [(sbasis.vector(b), sbasis.degree(b)) for b in key]
-        first_layer = [(1, s_delta_s_inv)] + [(0, None)] * (i - 1)
-        sign1, slots = apply_layer(first_layer, slots)
-        sign2, slots = apply_layer([down] * i, slots)
-        value = nested.apply([elt for elt, _ in slots])
-        sign3, lifted = apply_layer([up], [(value, value.homogeneous_degree() or 0)])
-        return lifted[0][0].scale(prefactor * sign1 * sign2 * sign3)
-
-    tails: dict[int, list[tuple[int, ...]]] = {}
-    for key in nested.constants:
-        tails.setdefault(key[0], []).append(key[1:])
-    candidates = {
-        x + rest
-        for x, image in delta.constants.items()
-        for y in image.coeffs
-        for rest in tails.get(y, ())
-    }
-    return MultiOp(sbasis, i, 2 - i, {key: fn(key) for key in sorted(candidates)})
+    first, down = (1,) + (0,) * (i - 1), (-1,) * i
+    # tails[y] lists (x_2, ..., x_i), their shifted degrees and N_i(y, x_2, ..., x_i)
+    tails: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], dict[int, Scalar]]]] = {}
+    for key, image in nary_bracket(bracket, i).constants.items():
+        rest = key[1:]
+        tails.setdefault(key[0], []).append((rest, tuple(sdeg[b] for b in rest), image.coeffs))
+    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
+    for (x,), image in delta.constants.items():
+        for y, c in image.coeffs.items():
+            for rest, degrees, nested in tails.get(y, ()):
+                slots, lowered = (sdeg[x],) + degrees, (sdeg[y],) + degrees
+                sign = prefactor * layer_sign(first, slots) * layer_sign(down, lowered)
+                sign *= layer_sign((1,), (sum(lowered) - i,))
+                out = acc.setdefault((x,) + rest, {})
+                for z, cz in nested.items():
+                    out[z] = out.get(z, 0) + sign * c * cz
+    return op_from_terms(sbasis, i, 2 - i, acc)
 
 
 def derived_bracket_explicit(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
     """Route (b): closed form with the parity-split sign, on the nonzero N_i(delta (x) 1)."""
     _require_deformation_slot(delta)
     basis = bracket.basis
-    sbasis = shifted_degrees(basis, Shift.RAISE)
-    constants = {}
+    acc = {}
     for key, image in n_i_d(bracket, delta, i).constants.items():
         exponent = sum(basis.degree(key[j - 1]) for j in range(1, i) if (i - j) % 2)
-        constants[key] = image.reshape(sbasis).scale(-1 if exponent % 2 else 1)
-    return MultiOp(sbasis, i, 2 - i, constants)
+        acc[key] = {b: -c if exponent % 2 else c for b, c in image.coeffs.items()}
+    return op_from_terms(shifted_degrees(basis, Shift.RAISE), i, 2 - i, acc)
 
 
 def derived_bracket(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:

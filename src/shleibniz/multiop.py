@@ -42,6 +42,8 @@ class MultiOp:
     constants maps index tuples (length == arity) to image Elements; absent
     tuples map to zero.  Every stored image must be homogeneous of degree
     sum(input degrees) + degree, so the operation is homogeneous as a map.
+    The constructor checks all of this; operations the engine computes from
+    valid ones are built by op_from_terms, which does not.
     """
 
     __slots__ = ("basis", "arity", "degree", "constants")
@@ -74,10 +76,8 @@ class MultiOp:
                         f"(operation degree {degree})"
                     )
                 clean[key] = image
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "constants", clean)
+        for name, value in zip(self.__slots__, (basis, arity, degree, clean)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MultiOp is immutable")
@@ -139,28 +139,19 @@ class MultiOp:
 
     def __add__(self, other: "MultiOp") -> "MultiOp":
         self._require_compatible(other)
-        keys = set(self.constants) | set(other.constants)
-        zero = Element.zero(self.basis)
-        return MultiOp(
-            self.basis,
-            self.arity,
-            self.degree,
-            {
-                k: self.constants.get(k, zero) + other.constants.get(k, zero)
-                for k in keys
-            },
-        )
+        acc = {k: dict(v.coeffs) for k, v in self.constants.items()}
+        for k, v in other.constants.items():
+            out = acc.setdefault(k, {})
+            for b, c in v.coeffs.items():
+                out[b] = out.get(b, 0) + c
+        return op_from_terms(self.basis, self.arity, self.degree, acc)
 
     def __neg__(self) -> "MultiOp":
         return self.scale(-1)
 
     def scale(self, scalar: Scalar) -> "MultiOp":
-        return MultiOp(
-            self.basis,
-            self.arity,
-            self.degree,
-            {k: v.scale(scalar) for k, v in self.constants.items()},
-        )
+        images = {k: v.scale(scalar).coeffs for k, v in self.constants.items()}
+        return op_from_terms(self.basis, self.arity, self.degree, images)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiOp):
@@ -177,7 +168,7 @@ class MultiOp:
 
 
 def identity_op(basis: GradedBasis) -> MultiOp:
-    return MultiOp.from_function(basis, 1, 0, lambda key: basis.vector(key[0]))
+    return op_from_terms(basis, 1, 0, {(b,): {b: 1} for b in range(len(basis))})
 
 
 def _require_unary_pair(outer: MultiOp, inner: MultiOp) -> None:
@@ -428,10 +419,21 @@ def compose_into(
 def op_from_terms(
     basis: GradedBasis, arity: int, degree: int, acc: Mapping[tuple[int, ...], Mapping[int, Scalar]]
 ) -> MultiOp:
-    """The operation with these coefficient dicts as images, keys ascending."""
-    return MultiOp(
-        basis, arity, degree, {key: Element._trusted(basis, acc[key]) for key in sorted(acc)}
-    )
+    """The operation with these coefficient dicts as images, keys ascending.
+
+    The one trusted path for operations the engine computes: keys, scalars
+    and image degrees come out of valid operations, so MultiOp's checks are
+    not re-run.  Zero coefficients and empty images are dropped.
+    """
+    constants = {}
+    for key in sorted(acc):
+        image = Element._trusted(basis, acc[key])
+        if image.coeffs:
+            constants[key] = image
+    op = object.__new__(MultiOp)
+    for name, value in zip(MultiOp.__slots__, (basis, arity, degree, constants)):
+        object.__setattr__(op, name, value)
+    return op
 
 
 def check_rearrangement(bracket: MultiOp, max_n: int = 3) -> Verdict:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from shleibniz import coalgebra, derived
+from shleibniz import coalgebra, derived, graded
 from shleibniz import fixtures as shipped
 from shleibniz.coalgebra import (
     TensorElement,
@@ -237,6 +237,43 @@ def test_partial_i_matches_its_dense_tabulation(docs, generated):
         for delta in deltas:
             for i in range(1, 4):
                 assert partial_i(bracket, delta, i) == dense_partial_i(bracket, delta, i), (label, i)
+
+
+def test_route_a_signs_are_load_bearing(monkeypatch):
+    """Route (a) with the s^{-1}(i) layer's Koszul sign dropped disagrees with
+    route (b).  That is the only layer whose sign can be -1: the first layer
+    and the s layer each have one operator of nonzero degree, in the first
+    slot, which jumps nothing."""
+    fam = shipped.load_fixture("endo2").to_family()
+    build_sh_structure(fam)
+
+    def unsigned_desuspension(op_degrees, arg_degrees):
+        if all(d == -1 for d in op_degrees):
+            return 1
+        return graded.layer_sign(op_degrees, arg_degrees)
+
+    monkeypatch.setattr(derived, "layer_sign", unsigned_desuspension)
+    with pytest.raises(EngineError):
+        build_sh_structure(fam)
+
+
+def test_route_a_applies_no_operation_and_no_layer_evaluator(generated, monkeypatch):
+    fam = generated["endo2(x)Q[t]/t^2"].to_family()
+    deltas = [d for d in fam.deltas if not d.is_zero()]
+    expected = {
+        (n, i): derived_bracket_explicit(fam.bracket, d, i)
+        for n, d in enumerate(deltas)
+        for i in range(1, 5)
+    }
+
+    def refuse(*args):
+        raise AssertionError("route (a) evaluated an operation or a layer")
+
+    monkeypatch.setattr(MultiOp, "apply", refuse)
+    monkeypatch.setattr(graded, "apply_layer", refuse)
+    monkeypatch.setattr(derived, "apply_layer", refuse)
+    for (n, i), want in expected.items():
+        assert derived_bracket_tensor(fam.bracket, deltas[n], i) == want, (n, i)
 
 
 def test_partial_i_still_catches_a_missing_or_extra_constant(monkeypatch):

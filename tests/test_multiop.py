@@ -28,6 +28,7 @@ from shleibniz.multiop import (
     identity_op,
     n_i_d,
     nary_bracket,
+    op_from_terms,
 )
 from shleibniz.results import Violation
 
@@ -72,6 +73,18 @@ def test_multiop_drops_zero_constants():
     op = MultiOp(basis, 1, 1, {(0,): Element(basis, {1: Fraction(0)})})
     assert op.is_zero()
     assert op == MultiOp.zero(basis, 1, 1)
+
+
+def test_op_from_terms_drops_zeros_and_sorts_keys():
+    basis = GradedBasis(("x", "y"), (0, 0))
+    acc = {(1, 0): {0: 2, 1: 0}, (0, 1): {1: 0}, (0, 0): {1: Fraction(4, 2)}}
+    op = op_from_terms(basis, 2, 0, acc)
+    assert list(op.constants) == [(0, 0), (1, 0)]
+    assert type(op.constants[(0, 0)].coeffs[1]) is int
+    validated = {(0, 0): basis.vector(1).scale(2), (1, 0): basis.vector(0).scale(2)}
+    assert op == MultiOp(basis, 2, 0, validated)
+    with pytest.raises(AttributeError):
+        op.arity = 3
 
 
 def test_apply_is_multilinear():
