@@ -209,21 +209,71 @@ def _names(basis: GradedBasis, key: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(basis.names[i] for i in key)
 
 
+_ByLetter = dict[int, list[tuple[int, dict[int, Scalar]]]]
+
+
+def _by_letter(bracket: MultiOp) -> tuple[_ByLetter, _ByLetter]:
+    """The nonzero constants {x, y} of the bracket, indexed by the left letter
+    x as (y, image) and by the right letter y as (x, image)."""
+    by_left: _ByLetter = {}
+    by_right: _ByLetter = {}
+    for (x, y), image in bracket.constants.items():
+        by_left.setdefault(x, []).append((y, image.coeffs))
+        by_right.setdefault(y, []).append((x, image.coeffs))
+    return by_left, by_right
+
+
+def _residuals(
+    check: str, basis: GradedBasis, acc: Mapping[tuple[int, ...], Mapping[int, Scalar]]
+) -> list[Violation]:
+    """The nonzero accumulated residuals as violations, keys in lexicographic order."""
+    out: list[Violation] = []
+    for key in sorted(acc):
+        residual = Element._trusted(basis, acc[key])
+        if not residual.is_zero():
+            out.append(Violation(check, _names(basis, key), residual))
+    return out
+
+
+def _add_scaled(
+    acc: dict[tuple[int, ...], dict[int, Scalar]],
+    key: tuple[int, ...],
+    coeff: Scalar,
+    image: Mapping[int, Scalar],
+) -> None:
+    out = acc.setdefault(key, {})
+    for b, cb in image.items():
+        out[b] = out.get(b, 0) + coeff * cb
+
+
 def check_leibniz_identity(bracket: MultiOp) -> list[Violation]:
-    """Left Leibniz identity on every basis triple; residual = LHS - RHS."""
+    """Left Leibniz identity on every basis triple; residual = LHS - RHS.
+
+    The residual {x, {y, z}} - {{x, y}, z} - (-1)^(|x||y|) {y, {x, z}} on
+    (x, y, z) can be nonzero only when (y, z), (x, y) or (x, z) is a key of
+    the bracket: each term is bilinear in the constants, with the inner
+    bracket on that pair.  The three terms are scattered from the nonzero
+    constants, the outer bracket indexed by its left and by its right
+    letter, and residuals come out in lexicographic triple order.
+    """
     if bracket.arity != 2:
         raise MalformedInputError("bracket must have arity 2")
     basis = bracket.basis
-    out: list[Violation] = []
-    for x, y, z in basis.index_tuples(3):
-        lhs = bracket.apply([basis.vector(x), bracket.apply_indices((y, z))])
-        first = bracket.apply([bracket.apply_indices((x, y)), basis.vector(z)])
-        sign = -1 if (basis.degree(x) * basis.degree(y)) % 2 else 1
-        second = bracket.apply([basis.vector(y), bracket.apply_indices((x, z))]).scale(sign)
-        residual = lhs - first - second
-        if not residual.is_zero():
-            out.append(Violation("leibniz-identity", _names(basis, (x, y, z)), residual))
-    return out
+    parity = [d % 2 for d in basis.degrees]
+    by_left, by_right = _by_letter(bracket)
+    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
+    for (a, b), image in bracket.constants.items():
+        for w, c in image.coeffs.items():
+            # {x, {a, b}} on (x, a, b)
+            for x, outer in by_right.get(w, ()):
+                _add_scaled(acc, (x, a, b), c, outer)
+            # -{{a, b}, z} on (a, b, z)
+            for z, outer in by_left.get(w, ()):
+                _add_scaled(acc, (a, b, z), -c, outer)
+            # -(-1)^(|a||y|) {y, {a, b}} on (a, y, b)
+            for y, outer in by_right.get(w, ()):
+                _add_scaled(acc, (a, y, b), c if parity[a] and parity[y] else -c, outer)
+    return _residuals("leibniz-identity", basis, acc)
 
 
 def check_derivation(op: MultiOp, bracket: MultiOp) -> list[Violation]:
@@ -244,40 +294,25 @@ def check_derivation(op: MultiOp, bracket: MultiOp) -> list[Violation]:
         raise MalformedInputError("operation and bracket live over different bases")
     basis = bracket.basis
     d = {x: image.coeffs for (x,), image in op.constants.items()}
-    by_left: dict[int, list[tuple[int, dict[int, Scalar]]]] = {}
-    by_right: dict[int, list[tuple[int, dict[int, Scalar]]]] = {}
-    for (x, y), image in bracket.constants.items():
-        by_left.setdefault(x, []).append((y, image.coeffs))
-        by_right.setdefault(y, []).append((x, image.coeffs))
-    acc: dict[tuple[int, int], dict[int, Scalar]] = {}
-
-    def add(pair: tuple[int, int], coeff: Scalar, image: Mapping[int, Scalar]) -> None:
-        out = acc.setdefault(pair, {})
-        for b, cb in image.items():
-            out[b] = out.get(b, 0) + coeff * cb
-
+    by_left, by_right = _by_letter(bracket)
+    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
     # D{x, y}
     for pair, image in bracket.constants.items():
         for z, c in image.coeffs.items():
             if z in d:
-                add(pair, c, d[z])
+                _add_scaled(acc, pair, c, d[z])
     # -{Dx, y}
     for x, dx in d.items():
         for z, c in dx.items():
             for y, image in by_left.get(z, ()):
-                add((x, y), -c, image)
+                _add_scaled(acc, (x, y), -c, image)
     # -(-1)^(|x||D|) {x, Dy}
     odd = op.degree % 2
     for y, dy in d.items():
         for z, c in dy.items():
             for x, image in by_right.get(z, ()):
-                add((x, y), c if odd and basis.degree(x) % 2 else -c, image)
-    out: list[Violation] = []
-    for pair in sorted(acc):
-        residual = Element._trusted(basis, acc[pair])
-        if not residual.is_zero():
-            out.append(Violation("derivation", _names(basis, pair), residual))
-    return out
+                _add_scaled(acc, (x, y), c if odd and basis.degree(x) % 2 else -c, image)
+    return _residuals("derivation", basis, acc)
 
 
 def check_differential(op: MultiOp, bracket: MultiOp) -> Verdict:
@@ -410,10 +445,7 @@ def compose_into(
     for fk, p, c, r, key in _composite_terms(f, g):
         row = signed_unshuffles(p, q, tuple(parity[x] for x in key[: p + q]))[r]
         eps = -row[2] if odd and row[4] else row[2]
-        coeff = eps * scale * c
-        out = acc.setdefault(key, {})
-        for letter, cf in f.constants[fk].coeffs.items():
-            out[letter] = out.get(letter, 0) + coeff * cf
+        _add_scaled(acc, key, eps * scale * c, f.constants[fk].coeffs)
 
 
 def op_from_terms(

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from shleibniz.coalgebra import (
     comultiply,
     evaluate_coderivation,
     extend_linearly,
+    lift_certified,
 )
 from shleibniz.derived import build_codifferential
 from shleibniz.errors import MalformedInputError, MCRejectionError, PreconditionError
@@ -32,7 +35,7 @@ from shleibniz.gauge import (
     gauge_transform,
     mc_to_deformation,
 )
-from shleibniz.graded import Element
+from shleibniz.graded import Element, GradedBasis
 from shleibniz.multiop import DgLeibnizAlgebra, MultiOp, commutator, n_i_d
 from shleibniz.results import Violation
 
@@ -185,18 +188,11 @@ def test_exp_of_odd_coderivation_is_not_comultiplicative():
     basis = fam.basis
     p2 = n_i_d(fam.bracket, fam.delta(1), 2)
     spec = CoderivationSpec(basis, 1, {2: p2})
+    exp_plus = functools.cache(lambda w: exp_xi(spec, w))
+    split = functools.cache(lambda w: comultiply(basis, w))
 
     def morphism_residual(word):
-        grouped = extend_linearly(
-            exp_xi(spec, word), lambda w: comultiply(basis, w), TensorPairElement
-        )
-        acc: dict = {}
-        for (w1, w2), c in comultiply(basis, word).terms.items():
-            for w1p, c1 in exp_xi(spec, w1).terms.items():
-                for w2p, c2 in exp_xi(spec, w2).terms.items():
-                    key = (w1p, w2p)
-                    acc[key] = acc.get(key, Fraction(0)) + c * c1 * c2
-        return grouped - TensorPairElement(basis, acc)
+        return gauge_module._morphism_residual(word, exp_plus, split)
 
     assert all(
         morphism_residual(w).is_zero()
@@ -292,6 +288,98 @@ def test_untransformed_family_fails_like_the_per_word_loop(monkeypatch):
         found[first] = got
     assert len(found[True]) == 1
     assert {v.check for v in found[False]} == {"gauge-conjugation", "gauge-order-expansion"}
+
+
+def gauge_fixtures(docs):
+    return [(name, doc) for name, doc in sorted(docs.items()) if doc.to_gauge() is not None]
+
+
+def test_gauge_laws_are_proved_not_walked(docs, monkeypatch):
+    # Xi's lift certifies on every shipped gauge, so neither law's residual
+    # is evaluated on any word
+    def refuse(*args):
+        raise AssertionError("a gauge law was walked word by word")
+
+    monkeypatch.setattr(gauge_module, "_morphism_residual", refuse)
+    monkeypatch.setattr(gauge_module, "_inverse_residual", refuse)
+    cases = [(name, doc, max_len) for name, doc in gauge_fixtures(docs) for max_len in (3, 4)]
+    product = shipped.tensor_dual_numbers(docs["endo2"], "endo2xt")
+    cases.append(("endo2xt", product, 3))
+    for name, doc, max_len in cases:
+        verdict = check_gauge_equivalence(doc.to_family(), doc.to_gauge(), max_len)
+        assert verdict.passed, (name, max_len)
+
+
+def test_uncertified_gauge_laws_walk_like_the_per_word_loop(docs, monkeypatch):
+    monkeypatch.setattr(gauge_module, "lift_certified", lambda spec, max_len: False)
+    walked = collections.Counter()
+    for law in ("_morphism_residual", "_inverse_residual"):
+        real = getattr(gauge_module, law)
+
+        def counted(word, *tables, law=law, real=real):
+            walked[law] += 1
+            return real(word, *tables)
+
+        monkeypatch.setattr(gauge_module, law, counted)
+    cases = [(name, doc.to_family(), doc.to_gauge()) for name, doc in gauge_fixtures(docs)]
+    for name, fam, gauge in cases:
+        words = sum(len(fam.basis) ** n for n in (1, 2, 3))
+        for first in (False, True):
+            walked.clear()
+            got = check_gauge_equivalence(fam, gauge, max_len=3, first_violation=first)
+            assert got.violations == gauge_reference(fam, gauge, 3, first), (name, first)
+            assert walked == {"_morphism_residual": words, "_inverse_residual": words}, name
+    # and where the conjugation fails
+    fam, gauge = docs["endo2"].to_family(), docs["endo2"].to_gauge()
+    monkeypatch.setattr(gauge_module, "gauge_transform", lambda fam, gauge, order=None: fam)
+    for first in (False, True):
+        got = check_gauge_equivalence(fam, gauge, max_len=3, first_violation=first)
+        assert got.violations == gauge_reference(fam, gauge, 3, first), first
+
+
+def random_degree_zero_spec(rng: random.Random) -> CoderivationSpec:
+    """A degree-0 coderivation over a random basis of two or three letters,
+    with rational constants on about half the keys of arity 2 and 3."""
+    dim = rng.choice((2, 3))
+    degrees = tuple(rng.choice((-1, 0, 1)) for _ in range(dim))
+    basis = GradedBasis(tuple(f"x{i}" for i in range(dim)), degrees)
+    components = {}
+    for arity in rng.choice(((2,), (3,), (2, 3))):
+        constants = {}
+        for key in basis.index_tuples(arity):
+            targets = [t for t in range(dim) if degrees[t] == sum(degrees[i] for i in key)]
+            if targets and rng.random() < 0.5:
+                coeffs = {t: rng.choice((1, -2, Fraction(1, 2), Fraction(-3, 4))) for t in targets}
+                constants[key] = Element(basis, coeffs)
+        components[arity] = MultiOp(basis, arity, 0, constants)
+    return CoderivationSpec(basis, 0, components)
+
+
+def test_certified_gauge_laws_hold_on_random_coderivations():
+    # the two facts the proofs in check_gauge_equivalence rest on, on every
+    # word of length <= 4 of random degree-0 coderivations
+    rng = random.Random(20094)
+    certified = moved = 0
+    for _ in range(8):
+        spec = random_degree_zero_spec(rng)
+        neg = gauge_module._negate_spec(spec)
+        basis = spec.basis
+        words = [w for n in range(1, 5) for w in basis.index_tuples(n)]
+        for word in words:
+            assert evaluate_coderivation(neg, word) == -evaluate_coderivation(spec, word), word
+        if not lift_certified(spec, 4):
+            continue
+        certified += 1
+        exp_plus = functools.cache(lambda w: exp_xi(spec, w))
+        exp_minus = functools.cache(lambda w: exp_xi(neg, w))
+        split = functools.cache(lambda w: comultiply(basis, w))
+        for word in words:
+            assert gauge_module._morphism_residual(word, exp_plus, split).is_zero(), word
+            assert gauge_module._inverse_residual(word, exp_plus, exp_minus).is_zero(), word
+            moved += exp_plus(word) != TensorElement.from_word(basis, word)
+    # every degree-0 lift is a coderivation, and e^Xi must move enough words
+    # that a vanishing residual says something
+    assert certified == 8 and moved >= 100, (certified, moved)
 
 
 def test_gauge_check_exponentiates_each_word_once(monkeypatch):

@@ -340,6 +340,76 @@ def test_derivation_check_never_walks_every_pair(docs, monkeypatch):
         assert check_derivation(op, bracket) == expected, name
 
 
+def dense_check_leibniz_identity(bracket: MultiOp) -> list[Violation]:
+    """check_leibniz_identity as first written: the residual
+    {x, {y, z}} - {{x, y}, z} - (-1)^(|x||y|) {y, {x, z}} on every one of the
+    dim^3 triples."""
+    basis = bracket.basis
+    out = []
+    for x, y, z in basis.index_tuples(3):
+        lhs = bracket.apply([basis.vector(x), bracket.apply_indices((y, z))])
+        first = bracket.apply([bracket.apply_indices((x, y)), basis.vector(z)])
+        sign = -1 if (basis.degree(x) * basis.degree(y)) % 2 else 1
+        second = bracket.apply([basis.vector(y), bracket.apply_indices((x, z))]).scale(sign)
+        residual = lhs - first - second
+        if not residual.is_zero():
+            names = tuple(basis.names[i] for i in (x, y, z))
+            out.append(Violation("leibniz-identity", names, residual))
+    return out
+
+
+def perturbed_bracket(bracket: MultiOp, rng: random.Random) -> MultiOp:
+    """The bracket with one random rational multiple of a letter of the right
+    degree added to the image of one random pair."""
+    basis = bracket.basis
+    while True:
+        x, y = rng.randrange(len(basis)), rng.randrange(len(basis))
+        want = basis.degree(x) + basis.degree(y) + bracket.degree
+        targets = [t for t in range(len(basis)) if basis.degree(t) == want]
+        if targets:
+            break
+    constants = dict(bracket.constants)
+    bump = basis.vector(rng.choice(targets)).scale(rng.choice((1, -1, 2, Fraction(-1, 2))))
+    constants[x, y] = constants.get((x, y), Element.zero(basis)) + bump
+    return MultiOp(basis, 2, bracket.degree, constants)
+
+
+def test_leibniz_identity_matches_its_dense_loop(docs, generated):
+    rng = random.Random(20092)
+    brackets = [doc.to_bracket() for _, doc in sorted(docs.items()) + sorted(generated.items())]
+    brackets.append(one_dim_square())
+    failing = odd_failing = 0
+    for bracket in brackets:
+        for candidate in [bracket] + [perturbed_bracket(bracket, rng) for _ in range(8)]:
+            sparse = check_leibniz_identity(candidate)
+            assert sparse == dense_check_leibniz_identity(candidate), candidate
+            failing += bool(sparse)
+            odd_failing += any(
+                candidate.basis.degree(candidate.basis.index(v.site[0])) % 2
+                and candidate.basis.degree(candidate.basis.index(v.site[1])) % 2
+                for v in sparse
+            )
+    # enough failures, with odd (x, y) pairs among them, that a wrong triple,
+    # order or (-1)^(|x||y|) sign would show
+    assert failing >= 50 and odd_failing >= 20, (failing, odd_failing)
+
+
+def test_leibniz_identity_never_walks_every_triple(docs, monkeypatch):
+    rng = random.Random(20093)
+    cases = []
+    for _, doc in sorted(docs.items()):
+        for bracket in (doc.to_bracket(), perturbed_bracket(doc.to_bracket(), rng)):
+            cases.append((bracket, dense_check_leibniz_identity(bracket)))
+    assert any(expected for _, expected in cases)
+
+    def refuse(self, length):
+        raise AssertionError("check_leibniz_identity walked every basis tuple")
+
+    monkeypatch.setattr(GradedBasis, "index_tuples", refuse)
+    for bracket, expected in cases:
+        assert check_leibniz_identity(bracket) == expected
+
+
 def dense_compose_unary(outer: MultiOp, inner: MultiOp) -> MultiOp:
     """compose_unary as first written: outer . inner tabulated on every
     letter through from_function and the generic apply."""
