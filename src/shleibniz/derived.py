@@ -36,41 +36,43 @@ the family is square zero; the identity checked at each weight Const is
             l_j(x_sigma(k-j+1), ..., x_sigma(k-1), x_k), x_{k+1}, ..., x_{i+j-1}) = 0,
 
 with sigma running over the (k-j, j-1)-unshuffles of S_{k-1}, so the argument
-x_k is pinned.  The (i, j) term is l_i . l_j^c on the tuple, so it can be
-nonzero only on a tuple that interleaves the letters before a letter z of
-l_j(jk) in a key of l_i with jk[:-1], then carries jk[-1] and the letters
-after z, for some key jk of l_j.  check_sh_leibniz evaluates each weight on
-the union of those reachable tuples over its pairs, sorted, so the
-witnesses come out as from a walk over all dim^(Const-1) tuples.
-Equivalently, the coderivation with components
+x_k is pinned.  Equivalently, the coderivation with components
 partial_i = N_i(delta_{i-1} (x) 1^(i-1)) squares to zero on the tensor
 coalgebra; both formulations are exposed and must agree.
+
+Both checks are scattered from the constants.  The (i, j) term of the
+identity is the composite l_i . l_j^c, and on a word of length n the
+corestriction of partial . partial is the sum of partial_m . partial_j^c
+over m + j - 1 = n.  multiop._composite_terms enumerates the terms of a
+composite f . g^c: a key fk of f, a letter z at position p of fk with
+coefficient c in g(gk) for a key gk of g, and an unshuffle row placing
+fk[:p] among gk[:-1].  Each term adds +-c f(fk) to the one tuple it lands
+on, so every other tuple has a zero residual, and the accumulated tuples,
+sorted, give the witnesses in the order of a walk over every tuple.  Each
+check reads its own sign off the row: check_sh_leibniz the sign above with
+k = p + j, chi(sigma) (-1)^((p+1)(j-1) + j * jumped) for the shifted
+parities on sV, and compose_into the lift's signs on V.
 
 check_codifferential proves a pass from a certificate before it walks any
 word.  partial is odd, so where it is a coderivation, partial . partial =
 1/2 [partial, partial] is one too, and a coderivation D that vanishes after
 corestriction on the words of length <= L vanishes on them: by induction on
 the length, Delta D(w) = (D (x) 1 + 1 (x) D) Delta(w) is zero, and Delta is
-injective on words of length >= 2.  On a word of length n the corestriction
-of partial . partial is the sum of partial_m . partial_j^c over
-m + j - 1 = n, so it can be nonzero only on reachable_keys(partial_m,
-partial_j).  The certificate requires every parity pattern up to L to
-certify the lift as a coderivation, as in check_coderivation_axiom, then
-evaluates partial(w) through the lift on those reachable words, sorted, and
-sums c partial_|u|(u) over its terms c u.  If every such residual is zero,
-the check passes.  Otherwise, or if a pattern does not certify, every word is
-walked as before and the walk's witnesses are reported: the corestriction
-can vanish on a word where the square does not, so the certificate's
-failing words are fewer than the walk's.  Only the key enumeration is
-shared with check_sh_leibniz; the values come from the unshifted partial_i
-and the lift's signs.
+injective on words of length >= 2.  The certificate requires every parity
+pattern up to L to certify the lift as a coderivation, as in
+check_coderivation_axiom, then scatters the corestriction through
+compose_into; no lift is evaluated.  If it vanishes, the check passes.
+Otherwise, or if a pattern does not certify, every word is walked and the
+walk's witnesses are reported: the corestriction can vanish on a word where
+the square does not, so the certificate's failing words are fewer than the
+walk's.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .coalgebra import (
     CoderivationSpec,
@@ -93,13 +95,16 @@ from .graded import (
 )
 from .multiop import (
     MultiOp,
+    _add_scaled,
+    _composite_terms,
+    _residuals,
     check_derivation,
     commutator,
+    compose_into,
     compose_unary,
     n_i_d,
     nary_bracket,
     op_from_terms,
-    reachable_keys,
 )
 from .results import Verdict, Violation
 
@@ -295,17 +300,17 @@ def check_sh_leibniz(
 ) -> Verdict:
     """The strong homotopy Leibniz identities for 2 <= Const <= max_const.
 
-    Each weight is evaluated on the tuples reachable_keys(l_i, l_j) returns
-    for its pairs (i, j), in lexicographic order; the residual is exactly
-    zero on every other tuple, so witnesses and their order are those of a
-    walk over every tuple.  Truncation-vacuous weights (every (i, j) term
-    missing an operation) are reported in the notes rather than silently
-    passing; a weight with pairs but no reachable tuple is a pass over zero
-    live tuples.
+    Each weight is scattered from the constants of its pairs (i, j) into one
+    accumulator, as the module docstring argues, and the nonzero residuals
+    come out in lexicographic tuple order.  Truncation-vacuous weights
+    (every (i, j) term missing an operation) are reported in the notes
+    rather than silently passing; a weight with pairs but no reachable tuple
+    is a pass over zero live tuples.
     """
     if max_const < 2:
         raise MalformedInputError("max_const must be >= 2")
     sbasis = structure.basis
+    parity = [d % 2 for d in sbasis.degrees]
     violations: list[Violation] = []
     notes: list[str] = []
     for const in range(2, max_const + 1):
@@ -317,45 +322,20 @@ def check_sh_leibniz(
         if not pairs:
             notes.append(f"Const={const} vacuous under truncation")
             continue
-        live = set().union(
-            *(reachable_keys(structure.op(i), structure.op(j)) for i, j in pairs)
-        )
-        for xs in sorted(live):
-            parities = tuple(sbasis.degree(b) % 2 for b in xs)
-            acc: dict[int, Scalar] = {}
-            for i, j in pairs:
-                li = structure.op(i).constants
-                lj = structure.op(j).constants
-                for k in range(j, const):
-                    base_sign = -1 if ((k + 1 - j) * (j - 1)) % 2 else 1
-                    pinned = xs[k - 1 : k]
-                    suffix = xs[k:]
-                    for first, second, eps, sgn, jumped in signed_unshuffles(
-                        k - j, j - 1, parities[: k - 1]
-                    ):
-                        inner = lj.get(tuple(xs[a] for a in second) + pinned)
-                        if inner is None:
-                            continue
-                        sign = eps * sgn * base_sign * (-1 if j % 2 and jumped else 1)
-                        prefix = tuple(xs[a] for a in first)
-                        for letter, c in inner.coeffs.items():
-                            image = li.get(prefix + (letter,) + suffix)
-                            if image is None:
-                                continue
-                            for b, cb in image.coeffs.items():
-                                term = sign * c * cb
-                                acc[b] = acc[b] + term if b in acc else term
-            residual = Element._trusted(sbasis, acc)
-            if not residual.is_zero():
-                violations.append(
-                    Violation(
-                        "sh-leibniz",
-                        (const,) + tuple(sbasis.names[b] for b in xs),
-                        residual,
-                    )
-                )
-                if first_violation:
-                    return Verdict(False, violations, notes)
+        acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
+        for i, j in pairs:
+            li = structure.op(i)
+            for fk, p, c, r, key in _composite_terms(li, structure.op(j)):
+                _, _, eps, sgn, jumped = signed_unshuffles(
+                    p, j - 1, tuple(parity[x] for x in key[: p + j - 1])
+                )[r]
+                odd = ((p + 1) * (j - 1) + j * jumped) % 2
+                sign = -eps * sgn if odd else eps * sgn
+                _add_scaled(acc, key, sign * c, li.constants[fk].coeffs)
+        found = _residuals("sh-leibniz", sbasis, acc, (const,))
+        if first_violation and found:
+            return Verdict(False, found[:1], notes)
+        violations.extend(found)
     return Verdict.from_violations(violations, notes)
 
 
@@ -366,21 +346,22 @@ def check_codifferential(fam: DeformationFamily, max_len: int, first_violation: 
     family: the square of the codifferential on words of length n collects
     exactly the weight-(n + 1) identities.
 
-    A pass is certified first (see the module docstring): when the parity
-    patterns prove the lift a coderivation up to max_len and the
-    corestriction of partial . partial vanishes on the reachable words, the
-    check passes without visiting any other word.  Otherwise every word is
-    walked, shortest first and lexicographically within a length, and the
-    witnesses are the walk's, since the certificate's failing words are
-    fewer.  In that walk the coderivation never lengthens a word, so it is
-    evaluated at most once per word, in a table the certificate shares.
+    A pass is certified first, as the module docstring argues: when the
+    parity patterns prove the lift a coderivation up to max_len and the
+    scattered corestriction of partial . partial vanishes, the check passes
+    without visiting any word.  Otherwise every word is walked, shortest
+    first and lexicographically within a length, and the witnesses are the
+    walk's.  In that walk the coderivation never lengthens a word, so it is
+    evaluated at most once per word, in one table.
     """
     if max_len < 1:
         raise MalformedInputError("max_len must be >= 1")
     spec = build_codifferential(fam)
+    if lift_certified(spec, max_len):
+        square = _corestricted_square(spec, max_len)
+        if not any(any(image.values()) for image in square.values()):
+            return Verdict.from_violations([])
     once = functools.cache(lambda word: evaluate_coderivation(spec, word))
-    if _square_certified(spec, max_len, once):
-        return Verdict.from_violations([])
     basis = fam.basis
     violations: list[Violation] = []
     for length in range(1, max_len + 1):
@@ -399,29 +380,20 @@ def check_codifferential(fam: DeformationFamily, max_len: int, first_violation: 
     return Verdict.from_violations(violations)
 
 
-def _square_certified(
-    spec: CoderivationSpec, max_len: int, once: Callable[[tuple[int, ...]], TensorElement]
-) -> bool:
-    """Whether partial . partial = 0 on every word of length <= max_len
-    follows from the lift being certified a coderivation and from
-    corestriction(partial(partial(w))) = sum c * partial_|u|(u), over the
-    terms c * u of partial(w), vanishing on every reachable word w."""
-    if not lift_certified(spec, max_len):
-        return False
+def _corestricted_square(
+    spec: CoderivationSpec, max_len: int
+) -> dict[tuple[int, ...], dict[int, Scalar]]:
+    """corestriction(partial(partial(w))) on the words w of length <= max_len,
+    as coefficient dicts: the sum of partial_m . partial_j^c over
+    m + j - 1 <= max_len, scattered from the constants.  Absent words are
+    zero."""
     ops = spec.components
-    images = {key: image.coeffs for op in ops.values() for key, image in op.constants.items()}
-    for length in range(1, max_len + 1):
-        live = set().union(
-            *(reachable_keys(ops[m], ops[length + 1 - m]) for m in ops if length + 1 - m in ops)
-        )
-        for word in sorted(live):
-            acc: dict[int, Scalar] = {}
-            for u, c in once(word).terms.items():
-                for b, cb in images.get(u, {}).items():
-                    acc[b] = acc.get(b, 0) + c * cb
-            if any(acc.values()):
-                return False
-    return True
+    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
+    for m in ops:
+        for j in ops:
+            if m + j - 1 <= max_len:
+                compose_into(acc, ops[m], ops[j], 1)
+    return acc
 
 
 def check_key_lemma(
@@ -454,22 +426,13 @@ def _key_lemma_residuals(lhs: MultiOp, left: MultiOp, right: MultiOp) -> Verdict
     for inputs already known to be derivations."""
     from .coalgebra import hom_bracket
 
-    i, j = left.arity, right.arity
-    rhs = hom_bracket(left, right)
-    violations: list[Violation] = []
-    basis = lhs.basis
-    # every other key is zero on both sides
-    for key in sorted(lhs.constants.keys() | rhs.constants.keys()):
-        residual = lhs.apply_indices(key) - rhs.apply_indices(key)
-        if not residual.is_zero():
-            violations.append(
-                Violation(
-                    "key-lemma",
-                    (i, j) + tuple(basis.names[b] for b in key),
-                    residual,
-                )
-            )
-    return Verdict.from_violations(violations)
+    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
+    for scale, op in ((1, lhs), (-1, hom_bracket(left, right))):
+        for key, image in op.constants.items():
+            _add_scaled(acc, key, scale, image.coeffs)
+    return Verdict.from_violations(
+        _residuals("key-lemma", lhs.basis, acc, (left.arity, right.arity))
+    )
 
 
 def leibniz_cohomology_check(

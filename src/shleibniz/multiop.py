@@ -224,14 +224,18 @@ def _by_letter(bracket: MultiOp) -> tuple[_ByLetter, _ByLetter]:
 
 
 def _residuals(
-    check: str, basis: GradedBasis, acc: Mapping[tuple[int, ...], Mapping[int, Scalar]]
+    check: str,
+    basis: GradedBasis,
+    acc: Mapping[tuple[int, ...], Mapping[int, Scalar]],
+    prefix: tuple = (),
 ) -> list[Violation]:
-    """The nonzero accumulated residuals as violations, keys in lexicographic order."""
+    """The nonzero accumulated residuals as violations, keys in lexicographic
+    order, each site the prefix followed by the key's names."""
     out: list[Violation] = []
     for key in sorted(acc):
         residual = Element._trusted(basis, acc[key])
         if not residual.is_zero():
-            out.append(Violation(check, _names(basis, key), residual))
+            out.append(Violation(check, prefix + _names(basis, key), residual))
     return out
 
 
@@ -393,7 +397,9 @@ def _composite_terms(
     c is the coefficient of z in g(gk), and r is the row of
     signed_unshuffles(p, |gk| - 1, ...) that does the placing: rows follow
     the order of unshuffles for every parity tuple, so r indexes the signed
-    row of the key's own parities too.  Terms carry no sign.
+    row of the key's own parities too.  Terms carry no sign: each caller
+    reads its own off the row, compose_into the lift's and check_sh_leibniz
+    the sh identity's.
     """
     q = g.arity - 1
     around: dict[int, list[tuple[tuple[int, ...], int]]] = {}
@@ -417,16 +423,6 @@ def _composite_terms(
                 suffix = last + fk[p + 1 :]
                 for r, order in enumerate(orders):
                     yield fk, p, c, r, tuple(letters[k] for k in order) + suffix
-
-
-def reachable_keys(f: MultiOp, g: MultiOp) -> set[tuple[int, ...]]:
-    """The keys on which the composite f . g^c can be nonzero.
-
-    They are the keys of the terms _composite_terms enumerates; no sign is
-    computed.  The same holds for each term l_i . l_j^c of the sh
-    identities, which feed l_j into l_i exactly this way.
-    """
-    return {key for *_, key in _composite_terms(f, g)}
 
 
 def compose_into(

@@ -51,7 +51,6 @@ from shleibniz.multiop import (
     check_skewsymmetry,
     n_i_d,
     nary_bracket,
-    reachable_keys,
 )
 from shleibniz.results import Verdict, Violation
 
@@ -401,10 +400,11 @@ def test_codifferential_matches_its_per_word_loop_on_perturbations(docs, family_
     assert outcomes[0] >= 50 and outcomes[2] + outcomes[3] >= 20, outcomes
 
 
-def test_reachable_words_hold_every_nonzero_corestricted_square():
-    # the certificate evaluates only these words; random brackets and deltas,
-    # neither Leibniz nor square zero, give nonzero corestrictions on words
-    # that only a reordering row of _composite_terms reaches
+def test_scattered_corestriction_equals_the_lift_on_every_word():
+    # the certificate reads the corestriction of the square off the
+    # constants; random brackets and deltas, neither Leibniz nor square zero,
+    # give nonzero corestrictions on words that only a reordering row of
+    # _composite_terms reaches
     basis = GradedBasis(("a", "b", "c", "d", "e"), (0, 1, 1, 2, -1))
     nonzero = 0
     for seed in range(4):
@@ -412,26 +412,25 @@ def test_reachable_words_hold_every_nonzero_corestricted_square():
         bracket = random_op(basis, 2, 0, rng, density=0.5)
         deltas = tuple(random_op(basis, 1, 1, rng) for _ in range(2))
         spec = build_codifferential(DeformationFamily(bracket, deltas))
-        ops = spec.components
+        scattered = derived._corestricted_square(spec, 3)
         lift = functools.partial(evaluate_coderivation, spec)
         for length in range(1, 4):
-            live = set().union(
-                *(reachable_keys(ops[m], ops[length + 1 - m]) for m in ops if length + 1 - m in ops)
-            )
             for word in basis.index_tuples(length):
-                square = extend_linearly(lift(word), lift, TensorElement)
-                if not corestriction(square).is_zero():
-                    assert word in live, (seed, word)
-                    nonzero += 1
+                square = corestriction(extend_linearly(lift(word), lift, TensorElement))
+                assert Element._trusted(basis, scattered.get(word, {})) == square, (seed, word)
+                nonzero += not square.is_zero()
     assert nonzero > 50, nonzero
 
 
-def count_evaluations(monkeypatch) -> collections.Counter:
-    """Count evaluate_coderivation calls per word, wherever they come from."""
+def count_evaluations(monkeypatch, basis: GradedBasis) -> collections.Counter:
+    """Count evaluate_coderivation calls per word over basis, wherever they
+    come from.  The parity-pattern proofs evaluate free operations over
+    bases of their own, once per process, and are not counted."""
     calls = collections.Counter()
 
     def counted(spec, word):
-        calls[word] += 1
+        if spec.basis == basis:
+            calls[word] += 1
         return evaluate_coderivation(spec, word)
 
     for module in (derived, coalgebra):
@@ -441,20 +440,19 @@ def count_evaluations(monkeypatch) -> collections.Counter:
 
 def test_certified_codifferential_never_walks_every_word(generated, monkeypatch):
     fam = generated["endo2(x)Q[t]/t^2"].to_family()
-    calls = count_evaluations(monkeypatch)
+    calls = count_evaluations(monkeypatch, fam.basis)
 
     def refuse(self, length):
         raise AssertionError("check_codifferential walked every word")
 
     monkeypatch.setattr(GradedBasis, "index_tuples", refuse)
     assert check_codifferential(fam, max_len=3) == Verdict(True, [])
-    assert calls and set(calls.values()) == {1}
-    assert len(calls) < 8 + 8**2 + 8**3
+    assert not calls
 
 
 def test_uncertified_lift_falls_back_to_the_walk(generated, monkeypatch):
     fam = generated["endo2(x)Q[t]/t^2"].to_family()
-    calls = count_evaluations(monkeypatch)
+    calls = count_evaluations(monkeypatch, fam.basis)
     monkeypatch.setattr(coalgebra, "_coderivation_certified", lambda *args: False)
     assert check_codifferential(fam, max_len=3) == Verdict(True, [])
     assert len(calls) == 8 + 8**2 + 8**3
@@ -462,7 +460,7 @@ def test_uncertified_lift_falls_back_to_the_walk(generated, monkeypatch):
 
 def test_codifferential_fallback_evaluates_each_word_once(generated, monkeypatch):
     bad = shipped.perturbed_family(generated["endo2(x)Q[t]/t^2"], PRODUCT_TWEAK)
-    calls = count_evaluations(monkeypatch)
+    calls = count_evaluations(monkeypatch, bad.basis)
     assert not check_codifferential(bad, max_len=3).passed
     assert len(calls) == 8 + 8**2 + 8**3
     assert set(calls.values()) == {1}
@@ -636,6 +634,42 @@ def test_sh_check_never_walks_every_tuple(generated, monkeypatch):
     assert check_sh_leibniz(structure, 6) == expected
 
 
+def bracket_perturbations(fam: DeformationFamily, rng: random.Random, count: int):
+    """A sample of single bracket constants {x, y} -> amount * t with
+    |t| = |x| + |y|, amounts +-1 or +-2."""
+    basis = fam.basis
+    sites = [
+        (x, y, t)
+        for x, y, t in itertools.product(range(len(basis)), repeat=3)
+        if basis.degree(t) == basis.degree(x) + basis.degree(y)
+    ]
+    for x, y, t in rng.sample(sites, count):
+        amount = rng.choice((-2, -1, 1, 2))
+        bump = MultiOp(basis, 2, 0, {(x, y): Element(basis, {t: amount})})
+        yield (x, y, t, amount), DeformationFamily(fam.bracket + bump, fam.deltas)
+
+
+def test_both_routes_match_their_oracles_on_random_bracket_perturbations(docs, family_names):
+    outcomes = collections.Counter()
+    for seed, name in enumerate(family_names):
+        fam = docs[name].to_family()
+        for tweak, bad in bracket_perturbations(fam, random.Random(1500 + seed), 6):
+            structure = build_sh_structure(bad)
+            every = codifferential_reference(bad, 3)
+            for first in (False, True):
+                sh = check_sh_leibniz(structure, 5, first_violation=first)
+                assert sh == dense_check_sh_leibniz(structure, 5, first), (name, tweak, first)
+                cod = check_codifferential(bad, 3, first_violation=first)
+                want = Verdict.from_violations(every[:1] if first else every)
+                assert cod == want, (name, tweak, first)
+            # both fail first at the same weight, Const = word length + 1
+            sh_first = [v.site[0] for v in sh.violations if v.site[0] <= 4]
+            assert sh_first == [len(v.site) + 1 for v in every[:1]], (name, tweak)
+            # the shortest failing word length, 0 for a pass
+            outcomes[len(every[0].site) if every else 0] += 1
+    assert outcomes[0] >= 20 and outcomes[2] + outcomes[3] >= 5, outcomes
+
+
 def test_vacuous_weights_are_noted_not_passed():
     fam = shipped.load_fixture("heis3w").to_family()
     truncated = DeformationFamily(fam.bracket, fam.deltas[:1])
@@ -739,6 +773,24 @@ def test_key_lemma_rejects_non_derivations():
         check_key_lemma(fam.bracket, not_der, fam.delta(0), 2, 2)
     with pytest.raises(PreconditionError):
         check_key_lemma(fam.bracket, fam.delta(0), fam.bracket, 1, 1)
+
+
+def test_key_lemma_witnesses_are_the_per_key_differences():
+    # random operations, so keys of either side alone and cancelling keys
+    # both occur
+    basis = GradedBasis(("a", "b", "c", "d", "e"), (0, 1, 1, 2, -1))
+    rng = random.Random(1515)
+    left, right = random_op(basis, 2, 1, rng, 0.5), random_op(basis, 1, 1, rng, 0.5)
+    rhs = coalgebra.hom_bracket(left, right)
+    for lhs in (random_op(basis, 2, 2, rng, 0.5), rhs, rhs + random_op(basis, 2, 2, rng, 0.2)):
+        expected = [
+            Violation("key-lemma", (2, 1) + tuple(basis.names[b] for b in key), residual)
+            for key in sorted(lhs.constants.keys() | rhs.constants.keys())
+            if not (residual := lhs.apply_indices(key) - rhs.apply_indices(key)).is_zero()
+        ]
+        got = derived._key_lemma_residuals(lhs, left, right)
+        assert got == Verdict.from_violations(expected)
+        assert lhs is rhs or expected
 
 
 def test_cohomology_differential_identity():
