@@ -400,9 +400,11 @@ def test_codifferential_matches_its_per_word_loop_on_perturbations(docs, family_
     assert outcomes[0] >= 50 and outcomes[2] + outcomes[3] >= 20, outcomes
 
 
-def test_scattered_corestriction_equals_the_lift_on_every_word():
+def test_reachable_words_hold_every_nonzero_corestricted_square():
     # the certificate reads the corestriction of the square off the
-    # constants; random brackets and deltas, neither Leibniz nor square zero,
+    # constants, on the words the composite enumeration reaches; it must
+    # equal the lift's on every word, so those words hold every nonzero
+    # corestriction.  Random brackets and deltas, neither Leibniz nor square zero,
     # give nonzero corestrictions on words that only a reordering row of
     # _composite_terms reaches
     basis = GradedBasis(("a", "b", "c", "d", "e"), (0, 1, 1, 2, -1))
