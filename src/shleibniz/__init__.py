@@ -17,8 +17,6 @@ from .coalgebra import (
     check_coderivation_axiom,
     check_dual_leibniz,
     comultiply,
-    corestriction,
-    decompose_k,
     evaluate_coderivation,
     hom_bracket,
     lift_coderivation,
@@ -33,7 +31,6 @@ from .derived import (
     check_sh_leibniz,
     derived_bracket,
     leibniz_cohomology_check,
-    partial_i,
 )
 from .document import AlgebraDocument, parse_document, serialize_document
 from .errors import (
@@ -59,7 +56,6 @@ from .graded import (
     GradedBasis,
     Permutation,
     Shift,
-    anti_koszul_sign,
     koszul_sign,
     shifted_degrees,
     sign_of_permutation,
@@ -73,9 +69,7 @@ from .multiop import (
     check_derivation,
     check_differential,
     check_leibniz_identity,
-    check_rearrangement,
     check_skewsymmetry,
-    commutator,
     n_i_d,
     nary_bracket,
 )

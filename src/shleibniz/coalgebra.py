@@ -308,22 +308,6 @@ def _lift_terms(
             yield prefix + (letter,) + suffix, sign * c
 
 
-def decompose_k(op: MultiOp, k: int, basis: GradedBasis, word: Word) -> TensorElement:
-    """The k-th summand of the lift of op applied to one word.
-
-    Nonzero only for arity(op) <= k <= len(word); the summands over all k add
-    up to the full lift.
-    """
-    n = len(word)
-    if k < op.arity or k > n:
-        return TensorElement.zero(basis)
-    parities = tuple(basis.degree(i) % 2 for i in word)
-    acc: dict[Word, Scalar] = {}
-    for w, c in _lift_terms(op, word, parities, k):
-        acc[w] = acc[w] + c if w in acc else c
-    return TensorElement._trusted(basis, acc)
-
-
 def evaluate_coderivation(spec: CoderivationSpec, word: Word) -> TensorElement:
     """Apply the coderivation described by spec to one word."""
     n = len(word)
@@ -337,12 +321,6 @@ def evaluate_coderivation(spec: CoderivationSpec, word: Word) -> TensorElement:
             for w, c in _lift_terms(op, word, parities, k):
                 acc[w] = acc[w] + c if w in acc else c
     return TensorElement._trusted(basis, acc)
-
-
-def corestriction(te: TensorElement) -> Element:
-    """Project onto the single-letter words."""
-    coeffs = {w[0]: c for w, c in te.terms.items() if len(w) == 1}
-    return Element._trusted(te.basis, coeffs)
 
 
 def _coderivation_residual(
@@ -465,7 +443,8 @@ def hom_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
     Both composites are scattered from the constants of f and g into one
     accumulator (compose_into): no lift is evaluated, and only the keys
     reachable from (f, g) or (g, f) ever get a term.  Keys come out in
-    lexicographic order.
+    lexicographic order.  On arity-1 operations it is the graded commutator
+    f . g - (-1)^(|f||g|) g . f.
     """
     if f.basis != g.basis:
         raise MalformedInputError("operations live over different bases")

@@ -79,27 +79,17 @@ from .coalgebra import (
     TensorElement,
     evaluate_coderivation,
     extend_linearly,
+    hom_bracket,
     lift_certified,
 )
 from .errors import EngineError, MalformedInputError, PreconditionError
-from .graded import (
-    Element,
-    GradedBasis,
-    Scalar,
-    Shift,
-    apply_layer,
-    layer_sign,
-    shifted_degrees,
-    signed_unshuffles,
-    suspension_factor,
-)
+from .graded import GradedBasis, Scalar, Shift, layer_sign, shifted_degrees, signed_unshuffles
 from .multiop import (
     MultiOp,
     _add_scaled,
     _composite_terms,
     _residuals,
     check_derivation,
-    commutator,
     compose_into,
     compose_unary,
     n_i_d,
@@ -258,35 +248,6 @@ def build_sh_structure(fam: DeformationFamily) -> ShLeibnizStructure:
     return ShLeibnizStructure(sbasis, ops)
 
 
-def partial_i(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
-    """The unshifted coderivation component N_i(delta (x) 1^(i-1)).
-
-    Cross-checked against conjugating l_i by suspensions:
-    partial_i = s^{-1} . l_i . s(i), where s(i) carries the Koszul sign of the
-    suspension layer.  The conjugate is evaluated on the keys of l_i only,
-    since it vanishes on every other tuple; a constant missing on either side
-    shows as a mismatch.
-    """
-    direct = n_i_d(bracket, delta, i)
-    basis = bracket.basis
-    sbasis = shifted_degrees(basis, Shift.RAISE)
-    l_i = derived_bracket(bracket, delta, i)
-    up = suspension_factor(basis, Shift.RAISE)
-
-    def via_shift(key: tuple[int, ...]) -> Element:
-        slots = [(basis.vector(b), basis.degree(b)) for b in key]
-        sign, slots = apply_layer([up] * i, slots)
-        value = l_i.apply([elt for elt, _ in slots])
-        return value.reshape(basis).scale(sign)
-
-    mirrored = MultiOp(basis, i, 1, {key: via_shift(key) for key in l_i.constants})
-    if mirrored != direct:
-        raise EngineError(
-            f"partial_{i} routes disagree; the suspension bookkeeping is inconsistent"
-        )
-    return direct
-
-
 def build_codifferential(fam: DeformationFamily) -> CoderivationSpec:
     """Coderivation with components partial_i = N_i(delta_{i-1} (x) 1^(i-1))."""
     components = {
@@ -409,7 +370,7 @@ def check_key_lemma(
         raise MalformedInputError("arities must be >= 1")
     _require_derivation("first", d1, bracket)
     _require_derivation("second", d2, bracket)
-    lhs = n_i_d(bracket, commutator(d1, d2), i + j - 1)
+    lhs = n_i_d(bracket, hom_bracket(d1, d2), i + j - 1)
     return _key_lemma_residuals(lhs, n_i_d(bracket, d1, i), n_i_d(bracket, d2, j))
 
 
@@ -424,8 +385,6 @@ def _require_derivation(label: str, d: MultiOp, bracket: MultiOp) -> None:
 def _key_lemma_residuals(lhs: MultiOp, left: MultiOp, right: MultiOp) -> Verdict:
     """Compare lhs = N_{i+j-1}([D, D']) with (left, right) = (N_i D, N_j D'),
     for inputs already known to be derivations."""
-    from .coalgebra import hom_bracket
-
     acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
     for scale, op in ((1, lhs), (-1, hom_bracket(left, right))):
         for key, image in op.constants.items():
@@ -452,7 +411,6 @@ def leibniz_cohomology_check(
     so b restricts to the subspaces N_i Der(V) and squares to zero there.
     When derivations is None a spanning set of Der(V) is computed exactly.
     """
-    from .coalgebra import hom_bracket
     from .linalg import derivation_basis
 
     _require_deformation_slot(delta1)
@@ -469,7 +427,7 @@ def leibniz_cohomology_check(
     partial2 = n_i_d(bracket, delta1, 2)
     violations: list[Violation] = []
     for label, d in enumerate(derivations):
-        bracketed = commutator(delta1, d)
+        bracketed = hom_bracket(delta1, d)
         for i in range(1, i_max + 1):
             image = hom_bracket(partial2, n_i_d(bracket, d, i))
             expected = n_i_d(bracket, bracketed, i + 1)

@@ -15,15 +15,6 @@ lists them and ``load_fixture`` parses one.  Why each one ships:
 - ``quartic``: {v, v} = w, so the odd v passes at first order but is not
   integrable to a Maurer-Cartan element; no family, hosts the rejection test.
 
-Every fixture that carries a deformation family also carries a designated
-single-constant perturbation, chosen so that adding that one constant to
-the named delta component breaks the square-zero ladder with a residual
-that both verification routes detect.  The perturbations all target the
-order-0 component along a degree chain d -> d+1 -> d+2, because an order-0
-residual is the arity-one component of the squared codifferential and is
-therefore visible no matter how degenerate the bracket is; residuals at
-higher order can be annihilated by a bracket with a short top degree.
-
 ``direct_sum`` and ``tensor_dual_numbers`` build larger inputs from parsed
 documents.  Each returns a normalised (serialised and parsed again) document,
 exactly what a user would feed the CLI as a file.
@@ -31,46 +22,15 @@ exactly what a user would feed the CLI as a file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
 from ..document import AlgebraDocument, Terms, parse_document, serialize_document
-from ..derived import DeformationFamily
-from ..gauge import McElement
-from ..graded import Element, Scalar
-from ..multiop import MultiOp
-
-
-@dataclass(frozen=True)
-class Perturbation:
-    """One structure constant added to one delta component."""
-
-    order: int
-    source: str
-    target: str
-    amount: Scalar
-
-
-# designed so that (delta_0 + tweak)^2 is nonzero on some generator,
-# except endo2 where the chain runs through the existing delta_0
-_PERTURBATIONS = {
-    "l2b": Perturbation(0, "b", "w", 1),
-    "abelian3": Perturbation(0, "x1", "x2", 1),
-    "endo2": Perturbation(0, "E01", "E00", 1),
-    "heisab": Perturbation(0, "a1", "w", 1),
-    "heis3w": Perturbation(0, "h", "w", 1),
-}
 
 
 def fixture_names() -> tuple[str, ...]:
     """The packaged ``.alg`` files' names, in sorted order."""
     files = [f.name for f in resources.files(__package__).iterdir()]
     return tuple(sorted(f.removesuffix(".alg") for f in files if f.endswith(".alg")))
-
-
-def family_fixture_names() -> tuple[str, ...]:
-    """Fixtures shipping a deformation family, in sorted order."""
-    return tuple(n for n in fixture_names() if load_fixture(n).deltas)
 
 
 def fixture_text(name: str) -> str:
@@ -81,52 +41,6 @@ def fixture_text(name: str) -> str:
 
 def load_fixture(name: str) -> AlgebraDocument:
     return parse_document(fixture_text(name))
-
-
-def perturbation(name: str) -> Perturbation:
-    if name not in _PERTURBATIONS:
-        raise KeyError(f"fixture {name!r} has no designated perturbation")
-    return _PERTURBATIONS[name]
-
-
-def perturbed_family(doc: AlgebraDocument, tweak: Perturbation) -> DeformationFamily:
-    """Family with ``tweak.amount * (source -> target)`` added at one order."""
-    fam = doc.to_family()
-    if fam is None:
-        raise ValueError(f"document {doc.name!r} has no deformation family")
-    basis = fam.basis
-    bump = MultiOp(
-        basis,
-        1,
-        1,
-        {
-            (basis.index(tweak.source),): Element(
-                basis, {basis.index(tweak.target): tweak.amount}
-            )
-        },
-    )
-    deltas = list(fam.extended(max(fam.order, tweak.order)).deltas)
-    deltas[tweak.order] = deltas[tweak.order] + bump
-    return DeformationFamily(fam.bracket, tuple(deltas))
-
-
-def mc_element(name: str) -> McElement:
-    """Maurer-Cartan candidates: accepted on endo2, rejected on quartic."""
-    basis = load_fixture(name).to_basis()
-    if name == "endo2":
-        theta = Element(basis, {basis.index("E10"): 1})
-    elif name == "quartic":
-        theta = Element(basis, {basis.index("v"): 1})
-    else:
-        raise KeyError(f"fixture {name!r} has no Maurer-Cartan candidate")
-    return McElement((theta,))
-
-
-def abelian_subalgebra(name: str) -> tuple[str, ...]:
-    """Generators of the abelian, derived-bracket-closed subalgebra."""
-    if name != "heisab":
-        raise KeyError(f"fixture {name!r} has no designated abelian subalgebra")
-    return ("a", "a1")
 
 
 def _normalise(doc: AlgebraDocument) -> AlgebraDocument:

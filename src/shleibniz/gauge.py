@@ -68,7 +68,6 @@ from .multiop import (
     MultiOp,
     check_derivation,
     check_skewsymmetry,
-    commutator,
     compose_unary,
     n_i_d,
 )
@@ -99,17 +98,6 @@ class GaugeFamily:
     @property
     def order(self) -> int:
         return len(self.xis)
-
-    def xi(self, n: int) -> MultiOp:
-        """xi_n for n >= 1, zero beyond the stored order."""
-        if n < 1:
-            raise MalformedInputError("gauge orders start at 1")
-        if n <= self.order:
-            return self.xis[n - 1]
-        return MultiOp.zero(self.basis, 1, 0)
-
-    def negated(self) -> "GaugeFamily":
-        return GaugeFamily(self.bracket, tuple(-xi for xi in self.xis))
 
 
 @dataclass(frozen=True)
@@ -228,7 +216,7 @@ def gauge_transform(
             acc = zero
             for b in range(1, n + 1):
                 if b <= gauge.order and not current[n - b].is_zero():
-                    acc = acc + commutator(current[n - b], gauge.xis[b - 1])
+                    acc = acc + hom_bracket(current[n - b], gauge.xis[b - 1])
             nxt[n] = acc
         current = nxt
         coeff = Fraction(1, math.factorial(p))
@@ -247,36 +235,40 @@ def build_xi(gauge: GaugeFamily) -> CoderivationSpec:
     return CoderivationSpec(gauge.basis, 0, components)
 
 
-def _negate_spec(spec: CoderivationSpec) -> CoderivationSpec:
-    return CoderivationSpec(
-        spec.basis, spec.degree, {a: -op for a, op in spec.components.items()}
-    )
-
-
 def exp_xi(spec: CoderivationSpec, word: Word) -> TensorElement:
     """e^(spec) applied to one word; finite because every component shortens words.
 
     Requires every component arity >= 2 (an arity-1 component would make the
     exponential an infinite series).
     """
-    return _exponential(spec, word, lambda w: evaluate_coderivation(spec, w))
+    return _series(_powers(spec, word, lambda w: evaluate_coderivation(spec, w)), 1)
 
 
-def _exponential(
+def _powers(
     spec: CoderivationSpec, word: Word, lift: Callable[[Word], TensorElement]
-) -> TensorElement:
-    """exp_xi with the lift of spec on one word given by lift, so a caller
-    can share one table of lifts across the powers and across words."""
+) -> list[TensorElement]:
+    """The nonzero terms spec^p(word)/p! for p = 0, 1, ..., with the lift of
+    spec on one word given by lift, so a caller can share one table of lifts
+    across the powers and across words."""
     low = spec.min_arity()
     if low is not None and low < 2:
         raise PreconditionError("exponential needs all component arities >= 2")
-    total = TensorElement.from_word(spec.basis, word)
-    term = total
+    term = TensorElement.from_word(spec.basis, word)
+    terms = []
     p = 0
     while not term.is_zero():
+        terms.append(term)
         p += 1
         term = extend_linearly(term, lift, TensorElement).scale(Fraction(1, p))
-        total = total + term
+    return terms
+
+
+def _series(terms: list[TensorElement], sign: int) -> TensorElement:
+    """The sum of sign^p terms[p]: e^{spec} for sign 1 and e^{-spec} for
+    sign -1, since the lift of -spec is minus the lift of spec."""
+    total = terms[0]
+    for p, term in enumerate(terms[1:], 1):
+        total = total - term if sign < 0 and p % 2 else total + term
     return total
 
 
@@ -316,8 +308,9 @@ def check_gauge_equivalence(
 
     Each word's e^{Xi}, e^{-Xi} and partial are computed at most once per
     call: every word they are needed on is no longer than the word being
-    checked.  Every power of both exponentials draws from one table of Xi
-    lifts and one of -Xi lifts, so each word is lifted at most once by each.
+    checked.  Both exponentials of a word are summed from one list of its
+    terms Xi^p(w)/p!, with signs +1 and (-1)^p, and every power draws from
+    one table of Xi lifts, so each word is lifted at most once.
     """
     if max_len < 1:
         raise MalformedInputError("max_len must be >= 1")
@@ -331,12 +324,11 @@ def check_gauge_equivalence(
             "the lift of Xi does not certify as a coderivation; "
             "the lift formula is inconsistent"
         )
-    neg_xi = _negate_spec(xi_spec)
     basis = fam.basis
     xi_lift = functools.cache(lambda word: evaluate_coderivation(xi_spec, word))
-    neg_lift = functools.cache(lambda word: evaluate_coderivation(neg_xi, word))
-    exp_plus = functools.cache(lambda word: _exponential(xi_spec, word, xi_lift))
-    exp_minus = functools.cache(lambda word: _exponential(neg_xi, word, neg_lift))
+    powers = functools.cache(lambda word: _powers(xi_spec, word, xi_lift))
+    exp_plus = functools.cache(lambda word: _series(powers(word), 1))
+    exp_minus = functools.cache(lambda word: _series(powers(word), -1))
     lift = functools.cache(lambda word: evaluate_coderivation(partial, word))
     violations: list[Violation] = []
 

@@ -225,15 +225,6 @@ class Element(SparseVector):
             raise MalformedInputError(f"element is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
 
-    def reshape(self, basis: GradedBasis) -> "Element":
-        """Same coefficients viewed over another basis of equal length.
-
-        Used for the suspension: names are preserved, degrees move.
-        """
-        if len(basis) != len(self.basis):
-            raise MalformedInputError("reshape target has different dimension")
-        return Element._trusted(basis, self.coeffs)
-
 
 def format_terms(terms: Iterable[tuple[str, Scalar]]) -> str:
     """Join (name, coefficient) pairs as e.g. '1/2 g1 + h - 2 w'; no pairs render as '0'."""
@@ -305,11 +296,6 @@ def koszul_sign(perm: Permutation, degrees: Sequence[int]) -> int:
     return -1 if exponent % 2 else 1
 
 
-def anti_koszul_sign(perm: Permutation, degrees: Sequence[int]) -> int:
-    """chi(sigma) = sgn(sigma) * eps(sigma)."""
-    return sign_of_permutation(perm) * koszul_sign(perm, degrees)
-
-
 def unshuffles(p: int, q: int) -> list[Permutation]:
     """All (p, q)-unshuffles of S_{p+q}: sigma(1)<...<sigma(p), sigma(p+1)<...<sigma(p+q).
 
@@ -353,11 +339,6 @@ def signed_unshuffles(p: int, q: int, parities: tuple[int, ...]) -> tuple[Unshuf
     return tuple(rows)
 
 
-# A layer factor is (degree, fn); fn None means the identity.  fn must be a
-# linear map homogeneous of exactly that degree for the sign to be meaningful.
-LayerFactor = tuple[int, Callable[[Element], Element] | None]
-
-
 def layer_sign(op_degrees: Sequence[int], arg_degrees: Sequence[int]) -> int:
     """Koszul sign of (A_1 (x) ... (x) A_n) hitting homogeneous v_1 (x) ... (x) v_n.
 
@@ -372,26 +353,3 @@ def layer_sign(op_degrees: Sequence[int], arg_degrees: Sequence[int]) -> int:
         prefix += argdeg
     return -1 if exponent % 2 else 1
 
-
-def apply_layer(
-    factors: Sequence[LayerFactor], args: Sequence[tuple[Element, int]]
-) -> tuple[int, list[tuple[Element, int]]]:
-    """Apply one tensor layer to a tuple of homogeneous slots.
-
-    Each slot is (element, formal degree); the formal degree is tracked even
-    when the element is zero so later layers still see consistent signs.
-    Returns (sign, new slots).
-    """
-    if len(factors) != len(args):
-        raise MalformedInputError("layer width does not match argument count")
-    sign = layer_sign([d for d, _ in factors], [deg for _, deg in args])
-    out: list[tuple[Element, int]] = []
-    for (fdeg, fn), (elt, deg) in zip(factors, args):
-        out.append((fn(elt) if fn is not None else elt, deg + fdeg))
-    return sign, out
-
-
-def suspension_factor(src: GradedBasis, shift: Shift) -> LayerFactor:
-    """The shift s (or s^{-1}) as a layer factor from the given source basis."""
-    target = shifted_degrees(src, shift)
-    return (shift.value, lambda e: e.reshape(target))

@@ -28,7 +28,6 @@ lemma all read their operations from it.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import MalformedInputError, PreconditionError
@@ -171,13 +170,6 @@ def identity_op(basis: GradedBasis) -> MultiOp:
     return op_from_terms(basis, 1, 0, {(b,): {b: 1} for b in range(len(basis))})
 
 
-def _require_unary_pair(outer: MultiOp, inner: MultiOp) -> None:
-    if outer.arity != 1 or inner.arity != 1:
-        raise MalformedInputError("compose_unary needs arity-1 operations")
-    if outer.basis != inner.basis:
-        raise MalformedInputError("operations live over different bases")
-
-
 def compose_unary(outer: MultiOp, inner: MultiOp) -> MultiOp:
     """outer . inner for arity-1 operations.
 
@@ -185,24 +177,13 @@ def compose_unary(outer: MultiOp, inner: MultiOp) -> MultiOp:
     coefficient times outer(y) to the image of x, so only letters that are
     keys of inner are visited.  Keys come out in ascending order.
     """
-    _require_unary_pair(outer, inner)
+    if outer.arity != 1 or inner.arity != 1:
+        raise MalformedInputError("compose_unary needs arity-1 operations")
+    if outer.basis != inner.basis:
+        raise MalformedInputError("operations live over different bases")
     acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
     compose_into(acc, outer, inner, 1)
     return op_from_terms(inner.basis, 1, outer.degree + inner.degree, acc)
-
-
-def commutator(a: MultiOp, b: MultiOp) -> MultiOp:
-    """Graded commutator [a, b] = a.b - (-1)^(|a||b|) b.a of arity-1 operations.
-
-    Both composites are read off the constants, as in compose_unary, into
-    one accumulator, and one operation is built from it.
-    """
-    _require_unary_pair(a, b)
-    sign = -1 if (a.degree * b.degree) % 2 else 1
-    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
-    compose_into(acc, a, b, 1)
-    compose_into(acc, b, a, -sign)
-    return op_from_terms(a.basis, 1, a.degree + b.degree, acc)
 
 
 def _names(basis: GradedBasis, key: tuple[int, ...]) -> tuple[str, ...]:
@@ -464,52 +445,8 @@ def op_from_terms(
     return op
 
 
-def check_rearrangement(bracket: MultiOp, max_n: int = 3) -> Verdict:
-    """Pull the second argument of a nested bracket out to the front.
-
-    For 1 <= n <= max_n and all basis tuples (A, B, y_1, ..., y_n):
-
-        N_{n+2}(A, B, y_1, ..., y_n)
-          = -(-1)^(|A||B|) {B, N_{n+1}(A, y_1, ..., y_n)}
-            + sum_a (-1)^(|B|(|y_1|+...+|y_{a-1}|))
-                N_{n+1}(A, y_1, ..., {B, y_a}, ..., y_n).
-
-    The n = 0 instance would assert graded antisymmetry, which genuine Leibniz
-    algebras do not satisfy, so it is excluded.
-    """
-    basis = bracket.basis
-    violations: list[Violation] = []
-    for n in range(1, max_n + 1):
-        big = nary_bracket(bracket, n + 2)
-        small = nary_bracket(bracket, n + 1)
-        for key in basis.index_tuples(n + 2):
-            a, b = key[0], key[1]
-            ys = key[2:]
-            lhs = big.apply_indices(key)
-            sign_ab = -1 if (basis.degree(a) * basis.degree(b)) % 2 else 1
-            rhs = bracket.apply(
-                [basis.vector(b), small.apply_indices((a,) + ys)]
-            ).scale(-sign_ab)
-            prefix = 0
-            for pos in range(n):
-                inner = bracket.apply_indices((b, ys[pos]))
-                args = [basis.vector(a)]
-                args += [basis.vector(j) for j in ys[:pos]]
-                args.append(inner)
-                args += [basis.vector(j) for j in ys[pos + 1 :]]
-                sign = -1 if (bracket.basis.degree(b) * prefix) % 2 else 1
-                rhs = rhs + small.apply(args).scale(sign)
-                prefix += basis.degree(ys[pos])
-            residual = lhs - rhs
-            if not residual.is_zero():
-                violations.append(
-                    Violation("rearrangement", (n,) + _names(basis, key), residual)
-                )
-    return Verdict.from_violations(violations)
-
-
-def check_skewsymmetry(op: MultiOp, indices: Sequence[int] | None = None) -> Verdict:
-    """Graded skewsymmetry under adjacent transpositions, optionally on a sub-basis.
+def check_skewsymmetry(op: MultiOp) -> Verdict:
+    """Graded skewsymmetry under adjacent transpositions, on every basis tuple.
 
     For each tuple and each adjacent pair (p, p+1), the residual is
     op(..., x_{p+1}, x_p, ...) + (-1)^(|x_p||x_{p+1}|) op(..., x_p, x_{p+1}, ...);
@@ -517,11 +454,8 @@ def check_skewsymmetry(op: MultiOp, indices: Sequence[int] | None = None) -> Ver
     transpositions generate the symmetric group.
     """
     basis = op.basis
-    pool = tuple(indices) if indices is not None else tuple(range(len(basis)))
-    if any(not 0 <= i < len(basis) for i in pool):
-        raise MalformedInputError("sub-basis index out of range")
     violations: list[Violation] = []
-    for key in itertools.product(pool, repeat=op.arity):
+    for key in basis.index_tuples(op.arity):
         for p in range(op.arity - 1):
             swapped = key[:p] + (key[p + 1], key[p]) + key[p + 2 :]
             sign = -1 if (basis.degree(key[p]) * basis.degree(key[p + 1])) % 2 else 1

@@ -13,7 +13,12 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
-from .coalgebra import check_coderivation_axiom, check_dual_leibniz, lift_coderivation
+from .coalgebra import (
+    check_coderivation_axiom,
+    check_dual_leibniz,
+    hom_bracket,
+    lift_coderivation,
+)
 from .derived import (
     DeformationFamily,
     _key_lemma_residuals,
@@ -26,7 +31,7 @@ from .document import AlgebraDocument, parse_document
 from .errors import PreconditionError
 from .gauge import GaugeFamily, check_deformation, check_gauge_equivalence, gauge_transform
 from .graded import format_element
-from .multiop import MultiOp, check_leibniz_identity, commutator, n_i_d
+from .multiop import MultiOp, check_leibniz_identity, n_i_d
 from .report import CheckResult, Report
 from .results import Violation
 
@@ -180,7 +185,7 @@ def _cmd_check_key_lemma(doc: AlgebraDocument, options: RunOptions) -> list[Chec
     members = list(enumerate(pool))
     # N_i D per member and arity, and [D, D'] per pair, are built once
     nested = functools.cache(lambda n, i: n_i_d(bracket, pool[n][1], i))
-    commuted = functools.cache(lambda n1, n2: commutator(pool[n1][1], pool[n2][1]))
+    commuted = functools.cache(lambda n1, n2: hom_bracket(pool[n1][1], pool[n2][1]))
     for (n1, (name1, d1)), (n2, (name2, d2)), i, j in product(members, members, arities, arities):
         for label, n, d in (("first", n1, d1), ("second", n2, d2)):
             if n not in validated:
@@ -228,7 +233,7 @@ def _cmd_check_gauge_equivalence(
         max_len=options.max_word_len,
         first_violation=options.first_violation,
     )
-    results = _split(
+    return _split(
         {
             "gauge-conjugation": "conjugated-codifferential",
             "gauge-comultiplicative": "exponential-morphism",
@@ -237,9 +242,6 @@ def _cmd_check_gauge_equivalence(
         },
         verdict.violations,
     )
-    if verdict.notes:
-        results[0].detail.extend(verdict.notes)
-    return results
 
 
 def _cmd_check_coalgebra(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:

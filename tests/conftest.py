@@ -6,6 +6,7 @@ import pytest
 
 from shleibniz import fixtures as shipped
 from shleibniz.document import AlgebraDocument
+from oracles import family_fixture_names
 
 
 @pytest.fixture(scope="session")
@@ -15,7 +16,7 @@ def docs() -> dict[str, AlgebraDocument]:
 
 @pytest.fixture(scope="session")
 def family_names() -> tuple[str, ...]:
-    return shipped.family_fixture_names()
+    return family_fixture_names()
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,165 @@
+"""Oracles and fixture helpers shared by the test modules.
+
+None of this is reached by a command: the suspension as explicit tensor
+layers, the lift of an operation split by summand, the restriction of an
+operation to a sub-basis, and the designated perturbations, Maurer-Cartan
+candidates and abelian subalgebra of the shipped corpus.
+
+Every fixture that carries a deformation family also carries a designated
+single-constant perturbation, chosen so that adding that one constant to
+the named delta component breaks the square-zero ladder with a residual
+that both verification routes detect.  The perturbations all target the
+order-0 component along a degree chain d -> d+1 -> d+2, because an order-0
+residual is the arity-one component of the squared codifferential and is
+therefore visible no matter how degenerate the bracket is; residuals at
+higher order can be annihilated by a bracket with a short top degree.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+from shleibniz import fixtures as shipped
+from shleibniz.coalgebra import TensorElement, Word, _lift_terms
+from shleibniz.derived import DeformationFamily
+from shleibniz.document import AlgebraDocument
+from shleibniz.errors import MalformedInputError
+from shleibniz.gauge import McElement
+from shleibniz.graded import Element, GradedBasis, Scalar, Shift, layer_sign, shifted_degrees
+from shleibniz.multiop import MultiOp
+
+# --- the suspension as tensor layers ---
+
+# A layer factor is (degree, fn); fn None means the identity.  fn must be a
+# linear map homogeneous of exactly that degree for the sign to be meaningful.
+LayerFactor = tuple[int, Callable[[Element], Element] | None]
+
+
+def reshape(elt: Element, basis: GradedBasis) -> Element:
+    """The same coefficients over another basis of equal length: for the
+    suspension, names are kept and degrees move."""
+    return Element(basis, elt.coeffs)
+
+
+def apply_layer(
+    factors: Sequence[LayerFactor], args: Sequence[tuple[Element, int]]
+) -> tuple[int, list[tuple[Element, int]]]:
+    """Apply one tensor layer to a tuple of homogeneous slots.
+
+    Each slot is (element, formal degree); the formal degree is tracked even
+    when the element is zero so later layers still see consistent signs.
+    Returns (sign, new slots).
+    """
+    if len(factors) != len(args):
+        raise MalformedInputError("layer width does not match argument count")
+    sign = layer_sign([d for d, _ in factors], [deg for _, deg in args])
+    out: list[tuple[Element, int]] = []
+    for (fdeg, fn), (elt, deg) in zip(factors, args):
+        out.append((fn(elt) if fn is not None else elt, deg + fdeg))
+    return sign, out
+
+
+def suspension_factor(src: GradedBasis, shift: Shift) -> LayerFactor:
+    """The shift s (or s^{-1}) as a layer factor from the given source basis."""
+    target = shifted_degrees(src, shift)
+    return (shift.value, lambda e: reshape(e, target))
+
+
+# --- the lift of one operation, summand by summand ---
+
+
+def decompose_k(op: MultiOp, k: int, basis: GradedBasis, word: Word) -> TensorElement:
+    """The k-th summand of the lift of op applied to one word.
+
+    Nonzero only for arity(op) <= k <= len(word); the summands over all k add
+    up to the full lift.
+    """
+    if k < op.arity or k > len(word):
+        return TensorElement.zero(basis)
+    parities = tuple(basis.degree(i) % 2 for i in word)
+    acc: dict[Word, Scalar] = {}
+    for w, c in _lift_terms(op, word, parities, k):
+        acc[w] = acc.get(w, 0) + c
+    return TensorElement(basis, acc)
+
+
+def corestriction(te: TensorElement) -> Element:
+    """Project onto the single-letter words."""
+    return Element(te.basis, {w[0]: c for w, c in te.terms.items() if len(w) == 1})
+
+
+def restrict(op: MultiOp, indices: Sequence[int]) -> MultiOp:
+    """op with only the constants whose keys lie in the sub-basis.  A check
+    on every tuple, such as check_skewsymmetry, then sees op on the
+    sub-basis tuples and zero on every other tuple."""
+    pool = set(indices)
+    kept = {key: image for key, image in op.constants.items() if pool.issuperset(key)}
+    return MultiOp(op.basis, op.arity, op.degree, kept)
+
+
+# --- designated inputs of the shipped corpus ---
+
+
+@dataclass(frozen=True)
+class Perturbation:
+    """One structure constant added to one delta component."""
+
+    order: int
+    source: str
+    target: str
+    amount: Scalar
+
+
+# designed so that (delta_0 + tweak)^2 is nonzero on some generator,
+# except endo2 where the chain runs through the existing delta_0
+PERTURBATIONS = {
+    "l2b": Perturbation(0, "b", "w", 1),
+    "abelian3": Perturbation(0, "x1", "x2", 1),
+    "endo2": Perturbation(0, "E01", "E00", 1),
+    "heisab": Perturbation(0, "a1", "w", 1),
+    "heis3w": Perturbation(0, "h", "w", 1),
+}
+
+
+def family_fixture_names() -> tuple[str, ...]:
+    """Fixtures shipping a deformation family, in sorted order."""
+    return tuple(n for n in shipped.fixture_names() if shipped.load_fixture(n).deltas)
+
+
+def perturbation(name: str) -> Perturbation:
+    if name not in PERTURBATIONS:
+        raise KeyError(f"fixture {name!r} has no designated perturbation")
+    return PERTURBATIONS[name]
+
+
+def perturbed_family(doc: AlgebraDocument, tweak: Perturbation) -> DeformationFamily:
+    """Family with ``tweak.amount * (source -> target)`` added at one order."""
+    fam = doc.to_family()
+    if fam is None:
+        raise ValueError(f"document {doc.name!r} has no deformation family")
+    basis = fam.basis
+    image = Element(basis, {basis.index(tweak.target): tweak.amount})
+    bump = MultiOp(basis, 1, 1, {(basis.index(tweak.source),): image})
+    deltas = list(fam.extended(max(fam.order, tweak.order)).deltas)
+    deltas[tweak.order] = deltas[tweak.order] + bump
+    return DeformationFamily(fam.bracket, tuple(deltas))
+
+
+def mc_element(name: str) -> McElement:
+    """Maurer-Cartan candidates: accepted on endo2, rejected on quartic."""
+    basis = shipped.load_fixture(name).to_basis()
+    if name == "endo2":
+        theta = Element(basis, {basis.index("E10"): 1})
+    elif name == "quartic":
+        theta = Element(basis, {basis.index("v"): 1})
+    else:
+        raise KeyError(f"fixture {name!r} has no Maurer-Cartan candidate")
+    return McElement((theta,))
+
+
+def abelian_subalgebra(name: str) -> tuple[str, ...]:
+    """Generators of the abelian, derived-bracket-closed subalgebra."""
+    if name != "heisab":
+        raise KeyError(f"fixture {name!r} has no designated abelian subalgebra")
+    return ("a", "a1")

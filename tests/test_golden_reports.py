@@ -27,6 +27,7 @@ from shleibniz.document import AlgebraDocument, serialize_document
 from shleibniz.errors import PreconditionError
 from shleibniz.report import render_structured, render_text
 from shleibniz.runner import COMMANDS, RunOptions, run_command
+from oracles import family_fixture_names, perturbation
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 SCOPES = RunOptions(max_const=4, max_word_len=3, max_arity=2)
@@ -85,7 +86,7 @@ def rescaled_document(doc: AlgebraDocument) -> AlgebraDocument:
 def perturbed_text(name: str, doc: AlgebraDocument | None = None) -> str:
     """The fixture's document (or ``doc``) with its designated perturbation written in."""
     doc = shipped.load_fixture(name) if doc is None else doc
-    tweak = shipped.perturbation(name)
+    tweak = perturbation(name)
     entries = {src: dict((g, c) for c, g in terms) for src, terms in doc.deltas[tweak.order]}
     image = entries.setdefault(tweak.source, {})
     image[tweak.target] = image.get(tweak.target, Fraction(0)) + tweak.amount
@@ -113,7 +114,7 @@ def compute_digests() -> dict[str, str]:
     runs: list[tuple[str, str, str]] = []
     for name in shipped.fixture_names():
         runs.extend((command, name, shipped.fixture_text(name)) for command in COMMANDS)
-    for name in shipped.family_fixture_names():
+    for name in family_fixture_names():
         text = perturbed_text(name)
         runs.extend((command, f"{name}+perturbation", text) for command in FAILING_PATH)
     for label, text in rescaled_cases().items():
@@ -137,7 +138,7 @@ def test_reports_match_golden_digests():
 
 
 def test_perturbed_reports_fail():
-    for name in shipped.family_fixture_names():
+    for name in family_fixture_names():
         report = run_command("check-sh", perturbed_text(name), SCOPES)
         assert not report.passed, name
 

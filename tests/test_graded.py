@@ -24,8 +24,6 @@ from shleibniz.graded import (
     GradedBasis,
     Permutation,
     Shift,
-    anti_koszul_sign,
-    apply_layer,
     exact,
     format_element,
     koszul_sign,
@@ -33,10 +31,10 @@ from shleibniz.graded import (
     shifted_degrees,
     sign_of_permutation,
     signed_unshuffles,
-    suspension_factor,
     unshuffles,
 )
 from shleibniz.multiop import MultiOp
+from oracles import apply_layer, suspension_factor
 
 DEGREES = (-2, -1, 0, 1, 2, 3)
 
@@ -105,14 +103,6 @@ def test_sign_of_permutation_is_inversion_parity():
                 if perm.images[a] > perm.images[b]
             )
             assert sign_of_permutation(perm) == (-1) ** inversions
-
-
-def test_anti_koszul_is_sign_times_koszul():
-    degrees = (1, 0, 2, 1)
-    for perm in perms(4):
-        assert anti_koszul_sign(perm, degrees) == sign_of_permutation(
-            perm
-        ) * koszul_sign(perm, degrees)
 
 
 def test_koszul_with_all_even_degrees_is_one():

@@ -1,13 +1,28 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module; every
+definition in the package has a caller outside the tests; and every hook the
+benchmark takes into the package resolves."""
 
 from __future__ import annotations
 
 import ast
+import functools
+import importlib
 from pathlib import Path
 
 import shleibniz
 
 PACKAGE = Path(shleibniz.__file__).parent
+BENCH = PACKAGE.parent.parent / "bench"
+
+# Module-level definitions that no other line of the package or of bench/
+# names.  Each is library API for callers outside both, and is exercised by
+# the tests; anything else without a caller belongs under tests/.
+LIBRARY_ENTRY_POINTS = {
+    # validate a Maurer-Cartan element and build its deformation family
+    "mc_to_deformation",
+    # the differential (partial_2, -) on the subcomplex spanned by N_i Der(V)
+    "leibniz_cohomology_check",
+}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -47,15 +62,81 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-def test_no_module_imports_a_name_it_never_uses():
+def package_modules() -> list[Path]:
     # the package __init__ re-exports what it imports
-    modules = [p for p in sorted(PACKAGE.rglob("*.py")) if p != PACKAGE / "__init__.py"]
-    assert len(modules) > 5
+    return [p for p in sorted(PACKAGE.rglob("*.py")) if p != PACKAGE / "__init__.py"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert len(package_modules()) > 5
     unused = []
-    for path in modules:
+    for path in package_modules():
         tree = ast.parse(path.read_text("utf-8"))
         used = used_names(tree)
         for name, line in imported_names(tree).items():
             if name not in used:
                 unused.append(f"{path.relative_to(PACKAGE)}:{line}: {name}")
     assert unused == []
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names loaded, attributes read, names imported, and the parts of every
+    string that is a dotted name, such as a span target."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found |= {part for part in node.value.split(".") if part.isidentifier()}
+    return found
+
+
+def test_every_package_definition_has_a_caller_outside_the_tests():
+    sources = package_modules() + sorted(BENCH.glob("*.py"))
+    assert len(sources) > 10
+    referenced: set[str] = set()
+    for path in sources:
+        referenced |= referenced_names(ast.parse(path.read_text("utf-8")))
+    uncalled = set()
+    for path in package_modules():
+        for node in ast.parse(path.read_text("utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced:
+                uncalled.add(node.name)
+    assert uncalled == LIBRARY_ENTRY_POINTS
+
+
+def resolve(module: str, dotted: str):
+    return functools.reduce(getattr, dotted.split("."), importlib.import_module(module))
+
+
+def test_every_span_target_of_the_benchmark_resolves():
+    # read bench/spans.py as text: install() calls getattr with no default,
+    # so one missing target crashes every traced run
+    tree = ast.parse((BENCH / "spans.py").read_text("utf-8"))
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    assert len(targets) > 10
+    for module, attr, _ in targets:
+        assert callable(resolve(module, attr)), (module, attr)
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    imported = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("shleibniz"):
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("shleibniz"):
+                        importlib.import_module(alias.name)
+    assert len(imported) > 10
+    for script, module, name in imported:
+        assert hasattr(importlib.import_module(module), name), (script, module, name)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from shleibniz import fixtures as shipped
 from shleibniz.errors import MalformedInputError
 from shleibniz.linalg import derivation_basis, nullspace
-from shleibniz.multiop import check_derivation, commutator
+from shleibniz.coalgebra import hom_bracket
+from shleibniz.multiop import check_derivation
 
 
 def test_nullspace_rank_one_system():
@@ -112,7 +113,7 @@ def test_derivation_basis_closed_under_commutator():
     found = derivation_basis(bracket, degrees=[0, 1])
     for a in found:
         for b in found:
-            assert check_derivation(commutator(a, b), bracket) == []
+            assert check_derivation(hom_bracket(a, b), bracket) == []
 
 
 def test_derivation_basis_empty_degrees():

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shleibniz import fixtures as shipped
+from shleibniz.coalgebra import hom_bracket
 from shleibniz.errors import MalformedInputError, PreconditionError
 from shleibniz.graded import Element, GradedBasis
 from shleibniz.linalg import derivation_basis
@@ -21,16 +22,15 @@ from shleibniz.multiop import (
     check_derivation,
     check_differential,
     check_leibniz_identity,
-    check_rearrangement,
     check_skewsymmetry,
-    commutator,
     compose_unary,
     identity_op,
     n_i_d,
     nary_bracket,
     op_from_terms,
 )
-from shleibniz.results import Violation
+from shleibniz.results import Verdict, Violation
+from oracles import family_fixture_names, perturbation, perturbed_family
 
 
 def one_dim_square() -> MultiOp:
@@ -117,10 +117,12 @@ def test_compose_and_commutator_signs():
     up2 = MultiOp(basis, 1, 1, {(1,): basis.vector(2)})
     both = compose_unary(up2, up1)
     assert both.apply_indices((0,)) == basis.vector(2)
-    # odd-odd commutator is an anticommutator
-    assert commutator(up1, up2) == compose_unary(up1, up2) + compose_unary(up2, up1)
+    # odd-odd commutator is an anticommutator, and an odd self-bracket is
+    # twice the square, which is p -> r here
+    assert hom_bracket(up1, up2) == compose_unary(up1, up2) + compose_unary(up2, up1)
+    assert hom_bracket(up1 + up2, up1 + up2) == both.scale(2)
     even = identity_op(basis)
-    assert commutator(even, up1).is_zero()
+    assert hom_bracket(even, up1).is_zero()
 
 
 def test_derivation_rule_sign():
@@ -299,8 +301,8 @@ def derivation_oracle_inputs(docs, generated) -> list[tuple[str, MultiOp, list[M
     for name, doc in sorted(docs.items()) + sorted(generated.items()):
         bracket = doc.to_bracket()
         ops = fixture_derivations(doc)
-        if name in shipped.family_fixture_names():
-            ops += list(shipped.perturbed_family(doc, shipped.perturbation(name)).deltas)
+        if name in family_fixture_names():
+            ops += list(perturbed_family(doc, perturbation(name)).deltas)
         ops += derivation_basis(bracket)
         ops += [random_unary(bracket.basis, g, rng) for g in (-1, 0, 1, 2) for _ in range(3)]
         inputs.append((name, bracket, ops))
@@ -437,7 +439,7 @@ def test_compositions_match_their_dense_tabulation(docs, generated):
     pairs = nonzero = 0
     for label, _, ops in derivation_oracle_inputs(docs, generated):
         for a, b in itertools.product(ops, repeat=2):
-            bracketed = commutator(a, b)
+            bracketed = hom_bracket(a, b)
             for fast, dense in (
                 (compose_unary(a, b), dense_compose_unary(a, b)),
                 (bracketed, dense_commutator(a, b)),
@@ -447,6 +449,49 @@ def test_compositions_match_their_dense_tabulation(docs, generated):
             pairs += 1
             nonzero += not bracketed.is_zero()
     assert pairs > 6000 and nonzero > 2500, (pairs, nonzero)
+
+
+def check_rearrangement(bracket: MultiOp, max_n: int = 3) -> Verdict:
+    """Pull the second argument of a nested bracket out to the front.
+
+    For 1 <= n <= max_n and all basis tuples (A, B, y_1, ..., y_n):
+
+        N_{n+2}(A, B, y_1, ..., y_n)
+          = -(-1)^(|A||B|) {B, N_{n+1}(A, y_1, ..., y_n)}
+            + sum_a (-1)^(|B|(|y_1|+...+|y_{a-1}|))
+                N_{n+1}(A, y_1, ..., {B, y_a}, ..., y_n).
+
+    The n = 0 instance would assert graded antisymmetry, which genuine Leibniz
+    algebras do not satisfy, so it is excluded.
+    """
+    basis = bracket.basis
+    violations: list[Violation] = []
+    for n in range(1, max_n + 1):
+        big = nary_bracket(bracket, n + 2)
+        small = nary_bracket(bracket, n + 1)
+        for key in basis.index_tuples(n + 2):
+            a, b = key[0], key[1]
+            ys = key[2:]
+            lhs = big.apply_indices(key)
+            sign_ab = -1 if (basis.degree(a) * basis.degree(b)) % 2 else 1
+            rhs = bracket.apply(
+                [basis.vector(b), small.apply_indices((a,) + ys)]
+            ).scale(-sign_ab)
+            prefix = 0
+            for pos in range(n):
+                inner = bracket.apply_indices((b, ys[pos]))
+                args = [basis.vector(a)]
+                args += [basis.vector(j) for j in ys[:pos]]
+                args.append(inner)
+                args += [basis.vector(j) for j in ys[pos + 1 :]]
+                sign = -1 if (basis.degree(b) * prefix) % 2 else 1
+                rhs = rhs + small.apply(args).scale(sign)
+                prefix += basis.degree(ys[pos])
+            residual = lhs - rhs
+            if not residual.is_zero():
+                names = tuple(basis.names[i] for i in key)
+                violations.append(Violation("rearrangement", (n,) + names, residual))
+    return Verdict.from_violations(violations)
 
 
 def test_rearrangement_identity_on_fixture_brackets(docs):
