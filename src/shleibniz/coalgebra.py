@@ -35,9 +35,17 @@ g(gk) and the sign is that of the lift's unshuffle row.  hom_bracket scatters
 both composites this way straight from the constants of f and g, and
 evaluates no lift; it is exactly zero on every key no term reaches.
 
-The checks that walk words compute each word's image (a lift, an override or
-a comultiplication) at most once per call, in a table that lives only for that
-call: every image they need is of a word no longer than the one being checked.
+scattered_lift reads a whole lift off the constants the same way: a key gk
+of the arity-i component feeds the k-th summand on exactly the words that
+interleave free letters with gk[:-1] before gk[-1], so the keys, the rows and
+the free letters give every nonzero value without visiting a word.
+
+The checks here walk words only on the parity patterns that do not certify,
+and for an override of the lift; the gauge conjugation in gauge walks every
+word.  They compute each word's image (a lift, an override, an exponential
+or a comultiplication) at most once per call, in a table that lives only for
+that call: every image they need is of a word no longer than the one being
+checked.
 
 The dual Leibniz axiom and the coderivation axiom of a lift are established
 for every word through parity patterns.  Every sign in comultiply and in the
@@ -56,6 +64,8 @@ function.  Only the words of patterns whose generic residual is nonzero are
 evaluated, in lexicographic order, since repeated letters can cancel.
 Generic verdicts depend on the pattern alone, or on the pattern, the
 component arities and the degree parity, so they are cached for the process.
+A pattern shorter than every component arity needs no proof: the lift is
+zero on its words.
 """
 
 from __future__ import annotations
@@ -66,7 +76,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 from .errors import MalformedInputError
-from .graded import Element, GradedBasis, Scalar, SparseVector, signed_unshuffles
+from .graded import (
+    Element,
+    GradedBasis,
+    Scalar,
+    SparseVector,
+    signed_unshuffles,
+    unshuffle_gathers,
+)
 from .multiop import MultiOp, compose_into, op_from_terms
 from .results import Verdict, Violation
 
@@ -323,6 +340,63 @@ def evaluate_coderivation(spec: CoderivationSpec, word: Word) -> TensorElement:
     return TensorElement._trusted(basis, acc)
 
 
+def scattered_lift(spec: CoderivationSpec, max_len: int) -> list[tuple[Word, TensorElement]]:
+    """The nonzero values of spec's lift on the words of length <= max_len,
+    scattered from the constants, words ordered by (length, word).
+
+    A key gk of the arity-i component feeds the k-th summand of the lift on
+    exactly the words whose first k - 1 letters place k - i free letters (the
+    first block of an unshuffle row) among gk[:-1] (the second block), then
+    carry gk[-1], then any n - k letters; each letter z of op(gk) adds
+    +-c (free letters, z, suffix), with the row's sign for those letters'
+    parities.  The summand depends on the first k letters alone and appends
+    the suffix, so the terms are gathered per k-letter prefix and then
+    extended by every suffix.  Keys, k, rows and free letters enumerate each
+    term of every lift once; no word whose lift has no term is visited, and
+    words whose terms cancel are dropped.
+    """
+    basis = spec.basis
+    letters = range(len(basis))
+    parity = [d % 2 for d in basis.degrees]
+    odd = spec.degree % 2
+    heads: dict[Word, dict[Word, Scalar]] = {}
+    for i, op in spec.components.items():
+        for k in range(i, max_len + 1):
+            m = k - i
+            orders = unshuffle_gathers(m, i - 1)
+            for gk, image in op.constants.items():
+                head, pinned = gk[:-1], gk[-1:]
+                for free in itertools.product(letters, repeat=m):
+                    sources = free + head
+                    for r, order in enumerate(orders):
+                        merged = tuple(sources[s] for s in order)
+                        _, _, eps, _, jumped = signed_unshuffles(
+                            m, i - 1, tuple(parity[x] for x in merged)
+                        )[r]
+                        sign = -eps if odd and jumped else eps
+                        out = heads.setdefault(merged + pinned, {})
+                        for z, c in image.coeffs.items():
+                            key = free + (z,)
+                            out[key] = out.get(key, 0) + sign * c
+    acc: dict[Word, dict[Word, Scalar]] = {}
+    for prefix, terms in heads.items():
+        terms = {w: c for w, c in terms.items() if c}
+        if not terms:
+            continue
+        for n in range(len(prefix), max_len + 1):
+            for suffix in itertools.product(letters, repeat=n - len(prefix)):
+                out = acc.setdefault(prefix + suffix, {})
+                for w, c in terms.items():
+                    key = w + suffix
+                    out[key] = out.get(key, 0) + c
+    values = []
+    for word in sorted(acc, key=lambda w: (len(w), w)):
+        value = TensorElement._trusted(basis, acc[word])
+        if not value.is_zero():
+            values.append((word, value))
+    return values
+
+
 def _coderivation_residual(
     spec: CoderivationSpec,
     word: Word,
@@ -377,8 +451,9 @@ def _lift_certificate(spec: CoderivationSpec) -> Callable[[tuple[int, ...]], boo
     arities, parity = spec.arities(), spec.degree % 2
 
     def certified(pattern: tuple[int, ...]) -> bool:
+        # no component fits: the lift is zero on the pattern's words
         fitting = tuple(a for a in arities if a <= len(pattern))
-        return _coderivation_certified(pattern, fitting, parity)
+        return not fitting or _coderivation_certified(pattern, fitting, parity)
 
     return certified
 

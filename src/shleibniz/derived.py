@@ -53,35 +53,29 @@ check reads its own sign off the row: check_sh_leibniz the sign above with
 k = p + j, chi(sigma) (-1)^((p+1)(j-1) + j * jumped) for the shifted
 parities on sV, and compose_into the lift's signs on V.
 
-check_codifferential proves a pass from a certificate before it walks any
+check_codifferential reads its verdict off two certificates and walks no
 word.  partial is odd, so where it is a coderivation, partial . partial =
-1/2 [partial, partial] is one too, and a coderivation D that vanishes after
-corestriction on the words of length <= L vanishes on them: by induction on
-the length, Delta D(w) = (D (x) 1 + 1 (x) D) Delta(w) is zero, and Delta is
-injective on words of length >= 2.  The certificate requires every parity
-pattern up to L to certify the lift as a coderivation, as in
-check_coderivation_axiom, then scatters the corestriction through
-compose_into; no lift is evaluated.  If it vanishes, the check passes.
-Otherwise, or if a pattern does not certify, every word is walked and the
-walk's witnesses are reported: the corestriction can vanish on a word where
-the square does not, so the certificate's failing words are fewer than the
-walk's.
+1/2 [partial, partial] is one too: in Delta partial partial the cross terms
+partial (x) partial cancel by the Koszul sign.  A coderivation D is fixed by
+its corestriction on the words of length <= L: if pr D vanishes there, then
+by induction on the length Delta D(w) = (D (x) 1 + 1 (x) D) Delta(w) is
+zero, and Delta is injective on words of length >= 2.  So once every parity
+pattern up to L certifies the lift of partial (as in
+check_coderivation_axiom), partial . partial is the lift Q^c of its
+corestriction Q, the sum of partial_m . partial_j^c scattered through
+compose_into.  If Q vanishes, the check passes.  Otherwise Q, of degree 2,
+must certify too, and the witnesses partial(partial(w)) = Q^c(w) are
+scattered from Q's constants by coalgebra.scattered_lift, in the order of a
+walk over every word.  A lift that does not certify would mean the lift
+formula itself is wrong, and raises EngineError.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .coalgebra import (
-    CoderivationSpec,
-    TensorElement,
-    evaluate_coderivation,
-    extend_linearly,
-    hom_bracket,
-    lift_certified,
-)
+from .coalgebra import CoderivationSpec, hom_bracket, lift_certified, scattered_lift
 from .errors import EngineError, MalformedInputError, PreconditionError
 from .graded import GradedBasis, Scalar, Shift, layer_sign, shifted_degrees, signed_unshuffles
 from .multiop import (
@@ -307,38 +301,41 @@ def check_codifferential(fam: DeformationFamily, max_len: int, first_violation: 
     family: the square of the codifferential on words of length n collects
     exactly the weight-(n + 1) identities.
 
-    A pass is certified first, as the module docstring argues: when the
-    parity patterns prove the lift a coderivation up to max_len and the
-    scattered corestriction of partial . partial vanishes, the check passes
-    without visiting any word.  Otherwise every word is walked, shortest
-    first and lexicographically within a length, and the witnesses are the
-    walk's.  In that walk the coderivation never lengthens a word, so it is
-    evaluated at most once per word, in one table.
+    Decided from the corestriction Q of the square, as the module docstring
+    argues: the check passes when Q vanishes, and otherwise every word w
+    with partial(partial(w)) = Q^c(w) nonzero is a witness, shortest first
+    and lexicographically within a length.  No word is walked.
     """
     if max_len < 1:
         raise MalformedInputError("max_len must be >= 1")
     spec = build_codifferential(fam)
-    if lift_certified(spec, max_len):
-        square = _corestricted_square(spec, max_len)
-        if not any(any(image.values()) for image in square.values()):
-            return Verdict.from_violations([])
-    once = functools.cache(lambda word: evaluate_coderivation(spec, word))
+    _require_certified("partial", spec, max_len)
+    by_arity: dict[int, dict[tuple[int, ...], dict[int, Scalar]]] = {}
+    for key, image in _corestricted_square(spec, max_len).items():
+        by_arity.setdefault(len(key), {})[key] = image
     basis = fam.basis
+    square = CoderivationSpec(
+        basis, 2, {a: op_from_terms(basis, a, 2, terms) for a, terms in by_arity.items()}
+    )
+    if not square.components:
+        return Verdict.from_violations([])
+    _require_certified("partial . partial", square, max_len)
     violations: list[Violation] = []
-    for length in range(1, max_len + 1):
-        for word in basis.index_tuples(length):
-            twice = extend_linearly(once(word), once, TensorElement)
-            if not twice.is_zero():
-                violations.append(
-                    Violation(
-                        "codifferential-square",
-                        tuple(basis.names[i] for i in word),
-                        twice,
-                    )
-                )
-                if first_violation:
-                    return Verdict(False, violations)
+    for word, twice in scattered_lift(square, max_len):
+        violations.append(
+            Violation("codifferential-square", tuple(basis.names[i] for i in word), twice)
+        )
+        if first_violation:
+            break
     return Verdict.from_violations(violations)
+
+
+def _require_certified(label: str, spec: CoderivationSpec, max_len: int) -> None:
+    if not lift_certified(spec, max_len):
+        raise EngineError(
+            f"the lift of {label} does not certify as a coderivation; "
+            "the lift formula is inconsistent"
+        )
 
 
 def _corestricted_square(

@@ -29,6 +29,26 @@ word length (coalgebra.lift_certified):
   -Xi is minus the lift of Xi term by term, and the product of the two
   terminating series is sum_n (Xi - Xi)^n / n! = 1.
 
+The conjugation is proved from a corestriction when it holds.  Once the
+lifts of partial and partial' certify as coderivations up to L as well,
+G = partial e^{Xi} - e^{Xi} partial' satisfies
+
+    Delta G = (G (x) e^{Xi} + e^{Xi} (x) G) Delta,
+
+with no sign since |e^{Xi}| = 0.  G never lengthens a word, so by induction
+on the length, with Delta injective on words of length >= 2, G vanishes on
+the words of length <= L exactly when its corestriction pr G does.  And
+partial' - e^{-Xi} partial e^{Xi} = -e^{-Xi} G with e^{-Xi} invertible, so
+the conjugation holds on exactly the words where G vanishes.  On a word w,
+pr G(w) is the sum of c partial_{|v|}(v) over the terms c v of e^{Xi}(w),
+read off the constants, minus the sum of c pr e^{Xi}(u) over the terms c u
+of partial'(w); neither e^{-Xi} nor a lift of partial is evaluated.  This is
+the sh Leibniz morphism equation partial F = F partial' for F = e^{Xi}, and
+it uses no hom_bracket, so it stays independent of the order expansion.  If
+pr G vanishes on every word the conjugation passes; otherwise every word is
+walked and the witnesses are the walk's, since -e^{-Xi} G(w) can be nonzero
+on a word where pr G is zero.
+
 A certificate that fails would mean the lift formula itself is wrong, and
 raises EngineError.
 
@@ -62,7 +82,7 @@ from .errors import (
     MCRejectionError,
     PreconditionError,
 )
-from .graded import Element, GradedBasis
+from .graded import Element, GradedBasis, Scalar
 from .multiop import (
     DgLeibnizAlgebra,
     MultiOp,
@@ -287,6 +307,36 @@ def _hom_commutator_step(
     return out
 
 
+def _corestricted_defect(
+    partial: CoderivationSpec,
+    exp_plus: Callable[[Word], TensorElement],
+    lift_prime: Callable[[Word], TensorElement],
+) -> Callable[[Word], dict[int, Scalar]]:
+    """pr G on one word, G = partial e^{Xi} - e^{Xi} partial', as a
+    coefficient dict: partial_{|v|}(v) off the constants for each term v of
+    e^{Xi}(w), minus pr e^{Xi}(u) for each term u of partial'(w)."""
+    ops = partial.components
+    # pr e^{Xi}(u), the single-letter terms of the exponential of u
+    head = functools.cache(
+        lambda u: [(v[0], c) for v, c in exp_plus(u).terms.items() if len(v) == 1]
+    )
+
+    def defect(word: Word) -> dict[int, Scalar]:
+        acc: dict[int, Scalar] = {}
+        for v, c in exp_plus(word).terms.items():
+            op = ops.get(len(v))
+            image = op.constants.get(v) if op is not None else None
+            if image is not None:
+                for z, cz in image.coeffs.items():
+                    acc[z] = acc.get(z, 0) + c * cz
+        for u, c in lift_prime(word).terms.items():
+            for z, cz in head(u):
+                acc[z] = acc.get(z, 0) - c * cz
+        return acc
+
+    return defect
+
+
 def check_gauge_equivalence(
     fam: DeformationFamily,
     gauge: GaugeFamily,
@@ -306,7 +356,9 @@ def check_gauge_equivalence(
     * comultiplicativity and invertibility of e^{Xi}, proved from Xi's
       coderivation certificate (see the module docstring) on no word.
 
-    Each word's e^{Xi}, e^{-Xi} and partial are computed at most once per
+    The conjugation is first decided from pr G, as the module docstring
+    argues, and walked only when pr G is nonzero somewhere.  Each word's
+    e^{Xi}, e^{-Xi}, partial and partial' are computed at most once per
     call: every word they are needed on is no longer than the word being
     checked.  Both exponentials of a word are summed from one list of its
     terms Xi^p(w)/p!, with signs +1 and (-1)^p, and every power draws from
@@ -319,30 +371,36 @@ def check_gauge_equivalence(
     partial = build_codifferential(fam_x)
     partial_prime = build_codifferential(transformed)
     xi_spec = build_xi(gauge)
-    if not lift_certified(xi_spec, max_len):
-        raise EngineError(
-            "the lift of Xi does not certify as a coderivation; "
-            "the lift formula is inconsistent"
-        )
+    for label, spec in (("Xi", xi_spec), ("partial", partial), ("partial'", partial_prime)):
+        if not lift_certified(spec, max_len):
+            raise EngineError(
+                f"the lift of {label} does not certify as a coderivation; "
+                "the lift formula is inconsistent"
+            )
     basis = fam.basis
     xi_lift = functools.cache(lambda word: evaluate_coderivation(xi_spec, word))
     powers = functools.cache(lambda word: _powers(xi_spec, word, xi_lift))
     exp_plus = functools.cache(lambda word: _series(powers(word), 1))
     exp_minus = functools.cache(lambda word: _series(powers(word), -1))
     lift = functools.cache(lambda word: evaluate_coderivation(partial, word))
+    lift_prime = functools.cache(lambda word: evaluate_coderivation(partial_prime, word))
     violations: list[Violation] = []
 
     def bail() -> bool:
         return first_violation and bool(violations)
 
-    for length in range(1, max_len + 1):
-        for word in basis.index_tuples(length):
-            names = tuple(basis.names[i] for i in word)
-            lhs = evaluate_coderivation(partial_prime, word)
+    def every_word():
+        return (word for length in range(1, max_len + 1) for word in basis.index_tuples(length))
+
+    defect = _corestricted_defect(partial, exp_plus, lift_prime)
+    if any(any(defect(word).values()) for word in every_word()):
+        for word in every_word():
+            lhs = lift_prime(word)
             rhs = extend_linearly(
                 extend_linearly(exp_plus(word), lift, TensorElement), exp_minus, TensorElement
             )
             if lhs != rhs:
+                names = tuple(basis.names[i] for i in word)
                 violations.append(Violation("gauge-conjugation", names, lhs - rhs))
                 if bail():
                     return Verdict(False, violations)

@@ -339,6 +339,17 @@ def signed_unshuffles(p: int, q: int, parities: tuple[int, ...]) -> tuple[Unshuf
     return tuple(rows)
 
 
+@functools.cache
+def unshuffle_gathers(p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Per row of the (p, q)-unshuffles, the source index of each merged
+    position: merged[j] = (first block + second block)[gathers[r][j]].
+    The rows are those of signed_unshuffles for any parity tuple."""
+    return tuple(
+        tuple(sorted(range(p + q), key=(first + second).__getitem__))
+        for first, second, *_ in signed_unshuffles(p, q, (0,) * (p + q))
+    )
+
+
 def layer_sign(op_degrees: Sequence[int], arg_degrees: Sequence[int]) -> int:
     """Koszul sign of (A_1 (x) ... (x) A_n) hitting homogeneous v_1 (x) ... (x) v_n.
 

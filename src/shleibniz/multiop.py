@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import MalformedInputError, PreconditionError
-from .graded import Element, GradedBasis, Scalar, signed_unshuffles
+from .graded import Element, GradedBasis, Scalar, signed_unshuffles, unshuffle_gathers
 from .results import Verdict, Violation
 
 
@@ -387,22 +387,13 @@ def _composite_terms(
     for fk in f.constants:
         for p, z in enumerate(fk):
             around.setdefault(z, []).append((fk, p))
-    # per p, for each row the source index (into fk[:p] + gk[:-1]) of each
-    # merged position
-    gathers: dict[int, list[tuple[int, ...]]] = {}
     for gk, image in g.constants.items():
         head, last = gk[:-1], gk[-1:]
         for z, c in image.coeffs.items():
             for fk, p in around.get(z, ()):
-                orders = gathers.get(p)
-                if orders is None:
-                    orders = gathers[p] = [
-                        tuple(sorted(range(p + q), key=(first + second).__getitem__))
-                        for first, second, *_ in signed_unshuffles(p, q, (0,) * (p + q))
-                    ]
                 letters = fk[:p] + head
                 suffix = last + fk[p + 1 :]
-                for r, order in enumerate(orders):
+                for r, order in enumerate(unshuffle_gathers(p, q)):
                     yield fk, p, c, r, tuple(letters[k] for k in order) + suffix
 
 

@@ -138,11 +138,18 @@ def perturbed_family(doc: AlgebraDocument, tweak: Perturbation) -> DeformationFa
     fam = doc.to_family()
     if fam is None:
         raise ValueError(f"document {doc.name!r} has no deformation family")
+    return with_constants(fam, [tweak])
+
+
+def with_constants(fam: DeformationFamily, tweaks: Sequence[Perturbation]) -> DeformationFamily:
+    """Family with every ``amount * (source -> target)`` added at its order,
+    padded with zero orders up to the highest one."""
     basis = fam.basis
-    image = Element(basis, {basis.index(tweak.target): tweak.amount})
-    bump = MultiOp(basis, 1, 1, {(basis.index(tweak.source),): image})
-    deltas = list(fam.extended(max(fam.order, tweak.order)).deltas)
-    deltas[tweak.order] = deltas[tweak.order] + bump
+    deltas = list(fam.extended(max([fam.order] + [t.order for t in tweaks])).deltas)
+    for tweak in tweaks:
+        image = Element(basis, {basis.index(tweak.target): tweak.amount})
+        bump = MultiOp(basis, 1, 1, {(basis.index(tweak.source),): image})
+        deltas[tweak.order] = deltas[tweak.order] + bump
     return DeformationFamily(fam.bracket, tuple(deltas))
 
 

@@ -650,3 +650,59 @@ def test_parity_certificates_match_the_dense_walk_under_a_flipped_sign(
     # some patterns of length 4 are still certified, so the walk is filtered
     verdicts = {coalgebra._dual_leibniz_certified(p) for p in itertools.product((0, 1), repeat=4)}
     assert verdicts == {True, False}
+
+
+def random_spec(rng: random.Random, degree: int) -> CoderivationSpec:
+    """A coderivation of the given degree over a random basis of two or three
+    letters, with constants on about half the keys of each of one to three
+    arities among 1, 2 and 3."""
+    dim = rng.choice((2, 3))
+    basis = GradedBasis(
+        tuple(f"x{i}" for i in range(dim)), tuple(rng.choice((-1, 0, 1, 2)) for _ in range(dim))
+    )
+    arities = rng.sample((1, 2, 3), rng.randint(1, 3))
+    return CoderivationSpec(
+        basis, degree, {a: random_op(basis, a, degree, rng, density=0.5) for a in arities}
+    )
+
+
+def test_scattered_lift_matches_the_lift_on_every_short_word():
+    # every word of length <= 4, repeated letters included, in (length, word)
+    # order; words whose lift terms all cancel must be left out
+    rng = random.Random(1709)
+    parities, cancelled, nonzero = set(), 0, 0
+    for trial in range(40):
+        spec = random_spec(rng, rng.choice((-1, 0, 1, 2)))
+        parities.add(spec.degree % 2)
+        want = []
+        for word in (w for n in range(1, 5) for w in spec.basis.index_tuples(n)):
+            value = evaluate_coderivation(spec, word)
+            if not value.is_zero():
+                want.append((word, value))
+                continue
+            parity = tuple(spec.basis.degree(i) % 2 for i in word)
+            cancelled += any(
+                True
+                for op in spec.components.values()
+                for k in range(op.arity, len(word) + 1)
+                for _ in coalgebra._lift_terms(op, word, parity, k)
+            )
+        assert coalgebra.scattered_lift(spec, 4) == want, trial
+        nonzero += len(want)
+    assert parities == {0, 1}
+    assert nonzero > 1000 and cancelled >= 10, (nonzero, cancelled)
+
+
+def test_patterns_no_component_fits_are_certified_without_a_proof(monkeypatch):
+    def refuse(pattern, arities, parity):
+        raise AssertionError(f"proved {pattern} for arities {arities}")
+
+    monkeypatch.setattr(coalgebra, "_coderivation_certified", refuse)
+    basis = GradedBasis(("x", "y"), (0, 1))
+    spec = CoderivationSpec(basis, 0, {3: MultiOp(basis, 3, 0, {(0, 0, 1): basis.vector("y")})})
+    certified = coalgebra._lift_certificate(spec)
+    assert all(certified(p) for n in (1, 2) for p in itertools.product((0, 1), repeat=n))
+    # a spec with no component, such as Xi of an empty gauge, proves nothing
+    assert coalgebra.lift_certified(CoderivationSpec(basis, 0, {}), 5)
+    with pytest.raises(AssertionError):
+        certified((0, 0, 1))

@@ -52,7 +52,6 @@ from shleibniz.multiop import (
 from shleibniz.results import Verdict, Violation
 from oracles import (
     Perturbation,
-    abelian_subalgebra,
     apply_layer,
     corestriction,
     perturbation,
@@ -60,6 +59,7 @@ from oracles import (
     reshape,
     restrict,
     suspension_factor,
+    with_constants,
 )
 
 
@@ -380,6 +380,58 @@ def test_codifferential_matches_its_per_word_loop_on_perturbations(docs, family_
     assert outcomes[0] >= 50 and outcomes[2] + outcomes[3] >= 20, outcomes
 
 
+def multi_constant_perturbations(
+    fam: DeformationFamily, rng: random.Random, count: int
+) -> list[list[Perturbation]]:
+    """count draws of 2 or 3 distinct chain constants source -> target (as
+    many as the basis has, if fewer), each at a random order up to one past
+    the family's, with random amounts."""
+    basis = fam.basis
+    chain = [
+        (x, y)
+        for x in range(len(basis))
+        for y in range(len(basis))
+        if basis.degree(y) == basis.degree(x) + 1
+    ]
+    amounts = (1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+    return [
+        [
+            Perturbation(
+                rng.randint(0, fam.order + 1), basis.names[x], basis.names[y], rng.choice(amounts)
+            )
+            for x, y in rng.sample(chain, min(len(chain), rng.choice((2, 3))))
+        ]
+        for _ in range(count)
+    ]
+
+
+def test_multi_constant_perturbations_agree_with_the_walk_and_the_sh_check(
+    docs, family_names, generated
+):
+    # the scattered witnesses equal the per-word loop's whole list, and the sh
+    # identities fail first at the weight one past the shortest failing word
+    inputs = [(name, docs[name].to_family(), 8, 3) for name in family_names]
+    inputs.append(("endo2(x)Q[t]/t^2", generated["endo2(x)Q[t]/t^2"].to_family(), 4, 3))
+    rng = random.Random(1717)
+    outcomes = collections.Counter()
+    for label, fam, count, max_len in inputs:
+        for tweaks in multi_constant_perturbations(fam, rng, count):
+            bad = with_constants(fam, tweaks)
+            every = codifferential_reference(bad, max_len)
+            for first in (False, True):
+                got = check_codifferential(bad, max_len, first_violation=first)
+                want = Verdict.from_violations(every[:1] if first else every)
+                assert got == want, (label, tweaks, first)
+            sh = check_sh_leibniz(build_sh_structure(bad), max_const=max_len + 1)
+            lowest = min((v.site[0] for v in sh.violations), default=None)
+            assert lowest == (len(every[0].site) + 1 if every else None), (label, tweaks)
+            high = min(t.order for t in tweaks) >= 1
+            outcomes[high, len(every[0].site) if every else 0] += 1
+    # failures at several lengths, and some from constants of delta_n, n >= 1, alone
+    assert len({length for _, length in outcomes if length}) >= 2, outcomes
+    assert sum(n for (high, length), n in outcomes.items() if high and length) >= 2, outcomes
+
+
 def test_reachable_words_hold_every_nonzero_corestricted_square():
     # the certificate reads the corestriction of the square off the
     # constants, on the words the composite enumeration reaches; it must
@@ -416,36 +468,58 @@ def count_evaluations(monkeypatch, basis: GradedBasis) -> collections.Counter:
         return evaluate_coderivation(spec, word)
 
     for module in (derived, coalgebra):
-        monkeypatch.setattr(module, "evaluate_coderivation", counted)
+        monkeypatch.setattr(module, "evaluate_coderivation", counted, raising=False)
     return calls
+
+
+def refuse_walks(monkeypatch) -> None:
+    def refuse(self, length):
+        raise AssertionError("check_codifferential walked every word")
+
+    monkeypatch.setattr(GradedBasis, "index_tuples", refuse)
 
 
 def test_certified_codifferential_never_walks_every_word(generated, monkeypatch):
     fam = generated["endo2(x)Q[t]/t^2"].to_family()
     calls = count_evaluations(monkeypatch, fam.basis)
-
-    def refuse(self, length):
-        raise AssertionError("check_codifferential walked every word")
-
-    monkeypatch.setattr(GradedBasis, "index_tuples", refuse)
+    refuse_walks(monkeypatch)
     assert check_codifferential(fam, max_len=3) == Verdict(True, [])
     assert not calls
 
 
-def test_uncertified_lift_falls_back_to_the_walk(generated, monkeypatch):
+def test_uncertified_lift_is_an_engine_error(generated, monkeypatch):
     fam = generated["endo2(x)Q[t]/t^2"].to_family()
-    calls = count_evaluations(monkeypatch, fam.basis)
     monkeypatch.setattr(coalgebra, "_coderivation_certified", lambda *args: False)
-    assert check_codifferential(fam, max_len=3) == Verdict(True, [])
-    assert len(calls) == 8 + 8**2 + 8**3
+    with pytest.raises(EngineError):
+        check_codifferential(fam, max_len=3)
 
 
-def test_codifferential_fallback_evaluates_each_word_once(generated, monkeypatch):
+def test_uncertified_square_is_an_engine_error(generated, monkeypatch):
+    # the lift of partial certifies (odd parity), the lift of the degree-2
+    # square's corestriction does not
     bad = perturbed_family(generated["endo2(x)Q[t]/t^2"], PRODUCT_TWEAK)
+    real = coalgebra._coderivation_certified
+    monkeypatch.setattr(
+        coalgebra,
+        "_coderivation_certified",
+        lambda pattern, arities, parity: parity == 1 and real(pattern, arities, parity),
+    )
+    with pytest.raises(EngineError):
+        check_codifferential(bad, max_len=3)
+
+
+def test_failing_codifferential_never_walks_every_word(generated, monkeypatch):
+    # the witnesses are scattered from the lift of the square's
+    # corestriction: no lift of partial and no walk over every word
+    bad = perturbed_family(generated["endo2(x)Q[t]/t^2"], PRODUCT_TWEAK)
+    want = Verdict.from_violations(codifferential_reference(bad, 3))
     calls = count_evaluations(monkeypatch, bad.basis)
-    assert not check_codifferential(bad, max_len=3).passed
-    assert len(calls) == 8 + 8**2 + 8**3
-    assert set(calls.values()) == {1}
+    refuse_walks(monkeypatch)
+    for first in (False, True):
+        got = check_codifferential(bad, max_len=3, first_violation=first)
+        assert got == (Verdict(False, want.violations[:1]) if first else want), first
+    assert len(want.violations) > 100
+    assert not calls
 
 
 def sh_residual_reference(structure: ShLeibnizStructure, xs: tuple[int, ...]) -> Element:
@@ -669,18 +743,20 @@ def test_sh_check_rejects_tiny_const():
 
 
 def test_all_operations_skew_on_shifted_abelian_subalgebra():
-    doc = shipped.load_fixture("heisab")
-    fam = doc.to_family()
-    structure = build_sh_structure(fam)
+    # heisab's abelian subalgebra a, a1 tensored with Q[t]/t^2: its span
+    # with t_a, t_a1 is closed under every l_i, and l_i is skewsymmetric there
+    product = shipped.tensor_dual_numbers(shipped.load_fixture("heisab"), "heisabxt")
+    structure = build_sh_structure(product.to_family())
     sbasis = structure.basis
-    sub = [sbasis.index(n) for n in abelian_subalgebra("heisab")]
+    sub = [sbasis.index(n) for n in ("a", "a1", "t_a", "t_a1")]
     for i in range(1, structure.max_arity + 1):
         op = structure.op(i)
         assert check_skewsymmetry(restrict(op, sub)).passed, i
         # the subspace is closed under every operation
-        for key in itertools.product(sub, repeat=i):
-            image = op.apply_indices(key)
-            assert all(b in sub for b in image.coeffs), (i, key)
+        images = [op.apply_indices(key) for key in itertools.product(sub, repeat=i)]
+        assert all(b in sub for image in images for b in image.coeffs), i
+        if i <= 2:
+            assert any(not image.is_zero() for image in images), i
 
 
 def test_odd_diagonal_value_survives_skew_check():

@@ -42,9 +42,17 @@ from shleibniz.gauge import (
     mc_to_deformation,
 )
 from shleibniz.graded import Element, GradedBasis
+from shleibniz.linalg import derivation_basis
 from shleibniz.multiop import DgLeibnizAlgebra, MultiOp, n_i_d
 from shleibniz.results import Violation
-from oracles import mc_element, perturbation, perturbed_family
+from oracles import (
+    Perturbation,
+    corestriction,
+    mc_element,
+    perturbation,
+    perturbed_family,
+    with_constants,
+)
 
 
 def test_check_deformation_passes_on_fixtures(docs, family_names):
@@ -333,6 +341,89 @@ def test_uncertified_xi_lift_is_an_engine_error(docs, monkeypatch):
     doc = docs["endo2"]
     with pytest.raises(EngineError):
         check_gauge_equivalence(doc.to_family(), doc.to_gauge(), max_len=3)
+
+
+def random_gauge(bracket: MultiOp, rng: random.Random, order: int) -> GaugeFamily:
+    """xi_1, ..., xi_order, each a random rational combination of up to two
+    degree-0 derivations of the bracket."""
+    derivations = derivation_basis(bracket, [0])
+    xis = []
+    for _ in range(order):
+        xi = MultiOp.zero(bracket.basis, 1, 0)
+        for d in rng.sample(derivations, min(2, len(derivations))):
+            xi = xi + d.scale(rng.choice((1, -1, 2, Fraction(1, 2))))
+        xis.append(xi)
+    return GaugeFamily(bracket, tuple(xis))
+
+
+def test_corestricted_defect_matches_the_walk_on_random_gauges(docs, family_names):
+    # pr G(w), G = partial e^Xi - e^Xi partial', against the corestriction of
+    # both composites evaluated word by word, with partial' the transformed
+    # family (G = 0) and the untransformed one (G != 0 once Xi moves words)
+    rng = random.Random(1701)
+    nonzero = 0
+    for name in family_names:
+        fam = docs[name].to_family().extended(3)
+        basis = fam.basis
+        gauge = random_gauge(fam.bracket, rng, rng.randint(1, 2))
+        xi = build_xi(gauge)
+        partial = build_codifferential(fam)
+        exp_plus = functools.cache(lambda w: exp_xi(xi, w))
+        lift = functools.cache(lambda w: evaluate_coderivation(partial, w))
+        for candidate in (gauge_transform(fam, gauge), fam):
+            prime = build_codifferential(candidate)
+            lift_prime = functools.cache(lambda w: evaluate_coderivation(prime, w))
+            defect = gauge_module._corestricted_defect(partial, exp_plus, lift_prime)
+            for word in (w for n in range(1, 5) for w in basis.index_tuples(n)):
+                g = extend_linearly(exp_plus(word), lift, TensorElement) - extend_linearly(
+                    lift_prime(word), exp_plus, TensorElement
+                )
+                want = corestriction(g)
+                assert Element._trusted(basis, defect(word)) == want, (name, word)
+                assert candidate is fam or want.is_zero(), (name, word)
+                nonzero += not want.is_zero()
+    assert nonzero >= 50, nonzero
+
+
+def test_corrupted_transforms_fail_like_the_per_word_loop(docs, monkeypatch):
+    # one constant source -> target added to delta'_n: the conjugation is
+    # walked only after pr G is nonzero, so the witnesses stay the walk's
+    real = gauge_module.gauge_transform
+    rng = random.Random(1703)
+    failed = 0
+    for name, doc in gauge_fixtures(docs):
+        fam, gauge = doc.to_family(), doc.to_gauge()
+        right = real(fam.extended(max(fam.order, 2)), gauge)
+        basis = fam.basis
+        tweaks = [
+            Perturbation(n, basis.names[x], basis.names[y], 1)
+            for n in range(right.order + 1)
+            for x in range(len(basis))
+            for y in range(len(basis))
+            if basis.degree(y) == basis.degree(x) + 1
+        ]
+        for tweak in rng.sample(tweaks, min(5, len(tweaks))):
+            bad = with_constants(right, [tweak])
+            monkeypatch.setattr(gauge_module, "gauge_transform", lambda fam, gauge, order=None: bad)
+            for first in (False, True):
+                got = check_gauge_equivalence(fam, gauge, 3, first_violation=first).violations
+                assert got == gauge_reference(fam, gauge, 3, first), (name, tweak, first)
+            failed += bool(got)
+    assert failed >= 10, failed
+
+
+def test_certified_gauge_pass_evaluates_no_inverse_exponential(docs, monkeypatch):
+    signs = collections.Counter()
+    real = gauge_module._series
+
+    def counted(terms, sign):
+        signs[sign] += 1
+        return real(terms, sign)
+
+    monkeypatch.setattr(gauge_module, "_series", counted)
+    for name, doc in gauge_fixtures(docs):
+        assert check_gauge_equivalence(doc.to_family(), doc.to_gauge(), max_len=4).passed, name
+    assert signs[-1] == 0 and signs[1] > 0, signs
 
 
 def random_degree_zero_spec(rng: random.Random) -> CoderivationSpec:
