@@ -8,8 +8,6 @@ dual-Leibniz coalgebra) and the gauge action on deformations are verified
 against the same data.
 """
 
-from __future__ import annotations
-
 from .coalgebra import (
     CoderivationSpec,
     TensorElement,
@@ -77,4 +75,19 @@ from .report import CheckResult, Report, render_structured, render_text
 from .results import Verdict, Violation
 from .runner import RunOptions, run_command
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CoderivationSpec", "TensorElement", "TensorPairElement", "check_coderivation_axiom",
+    "check_dual_leibniz", "comultiply", "evaluate_coderivation", "hom_bracket",
+    "lift_coderivation", "DeformationFamily", "ShLeibnizStructure", "build_codifferential",
+    "build_sh_structure", "check_codifferential", "check_key_lemma", "check_sh_leibniz",
+    "derived_bracket", "leibniz_cohomology_check", "AlgebraDocument", "parse_document",
+    "serialize_document", "DocumentError", "DocumentIssue", "EngineError", "MalformedInputError",
+    "MCRejectionError", "PreconditionError", "GaugeFamily", "McElement", "build_xi",
+    "check_deformation", "check_gauge_equivalence", "exp_xi", "gauge_transform",
+    "mc_to_deformation", "Element", "GradedBasis", "Permutation", "Shift", "koszul_sign",
+    "shifted_degrees", "sign_of_permutation", "signed_unshuffles", "unshuffles",
+    "DgLeibnizAlgebra", "LeibnizAlgebra", "MultiOp", "check_derivation", "check_differential",
+    "check_leibniz_identity", "check_skewsymmetry", "n_i_d", "nary_bracket", "CheckResult",
+    "Report", "render_structured", "render_text", "Verdict", "Violation", "RunOptions",
+    "run_command",
+]

@@ -17,8 +17,8 @@ order reproduces delta'_n component-wise.  All three formulations are checked
 exactly on finite scopes.
 
 Two laws of the exponential are proved, not walked.  Xi has degree 0 and
-components of arity >= 2, so its lift certifies as a coderivation up to the
-word length (coalgebra.lift_certified):
+components of arity >= 2, and coalgebra.check_coderivation_axiom proves its
+lift a coderivation up to the word length:
 
 * Delta e^{Xi} = (e^{Xi} (x) e^{Xi}) Delta.  The certificate gives
   Delta Xi = (Xi (x) 1 + 1 (x) Xi) Delta on every word of length <= L, with
@@ -30,7 +30,7 @@ word length (coalgebra.lift_certified):
   terminating series is sum_n (Xi - Xi)^n / n! = 1.
 
 The conjugation is proved from a corestriction when it holds.  Once the
-lifts of partial and partial' certify as coderivations up to L as well,
+lifts of partial and partial' are proved coderivations up to L as well,
 G = partial e^{Xi} - e^{Xi} partial' satisfies
 
     Delta G = (G (x) e^{Xi} + e^{Xi} (x) G) Delta,
@@ -49,9 +49,6 @@ pr G vanishes on every word the conjugation passes; otherwise every word is
 walked and the witnesses are the walk's, since -e^{-Xi} G(w) can be nonzero
 on a word where pr G is zero.
 
-A certificate that fails would mean the lift formula itself is wrong, and
-raises EngineError.
-
 A Maurer-Cartan element theta_t = t theta_1 + ... + t^m theta_m of a dg Lie
 algebra (delta_0 theta_n + (1/2) sum_{p+q=n} {theta_p, theta_q} = 0 for
 n <= m) induces the family delta_n = {theta_n, -}.
@@ -69,14 +66,13 @@ from .coalgebra import (
     CoderivationSpec,
     TensorElement,
     Word,
+    check_coderivation_axiom,
     evaluate_coderivation,
     extend_linearly,
     hom_bracket,
-    lift_certified,
 )
 from .derived import DeformationFamily, build_codifferential
 from .errors import (
-    EngineError,
     GaugeDerivationError,
     MalformedInputError,
     MCRejectionError,
@@ -214,25 +210,19 @@ def mc_to_deformation(algebra: DgLeibnizAlgebra, mc: McElement) -> DeformationFa
     return DeformationFamily(bracket, tuple(deltas))
 
 
-def gauge_transform(
-    fam: DeformationFamily, gauge: GaugeFamily, order: int | None = None
-) -> DeformationFamily:
-    """Apply the nested-commutator series, truncated at the target order.
-
-    order defaults to order(fam); the series in p terminates on its own since
-    the p-th term carries order >= p.
+def gauge_transform(fam: DeformationFamily, gauge: GaugeFamily) -> DeformationFamily:
+    """Apply the nested-commutator series, truncated at order(fam); extend
+    the family first to transform to a higher order.  The series in p
+    terminates on its own since the p-th term carries order >= p.
     """
     if gauge.bracket != fam.bracket:
         raise MalformedInputError("gauge and family belong to different brackets")
-    target = fam.order if order is None else order
-    if target < fam.order:
-        raise MalformedInputError("cannot transform below the family order")
     zero = MultiOp.zero(fam.basis, 1, 1)
-    current: list[MultiOp] = [fam.delta(n) for n in range(target + 1)]
+    current: list[MultiOp] = list(fam.deltas)
     total: list[MultiOp] = list(current)
-    for p in range(1, target + 1):
-        nxt: list[MultiOp] = [zero] * (target + 1)
-        for n in range(target + 1):
+    for p in range(1, fam.order + 1):
+        nxt: list[MultiOp] = [zero] * (fam.order + 1)
+        for n in range(fam.order + 1):
             acc = zero
             for b in range(1, n + 1):
                 if b <= gauge.order and not current[n - b].is_zero():
@@ -371,12 +361,8 @@ def check_gauge_equivalence(
     partial = build_codifferential(fam_x)
     partial_prime = build_codifferential(transformed)
     xi_spec = build_xi(gauge)
-    for label, spec in (("Xi", xi_spec), ("partial", partial), ("partial'", partial_prime)):
-        if not lift_certified(spec, max_len):
-            raise EngineError(
-                f"the lift of {label} does not certify as a coderivation; "
-                "the lift formula is inconsistent"
-            )
+    for spec in (xi_spec, partial, partial_prime):
+        check_coderivation_axiom(spec, max_len)
     basis = fam.basis
     xi_lift = functools.cache(lambda word: evaluate_coderivation(xi_spec, word))
     powers = functools.cache(lambda word: _powers(xi_spec, word, xi_lift))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .coalgebra import TensorElement, TensorPairElement, format_pair, format_word
+from .coalgebra import TensorElement, format_word
 from .graded import Element, format_element
 from .results import Violation
 
@@ -53,9 +53,6 @@ def render_residual(residual: object | None) -> str:
         return format_element(residual)
     if isinstance(residual, TensorElement):
         return format_element(residual, format_word)
-    if isinstance(residual, TensorPairElement):
-        parts = [f"{coeff} {format_pair(residual.basis, key)}" for key, coeff in residual.items()]
-        return " + ".join(parts) if parts else "0"
     return str(residual)
 
 

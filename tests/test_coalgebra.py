@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,8 +26,8 @@ from shleibniz.coalgebra import (
     lift_coderivation,
     word_degree,
 )
-from shleibniz.derived import build_codifferential
-from shleibniz.errors import MalformedInputError, MCRejectionError
+from shleibniz.derived import build_codifferential, check_codifferential
+from shleibniz.errors import EngineError, MalformedInputError, MCRejectionError
 from shleibniz.gauge import build_xi, exp_xi, gauge_transform, mc_to_deformation
 from shleibniz.graded import Element, GradedBasis
 from shleibniz.linalg import derivation_basis
@@ -39,7 +41,14 @@ from shleibniz.multiop import (
     nary_bracket,
 )
 from shleibniz.results import Verdict, Violation
-from oracles import corestriction, decompose_k, mc_element, perturbation, perturbed_family
+from oracles import (
+    Perturbation,
+    corestriction,
+    decompose_k,
+    mc_element,
+    perturbation,
+    perturbed_family,
+)
 from test_derived import random_op
 from test_multiop import dense_commutator, dense_compose_unary
 
@@ -132,9 +141,12 @@ def test_stored_coefficients_are_canonical_exact_scalars():
     unit = Element(basis, {0: Fraction(1, 2)}).scale(2).coeffs[0]
     assert unit == 1 and type(unit) is int
     assert assert_canonical(results)
-    engine = check_coderivation_axiom(spec, 3, lambda w: decompose_k(op, len(w), basis, w))
+    # witnesses of the engine: the scattered square of a codifferential with a
+    # half-integral chain constant
+    tweak = Perturbation(0, "E01", "E00", Fraction(1, 2))
+    engine = check_codifferential(perturbed_family(shipped.load_fixture("endo2"), tweak), 3)
     assert not engine.passed
-    assert_canonical(v.residual for v in engine.violations)
+    assert assert_canonical(v.residual for v in engine.violations)
 
 
 def test_genuinely_rational_outputs_are_canonical():
@@ -145,7 +157,7 @@ def test_genuinely_rational_outputs_are_canonical():
     # the 1/p! terms of the exponential series
     images = [exp_xi(spec, w) for n in (2, 3) for w in basis.index_tuples(n)]
     assert assert_canonical(images)
-    transformed = gauge_transform(fam, gauge, order=fam.order + 2)
+    transformed = gauge_transform(fam.extended(fam.order + 2), gauge)
     assert assert_canonical(c for d in transformed.deltas for c in d.constants.values())
     # Maurer-Cartan: the (1/2){theta, theta} residual, and an accepted element
     quartic = shipped.load_fixture("quartic").to_bracket()
@@ -256,7 +268,8 @@ def test_lifted_fixture_maps_are_coderivations(docs):
 
 def test_corrupted_lift_fails_coderivation_axiom():
     # keeping only the k = arity summand of the lift breaks the axiom on
-    # longer words even though single letters still look fine
+    # longer words even though single letters still look fine; the engine
+    # proves lifts only, so the corrupted map goes through the dense walk
     bracket = shipped.load_fixture("endo2").to_bracket()
     basis = bracket.basis
     spec = lift_coderivation(bracket)
@@ -264,9 +277,9 @@ def test_corrupted_lift_fails_coderivation_axiom():
     def truncated(word):
         return decompose_k(bracket, bracket.arity, basis, word)
 
-    verdict = check_coderivation_axiom(spec, max_len=3, evaluate=truncated)
-    assert not verdict.passed
-    assert all(len(v.site) >= 3 for v in verdict.violations)
+    violations = dense_check_coderivation_axiom(spec, 3, truncated)
+    assert violations
+    assert all(len(v.site) >= 3 for v in violations)
 
 
 def dense_check_dual_leibniz(basis: GradedBasis, max_len: int) -> list[Violation]:
@@ -329,12 +342,15 @@ def dense_check_coderivation_axiom(
 
 
 def test_corrupted_codifferential_matches_its_per_word_loop(docs, family_names):
-    # the truncated lift of each perturbed codifferential, called at most once
-    # per word by the check
+    # a perturbed codifferential is still a lift, so the engine proves it a
+    # coderivation as the dense walk finds; truncating its lift breaks the
+    # axiom, which only the dense walk, calling the map once per word, sees
     for name in family_names:
         bad = perturbed_family(docs[name], perturbation(name))
         spec = build_codifferential(bad)
         basis = spec.basis
+        assert check_coderivation_axiom(spec, max_len=3) == Verdict(True, [])
+        assert dense_check_coderivation_axiom(spec, 3) == [], name
         calls: list = []
 
         def truncated(word):
@@ -344,10 +360,8 @@ def test_corrupted_codifferential_matches_its_per_word_loop(docs, family_names):
                 total = total + decompose_k(op, op.arity, basis, word)
             return total
 
-        got = check_coderivation_axiom(spec, max_len=3, evaluate=truncated).violations
-        assert got, name
+        assert dense_check_coderivation_axiom(spec, 3, truncated), name
         assert len(calls) == len(set(calls)), name
-        assert got == dense_check_coderivation_axiom(spec, 3, truncated), name
 
 
 def test_evaluate_on_tensor_is_linear():
@@ -428,24 +442,22 @@ def test_hom_bracket_lift_agreement(docs):
         assert verdict.passed, (f.arity, g.arity)
 
 
-def dense_hom_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
+def dense_hom_bracket(f: MultiOp, g: MultiOp, lift) -> MultiOp:
     """hom_bracket as first written: f . g^c - (-1)^(|f||g|) g . f^c
-    tabulated on every one of the dim^(i+j-1) keys."""
-    f_lift, g_lift = lift_coderivation(f), lift_coderivation(g)
+    tabulated on every one of the dim^(i+j-1) keys, with lift(op, word) the
+    lift of op on one word (shared_lifts)."""
     sign = -1 if (f.degree * g.degree) % 2 else 1
 
-    def corestrict(op: MultiOp, te: TensorElement) -> Element:
-        out: dict = {}
-        for word, c in te.terms.items():
-            assert len(word) == op.arity
-            for i, ci in op.apply_indices(word).coeffs.items():
-                out[i] = out.get(i, 0) + c * ci
-        return Element(op.basis, out)
-
     def fn(key: tuple[int, ...]) -> Element:
-        first = corestrict(f, evaluate_coderivation(g_lift, key))
-        second = corestrict(g, evaluate_coderivation(f_lift, key))
-        return first - second.scale(sign)
+        # corestrict f . g^c, then subtract sign * g . f^c
+        out: dict = {}
+        for op, other, scale in ((f, g, 1), (g, f, -sign)):
+            for word, c in lift(other, key).terms.items():
+                assert len(word) == op.arity
+                image = op.constants.get(word)
+                for i, ci in image.coeffs.items() if image is not None else ():
+                    out[i] = out.get(i, 0) + scale * c * ci
+        return Element(f.basis, out)
 
     return MultiOp.from_function(f.basis, f.arity + g.arity - 1, f.degree + g.degree, fn)
 
@@ -514,16 +526,27 @@ def shared_letter(f: MultiOp, g: MultiOp) -> bool:
     return False
 
 
+def shared_lifts(ops: list[MultiOp]):
+    """lift(op, word) for the operations in ops, each evaluated once per word."""
+    specs = {id(op): lift_coderivation(op) for op in ops}
+    table = functools.cache(lambda key, word: evaluate_coderivation(specs[key], word))
+    return lambda op, word: table(id(op), word)
+
+
 @pytest.fixture(scope="module")
 def hom_bracket_oracle(docs, generated) -> list[tuple[str, MultiOp, MultiOp, MultiOp]]:
-    """(label, f, g, dense_hom_bracket(f, g)) for every pair of an oracle pool
-    whose bracket has at most the pool's largest arity."""
-    return [
-        (label, f, g, dense_hom_bracket(f, g))
-        for label, _, ops, max_arity in hom_bracket_oracle_pools(docs, generated)
-        for f, g in itertools.product(ops, repeat=2)
-        if f.arity + g.arity - 1 <= max_arity
-    ]
+    """(label, f, g, dense_hom_bracket(f, g, lift)) for every pair of an oracle pool
+    whose bracket has at most the pool's largest arity.  Each operation of a
+    pool is lifted once per word across the pool's pairs."""
+    oracle = []
+    for label, _, ops, max_arity in hom_bracket_oracle_pools(docs, generated):
+        lift = shared_lifts(ops)
+        oracle += [
+            (label, f, g, dense_hom_bracket(f, g, lift))
+            for f, g in itertools.product(ops, repeat=2)
+            if f.arity + g.arity - 1 <= max_arity
+        ]
+    return oracle
 
 
 def test_hom_bracket_matches_its_dense_tabulation(docs, generated, hom_bracket_oracle):
@@ -629,13 +652,55 @@ def test_parity_certificates_match_the_dense_walk_on_generated_bases(fresh_certi
     assert assert_certificates_match_the_dense_walk(cases) == 0
 
 
+def lift_pattern_certified(spec: CoderivationSpec, pattern: tuple[int, ...]) -> bool:
+    """The certificate of spec's lift on one parity pattern: proved for the
+    component arities that fit in it, or vacuous when none does."""
+    fitting = tuple(a for a in spec.arities() if a <= len(pattern))
+    return not fitting or coalgebra._coderivation_certified(pattern, fitting, spec.degree % 2)
+
+
+def assert_failing_patterns_cover_the_dense_walk(cases) -> int:
+    """Every dense witness lies on a parity pattern that does not certify,
+    and wherever the dense walk finds one the engine check raises
+    EngineError naming a pattern that does not certify; returns the number
+    of witnesses seen."""
+    seen = 0
+    for label, basis, specs, max_len in cases:
+        parity = {name: d % 2 for name, d in zip(basis.names, basis.degrees)}
+        checks = [
+            (
+                functools.partial(check_dual_leibniz, basis, max_len),
+                dense_check_dual_leibniz(basis, max_len),
+                coalgebra._dual_leibniz_certified,
+            )
+        ]
+        for spec in specs:
+            checks.append(
+                (
+                    functools.partial(check_coderivation_axiom, spec, max_len),
+                    dense_check_coderivation_axiom(spec, max_len),
+                    functools.partial(lift_pattern_certified, spec),
+                )
+            )
+        for check, want, certified in checks:
+            for v in want:
+                assert not certified(tuple(parity[x] for x in v.site)), (label, v.site)
+            if want:
+                with pytest.raises(EngineError, match="parity pattern") as raised:
+                    check()
+                named = re.search(r"parity pattern (\([0-9, ]+\))", str(raised.value)).group(1)
+                assert not certified(ast.literal_eval(named)), (label, named)
+            seen += len(want)
+    return seen
+
+
 @pytest.mark.parametrize("target", [(0, 1), (1, 1)])
 def test_parity_certificates_match_the_dense_walk_under_a_flipped_sign(
     docs, generated, fresh_certificates, monkeypatch, target
 ):
     # flipping eps for one parity tuple breaks comultiply and the lifts on the
-    # generic and the concrete words alike: both walks must find the same
-    # witnesses, which the generic words alone could not list
+    # generic and the concrete words alike: each dense witness must lie on a
+    # pattern the generic word fails, and the engine must refuse the check
     real = coalgebra.signed_unshuffles
 
     def flipped(p, q, parities):
@@ -646,8 +711,8 @@ def test_parity_certificates_match_the_dense_walk_under_a_flipped_sign(
 
     monkeypatch.setattr(coalgebra, "signed_unshuffles", flipped)
     cases = [case for case in coalgebra_oracle_cases(docs, generated) if case[3] == 4]
-    assert assert_certificates_match_the_dense_walk(cases) > 100
-    # some patterns of length 4 are still certified, so the walk is filtered
+    assert assert_failing_patterns_cover_the_dense_walk(cases) > 100
+    # some patterns of length 4 still certify, so the covering says something
     verdicts = {coalgebra._dual_leibniz_certified(p) for p in itertools.product((0, 1), repeat=4)}
     assert verdicts == {True, False}
 
@@ -700,9 +765,8 @@ def test_patterns_no_component_fits_are_certified_without_a_proof(monkeypatch):
     monkeypatch.setattr(coalgebra, "_coderivation_certified", refuse)
     basis = GradedBasis(("x", "y"), (0, 1))
     spec = CoderivationSpec(basis, 0, {3: MultiOp(basis, 3, 0, {(0, 0, 1): basis.vector("y")})})
-    certified = coalgebra._lift_certificate(spec)
-    assert all(certified(p) for n in (1, 2) for p in itertools.product((0, 1), repeat=n))
+    assert check_coderivation_axiom(spec, 2) == Verdict(True, [])
     # a spec with no component, such as Xi of an empty gauge, proves nothing
-    assert coalgebra.lift_certified(CoderivationSpec(basis, 0, {}), 5)
+    assert check_coderivation_axiom(CoderivationSpec(basis, 0, {}), 5) == Verdict(True, [])
     with pytest.raises(AssertionError):
-        certified((0, 0, 1))
+        check_coderivation_axiom(spec, 3)

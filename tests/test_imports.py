@@ -1,12 +1,15 @@
-"""Every name a package module imports is used in that module; every
-definition in the package has a caller outside the tests; and every hook the
-benchmark takes into the package resolves."""
+"""The package exports its public API only; every name a package module
+imports is used in that module; every definition in the package has a caller
+outside the tests; and every hook the benchmark takes into the package
+resolves."""
 
 from __future__ import annotations
 
+import __future__
 import ast
 import functools
 import importlib
+import types
 from pathlib import Path
 
 import shleibniz
@@ -65,6 +68,16 @@ def used_names(tree: ast.Module) -> set[str]:
 def package_modules() -> list[Path]:
     # the package __init__ re-exports what it imports
     return [p for p in sorted(PACKAGE.rglob("*.py")) if p != PACKAGE / "__init__.py"]
+
+
+def test_the_package_exports_no_module_and_no_future_feature():
+    feature = type(__future__.annotations)
+    for name in shleibniz.__all__:
+        assert not isinstance(getattr(shleibniz, name), (types.ModuleType, feature)), name
+    namespace: dict = {}
+    exec("from shleibniz import *", namespace)
+    assert "annotations" not in namespace and "coalgebra" not in namespace
+    assert {"check_coderivation_axiom", "run_command", "EngineError"} <= namespace.keys()
 
 
 def test_no_module_imports_a_name_it_never_uses():
