@@ -39,15 +39,25 @@ with no sign since |e^{Xi}| = 0.  G never lengthens a word, so by induction
 on the length, with Delta injective on words of length >= 2, G vanishes on
 the words of length <= L exactly when its corestriction pr G does.  And
 partial' - e^{-Xi} partial e^{Xi} = -e^{-Xi} G with e^{-Xi} invertible, so
-the conjugation holds on exactly the words where G vanishes.  On a word w,
-pr G(w) is the sum of c partial_{|v|}(v) over the terms c v of e^{Xi}(w),
-read off the constants, minus the sum of c pr e^{Xi}(u) over the terms c u
-of partial'(w); neither e^{-Xi} nor a lift of partial is evaluated.  This is
-the sh Leibniz morphism equation partial F = F partial' for F = e^{Xi}, and
-it uses no hom_bracket, so it stays independent of the order expansion.  If
-pr G vanishes on every word the conjugation passes; otherwise every word is
-walked and the witnesses are the walk's, since -e^{-Xi} G(w) can be nonzero
-on a word where pr G is zero.
+the conjugation holds on exactly the words where G vanishes.
+
+pr G is scattered from the constants, arity by arity.  For any linear map X
+of T(V), pr(X Xi) on V^{(x) n} is the sum over the arities a of Xi of
+(pr X)|_{n-a+1} . Xi_a^c, the composite multiop.compose_into enumerates.
+Repeated steps from the components of partial, and from the identity of V,
+give the tables of pr(partial Xi^p)/p! and of pr Xi^p/p!, whose sum over p
+is F = pr e^{Xi}; both stop, since Xi shortens words.  Then
+
+    pr G|_n = sum_p pr(partial Xi^p)|_n / p! - sum_{k+j-1=n} F_k . partial'_j^c,
+
+the sh Leibniz morphism equation partial F = F partial' for F = e^{Xi},
+with every term one compose_into call on small tables: no word is
+evaluated, and neither e^{-Xi} nor any lift.  This route shares
+compose_into with hom_bracket, which the order expansion uses; the walk,
+built on evaluate_coderivation, stays as the failing path and as the test
+reference.  If every table of pr G is zero the conjugation passes;
+otherwise every word is walked and the witnesses are the walk's, since
+-e^{-Xi} G(w) can be nonzero on a word where pr G is zero.
 
 A Maurer-Cartan element theta_t = t theta_1 + ... + t^m theta_m of a dg Lie
 algebra (delta_0 theta_n + (1/2) sum_{p+q=n} {theta_p, theta_q} = 0 for
@@ -84,8 +94,11 @@ from .multiop import (
     MultiOp,
     check_derivation,
     check_skewsymmetry,
+    compose_into,
     compose_unary,
+    identity_op,
     n_i_d,
+    op_from_terms,
 )
 from .results import Verdict, Violation
 
@@ -297,34 +310,68 @@ def _hom_commutator_step(
     return out
 
 
-def _corestricted_defect(
+def _times_xi(
+    tables: dict[int, MultiOp], xi_spec: CoderivationSpec, max_arity: int
+) -> dict[int, MultiOp]:
+    """pr(X Xi) up to max_arity from the nonzero arity tables of pr X: on the
+    words of length n it is the sum over the arities a of Xi of
+    (pr X)|_{n-a+1} . Xi_a^c."""
+    degree = next(iter(tables.values())).degree  # Xi has degree 0
+    acc: dict[int, dict[Word, dict[int, Scalar]]] = {}
+    for m, f in tables.items():
+        for a, x in xi_spec.components.items():
+            if m + a - 1 <= max_arity:
+                compose_into(acc.setdefault(m + a - 1, {}), f, x, 1)
+    return {n: op_from_terms(xi_spec.basis, n, degree, terms) for n, terms in acc.items()}
+
+
+def _exponential(
+    tables: dict[int, MultiOp],
+    step: Callable[[dict[int, MultiOp], CoderivationSpec, int], dict[int, MultiOp]],
+    xi_spec: CoderivationSpec,
+    max_arity: int,
+) -> dict[int, MultiOp]:
+    """sum_p step^p(tables)/p! up to max_arity, for a step by Xi that is
+    linear in the arity tables: [-, Xi] (_hom_commutator_step) or right
+    composition (_times_xi).  Step p is taken of the tables of step p - 1,
+    then each result is scaled once, by 1/p; the steps stop since the
+    arities of Xi are >= 2."""
+    total = dict(tables)
+    p = 0
+    while tables:
+        p += 1
+        tables = {
+            n: op.scale(Fraction(1, p))
+            for n, op in step(tables, xi_spec, max_arity).items()
+            if not op.is_zero()
+        }
+        for n, op in tables.items():
+            total[n] = total[n] + op if n in total else op
+    return total
+
+
+def _scattered_defect(
     partial: CoderivationSpec,
-    exp_plus: Callable[[Word], TensorElement],
-    lift_prime: Callable[[Word], TensorElement],
-) -> Callable[[Word], dict[int, Scalar]]:
-    """pr G on one word, G = partial e^{Xi} - e^{Xi} partial', as a
-    coefficient dict: partial_{|v|}(v) off the constants for each term v of
-    e^{Xi}(w), minus pr e^{Xi}(u) for each term u of partial'(w)."""
-    ops = partial.components
-    # pr e^{Xi}(u), the single-letter terms of the exponential of u
-    head = functools.cache(
-        lambda u: [(v[0], c) for v, c in exp_plus(u).terms.items() if len(v) == 1]
-    )
-
-    def defect(word: Word) -> dict[int, Scalar]:
-        acc: dict[int, Scalar] = {}
-        for v, c in exp_plus(word).terms.items():
-            op = ops.get(len(v))
-            image = op.constants.get(v) if op is not None else None
-            if image is not None:
-                for z, cz in image.coeffs.items():
-                    acc[z] = acc.get(z, 0) + c * cz
-        for u, c in lift_prime(word).terms.items():
-            for z, cz in head(u):
-                acc[z] = acc.get(z, 0) - c * cz
-        return acc
-
-    return defect
+    partial_prime: CoderivationSpec,
+    xi_spec: CoderivationSpec,
+    max_len: int,
+) -> dict[int, MultiOp]:
+    """The nonzero arity tables of pr G, G = partial e^{Xi} - e^{Xi} partial',
+    on the words of length <= max_len, scattered from the constants as the
+    module docstring sets out."""
+    basis = partial.basis
+    ops = {a: op for a, op in partial.components.items() if a <= max_len}
+    acc: dict[int, dict[Word, dict[int, Scalar]]] = {}
+    for n, op in _exponential(ops, _times_xi, xi_spec, max_len).items():
+        acc[n] = {key: dict(image.coeffs) for key, image in op.constants.items()}
+    # F_k = pr e^{Xi} on V^{(x) k}, then minus F_k . partial'_j^c
+    taylor = _exponential({1: identity_op(basis)}, _times_xi, xi_spec, max_len)
+    for k, f in taylor.items():
+        for j, d in partial_prime.components.items():
+            if k + j - 1 <= max_len:
+                compose_into(acc.setdefault(k + j - 1, {}), f, d, -1)
+    tables = {n: op_from_terms(basis, n, 1, terms) for n, terms in acc.items()}
+    return {n: op for n, op in tables.items() if not op.is_zero()}
 
 
 def check_gauge_equivalence(
@@ -346,13 +393,15 @@ def check_gauge_equivalence(
     * comultiplicativity and invertibility of e^{Xi}, proved from Xi's
       coderivation certificate (see the module docstring) on no word.
 
-    The conjugation is first decided from pr G, as the module docstring
-    argues, and walked only when pr G is nonzero somewhere.  Each word's
-    e^{Xi}, e^{-Xi}, partial and partial' are computed at most once per
-    call: every word they are needed on is no longer than the word being
-    checked.  Both exponentials of a word are summed from one list of its
-    terms Xi^p(w)/p!, with signs +1 and (-1)^p, and every power draws from
-    one table of Xi lifts, so each word is lifted at most once.
+    The conjugation is first decided from the arity tables of pr G,
+    scattered from the constants as the module docstring sets out, so a pass
+    evaluates no word; it is walked only when some table is nonzero.  On
+    the walk, each word's e^{Xi}, e^{-Xi}, partial and partial' are computed
+    at most once per call: every word they are needed on is no longer than
+    the word being checked.  Both exponentials of a word are summed from
+    one list of its terms Xi^p(w)/p!, with signs +1 and (-1)^p, and every
+    power draws from one table of Xi lifts, so each word is lifted at most
+    once.
     """
     if max_len < 1:
         raise MalformedInputError("max_len must be >= 1")
@@ -364,23 +413,20 @@ def check_gauge_equivalence(
     for spec in (xi_spec, partial, partial_prime):
         check_coderivation_axiom(spec, max_len)
     basis = fam.basis
-    xi_lift = functools.cache(lambda word: evaluate_coderivation(xi_spec, word))
-    powers = functools.cache(lambda word: _powers(xi_spec, word, xi_lift))
-    exp_plus = functools.cache(lambda word: _series(powers(word), 1))
-    exp_minus = functools.cache(lambda word: _series(powers(word), -1))
-    lift = functools.cache(lambda word: evaluate_coderivation(partial, word))
-    lift_prime = functools.cache(lambda word: evaluate_coderivation(partial_prime, word))
     violations: list[Violation] = []
 
     def bail() -> bool:
         return first_violation and bool(violations)
 
-    def every_word():
-        return (word for length in range(1, max_len + 1) for word in basis.index_tuples(length))
-
-    defect = _corestricted_defect(partial, exp_plus, lift_prime)
-    if any(any(defect(word).values()) for word in every_word()):
-        for word in every_word():
+    if _scattered_defect(partial, partial_prime, xi_spec, max_len):
+        xi_lift = functools.cache(lambda word: evaluate_coderivation(xi_spec, word))
+        powers = functools.cache(lambda word: _powers(xi_spec, word, xi_lift))
+        exp_plus = functools.cache(lambda word: _series(powers(word), 1))
+        exp_minus = functools.cache(lambda word: _series(powers(word), -1))
+        lift = functools.cache(lambda word: evaluate_coderivation(partial, word))
+        lift_prime = functools.cache(lambda word: evaluate_coderivation(partial_prime, word))
+        words = (w for length in range(1, max_len + 1) for w in basis.index_tuples(length))
+        for word in words:
             lhs = lift_prime(word)
             rhs = extend_linearly(
                 extend_linearly(exp_plus(word), lift, TensorElement), exp_minus, TensorElement
@@ -393,16 +439,7 @@ def check_gauge_equivalence(
 
     # exp([-, Xi]) on the codifferential, arity by arity
     max_arity = fam_x.order + 1
-    expanded: dict[int, MultiOp] = dict(partial.components)
-    current: dict[int, MultiOp] = dict(partial.components)
-    p = 0
-    while current:
-        p += 1
-        current = _hom_commutator_step(current, xi_spec, max_arity)
-        coeff = Fraction(1, math.factorial(p))
-        for a, op in current.items():
-            scaled = op.scale(coeff)
-            expanded[a] = expanded[a] + scaled if a in expanded else scaled
+    expanded = _exponential(dict(partial.components), _hom_commutator_step, xi_spec, max_arity)
     for a in range(1, max_arity + 1):
         zero = MultiOp.zero(basis, a, 1)
         got = expanded.get(a, zero)

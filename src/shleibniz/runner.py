@@ -183,15 +183,17 @@ def _cmd_check_key_lemma(doc: AlgebraDocument, options: RunOptions) -> list[Chec
     # use gives it, so a failure reads as check_key_lemma's on the same call
     validated: set[int] = set()
     members = list(enumerate(pool))
-    # N_i D per member and arity, and [D, D'] per pair, are built once
+    # N_i D per member and arity, [D, D'] per pair and N_a([D, D']) per pair
+    # and arity are built once
     nested = functools.cache(lambda n, i: n_i_d(bracket, pool[n][1], i))
     commuted = functools.cache(lambda n1, n2: hom_bracket(pool[n1][1], pool[n2][1]))
+    nested_commuted = functools.cache(lambda n1, n2, a: n_i_d(bracket, commuted(n1, n2), a))
     for (n1, (name1, d1)), (n2, (name2, d2)), i, j in product(members, members, arities, arities):
         for label, n, d in (("first", n1, d1), ("second", n2, d2)):
             if n not in validated:
                 _require_derivation(label, d, bracket)
                 validated.add(n)
-        lhs = n_i_d(bracket, commuted(n1, n2), i + j - 1)
+        lhs = nested_commuted(n1, n2, i + j - 1)
         verdict = _key_lemma_residuals(lhs, nested(n1, i), nested(n2, j))
         pairs += 1
         for v in verdict.violations:

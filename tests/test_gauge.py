@@ -44,7 +44,7 @@ from shleibniz.gauge import (
 )
 from shleibniz.graded import Element, GradedBasis
 from shleibniz.linalg import derivation_basis
-from shleibniz.multiop import DgLeibnizAlgebra, MultiOp, n_i_d
+from shleibniz.multiop import DgLeibnizAlgebra, MultiOp, identity_op, n_i_d
 from shleibniz.results import Violation
 from oracles import (
     Perturbation,
@@ -360,42 +360,95 @@ def random_gauge(bracket: MultiOp, rng: random.Random, order: int) -> GaugeFamil
     return GaugeFamily(bracket, tuple(xis))
 
 
+def with_random_constant(
+    spec: CoderivationSpec, rng: random.Random, arities: tuple[int, ...]
+) -> CoderivationSpec:
+    """spec with one seeded constant added: a key of one of these arities
+    sent to a basis letter of the degree spec's degree asks for."""
+    basis = spec.basis
+    choices = [
+        (a, key, t)
+        for a in arities
+        for key in basis.index_tuples(a)
+        for t in range(len(basis))
+        if basis.degree(t) == sum(basis.degree(i) for i in key) + spec.degree
+    ]
+    a, key, t = rng.choice(choices)
+    image = basis.vector(t).scale(rng.choice((1, -1, Fraction(1, 2))))
+    bump = MultiOp(basis, a, spec.degree, {key: image})
+    components = dict(spec.components)
+    components[a] = components[a] + bump if a in components else bump
+    return CoderivationSpec(basis, spec.degree, components)
+
+
+def table_value(tables: dict[int, MultiOp], basis: GradedBasis, word) -> Element:
+    """The value on one word of the map with these arity tables; an absent
+    arity is zero."""
+    op = tables.get(len(word))
+    return op.apply_indices(word) if op is not None else Element.zero(basis)
+
+
 def test_corestricted_defect_matches_the_walk_on_random_gauges(docs, family_names):
-    # pr G(w), G = partial e^Xi - e^Xi partial', against the corestriction of
-    # both composites evaluated word by word, with partial' the transformed
-    # family (G = 0) and the untransformed one (G != 0 once Xi moves words)
-    rng = random.Random(1701)
-    nonzero = 0
+    # the scattered arity tables of pr G, G = partial e^Xi - e^Xi partial',
+    # against the corestriction of G evaluated word by word, with partial'
+    # the transformed family (G = 0), the untransformed one (G != 0 once Xi
+    # moves words), and one seeded constant added to partial, Xi or partial';
+    # and the tables F_k of pr e^Xi against exp_xi's single-letter terms
+    rng, tweak_rng = random.Random(1701), random.Random(1702)
+    nonzero = collections.Counter()
+    failing = collections.Counter()
     for name in family_names:
         fam = docs[name].to_family().extended(3)
         basis = fam.basis
         gauge = random_gauge(fam.bracket, rng, rng.randint(1, 2))
         xi = build_xi(gauge)
         partial = build_codifferential(fam)
-        exp_plus = functools.cache(lambda w: exp_xi(xi, w))
-        lift = functools.cache(lambda w: evaluate_coderivation(partial, w))
-        for candidate in (gauge_transform(fam, gauge), fam):
-            prime = build_codifferential(candidate)
+        right = build_codifferential(gauge_transform(fam, gauge))
+        cases = [
+            ("transformed", xi, partial, right),
+            ("untransformed", xi, partial, build_codifferential(fam)),
+        ]
+        for _ in range(2):
+            cases += [
+                ("partial", xi, with_random_constant(partial, tweak_rng, (1, 2, 3, 4)), right),
+                ("xi", with_random_constant(xi, tweak_rng, (2, 3, 4)), partial, right),
+                ("partial'", xi, partial, with_random_constant(right, tweak_rng, (1, 2, 3, 4))),
+            ]
+        for kind, x, d, prime in cases:
+            exp_plus = functools.cache(lambda w: exp_xi(x, w))
+            lift = functools.cache(lambda w: evaluate_coderivation(d, w))
             lift_prime = functools.cache(lambda w: evaluate_coderivation(prime, w))
-            defect = gauge_module._corestricted_defect(partial, exp_plus, lift_prime)
+            tables = gauge_module._scattered_defect(d, prime, x, 4)
+            taylor = gauge_module._exponential(
+                {1: identity_op(basis)}, gauge_module._times_xi, x, 4
+            )
             for word in (w for n in range(1, 5) for w in basis.index_tuples(n)):
+                head = corestriction(exp_plus(word))
+                assert table_value(taylor, basis, word) == head, (name, kind, word)
                 g = extend_linearly(exp_plus(word), lift, TensorElement) - extend_linearly(
                     lift_prime(word), exp_plus, TensorElement
                 )
                 want = corestriction(g)
-                assert Element._trusted(basis, defect(word)) == want, (name, word)
-                assert candidate is fam or want.is_zero(), (name, word)
-                nonzero += not want.is_zero()
-    assert nonzero >= 50, nonzero
+                assert table_value(tables, basis, word) == want, (name, kind, word)
+                nonzero[kind] += not want.is_zero()
+            failing[kind] += bool(tables)
+    # a constant added to partial or partial' shows in pr G at its own key;
+    # one added to Xi can be killed by partial
+    assert failing["transformed"] == 0 and failing["untransformed"] >= 2, failing
+    assert failing["partial"] == failing["partial'"] == 10 and failing["xi"] >= 5, failing
+    assert nonzero["untransformed"] >= 50, nonzero
 
 
-def test_corrupted_transforms_fail_like_the_per_word_loop(docs, monkeypatch):
+def test_corrupted_transforms_fail_like_the_per_word_loop(docs, generated, monkeypatch):
     # one constant source -> target added to delta'_n: the conjugation is
-    # walked only after pr G is nonzero, so the witnesses stay the walk's
+    # walked only after pr G is nonzero, so the witnesses stay the walk's;
+    # five corruptions per shipped gauge and two on the dimension-8 sum
     real = gauge_module.gauge_transform
     rng = random.Random(1703)
-    failed = 0
-    for name, doc in gauge_fixtures(docs):
+    failed = collections.Counter()
+    cases = [(name, doc, 5) for name, doc in gauge_fixtures(docs)]
+    cases.append(("endo2+heis3w", generated["endo2+heis3w"], 2))
+    for name, doc, count in cases:
         fam, gauge = doc.to_family(), doc.to_gauge()
         right = real(fam.extended(max(fam.order, 2)), gauge)
         basis = fam.basis
@@ -406,28 +459,31 @@ def test_corrupted_transforms_fail_like_the_per_word_loop(docs, monkeypatch):
             for y in range(len(basis))
             if basis.degree(y) == basis.degree(x) + 1
         ]
-        for tweak in rng.sample(tweaks, min(5, len(tweaks))):
+        for tweak in rng.sample(tweaks, min(count, len(tweaks))):
             bad = with_constants(right, [tweak])
             monkeypatch.setattr(gauge_module, "gauge_transform", lambda fam, gauge, order=None: bad)
             for first in (False, True):
                 got = check_gauge_equivalence(fam, gauge, 3, first_violation=first).violations
                 assert got == gauge_reference(fam, gauge, 3, first), (name, tweak, first)
-            failed += bool(got)
-    assert failed >= 10, failed
+            failed[name] += bool(got)
+    assert failed.pop("endo2+heis3w") == 2 and sum(failed.values()) >= 10, failed
 
 
 def test_certified_gauge_pass_evaluates_no_inverse_exponential(docs, monkeypatch):
-    signs = collections.Counter()
-    real = gauge_module._series
+    # a passing conjugation is decided from the constants: no exponential,
+    # no power of Xi and no lift is evaluated on any word
+    calls = collections.Counter()
+    for name in ("_series", "_powers", "evaluate_coderivation"):
+        real = getattr(gauge_module, name)
 
-    def counted(terms, sign):
-        signs[sign] += 1
-        return real(terms, sign)
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(gauge_module, "_series", counted)
+        monkeypatch.setattr(gauge_module, name, counted)
     for name, doc in gauge_fixtures(docs):
         assert check_gauge_equivalence(doc.to_family(), doc.to_gauge(), max_len=4).passed, name
-    assert signs[-1] == 0 and signs[1] > 0, signs
+    assert calls == {}, calls
 
 
 def random_degree_zero_spec(rng: random.Random) -> CoderivationSpec:
@@ -470,6 +526,21 @@ def test_certified_gauge_laws_hold_on_random_coderivations():
     assert moved >= 100, moved
 
 
+def corrupted_endo2(monkeypatch):
+    """endo2 with one constant added to delta'_1, fed to the gauge check
+    through gauge_transform, so that the conjugation fails and is walked."""
+    doc = shipped.load_fixture("endo2")
+    fam, gauge = doc.to_family(), doc.to_gauge()
+    real = gauge_module.gauge_transform
+    tweak = Perturbation(1, "E01", "E00", 1)
+    monkeypatch.setattr(
+        gauge_module,
+        "gauge_transform",
+        lambda fam, gauge: with_constants(real(fam, gauge), [tweak]),
+    )
+    return fam, gauge
+
+
 def test_gauge_check_exponentiates_each_word_once(monkeypatch):
     # e^Xi and e^-Xi of a word are both summed from one list of its powers
     calls = collections.Counter()
@@ -480,8 +551,9 @@ def test_gauge_check_exponentiates_each_word_once(monkeypatch):
         return real(spec, word, lift)
 
     monkeypatch.setattr(gauge_module, "_powers", counted)
-    doc = shipped.load_fixture("endo2")
-    assert check_gauge_equivalence(doc.to_family(), doc.to_gauge(), max_len=3).passed
+    fam, gauge = corrupted_endo2(monkeypatch)
+    verdict = check_gauge_equivalence(fam, gauge, max_len=3)
+    assert "gauge-conjugation" in {v.check for v in verdict.violations}
     assert len({spec for spec, _ in calls}) == 1
     assert set(calls.values()) == {1}
 
@@ -497,8 +569,9 @@ def test_gauge_check_lifts_xi_once_per_word(monkeypatch):
         return real(spec, word)
 
     monkeypatch.setattr(gauge_module, "evaluate_coderivation", counted)
-    doc = shipped.load_fixture("endo2")
-    assert check_gauge_equivalence(doc.to_family(), doc.to_gauge(), max_len=4).passed
+    fam, gauge = corrupted_endo2(monkeypatch)
+    verdict = check_gauge_equivalence(fam, gauge, max_len=4)
+    assert "gauge-conjugation" in {v.check for v in verdict.violations}
     assert len({spec for spec, _ in calls}) == 1
     assert set(calls.values()) == {1}
 
