@@ -31,7 +31,12 @@ from oracles import family_fixture_names, perturbation
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 SCOPES = RunOptions(max_const=4, max_word_len=3, max_arity=2)
-FAILING_PATH = ("check-deformation", "check-sh", "check-codifferential")
+FAILING_PATH = (
+    "check-deformation",
+    "check-sh",
+    "check-codifferential",
+    "check-gauge-equivalence",
+)
 RESCALED = "endo2"
 RESCALED_COMMANDS = (
     "check-sh",
