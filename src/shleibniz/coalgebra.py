@@ -39,6 +39,8 @@ scattered_lift reads a whole lift off the constants the same way: a key gk
 of the arity-i component feeds the k-th summand on exactly the words that
 interleave free letters with gk[:-1] before gk[-1], so the keys, the rows and
 the free letters give every nonzero value without visiting a word.
+lift_witnesses names those words as the witnesses of the failing checks
+whose residual is a proved lift, in derived and in gauge.
 
 The dual Leibniz axiom and the coderivation axiom of a lift are proved for
 every word through parity patterns.  Every sign in comultiply and in the
@@ -83,7 +85,7 @@ from .graded import (
     unshuffle_gathers,
 )
 from .multiop import MultiOp, compose_into, op_from_terms
-from .results import Verdict
+from .results import Verdict, Violation
 
 Word = tuple[int, ...]
 
@@ -348,6 +350,23 @@ def scattered_lift(spec: CoderivationSpec, max_len: int) -> list[tuple[Word, Ten
         if not value.is_zero():
             values.append((word, value))
     return values
+
+
+def lift_witnesses(
+    spec: CoderivationSpec, max_len: int, check: str, first_violation: bool = False
+) -> list[Violation]:
+    """Every word of length <= max_len on which spec's lift is nonzero, as a
+    violation of check carrying the value, in scattered_lift's order; only
+    the first under first_violation.  The lift is proved a coderivation first."""
+    if not spec.components:
+        return []
+    check_coderivation_axiom(spec, max_len)
+    violations: list[Violation] = []
+    for word, value in scattered_lift(spec, max_len):
+        violations.append(Violation(check, tuple(spec.basis.names[i] for i in word), value))
+        if first_violation:
+            break
+    return violations
 
 
 @functools.cache

@@ -65,7 +65,7 @@ partial . partial is the lift Q^c of its corestriction Q, the sum of
 partial_m . partial_j^c scattered through compose_into.  If Q vanishes, the
 check passes.  Otherwise the lift of Q, of degree 2, is proved the same
 way, and the witnesses partial(partial(w)) = Q^c(w) are scattered from Q's
-constants by coalgebra.scattered_lift, in the order of a walk over every
+constants by coalgebra.lift_witnesses, in the order of a walk over every
 word.
 """
 
@@ -74,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .coalgebra import CoderivationSpec, check_coderivation_axiom, hom_bracket, scattered_lift
+from .coalgebra import CoderivationSpec, check_coderivation_axiom, hom_bracket, lift_witnesses
 from .errors import EngineError, MalformedInputError, PreconditionError
 from .graded import GradedBasis, Scalar, Shift, layer_sign, shifted_degrees, signed_unshuffles
 from .multiop import (
@@ -316,17 +316,9 @@ def check_codifferential(fam: DeformationFamily, max_len: int, first_violation: 
     square = CoderivationSpec(
         basis, 2, {a: op_from_terms(basis, a, 2, terms) for a, terms in by_arity.items()}
     )
-    if not square.components:
-        return Verdict.from_violations([])
-    check_coderivation_axiom(square, max_len)
-    violations: list[Violation] = []
-    for word, twice in scattered_lift(square, max_len):
-        violations.append(
-            Violation("codifferential-square", tuple(basis.names[i] for i in word), twice)
-        )
-        if first_violation:
-            break
-    return Verdict.from_violations(violations)
+    return Verdict.from_violations(
+        lift_witnesses(square, max_len, "codifferential-square", first_violation)
+    )
 
 
 def _corestricted_square(

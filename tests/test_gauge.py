@@ -242,35 +242,38 @@ def test_check_gauge_equivalence_on_fixture_pairs(docs, family_names):
 
 
 def gauge_reference(fam, gauge, max_len: int, first_violation: bool = False) -> list[Violation]:
-    """check_gauge_equivalence as first written: every exponential, lift and
-    comultiplication computed afresh on every word and subword."""
+    """check_gauge_equivalence as first written: every word is walked, and
+    each exponential, lift and comultiplication is evaluated on a word (once
+    per call, from a cache)."""
     fam_x = fam.extended(max(fam.order, max_len - 1))
     partial = build_codifferential(fam_x)
     partial_prime = build_codifferential(gauge_module.gauge_transform(fam_x, gauge))
-    xi_spec = build_xi(gauge)
+    xi_spec = gauge_module.build_xi(gauge)
     neg_xi = CoderivationSpec(xi_spec.basis, 0, {a: -op for a, op in xi_spec.components.items()})
     basis = fam.basis
+    exp_plus = functools.cache(lambda w: exp_xi(xi_spec, w))
+    exp_neg = functools.cache(lambda w: exp_xi(neg_xi, w))
+    lift = functools.cache(lambda w: evaluate_coderivation(partial, w))
+    split = functools.cache(lambda w: comultiply(basis, w))
 
     def exp_minus(te):
-        return extend_linearly(te, lambda w: exp_xi(neg_xi, w), TensorElement)
+        return extend_linearly(te, exp_neg, TensorElement)
 
     violations = []
     for length in range(1, max_len + 1):
         for word in basis.index_tuples(length):
             names = tuple(basis.names[i] for i in word)
-            exp_word = exp_xi(xi_spec, word)
+            exp_word = exp_plus(word)
             lhs = evaluate_coderivation(partial_prime, word)
-            rhs = exp_minus(
-                extend_linearly(exp_word, lambda w: evaluate_coderivation(partial, w), TensorElement)
-            )
+            rhs = exp_minus(extend_linearly(exp_word, lift, TensorElement))
             if lhs != rhs:
                 violations.append(Violation("gauge-conjugation", names, lhs - rhs))
             acc: dict = {}
-            for (w1, w2), c in comultiply(basis, word).terms.items():
-                for w1p, c1 in exp_xi(xi_spec, w1).terms.items():
-                    for w2p, c2 in exp_xi(xi_spec, w2).terms.items():
+            for (w1, w2), c in split(word).terms.items():
+                for w1p, c1 in exp_plus(w1).terms.items():
+                    for w2p, c2 in exp_plus(w2).terms.items():
                         acc[w1p, w2p] = acc.get((w1p, w2p), Fraction(0)) + c * c1 * c2
-            grouped = extend_linearly(exp_word, lambda w: comultiply(basis, w), TensorPairElement)
+            grouped = extend_linearly(exp_word, split, TensorPairElement)
             residual = grouped - TensorPairElement(basis, acc)
             if not residual.is_zero():
                 violations.append(Violation("gauge-comultiplicative", names, residual))
@@ -439,9 +442,77 @@ def test_corestricted_defect_matches_the_walk_on_random_gauges(docs, family_name
     assert nonzero["untransformed"] >= 50, nonzero
 
 
+def assert_matches_reference(fam, gauge, max_len: int, label) -> list[Violation]:
+    """The gauge check's whole violation list against the reference's, for
+    both first_violation values; the reference stops at the first word with
+    a violation, so its first_violation list is the head of the full one."""
+    want = gauge_reference(fam, gauge, max_len)
+    for first in (False, True):
+        got = check_gauge_equivalence(fam, gauge, max_len, first_violation=first).violations
+        assert got == (want[:1] if first else want), (label, max_len, first)
+    return want
+
+
+def test_perturbed_families_fail_like_the_per_word_loop(docs):
+    # every single constant source -> target added to delta_n, with a seeded
+    # amount, on every shipped gauge: the witnesses are read off the lift of
+    # partial' - exp([-, Xi]) partial, and the reference walks every word.
+    # The defect is linear in delta, so the amount does not decide the verdict
+    rng = random.Random(1704)
+    failed = collections.Counter()
+    for name, doc in gauge_fixtures(docs):
+        fam, gauge = doc.to_family(), doc.to_gauge()
+        basis = fam.basis
+        tweaks = [
+            Perturbation(n, basis.names[x], basis.names[y], rng.choice((1, -1, 2, Fraction(1, 2))))
+            for n in range(fam.order + 1)
+            for x in range(len(basis))
+            for y in range(len(basis))
+            if basis.degree(y) == basis.degree(x) + 1
+        ]
+        for tweak in tweaks:
+            bad = with_constants(fam, [tweak])
+            for max_len in (3, 4):
+                if assert_matches_reference(bad, gauge, max_len, (name, tweak)):
+                    failed[name, max_len] += 1
+    assert failed == {("endo2", 3): 12, ("endo2", 4): 12, ("heis3w", 3): 1, ("heis3w", 4): 1}
+
+
+def test_corrupted_xi_fails_like_the_per_word_loop(docs, monkeypatch):
+    # one seeded constant of arity 2, 3 or 4 added to Xi, three per shipped
+    # gauge; both sides read Xi from build_xi
+    real = gauge_module.build_xi
+    rng = random.Random(1705)
+    failed = collections.Counter()
+    for name, doc in gauge_fixtures(docs):
+        fam, gauge = doc.to_family(), doc.to_gauge()
+        for _ in range(3):
+            xi = with_random_constant(real(gauge), rng, (2, 3, 4))
+            monkeypatch.setattr(gauge_module, "build_xi", lambda gauge, xi=xi: xi)
+            for max_len in (3, 4):
+                failed[max_len] += bool(assert_matches_reference(fam, gauge, max_len, name))
+    assert failed[3] >= 5 and failed[4] >= 8, failed
+
+
+def test_routes_that_disagree_on_the_conjugation_are_an_engine_error(docs, monkeypatch):
+    # pr G decides the verdict, the lift of partial' - exp([-, Xi]) partial
+    # names the witnesses; a table on a passing input, or none on a failing
+    # one, means the two routes disagree
+    doc = docs["endo2"]
+    fam, gauge = doc.to_family(), doc.to_gauge()
+    bad = perturbed_family(doc, perturbation("endo2"))
+    assert not check_gauge_equivalence(bad, gauge, 3).passed
+    monkeypatch.setattr(gauge_module, "_scattered_defect", lambda *args: {1: fam.delta(0)})
+    with pytest.raises(EngineError, match="disagree on the conjugation"):
+        check_gauge_equivalence(fam, gauge, 3)
+    monkeypatch.setattr(gauge_module, "_scattered_defect", lambda *args: {})
+    with pytest.raises(EngineError, match="disagree on the conjugation"):
+        check_gauge_equivalence(bad, gauge, 3)
+
+
 def test_corrupted_transforms_fail_like_the_per_word_loop(docs, generated, monkeypatch):
-    # one constant source -> target added to delta'_n: the conjugation is
-    # walked only after pr G is nonzero, so the witnesses stay the walk's;
+    # one constant source -> target added to delta'_n: the witnesses are read
+    # off the lift of partial' - exp([-, Xi]) partial and must be the walk's;
     # five corruptions per shipped gauge and two on the dimension-8 sum
     real = gauge_module.gauge_transform
     rng = random.Random(1703)
@@ -469,19 +540,39 @@ def test_corrupted_transforms_fail_like_the_per_word_loop(docs, generated, monke
     assert failed.pop("endo2+heis3w") == 2 and sum(failed.values()) >= 10, failed
 
 
-def test_certified_gauge_pass_evaluates_no_inverse_exponential(docs, monkeypatch):
-    # a passing conjugation is decided from the constants: no exponential,
-    # no power of Xi and no lift is evaluated on any word
+def refuse_words(monkeypatch, bases) -> collections.Counter:
+    """Make any enumeration of words raise, and count the calls of exp_xi,
+    of evaluate_coderivation and of the witness scatter on these bases; the
+    certificates' generic words live over bases of their own."""
+
+    def refuse(self, length):
+        raise AssertionError("a word was walked")
+
+    monkeypatch.setattr(GradedBasis, "index_tuples", refuse)
     calls = collections.Counter()
-    for name in ("_series", "_powers", "evaluate_coderivation"):
-        real = getattr(gauge_module, name)
+    for module, name in (
+        (gauge_module, "exp_xi"),
+        (gauge_module, "evaluate_coderivation"),
+        (coalgebra, "evaluate_coderivation"),
+        (coalgebra, "scattered_lift"),
+    ):
+        real = getattr(module, name)
 
-        def counted(*args, name=name, real=real):
-            calls[name] += 1
-            return real(*args)
+        def counted(spec, arg, name=name, real=real):
+            if spec.basis in bases:
+                calls[name] += 1
+            return real(spec, arg)
 
-        monkeypatch.setattr(gauge_module, name, counted)
-    for name, doc in gauge_fixtures(docs):
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_certified_gauge_pass_evaluates_no_inverse_exponential(docs, monkeypatch):
+    # a passing conjugation is decided from the constants: no exponential
+    # and no lift is evaluated on any word, and no witness is scattered
+    fixtures = gauge_fixtures(docs)
+    calls = refuse_words(monkeypatch, [doc.to_basis() for _, doc in fixtures])
+    for name, doc in fixtures:
         assert check_gauge_equivalence(doc.to_family(), doc.to_gauge(), max_len=4).passed, name
     assert calls == {}, calls
 
@@ -528,7 +619,7 @@ def test_certified_gauge_laws_hold_on_random_coderivations():
 
 def corrupted_endo2(monkeypatch):
     """endo2 with one constant added to delta'_1, fed to the gauge check
-    through gauge_transform, so that the conjugation fails and is walked."""
+    through gauge_transform, so that the conjugation fails."""
     doc = shipped.load_fixture("endo2")
     fam, gauge = doc.to_family(), doc.to_gauge()
     real = gauge_module.gauge_transform
@@ -541,39 +632,18 @@ def corrupted_endo2(monkeypatch):
     return fam, gauge
 
 
-def test_gauge_check_exponentiates_each_word_once(monkeypatch):
-    # e^Xi and e^-Xi of a word are both summed from one list of its powers
-    calls = collections.Counter()
-    real = gauge_module._powers
-
-    def counted(spec, word, lift):
-        calls[id(spec), word] += 1
-        return real(spec, word, lift)
-
-    monkeypatch.setattr(gauge_module, "_powers", counted)
-    fam, gauge = corrupted_endo2(monkeypatch)
-    verdict = check_gauge_equivalence(fam, gauge, max_len=3)
-    assert "gauge-conjugation" in {v.check for v in verdict.violations}
-    assert len({spec for spec, _ in calls}) == 1
-    assert set(calls.values()) == {1}
-
-
-def test_gauge_check_lifts_xi_once_per_word(monkeypatch):
-    # every power draws from one table of Xi lifts; -Xi is never lifted
-    calls = collections.Counter()
-    real = gauge_module.evaluate_coderivation
-
-    def counted(spec, word):
-        if spec.degree == 0:
-            calls[id(spec), word] += 1
-        return real(spec, word)
-
-    monkeypatch.setattr(gauge_module, "evaluate_coderivation", counted)
-    fam, gauge = corrupted_endo2(monkeypatch)
-    verdict = check_gauge_equivalence(fam, gauge, max_len=4)
-    assert "gauge-conjugation" in {v.check for v in verdict.violations}
-    assert len({spec for spec, _ in calls}) == 1
-    assert set(calls.values()) == {1}
+def test_failing_gauge_check_never_walks_a_word(docs, monkeypatch):
+    # endo2 with E01 -> E00 added to delta_0, and with the same constant
+    # added to delta'_1: the witnesses are scattered from the constants of
+    # partial' - exp([-, Xi]) partial, with no exponential or lift of a word
+    doc = docs["endo2"]
+    calls = refuse_words(monkeypatch, [doc.to_basis()])
+    bad = perturbed_family(doc, perturbation("endo2"))
+    verdicts = [check_gauge_equivalence(bad, doc.to_gauge(), max_len=4)]
+    verdicts.append(check_gauge_equivalence(*corrupted_endo2(monkeypatch), max_len=4))
+    for verdict in verdicts:
+        assert "gauge-conjugation" in {v.check for v in verdict.violations}
+    assert calls == {"scattered_lift": 2}, calls
 
 
 def test_check_gauge_equivalence_rejects_tiny_scope():

@@ -27,7 +27,7 @@ from shleibniz.document import AlgebraDocument, serialize_document
 from shleibniz.errors import PreconditionError
 from shleibniz.report import render_structured, render_text
 from shleibniz.runner import COMMANDS, RunOptions, run_command
-from oracles import family_fixture_names, perturbation
+from oracles import family_fixture_names, perturbed_text
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 SCOPES = RunOptions(max_const=4, max_word_len=3, max_arity=2)
@@ -85,24 +85,6 @@ def rescaled_document(doc: AlgebraDocument) -> AlgebraDocument:
         unary(doc.deltas),
         unary(doc.gauges),
         tuple((k, f"{v}-rescaled" if k == "name" else v) for k, v in doc.metadata),
-    )
-
-
-def perturbed_text(name: str, doc: AlgebraDocument | None = None) -> str:
-    """The fixture's document (or ``doc``) with its designated perturbation written in."""
-    doc = shipped.load_fixture(name) if doc is None else doc
-    tweak = perturbation(name)
-    entries = {src: dict((g, c) for c, g in terms) for src, terms in doc.deltas[tweak.order]}
-    image = entries.setdefault(tweak.source, {})
-    image[tweak.target] = image.get(tweak.target, Fraction(0)) + tweak.amount
-    order = tuple(
-        (src, tuple((c, g) for g, c in entries[src].items() if c))
-        for src, _ in doc.basis
-        if any(entries.get(src, {}).values())
-    )
-    deltas = doc.deltas[: tweak.order] + (order,) + doc.deltas[tweak.order + 1 :]
-    return serialize_document(
-        AlgebraDocument(doc.basis, doc.bracket, deltas, doc.gauges, doc.metadata)
     )
 
 

@@ -13,7 +13,8 @@ from shleibniz.document import parse_document, serialize_document
 from shleibniz.errors import PreconditionError
 from shleibniz.graded import GradedBasis
 from shleibniz.report import WITNESS_LIMIT, render_structured, render_text
-from shleibniz.runner import RunOptions, _derivation_pool, run_command
+from shleibniz.runner import COMMANDS, RunOptions, _derivation_pool, run_command
+from oracles import family_fixture_names, perturbed_text
 
 
 def broken_endo2_text() -> str:
@@ -39,6 +40,30 @@ def test_codifferential_at_length_five_on_a_dimension_11_sum_walks_no_word(monke
     monkeypatch.setattr(GradedBasis, "index_tuples", refuse)
     report = run_command("check-codifferential", text, RunOptions(max_word_len=5))
     assert [r.passed for r in report.results] == [True]
+
+
+def test_no_command_walks_a_word(monkeypatch):
+    # every command at its default flags, on every shipped fixture and on
+    # each designated perturbation, among them endo2 with E01 -> E00 added
+    # to delta_0, whose gauge conjugation fails
+    texts = {name: shipped.fixture_text(name) for name in shipped.fixture_names()}
+    texts.update((f"{name}+perturbation", perturbed_text(name)) for name in family_fixture_names())
+
+    def refuse(self, length):
+        raise AssertionError("a command walked every word")
+
+    monkeypatch.setattr(GradedBasis, "index_tuples", refuse)
+    ran = 0
+    for label, text in texts.items():
+        for command in COMMANDS:
+            try:
+                run_command(command, text)
+            except PreconditionError:
+                continue
+            ran += 1
+    report = run_command("check-gauge-equivalence", texts["endo2+perturbation"])
+    assert not report.passed
+    assert ran >= 100, ran
 
 
 def test_unknown_command_raises():
