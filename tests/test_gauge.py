@@ -629,17 +629,31 @@ def corrupted_endo2(monkeypatch):
     return fam, gauge
 
 
-def test_failing_gauge_check_never_walks_a_word(docs, monkeypatch):
-    # endo2 with E01 -> E00 added to delta_0, and with the same constant
-    # added to delta'_1: the witnesses are scattered from the constants of
-    # partial' - exp([-, Xi]) partial, with no exponential or lift of a word
+def failing_gauge_checks(docs, monkeypatch, max_len: int) -> collections.Counter:
+    """Run the gauge check, with words refused, on endo2 with E01 -> E00
+    added to delta_0 and on endo2 with the same constant added to delta'_1;
+    both must fail the conjugation. Returns the calls on endo2's basis."""
     doc = docs["endo2"]
     calls = refuse_words(monkeypatch, [doc.to_basis()])
     bad = perturbed_family(doc, perturbation("endo2"))
-    verdicts = [check_gauge_equivalence(bad, doc.to_gauge(), max_len=4)]
-    verdicts.append(check_gauge_equivalence(*corrupted_endo2(monkeypatch), max_len=4))
+    verdicts = [check_gauge_equivalence(bad, doc.to_gauge(), max_len=max_len)]
+    verdicts.append(check_gauge_equivalence(*corrupted_endo2(monkeypatch), max_len=max_len))
     for verdict in verdicts:
         assert "gauge-conjugation" in {v.check for v in verdict.violations}
+    return calls
+
+
+def test_gauge_check_exponentiates_each_word_once(docs, monkeypatch):
+    # the witnesses are read off partial' - exp([-, Xi]) partial, so no word's
+    # e^Xi or e^-Xi is summed at all, let alone twice
+    calls = failing_gauge_checks(docs, monkeypatch, max_len=3)
+    assert calls["exp_xi"] == 0, calls
+
+
+def test_gauge_check_lifts_xi_once_per_word(docs, monkeypatch):
+    # no lift of Xi or of the difference is evaluated on a word: each check
+    # scatters the difference's lift once
+    calls = failing_gauge_checks(docs, monkeypatch, max_len=4)
     assert calls == {"scattered_lift": 2}, calls
 
 
