@@ -45,13 +45,13 @@ identity is the composite l_i . l_j^c, and on a word of length n the
 corestriction of partial . partial is the sum of partial_m . partial_j^c
 over m + j - 1 = n.  multiop._composite_terms enumerates the terms of a
 composite f . g^c: a key fk of f, a letter z at position p of fk with
-coefficient c in g(gk) for a key gk of g, and an unshuffle row placing
-fk[:p] among gk[:-1].  Each term adds +-c f(fk) to the one tuple it lands
-on, so every other tuple has a zero residual, and the accumulated tuples,
-sorted, give the witnesses in the order of a walk over every tuple.  Each
-check reads its own sign off the row: check_sh_leibniz the sign above with
-k = p + j, chi(sigma) (-1)^((p+1)(j-1) + j * jumped) for the shifted
-parities on sV, and compose_into the lift's signs on V.
+coefficient c in g(gk) for a key gk of g, and the signed unshuffle row
+placing fk[:p] among gk[:-1].  Each term adds +-c f(fk) to the one tuple it
+lands on, so every other tuple has a zero residual, and the accumulated
+tuples, sorted, give the witnesses in the order of a walk over every tuple.
+Each check reads its own sign off the row: check_sh_leibniz the sign above
+with k = p + j, chi(sigma) (-1)^((p+1)(j-1) + j * jumped) for the shifted
+parities on sV, and multiop.compose_into the lift's signs on V.
 
 check_codifferential reads its verdict off two certificates and walks no
 word.  partial is odd, so where it is a coderivation, partial . partial =
@@ -62,7 +62,8 @@ by induction on the length Delta D(w) = (D (x) 1 + 1 (x) D) Delta(w) is
 zero, and Delta is injective on words of length >= 2.  So once
 check_coderivation_axiom proves the lift of partial up to L,
 partial . partial is the lift Q^c of its corestriction Q, the sum of
-partial_m . partial_j^c scattered through compose_into.  If Q vanishes, the
+partial_m . partial_j^c over m + j - 1 = n on the words of length n, which
+multiop.compose_tables scatters arity by arity.  If Q vanishes, the
 check passes.  Otherwise the lift of Q, of degree 2, is proved the same
 way, and the witnesses partial(partial(w)) = Q^c(w) are scattered from Q's
 constants by coalgebra.lift_witnesses, in the order of a walk over every
@@ -71,19 +72,21 @@ word.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .coalgebra import CoderivationSpec, check_coderivation_axiom, hom_bracket, lift_witnesses
 from .errors import EngineError, MalformedInputError, PreconditionError
-from .graded import GradedBasis, Scalar, Shift, layer_sign, shifted_degrees, signed_unshuffles
+from .graded import GradedBasis, Scalar, Shift, layer_sign, shifted_degrees
 from .multiop import (
     MultiOp,
     _add_scaled,
     _composite_terms,
     _residuals,
     check_derivation,
-    compose_into,
+    compose_tables,
     compose_unary,
     n_i_d,
     nary_bracket,
@@ -264,7 +267,6 @@ def check_sh_leibniz(
     if max_const < 2:
         raise MalformedInputError("max_const must be >= 2")
     sbasis = structure.basis
-    parity = [d % 2 for d in sbasis.degrees]
     violations: list[Violation] = []
     notes: list[str] = []
     for const in range(2, max_const + 1):
@@ -278,11 +280,8 @@ def check_sh_leibniz(
             continue
         acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
         for i, j in pairs:
-            li = structure.op(i)
-            for fk, p, c, r, key in _composite_terms(li, structure.op(j)):
-                _, _, eps, sgn, jumped = signed_unshuffles(
-                    p, j - 1, tuple(parity[x] for x in key[: p + j - 1])
-                )[r]
+            li, lj = structure.op(i), structure.op(j)
+            for fk, p, c, (_, _, eps, sgn, jumped), key in _composite_terms(li, lj):
                 odd = ((p + 1) * (j - 1) + j * jumped) % 2
                 sign = -eps * sgn if odd else eps * sgn
                 _add_scaled(acc, key, sign * c, li.constants[fk].coeffs)
@@ -309,49 +308,52 @@ def check_codifferential(fam: DeformationFamily, max_len: int, first_violation: 
         raise MalformedInputError("max_len must be >= 1")
     spec = build_codifferential(fam)
     check_coderivation_axiom(spec, max_len)
-    by_arity: dict[int, dict[tuple[int, ...], dict[int, Scalar]]] = {}
-    for key, image in _corestricted_square(spec, max_len).items():
-        by_arity.setdefault(len(key), {})[key] = image
-    basis = fam.basis
+    basis, ops = fam.basis, spec.components
+    tables = compose_tables({}, ops, ops, 1, max_len)
     square = CoderivationSpec(
-        basis, 2, {a: op_from_terms(basis, a, 2, terms) for a, terms in by_arity.items()}
+        basis, 2, {a: op_from_terms(basis, a, 2, terms) for a, terms in tables.items()}
     )
     return Verdict.from_violations(
         lift_witnesses(square, max_len, "codifferential-square", first_violation)
     )
 
 
-def _corestricted_square(
-    spec: CoderivationSpec, max_len: int
-) -> dict[tuple[int, ...], dict[int, Scalar]]:
-    """corestriction(partial(partial(w))) on the words w of length <= max_len,
-    as coefficient dicts: the sum of partial_m . partial_j^c over
-    m + j - 1 <= max_len, scattered from the constants.  Absent words are
-    zero."""
-    ops = spec.components
-    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
-    for m in ops:
-        for j in ops:
-            if m + j - 1 <= max_len:
-                compose_into(acc, ops[m], ops[j], 1)
-    return acc
-
-
 def check_key_lemma(
-    bracket: MultiOp, d1: MultiOp, d2: MultiOp, i: int, j: int
+    bracket: MultiOp,
+    derivations: Sequence[tuple[str, MultiOp]],
+    arities: Sequence[tuple[int, int]],
+    first_violation: bool = False,
 ) -> Verdict:
-    """N_{i+j-1}([D, D']) = (N_i D, N_j D') for derivations D, D'.
+    """N_{i+j-1}([D, D']) = (N_i D, N_j D') for every ordered pair (D, D')
+    of the named derivations and every pair (i, j) of arities.
 
     The left side feeds the graded commutator into the leftmost slot; the
-    right side is the hom bracket of the two nested operations.  Non-derivation
-    inputs are a precondition error.
+    right side is the hom bracket of the two nested operations.  The
+    combinations run in (D, D', (i, j)) order, each witness's site led by
+    the two names.  A member that is not a derivation is a precondition
+    error, raised under the position, first or second, of its first use:
+    the pool's head is first in the first combination and every other member
+    is first used second.  Each member is validated once, and N_i D,
+    [D, D'] and N_a([D, D']) are built once each.  Under first_violation
+    only the first witness is kept.
     """
-    if i < 1 or j < 1:
+    if any(i < 1 or j < 1 for i, j in arities):
         raise MalformedInputError("arities must be >= 1")
-    _require_derivation("first", d1, bracket)
-    _require_derivation("second", d2, bracket)
-    lhs = n_i_d(bracket, hom_bracket(d1, d2), i + j - 1)
-    return _key_lemma_residuals(lhs, n_i_d(bracket, d1, i), n_i_d(bracket, d2, j))
+    for n, (_, d) in enumerate(derivations):
+        _require_derivation("second" if n else "first", d, bracket)
+    ops = [d for _, d in derivations]
+    nested = functools.cache(lambda n, i: n_i_d(bracket, ops[n], i))
+    commuted = functools.cache(lambda n1, n2: hom_bracket(ops[n1], ops[n2]))
+    nested_commuted = functools.cache(lambda n1, n2, a: n_i_d(bracket, commuted(n1, n2), a))
+    members = list(enumerate(name for name, _ in derivations))
+    violations: list[Violation] = []
+    for (n1, name1), (n2, name2), (i, j) in itertools.product(members, members, arities):
+        violations += _key_lemma_residuals(
+            nested_commuted(n1, n2, i + j - 1), nested(n1, i), nested(n2, j), (name1, name2)
+        )
+        if first_violation and violations:
+            return Verdict(False, violations[:1])
+    return Verdict.from_violations(violations)
 
 
 def _require_derivation(label: str, d: MultiOp, bracket: MultiOp) -> None:
@@ -362,16 +364,17 @@ def _require_derivation(label: str, d: MultiOp, bracket: MultiOp) -> None:
         raise PreconditionError(f"{label} operation is not a derivation of the bracket")
 
 
-def _key_lemma_residuals(lhs: MultiOp, left: MultiOp, right: MultiOp) -> Verdict:
-    """Compare lhs = N_{i+j-1}([D, D']) with (left, right) = (N_i D, N_j D'),
-    for inputs already known to be derivations."""
+def _key_lemma_residuals(
+    lhs: MultiOp, left: MultiOp, right: MultiOp, prefix: tuple
+) -> list[Violation]:
+    """The witnesses of lhs = N_{i+j-1}([D, D']) against (left, right) =
+    (N_i D, N_j D'), for inputs already known to be derivations, each site
+    the prefix followed by i, j and the key."""
     acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
     for scale, op in ((1, lhs), (-1, hom_bracket(left, right))):
         for key, image in op.constants.items():
             _add_scaled(acc, key, scale, image.coeffs)
-    return Verdict.from_violations(
-        _residuals("key-lemma", lhs.basis, acc, (left.arity, right.arity))
-    )
+    return _residuals("key-lemma", lhs.basis, acc, prefix + (left.arity, right.arity))
 
 
 def leibniz_cohomology_check(

@@ -43,28 +43,30 @@ the conjugation holds on exactly the words where G vanishes.
 
 pr G is scattered from the constants, arity by arity.  For any linear map X
 of T(V), pr(X Xi) on V^{(x) n} is the sum over the arities a of Xi of
-(pr X)|_{n-a+1} . Xi_a^c, the composite multiop.compose_into enumerates.
-Repeated steps from the components of partial, and from the identity of V,
-give the tables of pr(partial Xi^p)/p! and of pr Xi^p/p!, whose sum over p
-is F = pr e^{Xi}; both stop, since Xi shortens words.  Then
+(pr X)|_{n-a+1} . Xi_a^c: one multiop.compose_tables call scatters every
+such pair of arity tables.  Repeated steps from the components of partial,
+and from the identity of V, give the tables of pr(partial Xi^p)/p! and of
+pr Xi^p/p!, whose sum over p is F = pr e^{Xi}; both stop, since Xi shortens
+words.  Then
 
     pr G|_n = sum_p pr(partial Xi^p)|_n / p! - sum_{k+j-1=n} F_k . partial'_j^c,
 
 the sh Leibniz morphism equation partial F = F partial' for F = e^{Xi},
-with every term one compose_into call on small tables: no word is
+whose last sum is one more compose_tables call on small tables: no word is
 evaluated, and neither e^{-Xi} nor any lift.  If every table of pr G is
 zero the conjugation passes.
 
 A failing conjugation is witnessed by a lift.  e^{-Xi} partial e^{Xi} is a
 coderivation up to L, as partial is one and e^{Xi} is comultiplicative.  It
 is sum_p (1/p!) ad^p partial with ad Y = [Y, Xi], whose corestriction is
-hom_bracket arity by arity, so its own is E = exp([-, Xi]) partial, the
-order expansion's tables.  So partial' - e^{-Xi} partial e^{Xi} is the lift
-D^c of D = partial' - E on arities <= L, and e^{Xi} D^c = -G: pr G vanishes
-exactly when D does, and a disagreement raises EngineError.  When pr G is
-nonzero, coalgebra.lift_witnesses scatters the words w with D^c(w) nonzero
-from D's constants, as derived.check_codifferential does for the square of
-partial, and no word is walked.
+pr Y . Xi^c - Xi . (pr Y)^c since |Xi| = 0: two compose_tables calls per
+step.  So its own is E = exp([-, Xi]) partial, the order expansion's
+tables, and partial' - e^{-Xi} partial e^{Xi} is the lift D^c of
+D = partial' - E on arities <= L.  e^{Xi} D^c = -G: pr G vanishes exactly
+when D does, and a disagreement raises EngineError.  When pr G is nonzero,
+coalgebra.lift_witnesses scatters the words w with D^c(w) nonzero from D's
+constants, as derived.check_codifferential does for the square of partial,
+and no word is walked.
 
 A Maurer-Cartan element theta_t = t theta_1 + ... + t^m theta_m of a dg Lie
 algebra (delta_0 theta_n + (1/2) sum_{p+q=n} {theta_p, theta_q} = 0 for
@@ -100,10 +102,11 @@ from .graded import Element, GradedBasis, Scalar
 from .multiop import (
     DgLeibnizAlgebra,
     MultiOp,
+    _residuals,
     check_derivation,
     check_skewsymmetry,
     compose_into,
-    compose_unary,
+    compose_tables,
     identity_op,
     n_i_d,
     op_from_terms,
@@ -165,25 +168,19 @@ class McElement:
 def check_deformation(fam: DeformationFamily) -> list[Violation]:
     """Derivation rule for every delta_i and the square-zero residual for n <= m.
 
-    The residual at order n is sum_{i+j=n} delta_i delta_j applied to each
-    basis vector.  Orders beyond m are outside the truncation contract and are
-    not checked here.
+    The residual at order n is sum_{i+j=n} delta_i delta_j on each basis
+    vector, scattered from the constants by compose_into.  Orders beyond m
+    are outside the truncation contract and are not checked here.
     """
     violations: list[Violation] = []
     for i, delta in enumerate(fam.deltas):
         for v in check_derivation(delta, fam.bracket):
             violations.append(Violation("deformation-derivation", (i,) + v.site, v.residual))
     for n in range(fam.order + 1):
-        residual_op = MultiOp.zero(fam.basis, 1, 2)
+        acc: dict[Word, dict[int, Scalar]] = {}
         for i in range(n + 1):
-            if i <= fam.order and n - i <= fam.order:
-                residual_op = residual_op + compose_unary(fam.deltas[i], fam.deltas[n - i])
-        for b in range(len(fam.basis)):
-            r = residual_op.apply_indices((b,))
-            if not r.is_zero():
-                violations.append(
-                    Violation("deformation-square", (n, fam.basis.names[b]), r)
-                )
+            compose_into(acc, fam.deltas[i], fam.deltas[n - i], 1)
+        violations += _residuals("deformation-square", fam.basis, acc, (n,))
     return violations
 
 
@@ -288,39 +285,27 @@ def exp_xi(spec: CoderivationSpec, word: Word) -> TensorElement:
     return total
 
 
-def _hom_commutator_step(
-    components: dict[int, MultiOp], xi_spec: CoderivationSpec, max_arity: int
-) -> dict[int, MultiOp]:
-    """One application of [-, Xi] to an arity-indexed operator family."""
-    out: dict[int, MultiOp] = {}
-    for a, f in components.items():
-        for b, x in xi_spec.components.items():
-            r = a + b - 1
-            if r > max_arity or f.is_zero():
-                continue
-            term = hom_bracket(f, x)
-            out[r] = out[r] + term if r in out else term
-    return out
-
-
 def _times_xi(
     tables: dict[int, MultiOp], xi_spec: CoderivationSpec, max_arity: int
-) -> dict[int, MultiOp]:
-    """pr(X Xi) up to max_arity from the nonzero arity tables of pr X: on the
-    words of length n it is the sum over the arities a of Xi of
+) -> dict[int, dict[Word, dict[int, Scalar]]]:
+    """pr(X Xi) up to max_arity from the arity tables of pr X: on the words
+    of length n it is the sum over the arities a of Xi of
     (pr X)|_{n-a+1} . Xi_a^c."""
-    degree = next(iter(tables.values())).degree  # Xi has degree 0
-    acc: dict[int, dict[Word, dict[int, Scalar]]] = {}
-    for m, f in tables.items():
-        for a, x in xi_spec.components.items():
-            if m + a - 1 <= max_arity:
-                compose_into(acc.setdefault(m + a - 1, {}), f, x, 1)
-    return {n: op_from_terms(xi_spec.basis, n, degree, terms) for n, terms in acc.items()}
+    return compose_tables({}, tables, xi_spec.components, 1, max_arity)
+
+
+def _hom_commutator_step(
+    tables: dict[int, MultiOp], xi_spec: CoderivationSpec, max_arity: int
+) -> dict[int, dict[Word, dict[int, Scalar]]]:
+    """[X, Xi] = X . Xi^c - Xi . X^c up to max_arity, from the arity tables
+    of X: the two composites of the hom bracket, with no sign as |Xi| = 0."""
+    acc = _times_xi(tables, xi_spec, max_arity)
+    return compose_tables(acc, xi_spec.components, tables, -1, max_arity)
 
 
 def _exponential(
     tables: dict[int, MultiOp],
-    step: Callable[[dict[int, MultiOp], CoderivationSpec, int], dict[int, MultiOp]],
+    step: Callable[[dict[int, MultiOp], CoderivationSpec, int], dict[int, dict]],
     xi_spec: CoderivationSpec,
     max_arity: int,
 ) -> dict[int, MultiOp]:
@@ -333,11 +318,12 @@ def _exponential(
     p = 0
     while tables:
         p += 1
-        tables = {
-            n: op.scale(Fraction(1, p))
-            for n, op in step(tables, xi_spec, max_arity).items()
-            if not op.is_zero()
-        }
+        degree = next(iter(tables.values())).degree  # Xi has degree 0
+        ops = (
+            op_from_terms(xi_spec.basis, n, degree, terms)
+            for n, terms in step(tables, xi_spec, max_arity).items()
+        )
+        tables = {op.arity: op.scale(Fraction(1, p)) for op in ops if not op.is_zero()}
         for n, op in tables.items():
             total[n] = total[n] + op if n in total else op
     return total
@@ -354,15 +340,13 @@ def _scattered_defect(
     module docstring sets out."""
     basis = partial.basis
     ops = {a: op for a, op in partial.components.items() if a <= max_len}
-    acc: dict[int, dict[Word, dict[int, Scalar]]] = {}
-    for n, op in _exponential(ops, _times_xi, xi_spec, max_len).items():
-        acc[n] = {key: dict(image.coeffs) for key, image in op.constants.items()}
-    # F_k = pr e^{Xi} on V^{(x) k}, then minus F_k . partial'_j^c
+    acc = {
+        n: {key: dict(image.coeffs) for key, image in op.constants.items()}
+        for n, op in _exponential(ops, _times_xi, xi_spec, max_len).items()
+    }
+    # F_k = pr e^{Xi} on V^{(x) k}, then minus every F_k . partial'_j^c
     taylor = _exponential({1: identity_op(basis)}, _times_xi, xi_spec, max_len)
-    for k, f in taylor.items():
-        for j, d in partial_prime.components.items():
-            if k + j - 1 <= max_len:
-                compose_into(acc.setdefault(k + j - 1, {}), f, d, -1)
+    compose_tables(acc, taylor, partial_prime.components, -1, max_len)
     tables = {n: op_from_terms(basis, n, 1, terms) for n, terms in acc.items()}
     return {n: op for n, op in tables.items() if not op.is_zero()}
 

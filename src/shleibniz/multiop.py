@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import MalformedInputError, PreconditionError
-from .graded import Element, GradedBasis, Scalar, signed_unshuffles, unshuffle_gathers
+from .graded import Element, GradedBasis, Scalar, UnshuffleRow, signed_unshuffles, unshuffle_gathers
 from .results import Verdict, Violation
 
 
@@ -301,7 +301,8 @@ def check_derivation(op: MultiOp, bracket: MultiOp) -> list[Violation]:
 
 
 def check_differential(op: MultiOp, bracket: MultiOp) -> Verdict:
-    """Degree +1, derivation, and square zero on every basis vector."""
+    """Degree +1, derivation, and square zero on every basis vector, the
+    square scattered from the constants by compose_into."""
     violations: list[Violation] = []
     if op.degree != 1:
         violations.append(
@@ -309,12 +310,9 @@ def check_differential(op: MultiOp, bracket: MultiOp) -> Verdict:
         )
     else:
         violations.extend(check_derivation(op, bracket))
-        for i in range(len(op.basis)):
-            square = op.apply([op.apply_indices((i,))])
-            if not square.is_zero():
-                violations.append(
-                    Violation("differential-square", _names(op.basis, (i,)), square)
-                )
+        acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
+        compose_into(acc, op, op, 1)
+        violations.extend(_residuals("differential-square", op.basis, acc))
     return Verdict.from_violations(violations)
 
 
@@ -344,17 +342,14 @@ def n_i_d(bracket: MultiOp, op: MultiOp, i: int) -> MultiOp:
     basis = bracket.basis
     if op.basis != basis:
         raise MalformedInputError("operation and bracket live over different bases")
-    # right[y] lists (x, {y, x}) over the nonzero brackets, x ascending
-    right: dict[int, list[tuple[int, dict[int, Scalar]]]] = {}
-    for (y, x), image in sorted(bracket.constants.items()):
-        right.setdefault(y, []).append((x, image.coeffs))
+    by_left, _ = _by_letter(bracket)
     level = {key: image.coeffs for key, image in sorted(op.constants.items())}
     for _ in range(i - 1):
         longer: dict[tuple[int, ...], dict[int, Scalar]] = {}
         for key, coeffs in level.items():
             by_x: dict[int, dict[int, Scalar]] = {}
             for y, c in coeffs.items():
-                for x, image in right.get(y, ()):
+                for x, image in by_left.get(y, ()):
                     acc = by_x.setdefault(x, {})
                     for z, cz in image.items():
                         acc[z] = acc.get(z, 0) + c * cz
@@ -368,20 +363,21 @@ def n_i_d(bracket: MultiOp, op: MultiOp, i: int) -> MultiOp:
 
 def _composite_terms(
     f: MultiOp, g: MultiOp
-) -> Iterator[tuple[tuple[int, ...], int, Scalar, int, tuple[int, ...]]]:
-    """Every term (fk, p, c, r, key) of the composite f . g^c.
+) -> Iterator[tuple[tuple[int, ...], int, Scalar, UnshuffleRow, tuple[int, ...]]]:
+    """Every term (fk, p, c, row, key) of the composite f . g^c.
 
     The lift g^c replaces gk[:-1], interleaved with the letters before
     gk[-1], and gk[-1] itself by a letter z of g(gk), for a key gk of g.  So
     f reaches its key fk, with z at position p, only from the key
     merged + gk[-1:] + fk[p + 1:], where merged places fk[:p] among gk[:-1].
-    c is the coefficient of z in g(gk), and r is the row of
-    signed_unshuffles(p, |gk| - 1, ...) that does the placing: rows follow
-    the order of unshuffles for every parity tuple, so r indexes the signed
-    row of the key's own parities too.  Terms carry no sign: each caller
-    reads its own off the row, compose_into the lift's and check_sh_leibniz
-    the sh identity's.
+    c is the coefficient of z in g(gk), and row is the row of
+    signed_unshuffles(p, |gk| - 1, ...) that does the placing, for the
+    parities of merged: rows follow the order of unshuffles for every parity
+    tuple, so the row index of unshuffle_gathers finds it.  Terms carry no
+    sign: each caller reads its own off the row, compose_into the lift's and
+    check_sh_leibniz the sh identity's.
     """
+    parity = [d % 2 for d in f.basis.degrees]
     q = g.arity - 1
     around: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for fk in f.constants:
@@ -394,7 +390,9 @@ def _composite_terms(
                 letters = fk[:p] + head
                 suffix = last + fk[p + 1 :]
                 for r, order in enumerate(unshuffle_gathers(p, q)):
-                    yield fk, p, c, r, tuple(letters[k] for k in order) + suffix
+                    merged = tuple([letters[k] for k in order])
+                    row = signed_unshuffles(p, q, tuple([parity[x] for x in merged]))[r]
+                    yield fk, p, c, row, merged + suffix
 
 
 def compose_into(
@@ -404,16 +402,34 @@ def compose_into(
 
     Scattered from the constants: each term of _composite_terms adds
     +-c * f(fk) to its key.  The sign is the Koszul sign eps of its
-    unshuffle row times (-1)^(|g| |fk[:p]|), both read off
-    signed_unshuffles for the key's parities.
+    unshuffle row times (-1)^(|g| |fk[:p]|), the row's jump parity.
     """
-    parity = [d % 2 for d in f.basis.degrees]
-    q = g.arity - 1
     odd = g.degree % 2
-    for fk, p, c, r, key in _composite_terms(f, g):
-        row = signed_unshuffles(p, q, tuple(parity[x] for x in key[: p + q]))[r]
+    for fk, _, c, row, key in _composite_terms(f, g):
         eps = -row[2] if odd and row[4] else row[2]
         _add_scaled(acc, key, eps * scale * c, f.constants[fk].coeffs)
+
+
+_Tables = dict[int, dict[tuple[int, ...], dict[int, Scalar]]]
+
+
+def compose_tables(
+    acc: _Tables,
+    fs: Mapping[int, MultiOp],
+    gs: Mapping[int, MultiOp],
+    scale: Scalar,
+    max_arity: int,
+) -> _Tables:
+    """Add scale * (f_m . g_j^c) into acc[m + j - 1] through compose_into,
+    for every pair of arity tables with m + j - 1 <= max_arity, and return
+    acc, a map from arities to coefficient dicts per key.  This is the arity
+    rule of composites: on the words of length n, the corestriction of
+    F . G^c is the sum of f_m . g_j^c over m + j - 1 = n."""
+    for m, f in fs.items():
+        for j, g in gs.items():
+            if m + j - 1 <= max_arity:
+                compose_into(acc.setdefault(m + j - 1, {}), f, g, scale)
+    return acc
 
 
 def op_from_terms(

@@ -8,30 +8,23 @@ lacks the sections the command needs; both map to exit code 2 in the CLI.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from itertools import product
 
-from .coalgebra import (
-    check_coderivation_axiom,
-    check_dual_leibniz,
-    hom_bracket,
-    lift_coderivation,
-)
+from .coalgebra import check_coderivation_axiom, check_dual_leibniz, lift_coderivation
 from .derived import (
     DeformationFamily,
-    _key_lemma_residuals,
-    _require_derivation,
     build_sh_structure,
     check_codifferential,
+    check_key_lemma,
     check_sh_leibniz,
 )
 from .document import AlgebraDocument, parse_document
 from .errors import PreconditionError
 from .gauge import GaugeFamily, check_deformation, check_gauge_equivalence, gauge_transform
 from .graded import format_element
-from .multiop import MultiOp, check_leibniz_identity, n_i_d
+from .multiop import MultiOp, check_leibniz_identity
 from .report import CheckResult, Report
 from .results import Violation
 
@@ -176,35 +169,13 @@ def _cmd_check_key_lemma(doc: AlgebraDocument, options: RunOptions) -> list[Chec
     """Nested-operation compatibility with commutators of derivations."""
     bracket = doc.to_bracket()
     pool = _derivation_pool(doc)
-    violations: list[Violation] = []
-    pairs = 0
-    arities = range(1, options.max_arity + 1)
-    # each member is validated once, at its first use and under the label that
-    # use gives it, so a failure reads as check_key_lemma's on the same call
-    validated: set[int] = set()
-    members = list(enumerate(pool))
-    # N_i D per member and arity, [D, D'] per pair and N_a([D, D']) per pair
-    # and arity are built once
-    nested = functools.cache(lambda n, i: n_i_d(bracket, pool[n][1], i))
-    commuted = functools.cache(lambda n1, n2: hom_bracket(pool[n1][1], pool[n2][1]))
-    nested_commuted = functools.cache(lambda n1, n2, a: n_i_d(bracket, commuted(n1, n2), a))
-    for (n1, (name1, d1)), (n2, (name2, d2)), i, j in product(members, members, arities, arities):
-        for label, n, d in (("first", n1, d1), ("second", n2, d2)):
-            if n not in validated:
-                _require_derivation(label, d, bracket)
-                validated.add(n)
-        lhs = nested_commuted(n1, n2, i + j - 1)
-        verdict = _key_lemma_residuals(lhs, nested(n1, i), nested(n2, j))
-        pairs += 1
-        for v in verdict.violations:
-            violations.append(Violation(v.check, (name1, name2) + v.site, v.residual))
-        if violations and options.first_violation:
-            break
+    arities = list(product(range(1, options.max_arity + 1), repeat=2))
+    verdict = check_key_lemma(bracket, pool, arities, options.first_violation)
     detail = [
         f"derivations: {', '.join(name for name, _ in pool)}",
-        f"(operation, operation, arity, arity) combinations: {pairs}",
+        f"(operation, operation, arity, arity) combinations: {len(pool) ** 2 * len(arities)}",
     ]
-    return [CheckResult("key-lemma", not violations, violations, detail)]
+    return [CheckResult("key-lemma", verdict.passed, verdict.violations, detail)]
 
 
 def _cmd_gauge(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:

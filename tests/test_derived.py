@@ -46,6 +46,7 @@ from shleibniz.multiop import (
     check_derivation,
     check_leibniz_identity,
     check_skewsymmetry,
+    compose_tables,
     n_i_d,
     nary_bracket,
 )
@@ -434,11 +435,12 @@ def test_multi_constant_perturbations_agree_with_the_walk_and_the_sh_check(
 
 def test_reachable_words_hold_every_nonzero_corestricted_square():
     # the certificate reads the corestriction of the square off the
-    # constants, on the words the composite enumeration reaches; it must
-    # equal the lift's on every word, so those words hold every nonzero
-    # corestriction.  Random brackets and deltas, neither Leibniz nor square zero,
-    # give nonzero corestrictions on words that only a reordering row of
-    # _composite_terms reaches
+    # constants, arity table by arity table through compose_tables, on the
+    # words the composite enumeration reaches; it must equal the lift's on
+    # every word, so those words hold every nonzero corestriction.  Random
+    # brackets and deltas, neither Leibniz nor square zero, give nonzero
+    # corestrictions on words that only a reordering row of _composite_terms
+    # reaches
     basis = GradedBasis(("a", "b", "c", "d", "e"), (0, 1, 1, 2, -1))
     nonzero = 0
     for seed in range(4):
@@ -446,12 +448,15 @@ def test_reachable_words_hold_every_nonzero_corestricted_square():
         bracket = random_op(basis, 2, 0, rng, density=0.5)
         deltas = tuple(random_op(basis, 1, 1, rng) for _ in range(2))
         spec = build_codifferential(DeformationFamily(bracket, deltas))
-        scattered = derived._corestricted_square(spec, 3)
+        ops = spec.components
+        scattered = compose_tables({}, ops, ops, 1, 3)
+        assert set(scattered) <= {1, 2, 3}
         lift = functools.partial(evaluate_coderivation, spec)
         for length in range(1, 4):
+            table = scattered.get(length, {})
             for word in basis.index_tuples(length):
                 square = corestriction(extend_linearly(lift(word), lift, TensorElement))
-                assert Element._trusted(basis, scattered.get(word, {})) == square, (seed, word)
+                assert Element._trusted(basis, table.get(word, {})) == square, (seed, word)
                 nonzero += not square.is_zero()
     assert nonzero > 50, nonzero
 
@@ -817,10 +822,9 @@ def test_off_diagonal_symmetric_values():
 def test_key_lemma_on_fixture_derivations():
     doc = shipped.load_fixture("endo2")
     fam = doc.to_family()
-    d1, d2 = fam.delta(0), fam.delta(1)
-    for i, j in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        verdict = check_key_lemma(fam.bracket, d1, d2, i, j)
-        assert verdict.passed, (i, j)
+    pool = [("delta_0", fam.delta(0)), ("delta_1", fam.delta(1))]
+    verdict = check_key_lemma(fam.bracket, pool, [(1, 1), (1, 2), (2, 1), (2, 2)])
+    assert verdict.passed and verdict.violations == []
 
 
 def test_key_lemma_rejects_non_derivations():
@@ -828,10 +832,19 @@ def test_key_lemma_rejects_non_derivations():
     fam = doc.to_family()
     basis = fam.basis
     not_der = MultiOp(basis, 1, 1, {(basis.index("g1"),): basis.vector("w")})
-    with pytest.raises(PreconditionError):
-        check_key_lemma(fam.bracket, not_der, fam.delta(0), 2, 2)
-    with pytest.raises(PreconditionError):
-        check_key_lemma(fam.bracket, fam.delta(0), fam.bracket, 1, 1)
+    delta_0 = ("delta_0", fam.delta(0))
+    # each member is named by the position of its first use: the head is
+    # first, every other member second
+    cases = [
+        ([("D", not_der), delta_0], "first operation is not a derivation"),
+        ([delta_0, ("D", not_der)], "second operation is not a derivation"),
+        ([delta_0, ("bracket", fam.bracket)], "second operation must have arity 1"),
+    ]
+    for pool, message in cases:
+        with pytest.raises(PreconditionError, match=message):
+            check_key_lemma(fam.bracket, pool, [(2, 2)])
+    with pytest.raises(MalformedInputError):
+        check_key_lemma(fam.bracket, [delta_0], [(0, 1)])
 
 
 def test_key_lemma_witnesses_are_the_per_key_differences():
@@ -843,12 +856,11 @@ def test_key_lemma_witnesses_are_the_per_key_differences():
     rhs = coalgebra.hom_bracket(left, right)
     for lhs in (random_op(basis, 2, 2, rng, 0.5), rhs, rhs + random_op(basis, 2, 2, rng, 0.2)):
         expected = [
-            Violation("key-lemma", (2, 1) + tuple(basis.names[b] for b in key), residual)
+            Violation("key-lemma", ("D", "E", 2, 1) + tuple(basis.names[b] for b in key), residual)
             for key in sorted(lhs.constants.keys() | rhs.constants.keys())
             if not (residual := lhs.apply_indices(key) - rhs.apply_indices(key)).is_zero()
         ]
-        got = derived._key_lemma_residuals(lhs, left, right)
-        assert got == Verdict.from_violations(expected)
+        assert derived._key_lemma_residuals(lhs, left, right, ("D", "E")) == expected
         assert lhs is rhs or expected
 
 

@@ -92,6 +92,22 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_the_runner_imports_no_private_name_of_another_module():
+    # a command runs the public check it reports on, not a copy built from
+    # that check's private helpers
+    tree = ast.parse((PACKAGE / "runner.py").read_text("utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("shleibniz"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert len(imported_names(tree)) > 10
+    assert private == []
+
+
 def referenced_names(tree: ast.Module) -> set[str]:
     """Names loaded, attributes read, names imported, and the parts of every
     string that is a dotted name, such as a span target."""

@@ -7,11 +7,13 @@ import json
 
 import pytest
 
+from shleibniz import derived
 from shleibniz import fixtures as shipped
 from shleibniz.derived import check_key_lemma
 from shleibniz.document import parse_document, serialize_document
 from shleibniz.errors import PreconditionError
 from shleibniz.graded import GradedBasis
+from shleibniz.multiop import check_derivation
 from shleibniz.report import WITNESS_LIMIT, render_structured, render_text
 from shleibniz.runner import COMMANDS, RunOptions, _derivation_pool, run_command
 from oracles import family_fixture_names, perturbed_text
@@ -115,18 +117,19 @@ def test_first_violation_stops_early():
     assert count(slow) > 1
 
 
-def first_failing_key_lemma_call(text: str, max_arity: int) -> str:
-    """The error of the first public check_key_lemma call that fails, the calls
-    made in the command's (operation, operation, arity, arity) order."""
+def first_failing_key_lemma_precondition(text: str, max_arity: int) -> str:
+    """The precondition error of the first failing combination, the
+    combinations taken in the command's (operation, operation, arity, arity)
+    order and both inputs of each checked with check_derivation, first then
+    second, as a per-combination call would."""
     doc = parse_document(text)
     bracket = doc.to_bracket()
     pool = [op for _, op in _derivation_pool(doc)]
     arities = range(1, max_arity + 1)
     for d1, d2, i, j in itertools.product(pool, pool, arities, arities):
-        try:
-            check_key_lemma(bracket, d1, d2, i, j)
-        except PreconditionError as err:
-            return str(err)
+        for label, d in (("first", d1), ("second", d2)):
+            if check_derivation(d, bracket):
+                return f"{label} operation is not a derivation of the bracket"
     raise AssertionError("every call passed its preconditions")
 
 
@@ -143,8 +146,34 @@ def test_key_lemma_command_reports_the_first_failing_precondition(old, new, posi
     base = shipped.fixture_text("heisab")
     text = base.replace(old, new)
     assert text != base
-    expected = first_failing_key_lemma_call(text, max_arity=2)
+    expected = first_failing_key_lemma_precondition(text, max_arity=2)
     assert expected == f"{position} operation is not a derivation of the bracket"
     with pytest.raises(PreconditionError) as caught:
         run_command("check-key-lemma", text, RunOptions(max_arity=2))
     assert str(caught.value) == expected
+    doc = parse_document(text)
+    with pytest.raises(PreconditionError) as caught:
+        check_key_lemma(doc.to_bracket(), _derivation_pool(doc), [(1, 1)])
+    assert str(caught.value) == expected
+
+
+def test_key_lemma_first_violation_keeps_one_witness(monkeypatch):
+    # the (N_i D, N_j D') side doubled from arity 2 on, so that the first
+    # failing combination has several residuals: the flag keeps only the
+    # head of the full list, as every other check does
+    real = derived.hom_bracket
+
+    def doubled(f, g):
+        value = real(f, g)
+        return value.scale(2) if f.arity + g.arity > 2 else value
+
+    monkeypatch.setattr(derived, "hom_bracket", doubled)
+    text = shipped.fixture_text("endo2")
+    found = {}
+    for first in (False, True):
+        options = RunOptions(max_arity=2, first_violation=first)
+        (result,) = run_command("check-key-lemma", text, options).results
+        found[first] = result.violations
+    full = found[False]
+    assert len(full) >= 2 and full[0].site[:4] == full[1].site[:4], full[:2]
+    assert found[True] == full[:1]
