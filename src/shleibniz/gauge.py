@@ -373,7 +373,9 @@ def check_gauge_equivalence(
       coderivation certificate.
 
     All three are read off the constants as the module docstring sets out;
-    no word is evaluated, whether the check passes or fails.
+    no word is evaluated, whether the check passes or fails.  Under
+    first_violation the first witness of the conjugation and the first of
+    the order expansion are kept.
     """
     if max_len < 1:
         raise MalformedInputError("max_len must be >= 1")
@@ -402,7 +404,7 @@ def check_gauge_equivalence(
         )
     violations = lift_witnesses(defect, max_len, "gauge-conjugation", first_violation)
     detail = "component of exp([-, Xi]) partial differs from the transformed codifferential"
-    violations += [
+    expansion = [
         Violation("gauge-order-expansion", (a,), None, f"arity-{a} {detail}") for a in difference
     ]
-    return Verdict.from_violations(violations[:1] if first_violation else violations)
+    return Verdict.from_violations(violations + (expansion[:1] if first_violation else expansion))

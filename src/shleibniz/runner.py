@@ -51,12 +51,15 @@ def _require_gauge(doc: AlgebraDocument) -> GaugeFamily:
     return gauge
 
 
-def _split(name_map: dict[str, str], violations: list[Violation]) -> list[CheckResult]:
-    """One CheckResult per violation tag, preserving name_map order."""
+def _split(
+    name_map: dict[str, str], violations: list[Violation], first_violation: bool
+) -> list[CheckResult]:
+    """One CheckResult per violation tag, preserving name_map order; only the
+    first witness of each tag under first_violation."""
     results = []
     for tag, label in name_map.items():
         found = [v for v in violations if v.check == tag]
-        results.append(CheckResult(label, not found, found))
+        results.append(CheckResult(label, not found, found[:1] if first_violation else found))
     return results
 
 
@@ -74,7 +77,8 @@ def _cmd_validate(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult
 def _cmd_check_leibniz(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
     """Left Leibniz identity on all basis triples."""
     violations = check_leibniz_identity(doc.to_bracket())
-    return [CheckResult("leibniz-identity", not violations, violations)]
+    kept = violations[:1] if options.first_violation else violations
+    return [CheckResult("leibniz-identity", not violations, kept)]
 
 
 def _cmd_check_deformation(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
@@ -86,6 +90,7 @@ def _cmd_check_deformation(doc: AlgebraDocument, options: RunOptions) -> list[Ch
             "deformation-square": "square-zero-ladder",
         },
         violations,
+        options.first_violation,
     )
 
 
@@ -212,6 +217,7 @@ def _cmd_check_gauge_equivalence(
             "gauge-order-expansion": "orderwise-expansion",
         },
         verdict.violations,
+        options.first_violation,
     )
     # both laws of e^Xi are proved from Xi's certificate: they pass or raise EngineError
     laws = [CheckResult(name, True) for name in ("exponential-morphism", "exponential-inverse")]
@@ -241,7 +247,11 @@ def _cmd_report_all(doc: AlgebraDocument, options: RunOptions) -> list[CheckResu
         results += _cmd_check_deformation(doc, options)
         results += _cmd_check_sh(doc, options)
         results += _cmd_check_codifferential(doc, options)
-        results += _cmd_check_key_lemma(doc, options)
+        try:
+            results += _cmd_check_key_lemma(doc, options)
+        except PreconditionError as exc:
+            # a perturbed delta may be no derivation; the other suites still report
+            results.append(CheckResult("key-lemma", None, detail=[f"skipped: {exc}"]))
     else:
         results.append(
             CheckResult("deformation-suites", None, detail=["skipped: no family"])

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from shleibniz import fixtures as shipped
 from shleibniz.cli import main
 from shleibniz.runner import _OPTION_FIELDS, COMMANDS, RunOptions
+from oracles import perturbed_text
 
 
 def run(*args, text=None):
@@ -141,6 +142,21 @@ def test_report_all_skips_missing_sections(tmp_path):
     result = run("report-all", fixture_path("quartic", tmp_path), "--max-const", "3")
     assert result.exit_code == 0
     assert "skipped" in result.output
+
+
+def test_report_all_skips_the_key_lemma_when_a_delta_is_no_derivation():
+    # the designated perturbations of endo2 and heisab leave delta_0 no
+    # derivation: check-key-lemma refuses them with exit 2, while report-all
+    # records the refusal as an info row and reports every other verdict
+    message = "first operation is not a derivation of the bracket"
+    for name in ("endo2", "heisab"):
+        text = perturbed_text(name)
+        refused = run("check-key-lemma", "-", text=text)
+        assert refused.exit_code == 2 and message in refused.output, name
+        result = run("report-all", "-", "--max-const", "3", "--max-word-len", "3", text=text)
+        assert result.exit_code == 1, (name, result.output)
+        assert f"info key-lemma\n  skipped: {message}\n" in result.output, name
+        assert "check codifferential-square: fail" in result.output, name
 
 
 def test_bad_flag_value_rejected(tmp_path):

@@ -177,3 +177,32 @@ def test_key_lemma_first_violation_keeps_one_witness(monkeypatch):
     full = found[False]
     assert len(full) >= 2 and full[0].site[:4] == full[1].site[:4], full[:2]
     assert found[True] == full[:1]
+
+
+def test_gauge_first_violation_keeps_the_verdict_of_every_row():
+    # E01 -> E00 added to delta_0 of endo2 fails both the conjugation and the
+    # order expansion; the flag keeps the head of each row, not of the list
+    text = perturbed_text("endo2")
+    rows = {}
+    for first in (False, True):
+        options = RunOptions(max_word_len=3, first_violation=first)
+        rows[first] = run_command("check-gauge-equivalence", text, options).results
+    assert [r.passed for r in rows[False]] == [False, True, True, False]
+    assert len(rows[False][3].violations) == 3
+    for full, kept in zip(rows[False], rows[True]):
+        assert (kept.passed, kept.violations) == (full.passed, full.violations[:1]), full.name
+
+
+def test_report_all_first_violation_keeps_one_witness_per_failing_row():
+    # every row keeps its verdict and the head of its full witness list
+    scopes = dict(max_const=4, max_word_len=3, max_arity=2)
+    for name in family_fixture_names():
+        text = perturbed_text(name)
+        full = run_command("report-all", text, RunOptions(**scopes)).results
+        kept = run_command("report-all", text, RunOptions(**scopes, first_violation=True)).results
+        assert [r.name for r in kept] == [r.name for r in full], name
+        for whole, head in zip(full, kept):
+            assert head.passed == whole.passed, (name, whole.name)
+            assert head.violations == whole.violations[:1], (name, whole.name)
+        failing = [r for r in kept if r.passed is False]
+        assert failing and all(len(r.violations) == 1 for r in failing), name
