@@ -1,8 +1,9 @@
 """Text and structured reports pinned byte for byte, apart from elapsed time.
 
 Every command runs on every shipped fixture it applies to, at small scopes,
-and the failing commands run on each designated perturbation, so verdicts,
-witness lists and their order are all pinned.  One fixture also runs after
+and the failing commands and ``report-all`` run on each designated
+perturbation, with and without ``--first-violation``, so verdicts, witness
+lists and their order are all pinned, and so is the head each check keeps.  One fixture also runs after
 a diagonal rescaling of its basis, with and without its perturbation, so
 that structure constants, residuals and gauge images carry denominators.
 Each case pins ``render_text`` minus its ``elapsed:`` line under its plain
@@ -15,6 +16,7 @@ them only for a deliberate change of report content, with
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -31,6 +33,7 @@ from oracles import family_fixture_names, perturbed_text
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 SCOPES = RunOptions(max_const=4, max_word_len=3, max_arity=2)
+FIRST = dataclasses.replace(SCOPES, first_violation=True)
 FAILING_PATH = (
     "check-deformation",
     "check-sh",
@@ -53,9 +56,9 @@ def _digest(rendered: str, timing_prefix: str) -> str:
     return hashlib.sha256("\n".join(kept).encode()).hexdigest()
 
 
-def report_digests(command: str, text: str) -> tuple[str, str]:
+def report_digests(command: str, text: str, options: RunOptions = SCOPES) -> tuple[str, str]:
     """Digests of the text and of the structured rendering of one run."""
-    report = run_command(command, text, SCOPES)
+    report = run_command(command, text, options)
     return (
         _digest(render_text(report), "elapsed:"),
         _digest(render_structured(report), '  "elapsed_ms":'),
@@ -98,18 +101,21 @@ def rescaled_cases() -> dict[str, str]:
 
 
 def compute_digests() -> dict[str, str]:
-    runs: list[tuple[str, str, str]] = []
+    runs: list[tuple[str, str, str, RunOptions]] = []
     for name in shipped.fixture_names():
-        runs.extend((command, name, shipped.fixture_text(name)) for command in COMMANDS)
+        runs.extend((command, name, shipped.fixture_text(name), SCOPES) for command in COMMANDS)
     for name in family_fixture_names():
-        text = perturbed_text(name)
-        runs.extend((command, f"{name}+perturbation", text) for command in FAILING_PATH)
+        text, label = perturbed_text(name), f"{name}+perturbation"
+        runs.extend((command, label, text, SCOPES) for command in FAILING_PATH)
+        runs.append(("report-all", label, text, SCOPES))
+        for command in FAILING_PATH + ("report-all",):
+            runs.append((command, f"{label} first-violation", text, FIRST))
     for label, text in rescaled_cases().items():
-        runs.extend((command, label, text) for command in RESCALED_COMMANDS)
+        runs.extend((command, label, text, SCOPES) for command in RESCALED_COMMANDS)
     out: dict[str, str] = {}
-    for command, label, text in runs:
+    for command, label, text, options in runs:
         try:
-            text_digest, structured_digest = report_digests(command, text)
+            text_digest, structured_digest = report_digests(command, text, options)
         except PreconditionError:
             continue
         out[f"{command} {label}"] = text_digest
