@@ -35,12 +35,13 @@ g(gk) and the sign is that of the lift's unshuffle row.  hom_bracket scatters
 both composites this way straight from the constants of f and g, and
 evaluates no lift; it is exactly zero on every key no term reaches.
 
-scattered_lift reads a whole lift off the constants the same way: a key gk
-of the arity-i component feeds the k-th summand on exactly the words that
-interleave free letters with gk[:-1] before gk[-1], so the keys, the rows and
-the free letters give every nonzero value without visiting a word.
-lift_witnesses names those words as the witnesses of the failing checks
-whose residual is a proved lift, in derived and in gauge.
+scattered_lift reads a whole lift off the constants one length at a time:
+on a word w of length n it is the n-th summand plus the lift on w[:-1]
+followed by w[-1], and a key gk of the arity-i component feeds the n-th
+summand on exactly the words placing n - i free letters among gk[:-1]
+(graded.placements) before gk[-1].  lift_witnesses names those words as the
+witnesses of the failing checks whose residual is a proved lift, in derived
+and in gauge, and stops at the first under first_violation.
 
 The dual Leibniz axiom and the coderivation axiom of a lift are proved for
 every word through parity patterns.  Every sign in comultiply and in the
@@ -81,8 +82,8 @@ from .graded import (
     GradedBasis,
     Scalar,
     SparseVector,
+    placements,
     signed_unshuffles,
-    unshuffle_gathers,
 )
 from .multiop import MultiOp, compose_into, op_from_terms
 from .results import Verdict, Violation
@@ -295,61 +296,48 @@ def evaluate_coderivation(spec: CoderivationSpec, word: Word) -> TensorElement:
     return TensorElement._trusted(basis, acc)
 
 
-def scattered_lift(spec: CoderivationSpec, max_len: int) -> list[tuple[Word, TensorElement]]:
+def scattered_lift(spec: CoderivationSpec, max_len: int) -> Iterator[tuple[Word, TensorElement]]:
     """The nonzero values of spec's lift on the words of length <= max_len,
-    scattered from the constants, words ordered by (length, word).
+    yielded in (length, word) order; a length is built once the one before
+    it has been consumed.
 
-    A key gk of the arity-i component feeds the k-th summand of the lift on
-    exactly the words whose first k - 1 letters place k - i free letters (the
-    first block of an unshuffle row) among gk[:-1] (the second block), then
-    carry gk[-1], then any n - k letters; each letter z of op(gk) adds
-    +-c (free letters, z, suffix), with the row's sign for those letters'
-    parities.  The summand depends on the first k letters alone and appends
-    the suffix, so the terms are gathered per k-letter prefix and then
-    extended by every suffix.  Keys, k, rows and free letters enumerate each
-    term of every lift once; no word whose lift has no term is visited, and
+    The k-th summand depends on the first k letters alone and carries the
+    rest, so on a word w of length n the lift is the lift on w[:-1] followed
+    by w[-1], plus the n-th summand: a key gk of the arity-i component feeds
+    it on exactly the words placing n - i free letters among gk[:-1] and
+    ending in gk[-1], and each letter z of op(gk) adds +-c (free letters, z)
+    with the placing row's sign.  No word without a term is visited, and
     words whose terms cancel are dropped.
     """
     basis = spec.basis
     letters = range(len(basis))
     parity = [d % 2 for d in basis.degrees]
     odd = spec.degree % 2
-    heads: dict[Word, dict[Word, Scalar]] = {}
-    for i, op in spec.components.items():
-        for k in range(i, max_len + 1):
-            m = k - i
-            orders = unshuffle_gathers(m, i - 1)
+    shorter: dict[Word, dict[Word, Scalar]] = {}
+    for n in range(1, max_len + 1):
+        acc = {
+            prefix + (a,): {w + (a,): c for w, c in terms.items()}
+            for prefix, terms in shorter.items()
+            for a in letters
+        }
+        for i, op in spec.components.items():
+            if i > n:
+                continue
             for gk, image in op.constants.items():
                 head, pinned = gk[:-1], gk[-1:]
-                for free in itertools.product(letters, repeat=m):
-                    sources = free + head
-                    for r, order in enumerate(orders):
-                        merged = tuple(sources[s] for s in order)
-                        _, _, eps, _, jumped = signed_unshuffles(
-                            m, i - 1, tuple(parity[x] for x in merged)
-                        )[r]
+                for free in itertools.product(letters, repeat=n - i):
+                    for merged, (_, _, eps, _, jumped) in placements(free, head, parity):
                         sign = -eps if odd and jumped else eps
-                        out = heads.setdefault(merged + pinned, {})
+                        out = acc.setdefault(merged + pinned, {})
                         for z, c in image.coeffs.items():
                             key = free + (z,)
                             out[key] = out.get(key, 0) + sign * c
-    acc: dict[Word, dict[Word, Scalar]] = {}
-    for prefix, terms in heads.items():
-        terms = {w: c for w, c in terms.items() if c}
-        if not terms:
-            continue
-        for n in range(len(prefix), max_len + 1):
-            for suffix in itertools.product(letters, repeat=n - len(prefix)):
-                out = acc.setdefault(prefix + suffix, {})
-                for w, c in terms.items():
-                    key = w + suffix
-                    out[key] = out.get(key, 0) + c
-    values = []
-    for word in sorted(acc, key=lambda w: (len(w), w)):
-        value = TensorElement._trusted(basis, acc[word])
-        if not value.is_zero():
-            values.append((word, value))
-    return values
+        shorter = {}
+        for word in sorted(acc):
+            value = TensorElement._trusted(basis, acc.pop(word))
+            if not value.is_zero():
+                shorter[word] = value.coeffs
+                yield word, value
 
 
 def lift_witnesses(
@@ -357,16 +345,14 @@ def lift_witnesses(
 ) -> list[Violation]:
     """Every word of length <= max_len on which spec's lift is nonzero, as a
     violation of check carrying the value, in scattered_lift's order; only
-    the first under first_violation.  The lift is proved a coderivation first."""
+    the first, and no longer word, under first_violation.  The lift is
+    proved a coderivation first."""
     if not spec.components:
         return []
     check_coderivation_axiom(spec, max_len)
-    violations: list[Violation] = []
-    for word, value in scattered_lift(spec, max_len):
-        violations.append(Violation(check, tuple(spec.basis.names[i] for i in word), value))
-        if first_violation:
-            break
-    return violations
+    values = itertools.islice(scattered_lift(spec, max_len), 1 if first_violation else None)
+    names = spec.basis.names
+    return [Violation(check, tuple(names[i] for i in word), value) for word, value in values]
 
 
 @functools.cache

@@ -302,7 +302,7 @@ def check_codifferential(fam: DeformationFamily, max_len: int, first_violation: 
     Decided from the corestriction Q of the square, as the module docstring
     argues: the check passes when Q vanishes, and otherwise every word w
     with partial(partial(w)) = Q^c(w) nonzero is a witness, shortest first
-    and lexicographically within a length.  No word is walked.
+    and lexicographically within a length (lift_witnesses).  No word is walked.
     """
     if max_len < 1:
         raise MalformedInputError("max_len must be >= 1")

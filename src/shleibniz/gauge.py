@@ -374,8 +374,7 @@ def check_gauge_equivalence(
 
     All three are read off the constants as the module docstring sets out;
     no word is evaluated, whether the check passes or fails.  Under
-    first_violation the first witness of the conjugation and the first of
-    the order expansion are kept.
+    first_violation each sub-check keeps its first witness.
     """
     if max_len < 1:
         raise MalformedInputError("max_len must be >= 1")
@@ -395,9 +394,8 @@ def check_gauge_equivalence(
         basis, 1, {a: prime.get(a, z) + -expanded.get(a, z) for a, z in zero.items()}
     ).components
     defect = CoderivationSpec(basis, 1, {a: d for a, d in difference.items() if a <= max_len})
-    if bool(_scattered_defect(partial, partial_prime, xi_spec, max_len)) != bool(
-        defect.components
-    ):
+    scattered = _scattered_defect(partial, partial_prime, xi_spec, max_len)
+    if bool(scattered) != bool(defect.components):
         raise EngineError(
             f"the morphism equation and exp([-, Xi]) disagree on the conjugation "
             f"up to length {max_len}; the sign conventions are inconsistent"

@@ -19,11 +19,11 @@ The formal suspension s raises every degree by one; its tensor powers are
 ordinary operator layers under the rule above, so s(i) and s^{-1}(i) need no
 special casing and s^{-1}(i) s(i) = (-1)^(i(i-1)/2) falls out of ``layer_sign``.
 
-Two pieces are shared by every layer above: ``signed_unshuffles``, the one
-cached table of unshuffles with their signs that the comultiplication, the
-coderivation lifts and the sh identities all loop over; and ``SparseVector``,
-the one implementation of sparse exact vector arithmetic behind ``Element``
-here and the tensor elements of the coalgebra.
+Three pieces are shared by every layer above: ``signed_unshuffles``, the one
+cached table of unshuffles with their signs; ``placements``, the one loop
+placing letters among a constant's letters by those rows, from which every
+composite and every lift is scattered; and ``SparseVector``, the one sparse
+exact arithmetic behind ``Element`` and the coalgebra's tensor elements.
 """
 
 from __future__ import annotations
@@ -340,14 +340,25 @@ def signed_unshuffles(p: int, q: int, parities: tuple[int, ...]) -> tuple[Unshuf
 
 
 @functools.cache
-def unshuffle_gathers(p: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """Per row of the (p, q)-unshuffles, the source index of each merged
-    position: merged[j] = (first block + second block)[gathers[r][j]].
-    The rows are those of signed_unshuffles for any parity tuple."""
+def _placement_table(p: int, q: int, parities: tuple[int, ...]) -> tuple:
+    """Per (p, q)-unshuffle row, the gather order, merged[j] = sources[order[j]],
+    and the row signed for the parities of merged, given those of the sources."""
+    rows = signed_unshuffles(p, q, (0,) * (p + q))
+    orders = [tuple(sorted(range(p + q), key=(a + b).__getitem__)) for a, b, *_ in rows]
     return tuple(
-        tuple(sorted(range(p + q), key=(first + second).__getitem__))
-        for first, second, *_ in signed_unshuffles(p, q, (0,) * (p + q))
+        (order, signed_unshuffles(p, q, tuple(parities[s] for s in order))[r])
+        for r, order in enumerate(orders)
     )
+
+
+def placements(free: tuple, head: tuple, parity: Sequence[int]) -> Iterator[tuple]:
+    """(merged, row) for every placing of the letters free among head, both
+    in order: row is the unshuffle row with free as its first block, signed
+    for the parities of merged, where letter x has parity[x]."""
+    sources = free + head
+    table = _placement_table(len(free), len(head), tuple([parity[x] for x in sources]))
+    for order, row in table:
+        yield tuple([sources[s] for s in order]), row
 
 
 def layer_sign(op_degrees: Sequence[int], arg_degrees: Sequence[int]) -> int:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import MalformedInputError, PreconditionError
-from .graded import Element, GradedBasis, Scalar, UnshuffleRow, signed_unshuffles, unshuffle_gathers
+from .graded import Element, GradedBasis, Scalar, UnshuffleRow, placements
 from .results import Verdict, Violation
 
 
@@ -370,15 +370,13 @@ def _composite_terms(
     gk[-1], and gk[-1] itself by a letter z of g(gk), for a key gk of g.  So
     f reaches its key fk, with z at position p, only from the key
     merged + gk[-1:] + fk[p + 1:], where merged places fk[:p] among gk[:-1].
-    c is the coefficient of z in g(gk), and row is the row of
-    signed_unshuffles(p, |gk| - 1, ...) that does the placing, for the
-    parities of merged: rows follow the order of unshuffles for every parity
-    tuple, so the row index of unshuffle_gathers finds it.  Terms carry no
+    c is the coefficient of z in g(gk), and merged and row are one placing
+    of graded.placements(fk[:p], gk[:-1], ...): row is the signed
+    (p, |gk| - 1) unshuffle row for the parities of merged.  Terms carry no
     sign: each caller reads its own off the row, compose_into the lift's and
     check_sh_leibniz the sh identity's.
     """
     parity = [d % 2 for d in f.basis.degrees]
-    q = g.arity - 1
     around: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for fk in f.constants:
         for p, z in enumerate(fk):
@@ -387,11 +385,8 @@ def _composite_terms(
         head, last = gk[:-1], gk[-1:]
         for z, c in image.coeffs.items():
             for fk, p in around.get(z, ()):
-                letters = fk[:p] + head
                 suffix = last + fk[p + 1 :]
-                for r, order in enumerate(unshuffle_gathers(p, q)):
-                    merged = tuple([letters[k] for k in order])
-                    row = signed_unshuffles(p, q, tuple([parity[x] for x in merged]))[r]
+                for merged, row in placements(fk[:p], head, parity):
                     yield fk, p, c, row, merged + suffix
 
 

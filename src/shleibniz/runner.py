@@ -54,8 +54,7 @@ def _require_gauge(doc: AlgebraDocument) -> GaugeFamily:
 def _split(
     name_map: dict[str, str], violations: list[Violation], first_violation: bool
 ) -> list[CheckResult]:
-    """One CheckResult per violation tag, preserving name_map order; only the
-    first witness of each tag under first_violation."""
+    """One CheckResult per tag, in name_map order; only each tag's first under first_violation."""
     results = []
     for tag, label in name_map.items():
         found = [v for v in violations if v.check == tag]
@@ -249,8 +248,7 @@ def _cmd_report_all(doc: AlgebraDocument, options: RunOptions) -> list[CheckResu
         results += _cmd_check_codifferential(doc, options)
         try:
             results += _cmd_check_key_lemma(doc, options)
-        except PreconditionError as exc:
-            # a perturbed delta may be no derivation; the other suites still report
+        except PreconditionError as exc:  # the key lemma refuses its input
             results.append(CheckResult("key-lemma", None, detail=[f"skipped: {exc}"]))
     else:
         results.append(

@@ -41,6 +41,7 @@ from shleibniz.multiop import (
     nary_bracket,
 )
 from shleibniz.results import Verdict, Violation
+from shleibniz.runner import RunOptions, run_command
 from oracles import (
     Perturbation,
     corestriction,
@@ -48,6 +49,7 @@ from oracles import (
     mc_element,
     perturbation,
     perturbed_family,
+    perturbed_text,
 )
 from test_derived import random_op
 from test_multiop import dense_commutator, dense_compose_unary
@@ -752,10 +754,32 @@ def test_scattered_lift_matches_the_lift_on_every_short_word():
                 for k in range(op.arity, len(word) + 1)
                 for _ in coalgebra._lift_terms(op, word, parity, k)
             )
-        assert coalgebra.scattered_lift(spec, 4) == want, trial
+        assert list(coalgebra.scattered_lift(spec, 4)) == want, trial
         nonzero += len(want)
     assert parities == {0, 1}
     assert nonzero > 1000 and cancelled >= 10, (nonzero, cancelled)
+
+
+def test_first_violation_builds_no_lift_value_past_its_witness(monkeypatch):
+    # endo2 (x) Q[t]/t^2 with E01 -> E00 added to delta_0 fails well below
+    # length 6; under the flag the scatter stops at the witness's length, so
+    # no value of the square's lift has a word longer than the witness
+    doc = shipped.tensor_dual_numbers(shipped.load_fixture("endo2"), "endo2xt")
+    basis = doc.to_basis()
+    lengths = []
+    real = TensorElement._trusted.__func__
+
+    def recorded(cls, on, coeffs):
+        if on == basis:
+            lengths.extend(len(word) for word in coeffs)
+        return real(cls, on, coeffs)
+
+    monkeypatch.setattr(TensorElement, "_trusted", classmethod(recorded))
+    options = RunOptions(max_word_len=6, first_violation=True)
+    (result,) = run_command("check-codifferential", perturbed_text("endo2", doc), options).results
+    (witness,) = result.violations
+    assert len(witness.site) < 6 and lengths, (witness.site, lengths)
+    assert max(lengths) <= len(witness.site), (witness.site, max(lengths))
 
 
 def test_patterns_no_component_fits_are_certified_without_a_proof(monkeypatch):
