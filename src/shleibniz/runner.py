@@ -76,8 +76,7 @@ def _cmd_validate(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult
 def _cmd_check_leibniz(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
     """Left Leibniz identity on all basis triples."""
     violations = check_leibniz_identity(doc.to_bracket())
-    kept = violations[:1] if options.first_violation else violations
-    return [CheckResult("leibniz-identity", not violations, kept)]
+    return _split({"leibniz-identity": "leibniz-identity"}, violations, options.first_violation)
 
 
 def _cmd_check_deformation(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
