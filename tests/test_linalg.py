@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given
@@ -10,9 +12,11 @@ from hypothesis import strategies as st
 
 from shleibniz import fixtures as shipped
 from shleibniz.errors import MalformedInputError
+from shleibniz.graded import Element
 from shleibniz.linalg import derivation_basis, nullspace
 from shleibniz.coalgebra import hom_bracket
-from shleibniz.multiop import check_derivation
+from shleibniz.multiop import MultiOp, check_derivation, check_leibniz_identity
+from test_multiop import perturbed_bracket
 
 
 def test_nullspace_rank_one_system():
@@ -119,3 +123,73 @@ def test_derivation_basis_closed_under_commutator():
 def test_derivation_basis_empty_degrees():
     bracket = shipped.load_fixture("endo2").to_bracket()
     assert derivation_basis(bracket, degrees=[9]) == []
+
+
+def dense_derivation_basis(bracket: MultiOp, degrees: Sequence[int] | None = None) -> list[MultiOp]:
+    """The solver's dense system: one row per basis triple (x, y, t) and
+    output letter, each of the three terms of the derivation rule read
+    through apply_indices."""
+    basis = bracket.basis
+    n = len(basis)
+    if degrees is None:
+        degrees = sorted({basis.degree(c) - basis.degree(b) for b in range(n) for c in range(n)})
+    out: list[MultiOp] = []
+    for g in degrees:
+        slots = [
+            (b, c) for b in range(n) for c in range(n)
+            if basis.degree(c) == basis.degree(b) + g
+        ]
+        if not slots:
+            continue
+        index = {s: k for k, s in enumerate(slots)}
+        rows: list[list[Fraction]] = []
+        for x in range(n):
+            for y in range(n):
+                sign = -1 if (basis.degree(x) * g) % 2 else 1
+                for t in range(n):
+                    row = [Fraction(0)] * len(slots)
+                    # D{x,y}: route the bracket image through D
+                    for u, beta in bracket.apply_indices((x, y)).coeffs.items():
+                        if (u, t) in index:
+                            row[index[(u, t)]] += beta
+                    # -{Dx, y}
+                    for c in range(n):
+                        if (x, c) in index:
+                            row[index[(x, c)]] -= bracket.apply_indices((c, y)).coeffs.get(
+                                t, Fraction(0)
+                            )
+                    # -(-1)^(|x| g) {x, Dy}
+                    for c in range(n):
+                        if (y, c) in index:
+                            row[index[(y, c)]] -= sign * bracket.apply_indices((x, c)).coeffs.get(
+                                t, Fraction(0)
+                            )
+                    if any(row):
+                        rows.append(row)
+        for vec in nullspace(rows, len(slots)):
+            constants = {}
+            for (b, c), k in index.items():
+                if vec[k]:
+                    constants.setdefault((b,), {})[c] = vec[k]
+            op = MultiOp(
+                basis, 1, g,
+                {key: Element(basis, coeffs) for key, coeffs in constants.items()},
+            )
+            assert not check_derivation(op, bracket), "solver produced a non-derivation"
+            out.append(op)
+    return out
+
+
+def test_derivation_basis_matches_its_dense_system(docs, generated):
+    # the same operations in the same order: the nullspace depends on the
+    # row space alone, so any system with the same rows gives the same basis
+    rng = random.Random(23)
+    cases = []
+    for _, doc in sorted(docs.items()) + sorted(generated.items()):
+        bracket = doc.to_bracket()
+        cases += [bracket] + [perturbed_bracket(bracket, rng) for _ in range(2)]
+    failing = 0
+    for bracket in cases:
+        assert derivation_basis(bracket) == dense_derivation_basis(bracket), bracket
+        failing += bool(check_leibniz_identity(bracket))
+    assert failing >= 8, failing
