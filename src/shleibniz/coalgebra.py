@@ -346,11 +346,17 @@ def lift_witnesses(
     """Every word of length <= max_len on which spec's lift is nonzero, as a
     violation of check carrying the value, in scattered_lift's order; only
     the first, and no longer word, under first_violation.  The lift is
-    proved a coderivation first."""
+    proved a coderivation on the lengths the witnesses rest on: up to
+    max_len for the full list, whose completeness needs every length, or
+    when there is no witness; up to the witness's length for a lone one."""
     if not spec.components:
         return []
-    check_coderivation_axiom(spec, max_len)
-    values = itertools.islice(scattered_lift(spec, max_len), 1 if first_violation else None)
+    values = scattered_lift(spec, max_len)
+    reach = max_len
+    if first_violation:
+        values = list(itertools.islice(values, 1))
+        reach = len(values[0][0]) if values else max_len
+    check_coderivation_axiom(spec, reach)
     names = spec.basis.names
     return [Violation(check, tuple(names[i] for i in word), value) for word, value in values]
 

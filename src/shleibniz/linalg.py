@@ -2,7 +2,10 @@
 
 Only what the derivation-space solver needs: reduced row echelon form and a
 nullspace basis.  Matrices are dense lists of Fraction rows; the systems here
-have at most a few dozen unknowns.
+have at most a few dozen unknowns.  The solver's columns are the residuals of
+the derivation rule on elementary maps e_b |-> e_c, scattered from the
+bracket's constants (multiop._derivation_residuals), so only rows some
+column reaches are built.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from typing import Sequence
 
 from .errors import MalformedInputError
 from .graded import Element
-from .multiop import MultiOp, check_derivation
+from .multiop import MultiOp, _derivation_residuals, check_derivation, op_from_terms
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -54,7 +57,11 @@ def derivation_basis(bracket: MultiOp, degrees: Sequence[int] | None = None) -> 
 
     Solves the graded derivation rule degree by degree; when degrees is None
     every operator degree that admits a nonzero homogeneous arity-1 map is
-    tried.  Results come back as MultiOps, each verified by check_derivation.
+    tried.  The rule is linear in D, so the column of the unknown (b, c), the
+    coefficient of e_c in D e_b, is the residual table of the elementary map
+    e_b |-> e_c (_derivation_residuals), one row per pair and output letter
+    it reaches.  Results come back as MultiOps, each verified by
+    check_derivation.
     """
     basis = bracket.basis
     n = len(basis)
@@ -66,38 +73,18 @@ def derivation_basis(bracket: MultiOp, degrees: Sequence[int] | None = None) -> 
             (b, c) for b in range(n) for c in range(n)
             if basis.degree(c) == basis.degree(b) + g
         ]
-        if not slots:
-            continue
-        index = {s: k for k, s in enumerate(slots)}
-        rows: list[list[Fraction]] = []
-        for x in range(n):
-            for y in range(n):
-                sign = -1 if (basis.degree(x) * g) % 2 else 1
-                for t in range(n):
-                    row = [Fraction(0)] * len(slots)
-                    # D{x,y}: route the bracket image through D
-                    for u, beta in bracket.apply_indices((x, y)).coeffs.items():
-                        if (u, t) in index:
-                            row[index[(u, t)]] += beta
-                    # -{Dx, y}
-                    for c in range(n):
-                        if (x, c) in index:
-                            row[index[(x, c)]] -= bracket.apply_indices((c, y)).coeffs.get(
-                                t, Fraction(0)
-                            )
-                    # -(-1)^(|x| g) {x, Dy}
-                    for c in range(n):
-                        if (y, c) in index:
-                            row[index[(y, c)]] -= sign * bracket.apply_indices((x, c)).coeffs.get(
-                                t, Fraction(0)
-                            )
-                    if any(row):
-                        rows.append(row)
-        for vec in nullspace(rows, len(slots)):
+        rows: dict[tuple[int, int, int], list[Fraction]] = {}
+        for k, (b, c) in enumerate(slots):
+            unit = op_from_terms(basis, 1, g, {(b,): {c: 1}})
+            for (x, y), image in _derivation_residuals(unit, bracket).items():
+                for t, coeff in image.items():
+                    if coeff:
+                        rows.setdefault((x, y, t), [Fraction(0)] * len(slots))[k] = coeff
+        for vec in nullspace(list(rows.values()), len(slots)):
             constants = {}
-            for (b, c), k in index.items():
-                if vec[k]:
-                    constants.setdefault((b,), {})[c] = vec[k]
+            for (b, c), coeff in zip(slots, vec):
+                if coeff:
+                    constants.setdefault((b,), {})[c] = coeff
             op = MultiOp(
                 basis, 1, g,
                 {key: Element(basis, coeffs) for key, coeffs in constants.items()},

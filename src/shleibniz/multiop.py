@@ -13,6 +13,13 @@ and a degree-d operator D is a derivation when
 
     D{x, y} = {Dx, y} + (-1)^(|x| |D|) {x, Dy}.
 
+The derivation rule is the arity-2 hom bracket (D, b) = D . b^c - b . D^c
+with the bracket b (as |b| = 0), read off compose_into by
+_derivation_residuals, the one place it is written.  The Leibniz identity
+says that every left multiplication ad_x = {x, -} is a derivation, so
+check_leibniz_identity, check_derivation and the derivation solver
+(linalg.derivation_basis) all go through it.
+
 N_i denotes the left-nested bracket N_i(x_1, ..., x_i) =
 {...{{x_1, x_2}, x_3}..., x_i}, with N_1 the identity, and N_i D feeds D into
 the leftmost slot only: (N_i D)(x_1, ..., x_i) = N_i(D x_1, x_2, ..., x_i).
@@ -190,18 +197,13 @@ def _names(basis: GradedBasis, key: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(basis.names[i] for i in key)
 
 
-_ByLetter = dict[int, list[tuple[int, dict[int, Scalar]]]]
-
-
-def _by_letter(bracket: MultiOp) -> tuple[_ByLetter, _ByLetter]:
-    """The nonzero constants {x, y} of the bracket, indexed by the left letter
-    x as (y, image) and by the right letter y as (x, image)."""
-    by_left: _ByLetter = {}
-    by_right: _ByLetter = {}
+def _by_left(bracket: MultiOp) -> dict[int, list[tuple[int, dict[int, Scalar]]]]:
+    """The nonzero constants {x, y} of the bracket indexed by the left letter
+    x, as (y, image): the left multiplication ad_x = {x, -} on each y."""
+    by_left: dict[int, list[tuple[int, dict[int, Scalar]]]] = {}
     for (x, y), image in bracket.constants.items():
         by_left.setdefault(x, []).append((y, image.coeffs))
-        by_right.setdefault(y, []).append((x, image.coeffs))
-    return by_left, by_right
+    return by_left
 
 
 def _residuals(
@@ -234,70 +236,35 @@ def _add_scaled(
 def check_leibniz_identity(bracket: MultiOp) -> list[Violation]:
     """Left Leibniz identity on every basis triple; residual = LHS - RHS.
 
-    The residual {x, {y, z}} - {{x, y}, z} - (-1)^(|x||y|) {y, {x, z}} on
-    (x, y, z) can be nonzero only when (y, z), (x, y) or (x, z) is a key of
-    the bracket: each term is bilinear in the constants, with the inner
-    bracket on that pair.  The three terms are scattered from the nonzero
-    constants, the outer bracket indexed by its left and by its right
-    letter, and residuals come out in lexicographic triple order.
+    The identity says that every left multiplication is a derivation: the
+    residual {x, {y, z}} - {{x, y}, z} - (-1)^(|x||y|) {y, {x, z}} on
+    (x, y, z) is the derivation rule's residual of ad_x = {x, -}, of degree
+    |x|, on (y, z).  Each nonzero ad_x is read off the constants and its
+    residuals (_derivation_residuals) are reported with the site prefix x,
+    so they come out in lexicographic triple order; a letter x with
+    ad_x = 0 has none.
     """
     if bracket.arity != 2:
         raise MalformedInputError("bracket must have arity 2")
     basis = bracket.basis
-    parity = [d % 2 for d in basis.degrees]
-    by_left, by_right = _by_letter(bracket)
-    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
-    for (a, b), image in bracket.constants.items():
-        for w, c in image.coeffs.items():
-            # {x, {a, b}} on (x, a, b)
-            for x, outer in by_right.get(w, ()):
-                _add_scaled(acc, (x, a, b), c, outer)
-            # -{{a, b}, z} on (a, b, z)
-            for z, outer in by_left.get(w, ()):
-                _add_scaled(acc, (a, b, z), -c, outer)
-            # -(-1)^(|a||y|) {y, {a, b}} on (a, y, b)
-            for y, outer in by_right.get(w, ()):
-                _add_scaled(acc, (a, y, b), c if parity[a] and parity[y] else -c, outer)
-    return _residuals("leibniz-identity", basis, acc)
+    out: list[Violation] = []
+    for x, row in sorted(_by_left(bracket).items()):
+        ad_x = op_from_terms(basis, 1, basis.degree(x), {(y,): image for y, image in row})
+        acc = _derivation_residuals(ad_x, bracket)
+        out += _residuals("leibniz-identity", basis, acc, (basis.names[x],))
+    return out
 
 
 def check_derivation(op: MultiOp, bracket: MultiOp) -> list[Violation]:
-    """Graded derivation rule for an arity-1 op of any degree.
-
-    The residual D{x, y} - {Dx, y} - (-1)^(|x||D|) {x, Dy} on the pair (x, y)
-    can be nonzero only when (x, y) is a key of the bracket, x is a key of D
-    or y is a key of D: each term is linear in a constant of the bracket or
-    of D on those letters.  The three terms are accumulated per pair from
-    the nonzero constants alone, with the bracket indexed by its left and by
-    its right letter, and residuals come out in lexicographic pair order.
-    """
+    """Graded derivation rule for an arity-1 op of any degree: the residuals
+    of _derivation_residuals, in lexicographic pair order."""
     if op.arity != 1:
         raise MalformedInputError("derivation check needs an arity-1 operation")
     if bracket.arity != 2:
         raise MalformedInputError("bracket must have arity 2")
     if op.basis != bracket.basis:
         raise MalformedInputError("operation and bracket live over different bases")
-    basis = bracket.basis
-    d = {x: image.coeffs for (x,), image in op.constants.items()}
-    by_left, by_right = _by_letter(bracket)
-    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
-    # D{x, y}
-    for pair, image in bracket.constants.items():
-        for z, c in image.coeffs.items():
-            if z in d:
-                _add_scaled(acc, pair, c, d[z])
-    # -{Dx, y}
-    for x, dx in d.items():
-        for z, c in dx.items():
-            for y, image in by_left.get(z, ()):
-                _add_scaled(acc, (x, y), -c, image)
-    # -(-1)^(|x||D|) {x, Dy}
-    odd = op.degree % 2
-    for y, dy in d.items():
-        for z, c in dy.items():
-            for x, image in by_right.get(z, ()):
-                _add_scaled(acc, (x, y), c if odd and basis.degree(x) % 2 else -c, image)
-    return _residuals("derivation", basis, acc)
+    return _residuals("derivation", bracket.basis, _derivation_residuals(op, bracket))
 
 
 def check_differential(op: MultiOp, bracket: MultiOp) -> Verdict:
@@ -342,7 +309,7 @@ def n_i_d(bracket: MultiOp, op: MultiOp, i: int) -> MultiOp:
     basis = bracket.basis
     if op.basis != basis:
         raise MalformedInputError("operation and bracket live over different bases")
-    by_left, _ = _by_letter(bracket)
+    by_left = _by_left(bracket)
     level = {key: image.coeffs for key, image in sorted(op.constants.items())}
     for _ in range(i - 1):
         longer: dict[tuple[int, ...], dict[int, Scalar]] = {}
@@ -403,6 +370,25 @@ def compose_into(
     for fk, _, c, row, key in _composite_terms(f, g):
         eps = -row[2] if odd and row[4] else row[2]
         _add_scaled(acc, key, eps * scale * c, f.constants[fk].coeffs)
+
+
+def _derivation_residuals(
+    op: MultiOp, bracket: MultiOp
+) -> dict[tuple[int, ...], dict[int, Scalar]]:
+    """The residual D{x, y} - {Dx, y} - (-1)^(|x||D|) {x, Dy} of the
+    derivation rule for the arity-1 op D, as a coefficient dict per pair.
+
+    It is the arity-2 hom bracket (D, b) = D . b^c - b . D^c (as |b| = 0):
+    on a pair the lift b^c is b itself, and D^c is Dx (x) y +
+    (-1)^(|x||D|) x (x) Dy.  Both composites are scattered from the
+    constants by compose_into, so only pairs that are keys of the bracket
+    or hold a key of D get an entry, and entries may cancel to zero.  This
+    is the one place the rule is written.
+    """
+    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
+    compose_into(acc, op, bracket, 1)
+    compose_into(acc, bracket, op, -1)
+    return acc
 
 
 _Tables = dict[int, dict[tuple[int, ...], dict[int, Scalar]]]

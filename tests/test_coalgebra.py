@@ -763,23 +763,34 @@ def test_scattered_lift_matches_the_lift_on_every_short_word():
 def test_first_violation_builds_no_lift_value_past_its_witness(monkeypatch):
     # endo2 (x) Q[t]/t^2 with E01 -> E00 added to delta_0 fails well below
     # length 6; under the flag the scatter stops at the witness's length, so
-    # no value of the square's lift has a word longer than the witness
+    # no value of the square's lift has a word longer than the witness, and
+    # the square's lift (degree 2, parity 0) is proved a coderivation no
+    # further; partial (parity 1) is still proved up to 6 for the verdict
     doc = shipped.tensor_dual_numbers(shipped.load_fixture("endo2"), "endo2xt")
     basis = doc.to_basis()
     lengths = []
+    proved = {0: [], 1: []}
     real = TensorElement._trusted.__func__
+    real_certified = coalgebra._coderivation_certified
 
     def recorded(cls, on, coeffs):
         if on == basis:
             lengths.extend(len(word) for word in coeffs)
         return real(cls, on, coeffs)
 
+    def certified(pattern, arities, parity):
+        proved[parity].append(len(pattern))
+        return real_certified(pattern, arities, parity)
+
     monkeypatch.setattr(TensorElement, "_trusted", classmethod(recorded))
+    monkeypatch.setattr(coalgebra, "_coderivation_certified", certified)
     options = RunOptions(max_word_len=6, first_violation=True)
     (result,) = run_command("check-codifferential", perturbed_text("endo2", doc), options).results
     (witness,) = result.violations
     assert len(witness.site) < 6 and lengths, (witness.site, lengths)
     assert max(lengths) <= len(witness.site), (witness.site, max(lengths))
+    assert max(proved[1]) == 6 and proved[0], proved
+    assert max(proved[0]) <= len(witness.site), (witness.site, max(proved[0]))
 
 
 def test_patterns_no_component_fits_are_certified_without_a_proof(monkeypatch):

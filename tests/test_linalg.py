@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from shleibniz import fixtures as shipped
 from shleibniz.errors import MalformedInputError
-from shleibniz.graded import Element
+from shleibniz.graded import Element, GradedBasis
 from shleibniz.linalg import derivation_basis, nullspace
 from shleibniz.coalgebra import hom_bracket
 from shleibniz.multiop import MultiOp, check_derivation, check_leibniz_identity
@@ -193,3 +193,16 @@ def test_derivation_basis_matches_its_dense_system(docs, generated):
         assert derivation_basis(bracket) == dense_derivation_basis(bracket), bracket
         failing += bool(check_leibniz_identity(bracket))
     assert failing >= 8, failing
+
+
+def test_derivation_basis_never_walks_every_triple(docs, generated, monkeypatch):
+    brackets = [doc.to_bracket() for _, doc in sorted(docs.items()) + sorted(generated.items())]
+    expected = [dense_derivation_basis(bracket) for bracket in brackets]
+
+    def refuse(*args):
+        raise AssertionError("derivation_basis walked every basis triple")
+
+    monkeypatch.setattr(MultiOp, "apply_indices", refuse)
+    monkeypatch.setattr(GradedBasis, "index_tuples", refuse)
+    for bracket, want in zip(brackets, expected):
+        assert derivation_basis(bracket) == want
