@@ -3,7 +3,8 @@
 Thin wrapper over the runner: each subcommand reads one document (a file
 path or '-' for stdin), runs its checks, prints the report, and exits with
 0 when everything passed, 1 when a check found violations, and 2 when the
-input could not be used (parse errors, missing sections, bad flags).
+input could not be used (undecodable bytes, parse errors, missing sections,
+bad flags).  A document is UTF-8, with or without a byte-order mark.
 
 The subcommands are generated from ``runner.COMMANDS``: each takes the
 scope flags its ``runner._OPTION_FIELDS`` entry lists, with the
@@ -13,14 +14,29 @@ runner function.
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import sys
 
 import click
 
-from .errors import DocumentError, EngineError
+from .errors import DocumentError, DocumentIssue, EngineError
 from .report import render_structured, render_text
 from .runner import _OPTION_FIELDS, COMMANDS, RunOptions, run_command
+
+
+def _decode(data: bytes) -> str:
+    """The document's text; bytes that are not UTF-8 exit 2 naming their
+    line, counted from the offset of the first of them."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the offset counts from after a byte-order mark
+        start = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
+        line = data.count(b"\n", 0, start) + 1
+        issue = DocumentIssue(line, "encoding", f"not UTF-8: {exc.reason} at byte {start}")
+        click.echo(issue.render(), err=True)
+        sys.exit(2)
 
 
 def _finish(command: str, text: str, options: RunOptions, fmt: str) -> None:
@@ -66,9 +82,9 @@ def main() -> None:
 
 def _add_command(command: str) -> None:
     def callback(source, fmt: str, **flags) -> None:
-        _finish(command, source.read(), RunOptions(**flags), fmt)
+        _finish(command, _decode(source.read()), RunOptions(**flags), fmt)
 
-    params = [click.Argument(["source"], type=click.File("r"))]
+    params = [click.Argument(["source"], type=click.File("rb"))]
     for name in _OPTION_FIELDS.get(command, ()):
         flag = "--" + name.replace("_", "-")
         params.append(click.Option([flag], default=_DEFAULTS[name], **_FLAGS[name]))

@@ -32,8 +32,9 @@ z of some g(gk), so f meets its key fk, with z at position p, only on the
 keys that interleave fk[:p] with gk[:-1], then carry gk[-1] and fk[p+1:].
 Each such term adds +-c f(fk) to its key, where c is the coefficient of z in
 g(gk) and the sign is that of the lift's unshuffle row.  hom_bracket scatters
-both composites this way straight from the constants of f and g, and
-evaluates no lift; it is exactly zero on every key no term reaches.
+both composites this way straight from the constants of f and g through
+multiop.hom_tables, which holds the bracket's sign, and evaluates no lift;
+it is exactly zero on every key no term reaches.
 
 scattered_lift reads a whole lift off the constants one length at a time:
 on a word w of length n it is the n-th summand plus the lift on w[:-1]
@@ -85,7 +86,7 @@ from .graded import (
     placements,
     signed_unshuffles,
 )
-from .multiop import MultiOp, compose_into, op_from_terms
+from .multiop import MultiOp, hom_tables, op_from_terms
 from .results import Verdict, Violation
 
 Word = tuple[int, ...]
@@ -419,16 +420,14 @@ def check_coderivation_axiom(spec: CoderivationSpec, max_len: int) -> Verdict:
 def hom_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
     """(f, g) = f . g^c - (-1)^(|f||g|) g . f^c, an operation of arity i+j-1.
 
-    Both composites are scattered from the constants of f and g into one
-    accumulator (compose_into): no lift is evaluated, and only the keys
-    reachable from (f, g) or (g, f) ever get a term.  Keys come out in
-    lexicographic order.  On arity-1 operations it is the graded commutator
+    Both composites are scattered from the constants of f and g by
+    multiop.hom_tables: no lift is evaluated, and only the keys reachable
+    from (f, g) or (g, f) ever get a term.  Keys come out in lexicographic
+    order.  On arity-1 operations it is the graded commutator
     f . g - (-1)^(|f||g|) g . f.
     """
     if f.basis != g.basis:
         raise MalformedInputError("operations live over different bases")
-    sign = -1 if (f.degree * g.degree) % 2 else 1
-    acc: dict[Word, dict[int, Scalar]] = {}
-    compose_into(acc, f, g, 1)
-    compose_into(acc, g, f, -sign)
-    return op_from_terms(f.basis, f.arity + g.arity - 1, f.degree + g.degree, acc)
+    arity = f.arity + g.arity - 1
+    acc = hom_tables({}, {f.arity: f}, {g.arity: g}, 1, arity)[arity]
+    return op_from_terms(f.basis, arity, f.degree + g.degree, acc)

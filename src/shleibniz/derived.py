@@ -88,6 +88,7 @@ from .multiop import (
     check_derivation,
     compose_tables,
     compose_unary,
+    hom_tables,
     n_i_d,
     nary_bracket,
     op_from_terms,
@@ -370,11 +371,10 @@ def _key_lemma_residuals(
     """The witnesses of lhs = N_{i+j-1}([D, D']) against (left, right) =
     (N_i D, N_j D'), for inputs already known to be derivations, each site
     the prefix followed by i, j and the key."""
-    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
-    for scale, op in ((1, lhs), (-1, hom_bracket(left, right))):
-        for key, image in op.constants.items():
-            _add_scaled(acc, key, scale, image.coeffs)
-    return _residuals("key-lemma", lhs.basis, acc, prefix + (left.arity, right.arity))
+    n = lhs.arity
+    acc = {n: {key: dict(image.coeffs) for key, image in lhs.constants.items()}}
+    hom_tables(acc, {left.arity: left}, {right.arity: right}, -1, n)
+    return _residuals("key-lemma", lhs.basis, acc[n], prefix + (left.arity, right.arity))
 
 
 def leibniz_cohomology_check(

@@ -59,10 +59,11 @@ zero the conjugation passes.
 A failing conjugation is witnessed by a lift.  e^{-Xi} partial e^{Xi} is a
 coderivation up to L, as partial is one and e^{Xi} is comultiplicative.  It
 is sum_p (1/p!) ad^p partial with ad Y = [Y, Xi], whose corestriction is
-pr Y . Xi^c - Xi . (pr Y)^c since |Xi| = 0: two compose_tables calls per
-step.  So its own is E = exp([-, Xi]) partial, the order expansion's
-tables, and partial' - e^{-Xi} partial e^{Xi} is the lift D^c of
-D = partial' - E on arities <= L.  e^{Xi} D^c = -G: pr G vanishes exactly
+the hom bracket (pr Y, Xi) = pr Y . Xi^c - Xi . (pr Y)^c since |Xi| = 0:
+one multiop.hom_tables call per step.  So its own is
+E = exp([-, Xi]) partial, the order expansion's tables, and
+partial' - e^{-Xi} partial e^{Xi} is the lift D^c of D = partial' - E on
+arities <= L.  e^{Xi} D^c = -G: pr G vanishes exactly
 when D does, and a disagreement raises EngineError.  When pr G is nonzero,
 coalgebra.lift_witnesses scatters the words w with D^c(w) nonzero from D's
 constants, as derived.check_codifferential does for the square of partial,
@@ -87,7 +88,6 @@ from .coalgebra import (
     check_coderivation_axiom,
     evaluate_coderivation,
     extend_linearly,
-    hom_bracket,
     lift_witnesses,
 )
 from .derived import DeformationFamily, build_codifferential
@@ -107,6 +107,7 @@ from .multiop import (
     check_skewsymmetry,
     compose_into,
     compose_tables,
+    hom_tables,
     identity_op,
     n_i_d,
     op_from_terms,
@@ -235,17 +236,16 @@ def gauge_transform(fam: DeformationFamily, gauge: GaugeFamily) -> DeformationFa
     """
     if gauge.bracket != fam.bracket:
         raise MalformedInputError("gauge and family belong to different brackets")
-    zero = MultiOp.zero(fam.basis, 1, 1)
     current: list[MultiOp] = list(fam.deltas)
     total: list[MultiOp] = list(current)
     for p in range(1, fam.order + 1):
-        nxt: list[MultiOp] = [zero] * (fam.order + 1)
+        nxt: list[MultiOp] = []
         for n in range(fam.order + 1):
-            acc = zero
-            for b in range(1, n + 1):
-                if b <= gauge.order and not current[n - b].is_zero():
-                    acc = acc + hom_bracket(current[n - b], gauge.xis[b - 1])
-            nxt[n] = acc
+            # sum_b [delta_{n-b}, xi_b] into one table, wrapped once
+            acc: dict[int, dict[Word, dict[int, Scalar]]] = {}
+            for b, xi in enumerate(gauge.xis[:n], start=1):
+                hom_tables(acc, {1: current[n - b]}, {1: xi}, 1, 1)
+            nxt.append(op_from_terms(fam.basis, 1, 1, acc.get(1, {})))
         current = nxt
         coeff = Fraction(1, math.factorial(p))
         total = [t + c.scale(coeff) for t, c in zip(total, current)]
@@ -285,44 +285,21 @@ def exp_xi(spec: CoderivationSpec, word: Word) -> TensorElement:
     return total
 
 
-def _times_xi(
-    tables: dict[int, MultiOp], xi_spec: CoderivationSpec, max_arity: int
-) -> dict[int, dict[Word, dict[int, Scalar]]]:
-    """pr(X Xi) up to max_arity from the arity tables of pr X: on the words
-    of length n it is the sum over the arities a of Xi of
-    (pr X)|_{n-a+1} . Xi_a^c."""
-    return compose_tables({}, tables, xi_spec.components, 1, max_arity)
-
-
-def _hom_commutator_step(
-    tables: dict[int, MultiOp], xi_spec: CoderivationSpec, max_arity: int
-) -> dict[int, dict[Word, dict[int, Scalar]]]:
-    """[X, Xi] = X . Xi^c - Xi . X^c up to max_arity, from the arity tables
-    of X: the two composites of the hom bracket, with no sign as |Xi| = 0."""
-    acc = _times_xi(tables, xi_spec, max_arity)
-    return compose_tables(acc, xi_spec.components, tables, -1, max_arity)
-
-
 def _exponential(
-    tables: dict[int, MultiOp],
-    step: Callable[[dict[int, MultiOp], CoderivationSpec, int], dict[int, dict]],
-    xi_spec: CoderivationSpec,
-    max_arity: int,
+    tables: dict[int, MultiOp], step: Callable[[dict[int, MultiOp]], dict[int, dict]]
 ) -> dict[int, MultiOp]:
-    """sum_p step^p(tables)/p! up to max_arity, for a step by Xi that is
-    linear in the arity tables: [-, Xi] (_hom_commutator_step) or right
-    composition (_times_xi).  Step p is taken of the tables of step p - 1,
-    then each result is scaled once, by 1/p; the steps stop since the
-    arities of Xi are >= 2."""
+    """sum_p step^p(tables)/p!, for a step by Xi that is linear in the arity
+    tables and returns their images as coefficient dicts per arity: [-, Xi]
+    through hom_tables, or right composition through compose_tables.  Step
+    p is taken of the tables of step p - 1, then each result is scaled
+    once, by 1/p; the steps stop since the arities of Xi are >= 2."""
     total = dict(tables)
     p = 0
     while tables:
         p += 1
-        degree = next(iter(tables.values())).degree  # Xi has degree 0
-        ops = (
-            op_from_terms(xi_spec.basis, n, degree, terms)
-            for n, terms in step(tables, xi_spec, max_arity).items()
-        )
+        some = next(iter(tables.values()))  # Xi has degree 0
+        images = step(tables).items()
+        ops = (op_from_terms(some.basis, n, some.degree, terms) for n, terms in images)
         tables = {op.arity: op.scale(Fraction(1, p)) for op in ops if not op.is_zero()}
         for n, op in tables.items():
             total[n] = total[n] + op if n in total else op
@@ -339,13 +316,18 @@ def _scattered_defect(
     on the words of length <= max_len, scattered from the constants as the
     module docstring sets out."""
     basis = partial.basis
+
+    def times_xi(tables: dict[int, MultiOp]) -> dict[int, dict]:
+        # pr(X Xi) on the words of length n: sum_a (pr X)|_{n-a+1} . Xi_a^c
+        return compose_tables({}, tables, xi_spec.components, 1, max_len)
+
     ops = {a: op for a, op in partial.components.items() if a <= max_len}
     acc = {
         n: {key: dict(image.coeffs) for key, image in op.constants.items()}
-        for n, op in _exponential(ops, _times_xi, xi_spec, max_len).items()
+        for n, op in _exponential(ops, times_xi).items()
     }
     # F_k = pr e^{Xi} on V^{(x) k}, then minus every F_k . partial'_j^c
-    taylor = _exponential({1: identity_op(basis)}, _times_xi, xi_spec, max_len)
+    taylor = _exponential({1: identity_op(basis)}, times_xi)
     compose_tables(acc, taylor, partial_prime.components, -1, max_len)
     tables = {n: op_from_terms(basis, n, 1, terms) for n, terms in acc.items()}
     return {n: op for n, op in tables.items() if not op.is_zero()}
@@ -387,7 +369,9 @@ def check_gauge_equivalence(
     basis = fam.basis
     # partial' - exp([-, Xi]) partial, arity by arity; the spec drops zero arities
     max_arity = fam_x.order + 1
-    expanded = _exponential(dict(partial.components), _hom_commutator_step, xi_spec, max_arity)
+    expanded = _exponential(
+        dict(partial.components), lambda t: hom_tables({}, t, xi_spec.components, 1, max_arity)
+    )
     zero = {a: MultiOp.zero(basis, a, 1) for a in range(1, max_arity + 1)}
     prime = partial_prime.components
     difference = CoderivationSpec(

@@ -13,12 +13,14 @@ and a degree-d operator D is a derivation when
 
     D{x, y} = {Dx, y} + (-1)^(|x| |D|) {x, Dy}.
 
-The derivation rule is the arity-2 hom bracket (D, b) = D . b^c - b . D^c
-with the bracket b (as |b| = 0), read off compose_into by
-_derivation_residuals, the one place it is written.  The Leibniz identity
-says that every left multiplication ad_x = {x, -} is a derivation, so
-check_leibniz_identity, check_derivation and the derivation solver
-(linalg.derivation_basis) all go through it.
+The hom bracket (F, G) = F . G^c - (-1)^(|F||G|) G . F^c of two arity
+tables is written once, in hom_tables, as two compose_tables calls; the
+hom bracket of coalgebra, the key lemma and the gauge series all read it
+from there.  The derivation rule is its arity-2 case (D, b) = D . b^c -
+b . D^c with the bracket b (as |b| = 0), read off by _derivation_residuals.
+The Leibniz identity says that every left multiplication ad_x = {x, -} is a
+derivation, so check_leibniz_identity, check_derivation and the derivation
+solver (linalg.derivation_basis) all go through it.
 
 N_i denotes the left-nested bracket N_i(x_1, ..., x_i) =
 {...{{x_1, x_2}, x_3}..., x_i}, with N_1 the identity, and N_i D feeds D into
@@ -378,17 +380,12 @@ def _derivation_residuals(
     """The residual D{x, y} - {Dx, y} - (-1)^(|x||D|) {x, Dy} of the
     derivation rule for the arity-1 op D, as a coefficient dict per pair.
 
-    It is the arity-2 hom bracket (D, b) = D . b^c - b . D^c (as |b| = 0):
-    on a pair the lift b^c is b itself, and D^c is Dx (x) y +
-    (-1)^(|x||D|) x (x) Dy.  Both composites are scattered from the
-    constants by compose_into, so only pairs that are keys of the bracket
-    or hold a key of D get an entry, and entries may cancel to zero.  This
-    is the one place the rule is written.
+    It is the arity-2 hom bracket (D, b) = D . b^c - b . D^c (as |b| = 0),
+    read off hom_tables: on a pair the lift b^c is b itself, and D^c is
+    Dx (x) y + (-1)^(|x||D|) x (x) Dy.  Only pairs that are keys of the
+    bracket or hold a key of D get an entry, and entries may cancel to zero.
     """
-    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
-    compose_into(acc, op, bracket, 1)
-    compose_into(acc, bracket, op, -1)
-    return acc
+    return hom_tables({}, {1: op}, {2: bracket}, 1, 2)[2]
 
 
 _Tables = dict[int, dict[tuple[int, ...], dict[int, Scalar]]]
@@ -411,6 +408,22 @@ def compose_tables(
             if m + j - 1 <= max_arity:
                 compose_into(acc.setdefault(m + j - 1, {}), f, g, scale)
     return acc
+
+
+def hom_tables(
+    acc: _Tables,
+    fs: Mapping[int, MultiOp],
+    gs: Mapping[int, MultiOp],
+    scale: Scalar,
+    max_arity: int,
+) -> _Tables:
+    """Add scale * (F . G^c - (-1)^(|F||G|) G . F^c) into acc arity by
+    arity, for homogeneous arity tables F and G, and return acc: the hom
+    bracket (F, G), the corestriction of the commutator [F^c, G^c], as two
+    compose_tables calls.  This is the one place its sign is written."""
+    odd = any(f.degree * g.degree % 2 for f in fs.values() for g in gs.values())
+    compose_tables(acc, fs, gs, scale, max_arity)
+    return compose_tables(acc, gs, fs, scale if odd else -scale, max_arity)
 
 
 def op_from_terms(

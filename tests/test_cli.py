@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
+import random
 import re
 
 from click.testing import CliRunner
@@ -177,3 +179,69 @@ def test_help_lists_exactly_the_runner_flags_with_their_defaults():
         for name in fields:
             if not isinstance(defaults[name], bool):
                 assert f"[default: {defaults[name]};" in flat, (command, name)
+
+
+def test_bytes_that_are_not_utf8_exit_two_with_their_line_on_stdin():
+    result = CliRunner().invoke(main, ["validate", "-"], input=b"\xff\xfe")
+    assert result.exit_code == 2
+    assert result.output.startswith("line 1: [encoding] "), result.output
+
+
+def test_bytes_that_are_not_utf8_exit_two_with_their_line_in_a_file(tmp_path):
+    path = tmp_path / "latin1.alg"
+    data = shipped.fixture_text("heisab").encode()
+    line = data[:40].count(b"\n") + 1
+    path.write_bytes(data[:40] + "é".encode("latin-1") + data[40:])
+    result = run("validate", str(path))
+    assert result.exit_code == 2
+    message = "not UTF-8: invalid continuation byte at byte 40"
+    assert result.output == f"line {line}: [encoding] {message}\n"
+
+
+def test_a_byte_order_mark_is_read_as_utf8(tmp_path):
+    path = tmp_path / "bom.alg"
+    text = shipped.fixture_text("heisab")
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert run("validate", str(path)).output == run("validate", "-", text=text).output
+
+
+def _mutants(rng, data: bytes, count: int):
+    """count seeded mutants of data: a character deleted, one of
+    ': [ ] - / 0 \\xff' inserted, a line duplicated, two lines swapped, or
+    the text truncated."""
+    for _ in range(count):
+        kind = rng.randrange(5)
+        at = rng.randrange(len(data))
+        lines = data.splitlines(keepends=True)
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        if kind == 0:
+            yield data[:at] + data[at + 1 :]
+        elif kind == 1:
+            yield data[:at] + rng.choice(b":[]-/0\xff").to_bytes(1, "big") + data[at:]
+        elif kind == 2:
+            yield b"".join(lines[: i + 1] + lines[i:])
+        elif kind == 3:
+            lines[i], lines[j] = lines[j], lines[i]
+            yield b"".join(lines)
+        else:
+            yield data[:at]
+
+
+def test_malformed_documents_exit_cleanly():
+    # seeded mutants of every fixture: no traceback, and exit 2 only with
+    # located issues or one error line
+    rng = random.Random(2009)
+    located = re.compile(r"line \d+: \[.*\] .+|error: .+")
+    exits = collections.Counter()
+    for name in shipped.fixture_names():
+        data = shipped.fixture_text(name).encode()
+        for mutant in _mutants(rng, data, 100):
+            result = CliRunner().invoke(main, ["validate", "-"], input=mutant)
+            exc = result.exception
+            assert exc is None or isinstance(exc, SystemExit), (name, mutant, exc)
+            assert result.exit_code in (0, 1, 2), (name, mutant, result.output)
+            if result.exit_code == 2:
+                lines = result.output.splitlines()
+                assert lines and all(located.fullmatch(s) for s in lines), (name, result.output)
+            exits[result.exit_code] += 1
+    assert exits[2] >= 200 and exits[0] >= 50, exits

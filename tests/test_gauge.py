@@ -44,7 +44,7 @@ from shleibniz.gauge import (
 )
 from shleibniz.graded import Element, GradedBasis
 from shleibniz.linalg import derivation_basis
-from shleibniz.multiop import DgLeibnizAlgebra, MultiOp, identity_op, n_i_d
+from shleibniz.multiop import DgLeibnizAlgebra, MultiOp, compose_tables, identity_op, n_i_d
 from shleibniz.results import Violation
 from oracles import (
     Perturbation,
@@ -472,7 +472,7 @@ def test_corestricted_defect_matches_the_walk_on_random_gauges(docs, family_name
             lift_prime = functools.cache(lambda w: evaluate_coderivation(prime, w))
             tables = gauge_module._scattered_defect(d, prime, x, 4)
             taylor = gauge_module._exponential(
-                {1: identity_op(basis)}, gauge_module._times_xi, x, 4
+                {1: identity_op(basis)}, lambda t: compose_tables({}, t, x.components, 1, 4)
             )
             for word in (w for n in range(1, 5) for w in basis.index_tuples(n)):
                 head = corestriction(exp_plus(word))

@@ -24,6 +24,7 @@ from shleibniz.multiop import (
     check_leibniz_identity,
     check_skewsymmetry,
     compose_unary,
+    hom_tables,
     identity_op,
     n_i_d,
     nary_bracket,
@@ -528,3 +529,60 @@ def test_algebra_constructors_validate():
     broken = delta + MultiOp(basis, 1, 1, {(basis.index("h"),): basis.vector("w")})
     with pytest.raises(PreconditionError):
         DgLeibnizAlgebra(basis, bracket, broken)
+
+
+def random_graded_basis(rng: random.Random) -> GradedBasis:
+    dim = rng.randint(2, 4)
+    degrees = [rng.randint(-1, 2) for _ in range(dim)]
+    return GradedBasis(tuple(f"e{k}" for k in range(dim)), degrees)
+
+
+def random_homogeneous(basis: GradedBasis, arity: int, degree: int, rng: random.Random) -> MultiOp:
+    """An operation with small random integer images on about nine tenths
+    of the basis tuples, each image spread over the letters of its degree."""
+    constants = {}
+    for key in basis.index_tuples(arity):
+        if rng.random() < 0.9:
+            target = sum(basis.degree(i) for i in key) + degree
+            letters = [t for t in range(len(basis)) if basis.degree(t) == target]
+            constants[key] = Element(basis, {t: rng.randint(-2, 2) for t in letters})
+    return MultiOp(basis, arity, degree, constants)
+
+
+def test_hom_bracket_is_graded_antisymmetric_and_satisfies_jacobi():
+    # (F, G) is the corestriction of the commutator [F^c, G^c] of
+    # coderivations, so it is graded antisymmetric and satisfies graded
+    # Jacobi; no oracle writes the sign a second time
+    rng = random.Random(1703)
+    nonzero = 0
+    for _ in range(200):
+        basis = random_graded_basis(rng)
+        f, g, h = (
+            random_homogeneous(basis, rng.randint(1, 2), rng.randint(-1, 1), rng) for _ in range(3)
+        )
+        sign = -1 if (f.degree * g.degree) % 2 else 1
+        assert hom_bracket(f, g) == hom_bracket(g, f).scale(-sign), (f, g)
+        lhs = hom_bracket(f, hom_bracket(g, h))
+        rhs = hom_bracket(hom_bracket(f, g), h) + hom_bracket(g, hom_bracket(f, h)).scale(sign)
+        assert lhs == rhs, (f, g, h)
+        nonzero += not lhs.is_zero()
+    assert nonzero >= 60, nonzero
+
+
+def test_hom_tables_sums_the_hom_brackets_of_every_pair_of_arities():
+    rng = random.Random(1704)
+    for _ in range(40):
+        basis = random_graded_basis(rng)
+        f_degree, g_degree = rng.randint(-1, 1), rng.randint(-1, 1)
+        fs = {a: random_homogeneous(basis, a, f_degree, rng) for a in (1, 2)}
+        gs = {a: random_homogeneous(basis, a, g_degree, rng) for a in (1, 2)}
+        scale, max_arity = rng.choice((1, -2, Fraction(1, 2))), rng.randint(1, 3)
+        got = hom_tables({}, fs, gs, scale, max_arity)
+        want: dict[int, MultiOp] = {}
+        for f, g in itertools.product(fs.values(), gs.values()):
+            value = hom_bracket(f, g).scale(scale)
+            if value.arity <= max_arity:
+                want[value.arity] = want[value.arity] + value if value.arity in want else value
+        assert set(got) == set(want), (set(got), set(want))
+        for n, terms in got.items():
+            assert op_from_terms(basis, n, f_degree + g_degree, terms) == want[n], n

@@ -161,13 +161,12 @@ def test_key_lemma_first_violation_keeps_one_witness(monkeypatch):
     # the (N_i D, N_j D') side doubled from arity 2 on, so that the first
     # failing combination has several residuals: the flag keeps only the
     # head of the full list, as every other check does
-    real = derived.hom_bracket
+    real = derived.hom_tables
 
-    def doubled(f, g):
-        value = real(f, g)
-        return value.scale(2) if f.arity + g.arity > 2 else value
+    def doubled(acc, fs, gs, scale, max_arity):
+        return real(acc, fs, gs, 2 * scale if max_arity > 1 else scale, max_arity)
 
-    monkeypatch.setattr(derived, "hom_bracket", doubled)
+    monkeypatch.setattr(derived, "hom_tables", doubled)
     text = shipped.fixture_text("endo2")
     found = {}
     for first in (False, True):
