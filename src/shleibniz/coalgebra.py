@@ -45,21 +45,36 @@ witnesses of the failing checks whose residual is a proved lift, in derived
 and in gauge, and stops at the first under first_violation.
 
 The dual Leibniz axiom and the coderivation axiom of a lift are proved for
-every word through parity patterns.  Every sign in comultiply and in the
-lifts depends only on the letters' degree parities.  For a parity tuple P of
-length n, the generic word (p_0, ..., p_{n-1}) consists of distinct position
-letters with degrees P.  For the lift, each component op is replaced by the
-free operation of its arity, which sends every increasing tuple S of
-position letters to its own letter f_S of degree |op| + sum P[S]; those are
-the only keys the lift feeds it on subwords of the generic word.  The
-substitution p_j -> x_{w_j}, f_S -> op(x_{w_S}) preserves parities, because
-every image of a MultiOp is homogeneous.  So it commutes with comultiply and
-with the lift, and it maps the generic residual onto the residual on any
+every word through parity patterns.  For a parity tuple P of length n, the
+generic word (p_0, ..., p_{n-1}) consists of distinct position letters with
+degrees P.  For the lift, each component op is replaced by the free
+operation of its arity, which sends every increasing tuple S of position
+letters to its own letter f_S of degree |op| + sum P[S]; those are the only
+keys the lift feeds it on subwords of the generic word.  The substitution
+p_j -> x_{w_j}, f_S -> op(x_{w_S}) preserves parities, because every image
+of a MultiOp is homogeneous.  So it commutes with comultiply and with the
+lift, and it maps the generic residual of P onto the residual on any
 concrete word w of pattern P.  A zero generic residual therefore proves all
-dim^n words of its pattern.  Generic verdicts depend on the pattern alone,
-or on the pattern, the component arities and the degree parity, so they
-are cached for the process.  A pattern shorter than every component arity
-needs no proof: the lift is zero on its words.
+dim^n words of its pattern.
+
+All 2^n patterns of one length are proved at once.  Give p_j the parity
+variable x_j, so that f_S has the affine parity |op| + sum_{j in S} x_j.
+Every sign in comultiply, in the lift and in the swap of tensor factors is
+(-1)^q for a polynomial q over F_2 of degree <= 2 in the x_j: a Koszul sign
+sums products of two parities over the inversions of its unshuffle, read
+off graded.unshuffle_forms, the table every concrete sign is evaluated
+from, and a jump or a swap multiplies two parity sums.  The terms of the
+generic residual, with their keys and their polynomials, are the same for
+every P; only the values q(P) depend on it.  Grouping the terms by (key, q)
+gives integers C_q, and on each key the residual of P is
+sum_q C_q (-1)^(q(P)): substituting P commutes with the grouping.  If every
+C_q is zero, every pattern of length n is proved.  Otherwise the groups of
+each key are evaluated exactly on every pattern, and the patterns on which
+some key is nonzero fail; nothing else is decided per pattern.  The grouped
+residual is built once per (length, component arities, degree parity), or
+per length for dual Leibniz, and its failing patterns are cached for the
+process.  A pattern shorter than every component arity needs no proof: the
+lift is zero on its words.
 
 Both axioms are theorems for every operation, so every generic residual
 vanishes unless the sign conventions are inconsistent.  One rule serves
@@ -77,9 +92,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
+from . import graded
 from .errors import EngineError, MalformedInputError
 from .graded import (
-    Element,
     GradedBasis,
     Scalar,
     SparseVector,
@@ -90,10 +105,6 @@ from .multiop import MultiOp, hom_tables, op_from_terms
 from .results import Verdict, Violation
 
 Word = tuple[int, ...]
-
-
-def word_degree(basis: GradedBasis, word: Word) -> int:
-    return sum(basis.degree(i) for i in word)
 
 
 def format_word(basis: GradedBasis, word: Word) -> str:
@@ -192,30 +203,120 @@ def _prove(
     return Verdict(True, [])
 
 
-def _position_names(n: int) -> tuple[str, ...]:
-    return tuple(f"p{j}" for j in range(n))
+# Polynomials over F_2 in the parities x_0, ..., x_{n-1} of the generic
+# word's position letters.  An affine form is an int with bit 0 for the
+# constant and bit j + 1 for x_j.  A form of degree <= 2 is an int with one
+# bit per monomial, _monomial(u, v) for the product of affine bits u and v:
+# bit 0 is the constant, and x_j x_j = x_j.
+
+
+def _monomial(u: int, v: int) -> int:
+    u, v = min(u, v), max(u, v)
+    return v * (v + 1) // 2 + (0 if u == v else u)
 
 
 @functools.cache
-def _dual_leibniz_certified(pattern: tuple[int, ...]) -> bool:
-    """Whether (1 (x) Delta) Delta - (Delta (x) 1) Delta - ((12) (x) 1)(Delta (x) 1) Delta
-    vanishes on the generic word of this parity pattern, distinct position
-    letters p_j of degree pattern[j]."""
-    basis = GradedBasis(_position_names(len(pattern)), pattern)
-    split = functools.cache(lambda word: comultiply(basis, word).terms)
-    diff: dict[tuple[Word, Word, Word], Scalar] = {}
-    for (w1, w2), c in split(tuple(range(len(pattern)))).items():
-        for (w21, w22), c2 in split(w2).items():
-            key = (w1, w21, w22)
-            diff[key] = diff.get(key, 0) + c * c2
-        for (w11, w12), c1 in split(w1).items():
+def _times(a: int, b: int) -> int:
+    """The product of two affine forms."""
+    q = 0
+    for u in range(a.bit_length()):
+        if a >> u & 1:
+            for v in range(b.bit_length()):
+                if b >> v & 1:
+                    q ^= 1 << _monomial(u, v)
+    return q
+
+
+def _sum(forms: list[int], word: Word) -> int:
+    """The affine parity of a word: the sum of its letters' forms."""
+    total = 0
+    for x in word:
+        total ^= forms[x]
+    return total
+
+
+def _exponent(monomials: tuple[tuple[int, ...], ...], symbols: list[int]) -> int:
+    """A row's Koszul exponent with the affine forms symbols substituted;
+    a monomial of fewer than two symbols is padded with the constant 1."""
+    q = 0
+    for mono in monomials:
+        factors = [symbols[a] for a in mono] + [1, 1]
+        q ^= _times(factors[0], factors[1])
+    return q
+
+
+def _split(word: Word, forms: list[int]) -> list[tuple[tuple[Word, Word], int]]:
+    """comultiply on one word of the generic alphabet, as terms (key, q)
+    standing for (-1)^q key."""
+    n = len(word) - 1
+    symbols = [forms[x] for x in word[:n]]
+    out = []
+    for i in range(1, n + 1):
+        for first, second, monomials, _ in graded.unshuffle_forms(i, n - i):
+            key = (tuple(word[a] for a in first), tuple(word[a] for a in second) + word[n:])
+            out.append((key, _exponent(monomials, symbols)))
+    return out
+
+
+class _Residual:
+    """Terms (key, q) with integer coefficients, grouped by key and by q up
+    to its constant, which goes into the coefficient's sign."""
+
+    def __init__(self) -> None:
+        self.groups: dict = {}
+
+    def add(self, key, q: int, c: int) -> None:
+        groups = self.groups.setdefault(key, {})
+        groups[q & ~1] = groups.get(q & ~1, 0) + (-c if q & 1 else c)
+
+    def failures(self, n: int) -> frozenset[tuple[int, ...]]:
+        """The parity patterns of length n on which some key's sum
+        C_q (-1)^(q(P)) is nonzero: none when every group cancels."""
+        live = [[(q, c) for q, c in groups.items() if c] for groups in self.groups.values()]
+        live = [terms for terms in live if terms]
+        failing = []
+        if live:
+            for pattern in itertools.product((0, 1), repeat=n):
+                ones = [0] + [j + 1 for j, x in enumerate(pattern) if x]
+                point = 0
+                for u in ones:
+                    for v in ones:
+                        point |= 1 << _monomial(u, v)
+                values = (
+                    sum(-c if (q & point).bit_count() & 1 else c for q, c in terms)
+                    for terms in live
+                )
+                if any(values):
+                    failing.append(pattern)
+        return frozenset(failing)
+
+
+def _dual_leibniz_residual(n: int) -> _Residual:
+    """(1 (x) Delta) Delta - (Delta (x) 1) Delta - ((12) (x) 1)(Delta (x) 1) Delta
+    on the generic word of length n, grouped."""
+    forms = [1 << (j + 1) for j in range(n)]
+    split = functools.cache(lambda word: _split(word, forms))
+    residual = _Residual()
+    for (w1, w2), q in split(tuple(range(n))):
+        for (w21, w22), q2 in split(w2):
+            residual.add((w1, w21, w22), q ^ q2, 1)
+        for (w11, w12), q1 in split(w1):
             # (Delta (x) 1) Delta, then the same with factors swapped
-            key = (w11, w12, w2)
-            diff[key] = diff.get(key, 0) - c * c1
-            swap = -1 if (word_degree(basis, w11) * word_degree(basis, w12)) % 2 else 1
-            skey = (w12, w11, w2)
-            diff[skey] = diff.get(skey, 0) - swap * c * c1
-    return not any(diff.values())
+            residual.add((w11, w12, w2), q ^ q1, -1)
+            swap = _times(_sum(forms, w11), _sum(forms, w12))
+            residual.add((w12, w11, w2), q ^ q1 ^ swap, -1)
+    return residual
+
+
+@functools.cache
+def _dual_leibniz_failures(n: int) -> frozenset[tuple[int, ...]]:
+    return _dual_leibniz_residual(n).failures(n)
+
+
+def _dual_leibniz_certified(pattern: tuple[int, ...]) -> bool:
+    """Whether the dual Leibniz axiom holds on the generic word of this
+    parity pattern, read off the proof of its length."""
+    return pattern not in _dual_leibniz_failures(len(pattern))
 
 
 def check_dual_leibniz(basis: GradedBasis, max_len: int) -> Verdict:
@@ -362,43 +463,71 @@ def lift_witnesses(
     return [Violation(check, tuple(names[i] for i in word), value) for word, value in values]
 
 
+def _lift(
+    word: Word, forms: list[int], free: Mapping[Word, int], arities: tuple[int, ...], parity: int
+) -> list[tuple[Word, int]]:
+    """The lift of the free operations on one subword of the generic word,
+    as terms (word, q) standing for (-1)^q word; free maps each key to its
+    letter."""
+    symbols = [forms[x] for x in word]
+    out = []
+    for i in arities:
+        for k in range(i, len(word) + 1):
+            pinned, suffix = word[k - 1 : k], word[k:]
+            for first, second, monomials, _ in graded.unshuffle_forms(k - i, i - 1):
+                prefix = tuple(word[a] for a in first)
+                q = _exponent(monomials, symbols)
+                if parity:
+                    q ^= _times(_sum(forms, prefix), 1)
+                letter = free[tuple(word[a] for a in second) + pinned]
+                out.append((prefix + (letter,) + suffix, q))
+    return out
+
+
+def _coderivation_residual(n: int, arities: tuple[int, ...], parity: int) -> _Residual:
+    """Delta D - (D (x) 1) Delta - (1 (x) D) Delta on the generic word of
+    length n, grouped, for the lift D of free operations of these arities
+    and degree parity.
+
+    The free arity-a operation sends each increasing a-tuple S of position
+    letters to its own letter f_S of parity parity + sum(x_j, j in S).
+    Those are the only keys the lift feeds it on subwords of the generic
+    word.
+    """
+    keys = [key for a in arities for key in itertools.combinations(range(n), a)]
+    forms = [1 << (j + 1) for j in range(n)]
+    forms += [parity | sum(1 << (j + 1) for j in key) for key in keys]
+    free = {key: letter for letter, key in enumerate(keys, start=n)}
+    split = functools.cache(lambda word: _split(word, forms))
+    lift = functools.cache(lambda word: _lift(word, forms, free, arities, parity))
+    word = tuple(range(n))
+    residual = _Residual()
+    for w, q in lift(word):
+        for key, q2 in split(w):
+            residual.add(key, q ^ q2, 1)
+    for (w1, w2), q in split(word):
+        for w1p, q1 in lift(w1):
+            residual.add((w1p, w2), q ^ q1, -1)
+        jump = _times(_sum(forms, w1), 1) if parity else 0
+        for w2p, q2 in lift(w2):
+            residual.add((w1, w2p), q ^ q2 ^ jump, -1)
+    return residual
+
+
 @functools.cache
+def _coderivation_failures(
+    n: int, arities: tuple[int, ...], parity: int
+) -> frozenset[tuple[int, ...]]:
+    return _coderivation_residual(n, arities, parity).failures(n)
+
+
 def _coderivation_certified(
     pattern: tuple[int, ...], arities: tuple[int, ...], parity: int
 ) -> bool:
     """Whether the lift D of free operations of these arities and degree
     parity satisfies Delta D = (D (x) 1) Delta + (1 (x) D) Delta on the
-    generic word of this pattern.
-
-    The free arity-a operation sends each increasing a-tuple S of position
-    letters to its own letter f_S of degree parity + sum(pattern[S]).  Those
-    are the only keys the lift feeds it on subwords of the generic word.
-    """
-    n = len(pattern)
-    keys = [key for a in arities for key in itertools.combinations(range(n), a)]
-    names = _position_names(n) + tuple("f" + ".".join(map(str, key)) for key in keys)
-    degrees = pattern + tuple(parity + sum(pattern[j] for j in key) for key in keys)
-    basis = GradedBasis(names, degrees)
-    constants: dict[int, dict[Word, Element]] = {a: {} for a in arities}
-    for letter, key in enumerate(keys, start=n):
-        constants[len(key)][key] = basis.vector(letter)
-    spec = CoderivationSpec(
-        basis, parity, {a: MultiOp(basis, a, parity, c) for a, c in constants.items()}
-    )
-    lift = functools.cache(lambda word: evaluate_coderivation(spec, word))
-    split = functools.cache(lambda word: comultiply(basis, word))
-    word = tuple(range(n))
-    lhs = extend_linearly(lift(word), split, TensorPairElement)
-    acc: dict[tuple[Word, Word], Scalar] = {}
-    for (w1, w2), c in split(word).terms.items():
-        for w1p, c1 in lift(w1).terms.items():
-            key = (w1p, w2)
-            acc[key] = acc.get(key, 0) + c * c1
-        jump = -1 if (parity * word_degree(basis, w1)) % 2 else 1
-        for w2p, c2 in lift(w2).terms.items():
-            key = (w1, w2p)
-            acc[key] = acc.get(key, 0) + jump * c * c2
-    return (lhs - TensorPairElement._trusted(basis, acc)).is_zero()
+    generic word of this pattern, read off the proof of its length."""
+    return pattern not in _coderivation_failures(len(pattern), arities, parity)
 
 
 def check_coderivation_axiom(spec: CoderivationSpec, max_len: int) -> Verdict:

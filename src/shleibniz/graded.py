@@ -20,16 +20,18 @@ ordinary operator layers under the rule above, so s(i) and s^{-1}(i) need no
 special casing and s^{-1}(i) s(i) = (-1)^(i(i-1)/2) falls out of ``layer_sign``.
 
 Three pieces are shared by every layer above: ``signed_unshuffles``, the one
-cached table of unshuffles with their signs; ``placements``, the one loop
-placing letters among a constant's letters by those rows, from which every
-composite and every lift is scattered; and ``SparseVector``, the one sparse
-exact arithmetic behind ``Element`` and the coalgebra's tensor elements.
+cached table of unshuffles with their signs, read off the sign polynomials
+of ``unshuffle_forms``; ``placements``, the one loop placing letters among a
+constant's letters by those rows, from which every composite and every lift
+is scattered; and ``SparseVector``, the one sparse exact arithmetic behind
+``Element`` and the coalgebra's tensor elements.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -312,9 +314,37 @@ def unshuffles(p: int, q: int) -> list[Permutation]:
     return out
 
 
+# (first positions, second positions, Koszul exponent, permutation sign);
+# positions are 0-based, and the exponent is a tuple of monomials, each a
+# tuple of at most two symbol positions
+FormRow = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...], int]
+
 # (first positions, second positions, koszul sign, permutation sign,
 #  parity of the first block's degrees); positions are 0-based
 UnshuffleRow = tuple[tuple[int, ...], tuple[int, ...], int, int, int]
+
+
+@functools.cache
+def unshuffle_forms(p: int, q: int) -> tuple[FormRow, ...]:
+    """The (p, q)-unshuffles with their Koszul signs as polynomials over F_2.
+
+    On symbols of degree parities y, a row's Koszul sign is (-1)^e, where e
+    sums the product of y over each monomial of the row's exponent; every
+    inversion of the unshuffle contributes the monomial (a, b) of the two
+    symbols it exchanges.  This is the one sign source: signed_unshuffles
+    evaluates it on concrete parities, and the coalgebra's parity-pattern
+    certificates substitute parity forms into it.  Rows follow the order of
+    ``unshuffles``.
+    """
+    if p < 0 or q < 0:
+        raise MalformedInputError("unshuffle block sizes must be nonnegative")
+    rows = []
+    for sigma in unshuffles(p, q):
+        first = tuple(sigma(a) - 1 for a in range(1, p + 1))
+        second = tuple(sigma(a) - 1 for a in range(p + 1, p + q + 1))
+        exponent = tuple((sigma(b) - 1, sigma(a) - 1) for a, b in sigma.inversions())
+        rows.append((first, second, exponent, sign_of_permutation(sigma)))
+    return tuple(rows)
 
 
 @functools.cache
@@ -323,19 +353,16 @@ def signed_unshuffles(p: int, q: int, parities: tuple[int, ...]) -> tuple[Unshuf
 
     Every sign the coalgebra and the sh identities need depends on degrees
     only through their parities, so one table per (p, q, parities) serves
-    every word.  Rows follow the order of ``unshuffles``; the reference
-    ``unshuffles``, ``koszul_sign`` and ``sign_of_permutation`` build them.
+    every word.  The Koszul signs are those of ``unshuffle_forms`` evaluated
+    on the parities; the reference ``koszul_sign`` agrees with them.
     """
     if len(parities) != p + q:
         raise MalformedInputError("parity tuple does not match the unshuffle size")
     rows = []
-    for sigma in unshuffles(p, q):
-        first = tuple(sigma(a) - 1 for a in range(1, p + 1))
-        second = tuple(sigma(a) - 1 for a in range(p + 1, p + q + 1))
+    for first, second, exponent, sgn in unshuffle_forms(p, q):
+        odd = sum(math.prod(parities[a] for a in mono) for mono in exponent) % 2
         jumped = sum(parities[i] for i in first) % 2
-        rows.append(
-            (first, second, koszul_sign(sigma, parities), sign_of_permutation(sigma), jumped)
-        )
+        rows.append((first, second, -1 if odd else 1, sgn, jumped))
     return tuple(rows)
 
 

@@ -54,7 +54,8 @@ class MultiOp:
     valid ones are built by op_from_terms, which does not.
     """
 
-    __slots__ = ("basis", "arity", "degree", "constants")
+    # the first four are set on construction, _positions on first use
+    __slots__ = ("basis", "arity", "degree", "constants", "_positions")
 
     def __init__(
         self,
@@ -140,6 +141,20 @@ class MultiOp:
         """Evaluation on a basis tuple, the common fast path."""
         image = self.constants.get(key)
         return image if image is not None else Element.zero(self.basis)
+
+    def letter_positions(self) -> dict[int, list[tuple[tuple[int, ...], int]]]:
+        """Per letter z, every (key, p) with key[p] == z among the keys of
+        the constants, in key order; built once, as the operation is
+        immutable."""
+        try:
+            return self._positions
+        except AttributeError:
+            positions: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+            for key in self.constants:
+                for p, z in enumerate(key):
+                    positions.setdefault(z, []).append((key, p))
+            object.__setattr__(self, "_positions", positions)
+            return positions
 
     def _require_compatible(self, other: "MultiOp") -> None:
         if (self.basis, self.arity, self.degree) != (other.basis, other.arity, other.degree):
@@ -346,10 +361,7 @@ def _composite_terms(
     check_sh_leibniz the sh identity's.
     """
     parity = [d % 2 for d in f.basis.degrees]
-    around: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for fk in f.constants:
-        for p, z in enumerate(fk):
-            around.setdefault(z, []).append((fk, p))
+    around = f.letter_positions()
     for gk, image in g.constants.items():
         head, last = gk[:-1], gk[-1:]
         for z, c in image.coeffs.items():

@@ -1,9 +1,10 @@
 """Oracles and fixture helpers shared by the test modules.
 
 None of this is reached by a command: the suspension as explicit tensor
-layers, the lift of an operation split by summand, the restriction of an
-operation to a sub-basis, and the designated perturbations, Maurer-Cartan
-candidates and abelian subalgebra of the shipped corpus.
+layers, the lift of an operation split by summand, the parity-pattern
+certificates proved one pattern at a time, the restriction of an operation
+to a sub-basis, and the designated perturbations, Maurer-Cartan candidates
+and abelian subalgebra of the shipped corpus.
 
 Every fixture that carries a deformation family also carries a designated
 single-constant perturbation, chosen so that adding that one constant to
@@ -17,12 +18,23 @@ higher order can be annihilated by a bracket with a short top degree.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from shleibniz import fixtures as shipped
-from shleibniz.coalgebra import TensorElement, Word, _lift_terms
+from shleibniz.coalgebra import (
+    CoderivationSpec,
+    TensorElement,
+    TensorPairElement,
+    Word,
+    _lift_terms,
+    comultiply,
+    evaluate_coderivation,
+    extend_linearly,
+)
 from shleibniz.derived import DeformationFamily
 from shleibniz.document import AlgebraDocument, serialize_document
 from shleibniz.errors import MalformedInputError
@@ -83,6 +95,75 @@ def decompose_k(op: MultiOp, k: int, basis: GradedBasis, word: Word) -> TensorEl
     for w, c in _lift_terms(op, word, parities, k):
         acc[w] = acc.get(w, 0) + c
     return TensorElement(basis, acc)
+
+
+def word_degree(basis: GradedBasis, word: Word) -> int:
+    return sum(basis.degree(i) for i in word)
+
+
+# --- the parity-pattern certificates, one generic word per pattern ---
+
+
+def _position_names(n: int) -> tuple[str, ...]:
+    return tuple(f"p{j}" for j in range(n))
+
+
+@functools.cache
+def dual_leibniz_certified(pattern: tuple[int, ...]) -> bool:
+    """Whether (1 (x) Delta) Delta - (Delta (x) 1) Delta - ((12) (x) 1)(Delta (x) 1) Delta
+    vanishes on the generic word of this parity pattern, distinct position
+    letters p_j of degree pattern[j]."""
+    basis = GradedBasis(_position_names(len(pattern)), pattern)
+    split = functools.cache(lambda word: comultiply(basis, word).terms)
+    diff: dict[tuple[Word, Word, Word], Scalar] = {}
+    for (w1, w2), c in split(tuple(range(len(pattern)))).items():
+        for (w21, w22), c2 in split(w2).items():
+            key = (w1, w21, w22)
+            diff[key] = diff.get(key, 0) + c * c2
+        for (w11, w12), c1 in split(w1).items():
+            # (Delta (x) 1) Delta, then the same with factors swapped
+            key = (w11, w12, w2)
+            diff[key] = diff.get(key, 0) - c * c1
+            swap = -1 if (word_degree(basis, w11) * word_degree(basis, w12)) % 2 else 1
+            skey = (w12, w11, w2)
+            diff[skey] = diff.get(skey, 0) - swap * c * c1
+    return not any(diff.values())
+
+
+@functools.cache
+def coderivation_certified(pattern: tuple[int, ...], arities: tuple[int, ...], parity: int) -> bool:
+    """Whether the lift D of free operations of these arities and degree
+    parity satisfies Delta D = (D (x) 1) Delta + (1 (x) D) Delta on the
+    generic word of this pattern.
+
+    The free arity-a operation sends each increasing a-tuple S of position
+    letters to its own letter f_S of degree parity + sum(pattern[S]).
+    """
+    n = len(pattern)
+    keys = [key for a in arities for key in itertools.combinations(range(n), a)]
+    names = _position_names(n) + tuple("f" + ".".join(map(str, key)) for key in keys)
+    degrees = pattern + tuple(parity + sum(pattern[j] for j in key) for key in keys)
+    basis = GradedBasis(names, degrees)
+    constants: dict[int, dict[Word, Element]] = {a: {} for a in arities}
+    for letter, key in enumerate(keys, start=n):
+        constants[len(key)][key] = basis.vector(letter)
+    spec = CoderivationSpec(
+        basis, parity, {a: MultiOp(basis, a, parity, c) for a, c in constants.items()}
+    )
+    lift = functools.cache(lambda word: evaluate_coderivation(spec, word))
+    split = functools.cache(lambda word: comultiply(basis, word))
+    word = tuple(range(n))
+    lhs = extend_linearly(lift(word), split, TensorPairElement)
+    acc: dict[tuple[Word, Word], Scalar] = {}
+    for (w1, w2), c in split(word).terms.items():
+        for w1p, c1 in lift(w1).terms.items():
+            key = (w1p, w2)
+            acc[key] = acc.get(key, 0) + c * c1
+        jump = -1 if (parity * word_degree(basis, w1)) % 2 else 1
+        for w2p, c2 in lift(w2).terms.items():
+            key = (w1, w2p)
+            acc[key] = acc.get(key, 0) + jump * c * c2
+    return (lhs - TensorPairElement._trusted(basis, acc)).is_zero()
 
 
 def corestriction(te: TensorElement) -> Element:

@@ -5,13 +5,15 @@ from __future__ import annotations
 import ast
 import functools
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from shleibniz import coalgebra
+import oracles
+from shleibniz import coalgebra, graded
 from shleibniz import fixtures as shipped
 from shleibniz.coalgebra import (
     CoderivationSpec,
@@ -24,12 +26,11 @@ from shleibniz.coalgebra import (
     extend_linearly,
     hom_bracket,
     lift_coderivation,
-    word_degree,
 )
 from shleibniz.derived import build_codifferential, check_codifferential
 from shleibniz.errors import EngineError, MalformedInputError, MCRejectionError
 from shleibniz.gauge import build_xi, exp_xi, gauge_transform, mc_to_deformation
-from shleibniz.graded import Element, GradedBasis
+from shleibniz.graded import Element, GradedBasis, koszul_sign, unshuffles
 from shleibniz.linalg import derivation_basis
 from shleibniz.multiop import (
     DgLeibnizAlgebra,
@@ -50,6 +51,7 @@ from oracles import (
     perturbation,
     perturbed_family,
     perturbed_text,
+    word_degree,
 )
 from test_derived import random_op
 from test_multiop import dense_commutator, dense_compose_unary
@@ -624,16 +626,44 @@ def assert_certificates_match_the_dense_walk(cases) -> int:
     return seen
 
 
+SIGN_CACHES = (
+    graded.signed_unshuffles,
+    graded._placement_table,
+    coalgebra._dual_leibniz_failures,
+    coalgebra._coderivation_failures,
+    oracles.dual_leibniz_certified,
+    oracles.coderivation_certified,
+)
+
+
 @pytest.fixture
 def fresh_certificates():
     """Generic verdicts are cached for the whole process; a test that changes
     a sign must not leave its verdicts behind, nor see earlier ones."""
-    caches = (coalgebra._dual_leibniz_certified, coalgebra._coderivation_certified)
-    for cache in caches:
+    for cache in SIGN_CACHES:
         cache.cache_clear()
     yield
-    for cache in caches:
+    for cache in SIGN_CACHES:
         cache.cache_clear()
+
+
+@pytest.fixture
+def mutated_signs(fresh_certificates, monkeypatch):
+    """Installs a mutation of the one sign source, graded.unshuffle_forms,
+    which the concrete kernels (through signed_unshuffles and placements)
+    and the symbolic pattern proofs both read: mutate(p, q, rows) returns
+    the rows to use.  Every cached table and verdict is cleared around it."""
+    real = graded.unshuffle_forms
+
+    def install(mutate):
+        for cache in SIGN_CACHES:
+            cache.cache_clear()
+        monkeypatch.setattr(
+            graded, "unshuffle_forms", functools.cache(lambda p, q: mutate(p, q, real(p, q)))
+        )
+
+    yield install
+    monkeypatch.undo()
 
 
 def test_parity_certificates_match_the_dense_walk(docs, generated, fresh_certificates):
@@ -696,22 +726,35 @@ def assert_failing_patterns_cover_the_dense_walk(cases) -> int:
     return seen
 
 
+def indicator(target: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The monomials of the polynomial over F_2 that is 1 exactly on the
+    parity tuple target: the product of y_a over target's ones and of
+    1 + y_a over its zeros, expanded."""
+    ones = tuple(a for a, t in enumerate(target) if t)
+    zeros = [a for a, t in enumerate(target) if not t]
+    extra = (c for r in range(len(zeros) + 1) for c in itertools.combinations(zeros, r))
+    return tuple(tuple(sorted(ones + c)) for c in extra)
+
+
 @pytest.mark.parametrize("target", [(0, 1), (1, 1)])
 def test_parity_certificates_match_the_dense_walk_under_a_flipped_sign(
-    docs, generated, fresh_certificates, monkeypatch, target
+    docs, generated, mutated_signs, target
 ):
-    # flipping eps for one parity tuple breaks comultiply and the lifts on the
+    # flipping the Koszul sign of every two-symbol unshuffle on one parity
+    # tuple, in the sign source, breaks comultiply and the lifts on the
     # generic and the concrete words alike: each dense witness must lie on a
-    # pattern the generic word fails, and the engine must refuse the check
-    real = coalgebra.signed_unshuffles
+    # pattern the symbolic proof fails, and the engine must refuse the check
+    flip = indicator(target)
 
-    def flipped(p, q, parities):
-        rows = real(p, q, parities)
-        if parities != target:
+    def flipped(p, q, rows):
+        if p + q != 2:
             return rows
-        return tuple((first, second, -eps, sgn, jumped) for first, second, eps, sgn, jumped in rows)
+        return tuple((first, second, form + flip, sgn) for first, second, form, sgn in rows)
 
-    monkeypatch.setattr(coalgebra, "signed_unshuffles", flipped)
+    mutated_signs(flipped)
+    for p in range(3):
+        for row, sigma in zip(graded.signed_unshuffles(p, 2 - p, target), unshuffles(p, 2 - p)):
+            assert row[2] == -koszul_sign(sigma, target), (p, sigma)
     cases = [case for case in coalgebra_oracle_cases(docs, generated) if case[3] == 4]
     assert assert_failing_patterns_cover_the_dense_walk(cases) > 100
     # some patterns of length 4 still certify, so the covering says something
@@ -805,3 +848,86 @@ def test_patterns_no_component_fits_are_certified_without_a_proof(monkeypatch):
     assert check_coderivation_axiom(CoderivationSpec(basis, 0, {}), 5) == Verdict(True, [])
     with pytest.raises(AssertionError):
         check_coderivation_axiom(spec, 3)
+
+
+# the arity sets whose lifts the commands certify, and more
+CERTIFIED_ARITIES = ((1,), (2,), (1, 2), (2, 3), (1, 2, 3), (1, 2, 3, 4))
+
+
+def symbolic_against_the_oracle(max_len: int, arity_sets) -> tuple[int, int]:
+    """Asserts that the symbolic verdict equals the one-pattern oracle on
+    every parity pattern up to max_len, for dual Leibniz and for the lift of
+    each arity set with either degree parity; returns the numbers of failing
+    and of certifying verdicts."""
+    verdicts = []
+    for n in range(1, max_len + 1):
+        for pattern in itertools.product((0, 1), repeat=n):
+            got = coalgebra._dual_leibniz_certified(pattern)
+            assert got == oracles.dual_leibniz_certified(pattern), pattern
+            verdicts.append(got)
+            for arities in arity_sets:
+                fitting = tuple(a for a in arities if a <= n)
+                for parity in (0, 1) if fitting else ():
+                    got = coalgebra._coderivation_certified(pattern, fitting, parity)
+                    want = oracles.coderivation_certified(pattern, fitting, parity)
+                    assert got == want, (pattern, fitting, parity)
+                    verdicts.append(got)
+    return verdicts.count(False), verdicts.count(True)
+
+
+def test_symbolic_pattern_proofs_match_the_one_pattern_oracle(fresh_certificates):
+    failing, certified = symbolic_against_the_oracle(6, CERTIFIED_ARITIES)
+    assert failing == 0 and certified > 1000, (failing, certified)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_symbolic_pattern_proofs_match_the_oracle_under_a_mutated_sign(mutated_signs, seed):
+    # one extra monomial in one row of one small unshuffle table of the sign
+    # source: the generic residuals no longer cancel group by group, and the
+    # exact evaluation must fail exactly the patterns the oracle fails
+    rng = random.Random(seed)
+    size = rng.choice((2, 3))
+    p = rng.randint(0, size)
+    r = rng.randrange(math.comb(size, p))
+    monomial = tuple(sorted(rng.sample(range(size), rng.choice((1, 2)))))
+
+    def mutate(pp, qq, rows):
+        if (pp, qq) != (p, size - p):
+            return rows
+        first, second, form, sgn = rows[r]
+        return rows[:r] + ((first, second, form + (monomial,), sgn),) + rows[r + 1 :]
+
+    mutated_signs(mutate)
+    # a failing symbolic verdict comes only from the exact evaluation
+    failing, certified = symbolic_against_the_oracle(5, CERTIFIED_ARITIES[:4])
+    assert failing and certified, (failing, certified)
+
+
+def test_check_coalgebra_builds_one_generic_residual_per_length(fresh_certificates, monkeypatch):
+    # check-coalgebra --max-word-len 8 on endo2 certifies 2^n patterns per
+    # length and lifted map; it builds each grouped residual once, per
+    # (length, arities, parity), and once per length for dual Leibniz
+    built = []
+
+    def counted(name):
+        real = getattr(coalgebra, name)
+
+        def build(*args):
+            built.append((name, args))
+            return real(*args)
+
+        return build
+
+    for name in ("_dual_leibniz_residual", "_coderivation_residual"):
+        monkeypatch.setattr(coalgebra, name, counted(name))
+    options = RunOptions(max_word_len=8)
+    report = run_command("check-coalgebra", shipped.fixture_text("endo2"), options)
+    assert all(result.passed for result in report.results)
+    dual = [args for name, args in built if name == "_dual_leibniz_residual"]
+    lift = [args for name, args in built if name == "_coderivation_residual"]
+    assert dual == [(n,) for n in range(1, 9)]
+    assert len(set(lift)) == len(lift)
+    # the bracket (arity 2, even) and the deltas (odd) and xi (even) of arity 1
+    maps = {(arities, parity) for n, arities, parity in lift if n == 8}
+    assert maps == {((2,), 0), ((1,), 1), ((1,), 0)}
+    assert sorted(lift) == sorted((n, a, p) for a, p in maps for n in range(a[0], 9))
