@@ -78,9 +78,11 @@ lift is zero on its words.
 
 Both axioms are theorems for every operation, so every generic residual
 vanishes unless the sign conventions are inconsistent.  One rule serves
-every certificate: a pattern that fails its proof is an engine error, and
-check_dual_leibniz and check_coderivation_axiom raise EngineError naming the
-first failing pattern; otherwise they pass without evaluating a word.  The
+every certificate: a pattern that fails its proof is an engine error.
+check_dual_leibniz and check_coderivation_axiom read the failing set of each
+length, keep the patterns over the parities present in the basis and raise
+EngineError naming the least of them; when none is left, which is every
+correct run, they pass without visiting a pattern or evaluating a word.  The
 codifferential in derived and the gauge maps in gauge rely on their lifts
 being coderivations, and obtain that from check_coderivation_axiom.
 """
@@ -187,19 +189,22 @@ def extend_linearly(te: TensorElement, image: Callable[[Word], SparseVector], cl
 
 
 def _prove(
-    basis: GradedBasis, max_len: int, certified: Callable[[tuple[int, ...]], bool], claim: str
+    basis: GradedBasis,
+    max_len: int,
+    failures: Callable[[int], frozenset[tuple[int, ...]]],
+    claim: str,
 ) -> Verdict:
-    """Pass when every parity pattern of length <= max_len, built from the
-    parities present in the basis, certifies; a pattern that does not is an
-    engine error."""
-    present = sorted({d % 2 for d in basis.degrees})
+    """Pass when failures(length) holds no pattern over the parities present
+    in the basis, for every length <= max_len; otherwise raise EngineError
+    naming the least such pattern, the first in itertools.product order."""
+    present = {d % 2 for d in basis.degrees}
     for length in range(1, max_len + 1):
-        for pattern in itertools.product(present, repeat=length):
-            if not certified(pattern):
-                raise EngineError(
-                    f"{claim} fails on the generic word of parity pattern {pattern}; "
-                    "the sign conventions are inconsistent"
-                )
+        failing = [pattern for pattern in failures(length) if present.issuperset(pattern)]
+        if failing:
+            raise EngineError(
+                f"{claim} fails on the generic word of parity pattern {min(failing)}; "
+                "the sign conventions are inconsistent"
+            )
     return Verdict(True, [])
 
 
@@ -313,16 +318,10 @@ def _dual_leibniz_failures(n: int) -> frozenset[tuple[int, ...]]:
     return _dual_leibniz_residual(n).failures(n)
 
 
-def _dual_leibniz_certified(pattern: tuple[int, ...]) -> bool:
-    """Whether the dual Leibniz axiom holds on the generic word of this
-    parity pattern, read off the proof of its length."""
-    return pattern not in _dual_leibniz_failures(len(pattern))
-
-
 def check_dual_leibniz(basis: GradedBasis, max_len: int) -> Verdict:
     """Dual Leibniz coassociativity on every word of length <= max_len,
     proved per parity pattern as the module docstring argues."""
-    return _prove(basis, max_len, _dual_leibniz_certified, "the dual Leibniz axiom")
+    return _prove(basis, max_len, _dual_leibniz_failures, "the dual Leibniz axiom")
 
 
 @dataclass(frozen=True)
@@ -355,9 +354,6 @@ class CoderivationSpec:
 
     def arities(self) -> list[int]:
         return sorted(self.components)
-
-    def min_arity(self) -> int | None:
-        return min(self.components) if self.components else None
 
 
 def lift_coderivation(op: MultiOp) -> CoderivationSpec:
@@ -521,29 +517,21 @@ def _coderivation_failures(
     return _coderivation_residual(n, arities, parity).failures(n)
 
 
-def _coderivation_certified(
-    pattern: tuple[int, ...], arities: tuple[int, ...], parity: int
-) -> bool:
-    """Whether the lift D of free operations of these arities and degree
-    parity satisfies Delta D = (D (x) 1) Delta + (1 (x) D) Delta on the
-    generic word of this pattern, read off the proof of its length."""
-    return pattern not in _coderivation_failures(len(pattern), arities, parity)
-
-
 def check_coderivation_axiom(spec: CoderivationSpec, max_len: int) -> Verdict:
     """Delta D = (D (x) 1) Delta + (1 (x) D) Delta for the lift D of spec on
     every word of length <= max_len, proved per parity pattern as the module
     docstring argues: each component is swapped for the free operation of
-    its arity (_coderivation_certified)."""
+    its arity, and a length's failing patterns are read off
+    _coderivation_failures for the component arities that fit in it."""
     arities, parity = spec.arities(), spec.degree % 2
 
-    def certified(pattern: tuple[int, ...]) -> bool:
-        # no component fits: the lift is zero on the pattern's words
-        fitting = tuple(a for a in arities if a <= len(pattern))
-        return not fitting or _coderivation_certified(pattern, fitting, parity)
+    def failures(n: int) -> frozenset[tuple[int, ...]]:
+        # no component fits: the lift is zero on the words of length n
+        fitting = tuple(a for a in arities if a <= n)
+        return _coderivation_failures(n, fitting, parity) if fitting else frozenset()
 
     claim = f"the coderivation axiom of the degree-{spec.degree} lift of arities {arities}"
-    return _prove(spec.basis, max_len, certified, claim)
+    return _prove(spec.basis, max_len, failures, claim)
 
 
 def hom_bracket(f: MultiOp, g: MultiOp) -> MultiOp:

@@ -271,8 +271,7 @@ def exp_xi(spec: CoderivationSpec, word: Word) -> TensorElement:
     Requires every component arity >= 2 (an arity-1 component would make the
     exponential an infinite series).
     """
-    low = spec.min_arity()
-    if low is not None and low < 2:
+    if any(a < 2 for a in spec.components):
         raise PreconditionError("exponential needs all component arities >= 2")
     term = total = TensorElement.from_word(spec.basis, word)
     p = 0

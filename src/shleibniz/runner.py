@@ -256,9 +256,8 @@ def _cmd_report_all(doc: AlgebraDocument, options: RunOptions) -> list[CheckResu
     if doc.deltas and doc.gauges:
         results += _cmd_check_gauge_equivalence(doc, options)
     else:
-        results.append(
-            CheckResult("gauge-suite", None, detail=["skipped: no gauge sections"])
-        )
+        reason = "no family" if doc.gauges else "no gauge sections"
+        results.append(CheckResult("gauge-suite", None, detail=[f"skipped: {reason}"]))
     return results
 
 

@@ -104,6 +104,12 @@ def word_degree(basis: GradedBasis, word: Word) -> int:
 # --- the parity-pattern certificates, one generic word per pattern ---
 
 
+def every_pattern(n: int) -> frozenset[tuple[int, ...]]:
+    """Every parity pattern of length n: the failing set of a proof that
+    refuses the whole length."""
+    return frozenset(itertools.product((0, 1), repeat=n))
+
+
 def _position_names(n: int) -> tuple[str, ...]:
     return tuple(f"p{j}" for j in range(n))
 

@@ -636,6 +636,19 @@ SIGN_CACHES = (
 )
 
 
+def test_sign_caches_hold_every_cache_of_graded_and_coalgebra():
+    # a cache missing here would carry a verdict of a mutated sign into the
+    # tests after it; _times holds no sign, and mutated_signs replaces
+    # unshuffle_forms whole
+    cached = {
+        value
+        for module in (graded, coalgebra)
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_clear", None))
+    }
+    assert cached - {coalgebra._times, graded.unshuffle_forms} <= set(SIGN_CACHES)
+
+
 @pytest.fixture
 def fresh_certificates():
     """Generic verdicts are cached for the whole process; a test that changes
@@ -684,11 +697,19 @@ def test_parity_certificates_match_the_dense_walk_on_generated_bases(fresh_certi
     assert assert_certificates_match_the_dense_walk(cases) == 0
 
 
+def dual_pattern_certified(pattern: tuple[int, ...]) -> bool:
+    """Whether the dual Leibniz proof of the pattern's length passes it."""
+    return pattern not in coalgebra._dual_leibniz_failures(len(pattern))
+
+
 def lift_pattern_certified(spec: CoderivationSpec, pattern: tuple[int, ...]) -> bool:
     """The certificate of spec's lift on one parity pattern: proved for the
     component arities that fit in it, or vacuous when none does."""
-    fitting = tuple(a for a in spec.arities() if a <= len(pattern))
-    return not fitting or coalgebra._coderivation_certified(pattern, fitting, spec.degree % 2)
+    n = len(pattern)
+    fitting = tuple(a for a in spec.arities() if a <= n)
+    return not fitting or pattern not in coalgebra._coderivation_failures(
+        n, fitting, spec.degree % 2
+    )
 
 
 def assert_failing_patterns_cover_the_dense_walk(cases) -> int:
@@ -703,7 +724,7 @@ def assert_failing_patterns_cover_the_dense_walk(cases) -> int:
             (
                 functools.partial(check_dual_leibniz, basis, max_len),
                 dense_check_dual_leibniz(basis, max_len),
-                coalgebra._dual_leibniz_certified,
+                dual_pattern_certified,
             )
         ]
         for spec in specs:
@@ -758,7 +779,7 @@ def test_parity_certificates_match_the_dense_walk_under_a_flipped_sign(
     cases = [case for case in coalgebra_oracle_cases(docs, generated) if case[3] == 4]
     assert assert_failing_patterns_cover_the_dense_walk(cases) > 100
     # some patterns of length 4 still certify, so the covering says something
-    verdicts = {coalgebra._dual_leibniz_certified(p) for p in itertools.product((0, 1), repeat=4)}
+    verdicts = {dual_pattern_certified(p) for p in itertools.product((0, 1), repeat=4)}
     assert verdicts == {True, False}
 
 
@@ -814,19 +835,19 @@ def test_first_violation_builds_no_lift_value_past_its_witness(monkeypatch):
     lengths = []
     proved = {0: [], 1: []}
     real = TensorElement._trusted.__func__
-    real_certified = coalgebra._coderivation_certified
+    real_failures = coalgebra._coderivation_failures
 
     def recorded(cls, on, coeffs):
         if on == basis:
             lengths.extend(len(word) for word in coeffs)
         return real(cls, on, coeffs)
 
-    def certified(pattern, arities, parity):
-        proved[parity].append(len(pattern))
-        return real_certified(pattern, arities, parity)
+    def failures(n, arities, parity):
+        proved[parity].append(n)
+        return real_failures(n, arities, parity)
 
     monkeypatch.setattr(TensorElement, "_trusted", classmethod(recorded))
-    monkeypatch.setattr(coalgebra, "_coderivation_certified", certified)
+    monkeypatch.setattr(coalgebra, "_coderivation_failures", failures)
     options = RunOptions(max_word_len=6, first_violation=True)
     (result,) = run_command("check-codifferential", perturbed_text("endo2", doc), options).results
     (witness,) = result.violations
@@ -837,10 +858,10 @@ def test_first_violation_builds_no_lift_value_past_its_witness(monkeypatch):
 
 
 def test_patterns_no_component_fits_are_certified_without_a_proof(monkeypatch):
-    def refuse(pattern, arities, parity):
-        raise AssertionError(f"proved {pattern} for arities {arities}")
+    def refuse(n, arities, parity):
+        raise AssertionError(f"proved length {n} for arities {arities}")
 
-    monkeypatch.setattr(coalgebra, "_coderivation_certified", refuse)
+    monkeypatch.setattr(coalgebra, "_coderivation_failures", refuse)
     basis = GradedBasis(("x", "y"), (0, 1))
     spec = CoderivationSpec(basis, 0, {3: MultiOp(basis, 3, 0, {(0, 0, 1): basis.vector("y")})})
     assert check_coderivation_axiom(spec, 2) == Verdict(True, [])
@@ -848,6 +869,30 @@ def test_patterns_no_component_fits_are_certified_without_a_proof(monkeypatch):
     assert check_coderivation_axiom(CoderivationSpec(basis, 0, {}), 5) == Verdict(True, [])
     with pytest.raises(AssertionError):
         check_coderivation_axiom(spec, 3)
+
+
+def test_a_failing_certificate_names_the_least_pattern_over_the_basis_parities(monkeypatch):
+    # length 2 fails (1, 1), (0, 1) and (1, 0): a basis of both parities
+    # names the least of them, an all-even basis meets none and passes
+    chosen = frozenset({(1, 1), (0, 1), (1, 0)})
+
+    def failures(n, *rest):
+        return chosen if n == 2 else frozenset()
+
+    monkeypatch.setattr(coalgebra, "_dual_leibniz_failures", failures)
+    monkeypatch.setattr(coalgebra, "_coderivation_failures", failures)
+    for degrees, named in (((0, 1), "(0, 1)"), ((0, 2), None)):
+        basis = GradedBasis(("x", "y"), degrees)
+        spec = lift_coderivation(MultiOp(basis, 1, 0, {(0,): basis.vector("x")}))
+        for check in (
+            functools.partial(check_dual_leibniz, basis, 3),
+            functools.partial(check_coderivation_axiom, spec, 3),
+        ):
+            if named is None:
+                assert check() == Verdict(True, [])
+                continue
+            with pytest.raises(EngineError, match=re.escape(f"parity pattern {named};")):
+                check()
 
 
 # the arity sets whose lifts the commands certify, and more
@@ -862,13 +907,13 @@ def symbolic_against_the_oracle(max_len: int, arity_sets) -> tuple[int, int]:
     verdicts = []
     for n in range(1, max_len + 1):
         for pattern in itertools.product((0, 1), repeat=n):
-            got = coalgebra._dual_leibniz_certified(pattern)
+            got = dual_pattern_certified(pattern)
             assert got == oracles.dual_leibniz_certified(pattern), pattern
             verdicts.append(got)
             for arities in arity_sets:
                 fitting = tuple(a for a in arities if a <= n)
                 for parity in (0, 1) if fitting else ():
-                    got = coalgebra._coderivation_certified(pattern, fitting, parity)
+                    got = pattern not in coalgebra._coderivation_failures(n, fitting, parity)
                     want = oracles.coderivation_certified(pattern, fitting, parity)
                     assert got == want, (pattern, fitting, parity)
                     verdicts.append(got)

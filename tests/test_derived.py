@@ -55,6 +55,7 @@ from oracles import (
     Perturbation,
     apply_layer,
     corestriction,
+    every_pattern,
     perturbation,
     perturbed_family,
     reshape,
@@ -494,7 +495,7 @@ def test_certified_codifferential_never_walks_every_word(generated, monkeypatch)
 
 def test_uncertified_lift_is_an_engine_error(generated, monkeypatch):
     fam = generated["endo2(x)Q[t]/t^2"].to_family()
-    monkeypatch.setattr(coalgebra, "_coderivation_certified", lambda *args: False)
+    monkeypatch.setattr(coalgebra, "_coderivation_failures", lambda n, *args: every_pattern(n))
     with pytest.raises(EngineError):
         check_codifferential(fam, max_len=3)
 
@@ -503,11 +504,11 @@ def test_uncertified_square_is_an_engine_error(generated, monkeypatch):
     # the lift of partial certifies (odd parity), the lift of the degree-2
     # square's corestriction does not
     bad = perturbed_family(generated["endo2(x)Q[t]/t^2"], PRODUCT_TWEAK)
-    real = coalgebra._coderivation_certified
+    real = coalgebra._coderivation_failures
     monkeypatch.setattr(
         coalgebra,
-        "_coderivation_certified",
-        lambda pattern, arities, parity: parity == 1 and real(pattern, arities, parity),
+        "_coderivation_failures",
+        lambda n, arities, parity: real(n, arities, parity) if parity == 1 else every_pattern(n),
     )
     with pytest.raises(EngineError):
         check_codifferential(bad, max_len=3)

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
+import sys
 
 import pytest
 
-from shleibniz import derived
+from shleibniz import coalgebra, derived, gauge
 from shleibniz import fixtures as shipped
 from shleibniz.derived import check_key_lemma
 from shleibniz.document import parse_document, serialize_document
 from shleibniz.errors import PreconditionError
 from shleibniz.graded import GradedBasis
-from shleibniz.multiop import check_derivation
+from shleibniz.multiop import MultiOp, check_derivation
 from shleibniz.report import WITNESS_LIMIT, render_structured, render_text
 from shleibniz.runner import COMMANDS, RunOptions, _derivation_pool, run_command
 from oracles import family_fixture_names, perturbed_text
@@ -44,28 +46,82 @@ def test_codifferential_at_length_five_on_a_dimension_11_sum_walks_no_word(monke
     assert [r.passed for r in report.results] == [True]
 
 
+def refuse_the_word_layer(monkeypatch) -> None:
+    """Make every walk over basis tuples, every per-word evaluation and
+    every tuple helper of MultiOp raise, wherever a shleibniz module binds
+    it."""
+
+    def refusal(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"a command reached {name}")
+
+        return refuse
+
+    for cls, name in (
+        (GradedBasis, "index_tuples"),
+        (MultiOp, "apply"),
+        (MultiOp, "apply_indices"),
+        (MultiOp, "from_function"),
+    ):
+        monkeypatch.setattr(cls, name, refusal(f"{cls.__name__}.{name}"))
+    modules = [m for n, m in sys.modules.items() if n.startswith("shleibniz") and m]
+    for owner, name in (
+        (coalgebra, "comultiply"),
+        (coalgebra, "evaluate_coderivation"),
+        (coalgebra, "_lift_terms"),
+        (coalgebra, "extend_linearly"),
+        (gauge, "exp_xi"),
+    ):
+        original = getattr(owner, name)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, refusal(name))
+
+
 def test_no_command_walks_a_word(monkeypatch):
-    # every command at its default flags, on every shipped fixture and on
-    # each designated perturbation, among them endo2 with E01 -> E00 added
-    # to delta_0, whose gauge conjugation fails
+    # every command at its default flags, with and without first_violation,
+    # on every shipped fixture and on each designated perturbation, among
+    # them endo2 with E01 -> E00 added to delta_0, whose gauge conjugation
+    # fails; no command evaluates a word or a basis tuple
     texts = {name: shipped.fixture_text(name) for name in shipped.fixture_names()}
     texts.update((f"{name}+perturbation", perturbed_text(name)) for name in family_fixture_names())
-
-    def refuse(self, length):
-        raise AssertionError("a command walked every word")
-
-    monkeypatch.setattr(GradedBasis, "index_tuples", refuse)
+    refuse_the_word_layer(monkeypatch)
     ran = 0
     for label, text in texts.items():
-        for command in COMMANDS:
+        for command, first in itertools.product(COMMANDS, (False, True)):
             try:
-                run_command(command, text)
+                run_command(command, text, RunOptions(first_violation=first))
             except PreconditionError:
                 continue
             ran += 1
     report = run_command("check-gauge-equivalence", texts["endo2+perturbation"])
     assert not report.passed
-    assert ran >= 100, ran
+    assert ran >= 200, ran
+    # the refusals reach the bindings the engine calls through
+    basis = GradedBasis(("x",), (0,))
+    spec = coalgebra.lift_coderivation(MultiOp(basis, 2, 0, {(0, 0): basis.vector("x")}))
+    for call in (
+        lambda: basis.index_tuples(1),
+        lambda: spec.components[2].apply_indices((0, 0)),
+        lambda: coalgebra.evaluate_coderivation(spec, (0, 0)),
+        lambda: gauge.exp_xi(spec, (0, 0)),
+    ):
+        with pytest.raises(AssertionError, match="a command reached"):
+            call()
+
+
+def test_report_all_names_the_missing_family_of_a_gauge():
+    # endo2 without its delta sections keeps its gauge: the gauge row is
+    # skipped for want of a family, not of gauge sections
+    base = shipped.fixture_text("endo2")
+    text = re.sub(r"\[delta \d\]\n(?:.+\n)+\n", "", base)
+    assert "[delta" not in text and "[gauge 1]" in text
+    rows = {r.name: r for r in run_command("report-all", text).results}
+    assert rows["deformation-suites"].detail == ["skipped: no family"]
+    assert rows["gauge-suite"].detail == ["skipped: no family"]
+    rows = {r.name: r for r in run_command("report-all", shipped.fixture_text("quartic")).results}
+    assert rows["gauge-suite"].detail == ["skipped: no gauge sections"]
 
 
 def test_unknown_command_raises():
