@@ -20,20 +20,21 @@ import sys
 
 import click
 
+from .document import LINE_BREAK
 from .errors import DocumentError, DocumentIssue, EngineError
 from .report import render_structured, render_text
 from .runner import _OPTION_FIELDS, COMMANDS, RunOptions, run_command
 
 
 def _decode(data: bytes) -> str:
-    """The document's text; bytes that are not UTF-8 exit 2 naming their
-    line, counted from the offset of the first of them."""
+    """The document's text; bytes that are not UTF-8 exit 2 naming the line
+    of the first of them, as the parser numbers lines."""
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # the offset counts from after a byte-order mark
         start = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
-        line = data.count(b"\n", 0, start) + 1
+        line = len(LINE_BREAK.split(data[:start].decode("utf-8-sig")))
         issue = DocumentIssue(line, "encoding", f"not UTF-8: {exc.reason} at byte {start}")
         click.echo(issue.render(), err=True)
         sys.exit(2)

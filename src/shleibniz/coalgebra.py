@@ -65,16 +65,17 @@ sums products of two parities over the inversions of its unshuffle, read
 off graded.unshuffle_forms, the table every concrete sign is evaluated
 from, and a jump or a swap multiplies two parity sums.  The terms of the
 generic residual, with their keys and their polynomials, are the same for
-every P; only the values q(P) depend on it.  Grouping the terms by (key, q)
-gives integers C_q, and on each key the residual of P is
-sum_q C_q (-1)^(q(P)): substituting P commutes with the grouping.  If every
-C_q is zero, every pattern of length n is proved.  Otherwise the groups of
-each key are evaluated exactly on every pattern, and the patterns on which
-some key is nonzero fail; nothing else is decided per pattern.  The grouped
-residual is built once per (length, component arities, degree parity), or
-per length for dual Leibniz, and its failing patterns are cached for the
-process.  A pattern shorter than every component arity needs no proof: the
-lift is zero on its words.
+every P; only the values q(P) depend on it.  The builders stream the terms,
+splitting or lifting each subword once, and _failing_patterns sums them in
+one flat table by (key, q), into integers C_q; on each key the residual of P
+is sum_q C_q (-1)^(q(P)): substituting P commutes with the summing.  If every
+C_q is zero, every pattern of length n is proved.  Otherwise the surviving
+sums are grouped by key and evaluated exactly on every pattern, and the
+patterns on which some key is nonzero fail; nothing else is decided per
+pattern.  The residual is summed once per (length, component arities, degree
+parity), or per length for dual Leibniz, and its failing patterns are cached
+for the process.  A pattern shorter than every component arity needs no
+proof: the lift is zero on its words.
 
 Both axioms are theorems for every operation, so every generic residual
 vanishes unless the sign conventions are inconsistent.  One rule serves
@@ -242,80 +243,77 @@ def _sum(forms: list[int], word: Word) -> int:
 
 def _exponent(monomials: tuple[tuple[int, ...], ...], symbols: list[int]) -> int:
     """A row's Koszul exponent with the affine forms symbols substituted;
-    a monomial of fewer than two symbols is padded with the constant 1."""
+    a monomial of fewer than two symbols is padded with the constant 1, and
+    one of more, which no inversion gives, is refused."""
     q = 0
     for mono in monomials:
+        if len(mono) > 2:
+            raise EngineError(
+                f"monomial {mono} of more than two symbols in a Koszul sign; "
+                "the sign conventions are inconsistent"
+            )
         factors = [symbols[a] for a in mono] + [1, 1]
         q ^= _times(factors[0], factors[1])
     return q
 
 
-def _split(word: Word, forms: list[int]) -> list[tuple[tuple[Word, Word], int]]:
+def _split(word: Word, forms: list[int]) -> Iterator[tuple[tuple[Word, Word], int]]:
     """comultiply on one word of the generic alphabet, as terms (key, q)
     standing for (-1)^q key."""
     n = len(word) - 1
     symbols = [forms[x] for x in word[:n]]
-    out = []
     for i in range(1, n + 1):
         for first, second, monomials, _ in graded.unshuffle_forms(i, n - i):
             key = (tuple(word[a] for a in first), tuple(word[a] for a in second) + word[n:])
-            out.append((key, _exponent(monomials, symbols)))
-    return out
+            yield key, _exponent(monomials, symbols)
 
 
-class _Residual:
-    """Terms (key, q) with integer coefficients, grouped by key and by q up
-    to its constant, which goes into the coefficient's sign."""
-
-    def __init__(self) -> None:
-        self.groups: dict = {}
-
-    def add(self, key, q: int, c: int) -> None:
-        groups = self.groups.setdefault(key, {})
-        groups[q & ~1] = groups.get(q & ~1, 0) + (-c if q & 1 else c)
-
-    def failures(self, n: int) -> frozenset[tuple[int, ...]]:
-        """The parity patterns of length n on which some key's sum
-        C_q (-1)^(q(P)) is nonzero: none when every group cancels."""
-        live = [[(q, c) for q, c in groups.items() if c] for groups in self.groups.values()]
-        live = [terms for terms in live if terms]
-        failing = []
-        if live:
-            for pattern in itertools.product((0, 1), repeat=n):
-                ones = [0] + [j + 1 for j, x in enumerate(pattern) if x]
-                point = 0
-                for u in ones:
-                    for v in ones:
-                        point |= 1 << _monomial(u, v)
-                values = (
-                    sum(-c if (q & point).bit_count() & 1 else c for q, c in terms)
-                    for terms in live
-                )
-                if any(values):
-                    failing.append(pattern)
-        return frozenset(failing)
+def _failing_patterns(n: int, terms: Iterator[tuple]) -> frozenset[tuple[int, ...]]:
+    """The parity patterns of length n on which the sum of the terms
+    (key, q, c), each c (-1)^q key, is nonzero; the constant of q goes into
+    the sign, and only keys with a nonzero sum C_q are evaluated."""
+    sums: dict = {}
+    for key, q, c in terms:
+        group = (key, q & ~1)
+        sums[group] = sums.get(group, 0) + (-c if q & 1 else c)
+    live: dict = {}
+    for (key, q), c in sums.items():
+        if c:
+            live.setdefault(key, []).append((q, c))
+    failing = []
+    if live:
+        for pattern in itertools.product((0, 1), repeat=n):
+            ones = [0] + [j + 1 for j, x in enumerate(pattern) if x]
+            point = 0
+            for u in ones:
+                for v in ones:
+                    point |= 1 << _monomial(u, v)
+            values = (
+                sum(-c if (q & point).bit_count() & 1 else c for q, c in group)
+                for group in live.values()
+            )
+            if any(values):
+                failing.append(pattern)
+    return frozenset(failing)
 
 
-def _dual_leibniz_residual(n: int) -> _Residual:
-    """(1 (x) Delta) Delta - (Delta (x) 1) Delta - ((12) (x) 1)(Delta (x) 1) Delta
-    on the generic word of length n, grouped."""
+def _dual_leibniz_residual(n: int) -> Iterator[tuple]:
+    """The terms (key, q, c) of (1 (x) Delta) Delta - (Delta (x) 1) Delta
+    - ((12) (x) 1)(Delta (x) 1) Delta on the generic word of length n."""
     forms = [1 << (j + 1) for j in range(n)]
-    split = functools.cache(lambda word: _split(word, forms))
-    residual = _Residual()
-    for (w1, w2), q in split(tuple(range(n))):
-        for (w21, w22), q2 in split(w2):
-            residual.add((w1, w21, w22), q ^ q2, 1)
-        for (w11, w12), q1 in split(w1):
+    for (w1, w2), q in _split(tuple(range(n)), forms):
+        for (w21, w22), q2 in _split(w2, forms):
+            yield (w1, w21, w22), q ^ q2, 1
+        for (w11, w12), q1 in _split(w1, forms):
             # (Delta (x) 1) Delta, then the same with factors swapped
-            residual.add((w11, w12, w2), q ^ q1, -1)
+            yield (w11, w12, w2), q ^ q1, -1
             swap = _times(_sum(forms, w11), _sum(forms, w12))
-            residual.add((w12, w11, w2), q ^ q1 ^ swap, -1)
-    return residual
+            yield (w12, w11, w2), q ^ q1 ^ swap, -1
 
 
 @functools.cache
 def _dual_leibniz_failures(n: int) -> frozenset[tuple[int, ...]]:
-    return _dual_leibniz_residual(n).failures(n)
+    return _failing_patterns(n, _dual_leibniz_residual(n))
 
 
 def check_dual_leibniz(basis: GradedBasis, max_len: int) -> Verdict:
@@ -461,12 +459,11 @@ def lift_witnesses(
 
 def _lift(
     word: Word, forms: list[int], free: Mapping[Word, int], arities: tuple[int, ...], parity: int
-) -> list[tuple[Word, int]]:
+) -> Iterator[tuple[Word, int]]:
     """The lift of the free operations on one subword of the generic word,
     as terms (word, q) standing for (-1)^q word; free maps each key to its
     letter."""
     symbols = [forms[x] for x in word]
-    out = []
     for i in arities:
         for k in range(i, len(word) + 1):
             pinned, suffix = word[k - 1 : k], word[k:]
@@ -476,14 +473,13 @@ def _lift(
                 if parity:
                     q ^= _times(_sum(forms, prefix), 1)
                 letter = free[tuple(word[a] for a in second) + pinned]
-                out.append((prefix + (letter,) + suffix, q))
-    return out
+                yield prefix + (letter,) + suffix, q
 
 
-def _coderivation_residual(n: int, arities: tuple[int, ...], parity: int) -> _Residual:
-    """Delta D - (D (x) 1) Delta - (1 (x) D) Delta on the generic word of
-    length n, grouped, for the lift D of free operations of these arities
-    and degree parity.
+def _coderivation_residual(n: int, arities: tuple[int, ...], parity: int) -> Iterator[tuple]:
+    """The terms (key, q, c) of Delta D - (D (x) 1) Delta - (1 (x) D) Delta
+    on the generic word of length n, for the lift D of free operations of
+    these arities and degree parity.
 
     The free arity-a operation sends each increasing a-tuple S of position
     letters to its own letter f_S of parity parity + sum(x_j, j in S).
@@ -494,27 +490,23 @@ def _coderivation_residual(n: int, arities: tuple[int, ...], parity: int) -> _Re
     forms = [1 << (j + 1) for j in range(n)]
     forms += [parity | sum(1 << (j + 1) for j in key) for key in keys]
     free = {key: letter for letter, key in enumerate(keys, start=n)}
-    split = functools.cache(lambda word: _split(word, forms))
-    lift = functools.cache(lambda word: _lift(word, forms, free, arities, parity))
     word = tuple(range(n))
-    residual = _Residual()
-    for w, q in lift(word):
-        for key, q2 in split(w):
-            residual.add(key, q ^ q2, 1)
-    for (w1, w2), q in split(word):
-        for w1p, q1 in lift(w1):
-            residual.add((w1p, w2), q ^ q1, -1)
+    for w, q in _lift(word, forms, free, arities, parity):
+        for key, q2 in _split(w, forms):
+            yield key, q ^ q2, 1
+    for (w1, w2), q in _split(word, forms):
+        for w1p, q1 in _lift(w1, forms, free, arities, parity):
+            yield (w1p, w2), q ^ q1, -1
         jump = _times(_sum(forms, w1), 1) if parity else 0
-        for w2p, q2 in lift(w2):
-            residual.add((w1, w2p), q ^ q2 ^ jump, -1)
-    return residual
+        for w2p, q2 in _lift(w2, forms, free, arities, parity):
+            yield (w1, w2p), q ^ q2 ^ jump, -1
 
 
 @functools.cache
 def _coderivation_failures(
     n: int, arities: tuple[int, ...], parity: int
 ) -> frozenset[tuple[int, ...]]:
-    return _coderivation_residual(n, arities, parity).failures(n)
+    return _failing_patterns(n, _coderivation_residual(n, arities, parity))
 
 
 def check_coderivation_axiom(spec: CoderivationSpec, max_len: int) -> Verdict:

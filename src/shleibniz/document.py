@@ -1,8 +1,9 @@
 """Line-oriented text format for graded algebras with deformation data.
 
-A document is a sequence of sections.  Lines starting with '#' and blank
-lines are ignored.  A section header is ``[name]`` or ``[name N]`` for the
-numbered sections.  Within a section, every line is ``key: value``.
+A document is a sequence of sections.  Lines end at CR LF, CR or LF and
+at no other character.  Lines starting with '#' and blank lines are
+ignored.  A section header is ``[name]`` or ``[name N]`` for the numbered
+sections.  Within a section, every line is ``key: value``.
 
 Sections:
 
@@ -38,7 +39,10 @@ shift, which one table holds.
 
 Elements are ``0`` or a signed sum of terms, ``term (('+'|'-') term)*``,
 where a term is an optional rational coefficient followed by a generator
-name: ``b``, ``2 b``, ``-1/2 c + e``.
+name: ``b``, ``2 b``, ``-1/2 c + e``.  Terms are split before each sign and
+nowhere else, and a term's coefficient and name are split at whitespace; any
+other character stays in its term and is refused there, as a bad coefficient
+or name.
 
 Parsing normalises everything (entries sorted by basis index, coefficients
 reduced to exact scalars, an ``int`` when integral and a ``Fraction``
@@ -64,6 +68,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _HEADER_RE = re.compile(r"\[\s*([A-Za-z_]+)(?:\s+(-?\d+))?\s*\]\Z")
 _INT_RE = re.compile(r"-?\d+\Z")
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
+# a document's only line breaks; str.splitlines breaks at more characters
+LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 Terms = tuple[tuple[Scalar, str], ...]
 
@@ -148,16 +154,13 @@ def _parse_element(
     if not raw:
         issues.append(DocumentIssue(line_no, raw, "empty element"))
         return None
-    # mark every sign as a term boundary, then read one signed term per chunk
-    chunks = raw.replace("+", "\0+").replace("-", "\0-").split("\0")
+    # split before every sign, then read one signed term per chunk; only the
+    # first chunk can be empty, when the element starts with a sign
     signed: list[tuple[int, str]] = []
-    for position, chunk in enumerate(chunks):
+    for chunk in re.split(r"(?=[+-])", raw):
         chunk = chunk.strip()
         if not chunk:
-            if position == 0:
-                continue
-            issues.append(DocumentIssue(line_no, raw, "malformed element"))
-            return None
+            continue
         sgn = 1
         body = chunk
         if chunk[0] == "+":
@@ -168,9 +171,6 @@ def _parse_element(
             issues.append(DocumentIssue(line_no, raw, "dangling sign"))
             return None
         signed.append((sgn, body))
-    if not signed:
-        issues.append(DocumentIssue(line_no, raw, "empty element"))
-        return None
     collected: dict[str, Scalar] = {}
     bad = False
     for sgn, chunk in signed:
@@ -228,7 +228,7 @@ def parse_document(text: str) -> AlgebraDocument:
     entries: dict[tuple[str, int | None], list[tuple[int, tuple[str, ...], str]]] = {}
     headers: dict[tuple[str, int | None], int] = {}  # first line of each section
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    for line_no, raw_line in enumerate(LINE_BREAK.split(text), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

@@ -198,6 +198,20 @@ def test_bytes_that_are_not_utf8_exit_two_with_their_line_in_a_file(tmp_path):
     assert result.output == f"line {line}: [encoding] {message}\n"
 
 
+def test_bytes_that_are_not_utf8_are_located_under_every_line_ending():
+    data = b"[basis]\nx: 0\ny: \xff\n"
+    for ending in (b"\n", b"\r\n", b"\r"):
+        result = run("validate", "-", text=data.replace(b"\n", ending))
+        assert result.exit_code == 2
+        assert result.output.startswith("line 3: [encoding] "), (ending, result.output)
+
+
+def test_a_nul_inside_an_element_exits_two():
+    result = run("derive", "-", text="[basis]\nx: 0\ny: 1\nz: 1\n\n[delta 0]\nx: y\0z\n")
+    assert result.exit_code == 2
+    assert result.output == "line 7: [y\0z] bad generator name\n", result.output
+
+
 def test_a_byte_order_mark_is_read_as_utf8(tmp_path):
     path = tmp_path / "bom.alg"
     text = shipped.fixture_text("heisab")

@@ -948,6 +948,28 @@ def test_symbolic_pattern_proofs_match_the_oracle_under_a_mutated_sign(mutated_s
     assert failing and certified, (failing, certified)
 
 
+def test_a_sign_monomial_of_three_symbols_is_refused(mutated_signs):
+    # the sign source pairs two symbols per inversion; a three-symbol
+    # monomial cannot be an affine product, so the symbolic proofs that read
+    # its table, at length 4 here, refuse it rather than misread it
+    def mutate(p, q, rows):
+        if (p, q) != (1, 2):
+            return rows
+        first, second, form, sgn = rows[0]
+        return ((first, second, form + ((0, 1, 2),), sgn),) + rows[1:]
+
+    mutated_signs(mutate)
+    basis = GradedBasis(("x", "y"), (0, 1))
+    spec = lift_coderivation(MultiOp(basis, 1, 0, {(0,): basis.vector("x")}))
+    assert check_dual_leibniz(basis, 3) == Verdict(True, [])
+    for check in (
+        functools.partial(check_dual_leibniz, basis, 4),
+        functools.partial(check_coderivation_axiom, spec, 4),
+    ):
+        with pytest.raises(EngineError, match=re.escape("monomial (0, 1, 2) of more than two")):
+            check()
+
+
 def test_check_coalgebra_builds_one_generic_residual_per_length(fresh_certificates, monkeypatch):
     # check-coalgebra --max-word-len 8 on endo2 certifies 2^n patterns per
     # length and lifted map; it builds each grouped residual once, per

@@ -159,6 +159,33 @@ def test_element_grammar_errors():
     assert issues_of(base + "x:\n")
 
 
+def test_a_nul_inside_an_element_stays_in_its_term():
+    # terms split only before a sign, so a NUL is refused where it stands
+    base = "[basis]\nx: 0\ny: 1\nz: 1\n\n[delta 0]\n"
+    for element, field, message in (
+        ("y\0z", "y\0z", "bad generator name"),
+        ("y\0\0z", "y\0\0z", "bad generator name"),
+        ("2\0 y - z", "2\0", "bad coefficient"),
+    ):
+        issues = issues_of(base + f"x: {element}\n")
+        assert [(i.line, i.field, i.message) for i in issues] == [(7, field, message)], element
+
+
+@pytest.mark.parametrize(
+    "separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_lines_break_only_at_newlines(separator):
+    # str.splitlines also breaks at these; the format does not, so a value
+    # keeps them and the issues keep the lines that \r\n, \r and \n give
+    valid = f"[metadata]\nnote: a{separator}b\n\n[basis]\nx: 0\n"
+    for ending in ("\n", "\r\n", "\r"):
+        doc = parse_document(valid.replace("\n", ending))
+        assert doc.metadata == (("note", f"a{separator}b"),)
+        assert parse_document(serialize_document(doc)) == doc
+        issues = issues_of((valid + "[bracket]\nx x: q\n").replace("\n", ending))
+        assert [(i.line, i.field, i.message) for i in issues] == [(7, "q", "unknown generator")]
+
+
 def test_zero_element_and_empty_sections():
     text = """
 [basis]
