@@ -290,8 +290,9 @@ def _exponential(
     """sum_p step^p(tables)/p!, for a step by Xi that is linear in the arity
     tables and returns their images as coefficient dicts per arity: [-, Xi]
     through hom_tables, or right composition through compose_tables.  Step
-    p is taken of the tables of step p - 1, then each result is scaled
-    once, by 1/p; the steps stop since the arities of Xi are >= 2."""
+    p is taken of the unscaled tables of step p - 1, so integer inputs
+    compose on ints, and only its share of the sum is scaled, by 1/p!; the
+    steps stop since the arities of Xi are >= 2."""
     total = dict(tables)
     p = 0
     while tables:
@@ -299,9 +300,11 @@ def _exponential(
         some = next(iter(tables.values()))  # Xi has degree 0
         images = step(tables).items()
         ops = (op_from_terms(some.basis, n, some.degree, terms) for n, terms in images)
-        tables = {op.arity: op.scale(Fraction(1, p)) for op in ops if not op.is_zero()}
+        tables = {op.arity: op for op in ops if not op.is_zero()}
+        weight = Fraction(1, math.factorial(p))
         for n, op in tables.items():
-            total[n] = total[n] + op if n in total else op
+            share = op.scale(weight)
+            total[n] = total[n] + share if n in total else share
     return total
 
 

@@ -23,8 +23,10 @@ Three pieces are shared by every layer above: ``signed_unshuffles``, the one
 cached table of unshuffles with their signs, read off the sign polynomials
 of ``unshuffle_forms``; ``placements``, the one loop placing letters among a
 constant's letters by those rows, from which every composite and every lift
-is scattered; and ``SparseVector``, the one sparse exact arithmetic behind
-``Element`` and the coalgebra's tensor elements.
+is scattered (a composite term with a single placing reads its row straight
+off the same table, ``_placement_table``); and ``SparseVector``, the one
+sparse exact arithmetic behind ``Element`` and the coalgebra's tensor
+elements.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import MalformedInputError
+from .errors import EngineError, MalformedInputError
 from .graded import Element
 from .multiop import MultiOp, _derivation_residuals, check_derivation, op_from_terms
 
@@ -89,6 +89,7 @@ def derivation_basis(bracket: MultiOp, degrees: Sequence[int] | None = None) -> 
                 basis, 1, g,
                 {key: Element(basis, coeffs) for key, coeffs in constants.items()},
             )
-            assert not check_derivation(op, bracket), "solver produced a non-derivation"
+            if check_derivation(op, bracket):
+                raise EngineError("solver produced a non-derivation")
             out.append(op)
     return out

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import MalformedInputError, PreconditionError
-from .graded import Element, GradedBasis, Scalar, UnshuffleRow, placements
+from .graded import Element, GradedBasis, Scalar, UnshuffleRow, _placement_table, placements
 from .results import Verdict, Violation
 
 
@@ -142,17 +142,20 @@ class MultiOp:
         image = self.constants.get(key)
         return image if image is not None else Element.zero(self.basis)
 
-    def letter_positions(self) -> dict[int, list[tuple[tuple[int, ...], int]]]:
-        """Per letter z, every (key, p) with key[p] == z among the keys of
-        the constants, in key order; built once, as the operation is
-        immutable."""
+    def letter_positions(self) -> dict[int, list[tuple]]:
+        """Per letter z, every (key, p, key[:p], parities of key[:p],
+        key[p + 1:]) with key[p] == z among the keys of the constants, in
+        key order; built once, as the operation is immutable."""
         try:
             return self._positions
         except AttributeError:
-            positions: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+            parity = [d % 2 for d in self.basis.degrees]
+            positions: dict[int, list[tuple]] = {}
             for key in self.constants:
                 for p, z in enumerate(key):
-                    positions.setdefault(z, []).append((key, p))
+                    head = key[:p]
+                    entry = (key, p, head, tuple([parity[x] for x in head]), key[p + 1 :])
+                    positions.setdefault(z, []).append(entry)
             object.__setattr__(self, "_positions", positions)
             return positions
 
@@ -356,19 +359,28 @@ def _composite_terms(
     merged + gk[-1:] + fk[p + 1:], where merged places fk[:p] among gk[:-1].
     c is the coefficient of z in g(gk), and merged and row are one placing
     of graded.placements(fk[:p], gk[:-1], ...): row is the signed
-    (p, |gk| - 1) unshuffle row for the parities of merged.  Terms carry no
-    sign: each caller reads its own off the row, compose_into the lift's and
-    check_sh_leibniz the sh identity's.
+    (p, |gk| - 1) unshuffle row for the parities of merged.  When p = 0 or
+    gk[:-1] is empty there is one placing, and its row is read straight off
+    the same table, graded._placement_table: the (0, |gk| - 1) row is
+    pinned once per key gk.  Terms carry no sign: each caller reads its own
+    off the row, compose_into the lift's and check_sh_leibniz the sh
+    identity's.
     """
     parity = [d % 2 for d in f.basis.degrees]
     around = f.letter_positions()
     for gk, image in g.constants.items():
         head, last = gk[:-1], gk[-1:]
+        pinned = _placement_table(0, len(head), tuple([parity[x] for x in head]))[0][1]
         for z, c in image.coeffs.items():
-            for fk, p in around.get(z, ()):
-                suffix = last + fk[p + 1 :]
-                for merged, row in placements(fk[:p], head, parity):
-                    yield fk, p, c, row, merged + suffix
+            for fk, p, free, free_parity, tail in around.get(z, ()):
+                if not p:
+                    yield fk, p, c, pinned, head + last + tail
+                elif not head:
+                    yield fk, p, c, _placement_table(p, 0, free_parity)[0][1], free + last + tail
+                else:
+                    suffix = last + tail
+                    for merged, row in placements(free, head, parity):
+                        yield fk, p, c, row, merged + suffix
 
 
 def compose_into(
@@ -377,13 +389,16 @@ def compose_into(
     """Add scale * (f . g^c) to acc, a map from keys to coefficient dicts.
 
     Scattered from the constants: each term of _composite_terms adds
-    +-c * f(fk) to its key.  The sign is the Koszul sign eps of its
+    +-c * f(fk) to its key, inline.  The sign is the Koszul sign eps of its
     unshuffle row times (-1)^(|g| |fk[:p]|), the row's jump parity.
     """
     odd = g.degree % 2
+    constants = f.constants
     for fk, _, c, row, key in _composite_terms(f, g):
-        eps = -row[2] if odd and row[4] else row[2]
-        _add_scaled(acc, key, eps * scale * c, f.constants[fk].coeffs)
+        coeff = (-row[2] if odd and row[4] else row[2]) * scale * c
+        out = acc.setdefault(key, {})
+        for b, cb in constants[fk].coeffs.items():
+            out[b] = out.get(b, 0) + coeff * cb
 
 
 def _derivation_residuals(

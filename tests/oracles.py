@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from shleibniz import coalgebra, graded
 from shleibniz import fixtures as shipped
 from shleibniz.coalgebra import (
     CoderivationSpec,
@@ -170,6 +171,18 @@ def coderivation_certified(pattern: tuple[int, ...], arities: tuple[int, ...], p
             key = (w1, w2p)
             acc[key] = acc.get(key, 0) + jump * c * c2
     return (lhs - TensorPairElement._trusted(basis, acc)).is_zero()
+
+
+# every cache that holds a sign, a signed row or a verdict read off one; a
+# test that mutates the sign source clears them all around it
+SIGN_CACHES = (
+    graded.signed_unshuffles,
+    graded._placement_table,
+    coalgebra._dual_leibniz_failures,
+    coalgebra._coderivation_failures,
+    dual_leibniz_certified,
+    coderivation_certified,
+)
 
 
 def corestriction(te: TensorElement) -> Element:

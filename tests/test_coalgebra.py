@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import ast
 import functools
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 import re
 from fractions import Fraction
@@ -13,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+import shleibniz
 from shleibniz import coalgebra, graded
 from shleibniz import fixtures as shipped
 from shleibniz.coalgebra import (
@@ -44,6 +47,7 @@ from shleibniz.multiop import (
 from shleibniz.results import Verdict, Violation
 from shleibniz.runner import RunOptions, run_command
 from oracles import (
+    SIGN_CACHES,
     Perturbation,
     corestriction,
     decompose_k,
@@ -626,57 +630,24 @@ def assert_certificates_match_the_dense_walk(cases) -> int:
     return seen
 
 
-SIGN_CACHES = (
-    graded.signed_unshuffles,
-    graded._placement_table,
-    coalgebra._dual_leibniz_failures,
-    coalgebra._coderivation_failures,
-    oracles.dual_leibniz_certified,
-    oracles.coderivation_certified,
-)
-
-
-def test_sign_caches_hold_every_cache_of_graded_and_coalgebra():
+def test_sign_caches_hold_every_cache_of_the_package():
     # a cache missing here would carry a verdict of a mutated sign into the
-    # tests after it; _times holds no sign, and mutated_signs replaces
-    # unshuffle_forms whole
+    # tests after it; _times holds no sign, mutated_signs replaces
+    # unshuffle_forms whole, and the letter index of a MultiOp holds letters
+    # and parities, never a row
+    modules = [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(shleibniz.__path__, "shleibniz.")
+    ]
+    names = {module.__name__.removeprefix("shleibniz.") for module in modules}
+    assert {"coalgebra", "derived", "gauge", "graded", "multiop", "linalg"} <= names
     cached = {
         value
-        for module in (graded, coalgebra)
+        for module in modules
         for value in vars(module).values()
         if callable(getattr(value, "cache_clear", None))
     }
     assert cached - {coalgebra._times, graded.unshuffle_forms} <= set(SIGN_CACHES)
-
-
-@pytest.fixture
-def fresh_certificates():
-    """Generic verdicts are cached for the whole process; a test that changes
-    a sign must not leave its verdicts behind, nor see earlier ones."""
-    for cache in SIGN_CACHES:
-        cache.cache_clear()
-    yield
-    for cache in SIGN_CACHES:
-        cache.cache_clear()
-
-
-@pytest.fixture
-def mutated_signs(fresh_certificates, monkeypatch):
-    """Installs a mutation of the one sign source, graded.unshuffle_forms,
-    which the concrete kernels (through signed_unshuffles and placements)
-    and the symbolic pattern proofs both read: mutate(p, q, rows) returns
-    the rows to use.  Every cached table and verdict is cleared around it."""
-    real = graded.unshuffle_forms
-
-    def install(mutate):
-        for cache in SIGN_CACHES:
-            cache.cache_clear()
-        monkeypatch.setattr(
-            graded, "unshuffle_forms", functools.cache(lambda p, q: mutate(p, q, real(p, q)))
-        )
-
-    yield install
-    monkeypatch.undo()
 
 
 def test_parity_certificates_match_the_dense_walk(docs, generated, fresh_certificates):

@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shleibniz import fixtures as shipped
-from shleibniz.errors import MalformedInputError
+from shleibniz import linalg
+from shleibniz.errors import EngineError, MalformedInputError
 from shleibniz.graded import Element, GradedBasis
 from shleibniz.linalg import derivation_basis, nullspace
 from shleibniz.coalgebra import hom_bracket
@@ -123,6 +124,19 @@ def test_derivation_basis_closed_under_commutator():
 def test_derivation_basis_empty_degrees():
     bracket = shipped.load_fixture("endo2").to_bracket()
     assert derivation_basis(bracket, degrees=[9]) == []
+
+
+def test_derivation_basis_refuses_a_non_derivation_from_the_solver(monkeypatch):
+    # the closing check raises rather than asserts, so python -O keeps it:
+    # a kernel of every elementary map holds maps that are no derivations
+    bracket = shipped.load_fixture("endo2").to_bracket()
+
+    def every_unit(rows, ncols):
+        return [[Fraction(int(k == j)) for k in range(ncols)] for j in range(ncols)]
+
+    monkeypatch.setattr(linalg, "nullspace", every_unit)
+    with pytest.raises(EngineError, match="solver produced a non-derivation"):
+        derivation_basis(bracket, degrees=[0])
 
 
 def dense_derivation_basis(bracket: MultiOp, degrees: Sequence[int] | None = None) -> list[MultiOp]:

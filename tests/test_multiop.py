@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shleibniz import fixtures as shipped
-from shleibniz.coalgebra import hom_bracket
+from shleibniz.coalgebra import evaluate_coderivation, hom_bracket, lift_coderivation
 from shleibniz.errors import MalformedInputError, PreconditionError
 from shleibniz.graded import Element, GradedBasis
 from shleibniz.linalg import derivation_basis
@@ -19,10 +20,12 @@ from shleibniz.multiop import (
     DgLeibnizAlgebra,
     LeibnizAlgebra,
     MultiOp,
+    _composite_terms,
     check_derivation,
     check_differential,
     check_leibniz_identity,
     check_skewsymmetry,
+    compose_into,
     compose_unary,
     hom_tables,
     identity_op,
@@ -586,3 +589,69 @@ def test_hom_tables_sums_the_hom_brackets_of_every_pair_of_arities():
         assert set(got) == set(want), (set(got), set(want))
         for n, terms in got.items():
             assert op_from_terms(basis, n, f_degree + g_degree, terms) == want[n], n
+
+
+def lifted_composite(f: MultiOp, g: MultiOp, word: tuple[int, ...]) -> Element:
+    """f . g^c on one word, through the per-word lift of g: f applied to
+    every term of g^c(word)."""
+    out = Element.zero(f.basis)
+    for u, c in evaluate_coderivation(lift_coderivation(g), word).terms.items():
+        out = out + f.apply_indices(u).scale(c)
+    return out
+
+
+def term_shape(g: MultiOp, p: int) -> str:
+    """Which placing a term of _composite_terms takes: the letter at
+    position 0, an empty head (g of arity 1), or a real placing."""
+    return "position 0" if not p else "empty head" if g.arity == 1 else "general"
+
+
+def test_compose_into_matches_the_lift_word_by_word():
+    # the whole table of f . g^c against the per-word lift, on every word of
+    # its length, for f and g of arities 1 to 3 over a mixed-parity basis
+    # and g of odd and even degree: every shape of term, the single placings
+    # read straight off the placement table among them
+    rng = random.Random(2801)
+    basis = GradedBasis(("a", "b", "c", "d"), (0, 1, 2, -1))
+    shapes = collections.Counter()
+    nonzero = 0
+    for m, j, g_degree in itertools.product((1, 2, 3), (1, 2, 3), (0, 1)):
+        f = random_homogeneous(basis, m, rng.randint(-1, 1), rng)
+        g = random_homogeneous(basis, j, g_degree, rng)
+        acc: dict[tuple[int, ...], dict[int, int]] = {}
+        compose_into(acc, f, g, 1)
+        for word in basis.index_tuples(m + j - 1):
+            want = lifted_composite(f, g, word)
+            assert Element._trusted(basis, acc.get(word, {})) == want, (m, j, g_degree, word)
+            nonzero += not want.is_zero()
+        shapes.update(term_shape(g, p) for _, p, *_ in _composite_terms(f, g))
+    assert set(shapes) == {"position 0", "empty head", "general"}, shapes
+    assert nonzero > 1000, nonzero
+
+
+@pytest.mark.parametrize("flipped", [(0, 1), (1, 0)])
+def test_single_placings_read_their_row_off_the_sign_source(mutated_signs, flipped):
+    # flip the lone row of one (0, q) or (p, 0) unshuffle table in
+    # graded.unshuffle_forms: f . g^c must change, so the single placings
+    # do not assume +1.  The same f and g keep their letter index across
+    # the flip, which holds letters and parities, never a row
+    basis = GradedBasis(("a", "b", "c"), (0, 1, 2))
+    rng = random.Random(2802)
+    f = random_homogeneous(basis, 1 + flipped[0], 0, rng)
+    g = random_homogeneous(basis, 1 + flipped[1], 1, rng)
+    assert {term_shape(g, p) for _, p, *_ in _composite_terms(f, g)} <= {
+        "position 0", "empty head"
+    }
+    before: dict[tuple[int, ...], dict[int, int]] = {}
+    compose_into(before, f, g, 1)
+
+    def flip(p, q, rows):
+        if (p, q) != flipped:
+            return rows
+        ((first, second, form, sgn),) = rows
+        return ((first, second, form + ((),), sgn),)
+
+    mutated_signs(flip)
+    after: dict[tuple[int, ...], dict[int, int]] = {}
+    compose_into(after, f, g, 1)
+    assert op_from_terms(basis, 2, 1, after) != op_from_terms(basis, 2, 1, before)
