@@ -57,6 +57,13 @@ lift, and it maps the generic residual of P onto the residual on any
 concrete word w of pattern P.  A zero generic residual therefore proves all
 dim^n words of its pattern.
 
+The residual splits by arity.  It is linear in the lift, and each of its
+terms carries exactly one free letter f_S, whose size |S| is the arity of
+the component that made it, so terms of different arities never share a
+key.  The residual of a set of components is therefore zero on P exactly
+when the residual of each arity alone is, and a lift's failing patterns
+are the union of those of its arities.
+
 All 2^n patterns of one length are proved at once.  Give p_j the parity
 variable x_j, so that f_S has the affine parity |op| + sum_{j in S} x_j.
 Every sign in comultiply, in the lift and in the swap of tensor factors is
@@ -72,10 +79,11 @@ is sum_q C_q (-1)^(q(P)): substituting P commutes with the summing.  If every
 C_q is zero, every pattern of length n is proved.  Otherwise the surviving
 sums are grouped by key and evaluated exactly on every pattern, and the
 patterns on which some key is nonzero fail; nothing else is decided per
-pattern.  The residual is summed once per (length, component arities, degree
-parity), or per length for dual Leibniz, and its failing patterns are cached
-for the process.  A pattern shorter than every component arity needs no
-proof: the lift is zero on its words.
+pattern.  The residual is summed once per (length, arity, parity), or per
+length for dual Leibniz, and its failing patterns are cached for the
+process, so one sum serves every lift with a component of that arity and
+parity.  A pattern shorter than a component's arity needs no proof for it:
+that component lifts to zero on its words.
 
 Both axioms are theorems for every operation, so every generic residual
 vanishes unless the sign conventions are inconsistent.  One rule serves
@@ -458,69 +466,67 @@ def lift_witnesses(
 
 
 def _lift(
-    word: Word, forms: list[int], free: Mapping[Word, int], arities: tuple[int, ...], parity: int
+    word: Word, forms: list[int], free: Mapping[Word, int], arity: int, parity: int
 ) -> Iterator[tuple[Word, int]]:
-    """The lift of the free operations on one subword of the generic word,
-    as terms (word, q) standing for (-1)^q word; free maps each key to its
-    letter."""
+    """The lift of the free operation of this arity on one subword of the
+    generic word, as terms (word, q) standing for (-1)^q word; free maps
+    each key to its letter."""
     symbols = [forms[x] for x in word]
-    for i in arities:
-        for k in range(i, len(word) + 1):
-            pinned, suffix = word[k - 1 : k], word[k:]
-            for first, second, monomials, _ in graded.unshuffle_forms(k - i, i - 1):
-                prefix = tuple(word[a] for a in first)
-                q = _exponent(monomials, symbols)
-                if parity:
-                    q ^= _times(_sum(forms, prefix), 1)
-                letter = free[tuple(word[a] for a in second) + pinned]
-                yield prefix + (letter,) + suffix, q
+    for k in range(arity, len(word) + 1):
+        pinned, suffix = word[k - 1 : k], word[k:]
+        for first, second, monomials, _ in graded.unshuffle_forms(k - arity, arity - 1):
+            prefix = tuple(word[a] for a in first)
+            q = _exponent(monomials, symbols)
+            if parity:
+                q ^= _times(_sum(forms, prefix), 1)
+            letter = free[tuple(word[a] for a in second) + pinned]
+            yield prefix + (letter,) + suffix, q
 
 
-def _coderivation_residual(n: int, arities: tuple[int, ...], parity: int) -> Iterator[tuple]:
+def _coderivation_residual(n: int, arity: int, parity: int) -> Iterator[tuple]:
     """The terms (key, q, c) of Delta D - (D (x) 1) Delta - (1 (x) D) Delta
-    on the generic word of length n, for the lift D of free operations of
-    these arities and degree parity.
+    on the generic word of length n, for the lift D of the free operation
+    of this arity and degree parity.
 
-    The free arity-a operation sends each increasing a-tuple S of position
+    The free operation sends each increasing arity-tuple S of position
     letters to its own letter f_S of parity parity + sum(x_j, j in S).
     Those are the only keys the lift feeds it on subwords of the generic
     word.
     """
-    keys = [key for a in arities for key in itertools.combinations(range(n), a)]
+    keys = list(itertools.combinations(range(n), arity))
     forms = [1 << (j + 1) for j in range(n)]
     forms += [parity | sum(1 << (j + 1) for j in key) for key in keys]
     free = {key: letter for letter, key in enumerate(keys, start=n)}
     word = tuple(range(n))
-    for w, q in _lift(word, forms, free, arities, parity):
+    for w, q in _lift(word, forms, free, arity, parity):
         for key, q2 in _split(w, forms):
             yield key, q ^ q2, 1
     for (w1, w2), q in _split(word, forms):
-        for w1p, q1 in _lift(w1, forms, free, arities, parity):
+        for w1p, q1 in _lift(w1, forms, free, arity, parity):
             yield (w1p, w2), q ^ q1, -1
         jump = _times(_sum(forms, w1), 1) if parity else 0
-        for w2p, q2 in _lift(w2, forms, free, arities, parity):
+        for w2p, q2 in _lift(w2, forms, free, arity, parity):
             yield (w1, w2p), q ^ q2 ^ jump, -1
 
 
 @functools.cache
-def _coderivation_failures(
-    n: int, arities: tuple[int, ...], parity: int
-) -> frozenset[tuple[int, ...]]:
-    return _failing_patterns(n, _coderivation_residual(n, arities, parity))
+def _coderivation_failures(n: int, arity: int, parity: int) -> frozenset[tuple[int, ...]]:
+    return _failing_patterns(n, _coderivation_residual(n, arity, parity))
 
 
 def check_coderivation_axiom(spec: CoderivationSpec, max_len: int) -> Verdict:
     """Delta D = (D (x) 1) Delta + (1 (x) D) Delta for the lift D of spec on
     every word of length <= max_len, proved per parity pattern as the module
     docstring argues: each component is swapped for the free operation of
-    its arity, and a length's failing patterns are read off
-    _coderivation_failures for the component arities that fit in it."""
+    its arity, and a length's failing patterns are the union of
+    _coderivation_failures over the component arities that fit in it."""
     arities, parity = spec.arities(), spec.degree % 2
 
     def failures(n: int) -> frozenset[tuple[int, ...]]:
-        # no component fits: the lift is zero on the words of length n
-        fitting = tuple(a for a in arities if a <= n)
-        return _coderivation_failures(n, fitting, parity) if fitting else frozenset()
+        # a component longer than n lifts to zero on the words of length n
+        return frozenset().union(
+            *(_coderivation_failures(n, a, parity) for a in arities if a <= n)
+        )
 
     claim = f"the coderivation axiom of the degree-{spec.degree} lift of arities {arities}"
     return _prove(spec.basis, max_len, failures, claim)

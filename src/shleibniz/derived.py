@@ -82,7 +82,6 @@ from .errors import EngineError, MalformedInputError, PreconditionError
 from .graded import GradedBasis, Scalar, Shift, layer_sign, shifted_degrees
 from .multiop import (
     MultiOp,
-    _add_scaled,
     _composite_terms,
     _residuals,
     check_derivation,
@@ -267,25 +266,26 @@ def check_sh_leibniz(
     """
     if max_const < 2:
         raise MalformedInputError("max_const must be >= 2")
-    sbasis = structure.basis
+    sbasis, ops = structure.basis, structure.ops
+    top = structure.max_arity
     violations: list[Violation] = []
     notes: list[str] = []
     for const in range(2, max_const + 1):
-        pairs = [
-            (i, const - i)
-            for i in range(1, const)
-            if structure.op(i) is not None and structure.op(const - i) is not None
-        ]
+        # the pairs (i, const - i) with both arities in 1..top
+        pairs = range(max(1, const - top), min(const - 1, top) + 1)
         if not pairs:
             notes.append(f"Const={const} vacuous under truncation")
             continue
         acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
-        for i, j in pairs:
-            li, lj = structure.op(i), structure.op(j)
+        for i in pairs:
+            j = const - i
+            li, lj = ops[i - 1], ops[j - 1]
             for fk, p, c, (_, _, eps, sgn, jumped), key in _composite_terms(li, lj):
                 odd = ((p + 1) * (j - 1) + j * jumped) % 2
-                sign = -eps * sgn if odd else eps * sgn
-                _add_scaled(acc, key, sign * c, li.constants[fk].coeffs)
+                coeff = -eps * sgn * c if odd else eps * sgn * c
+                out = acc.setdefault(key, {})
+                for b, cb in li.constants[fk].coeffs.items():
+                    out[b] = out.get(b, 0) + coeff * cb
         found = _residuals("sh-leibniz", sbasis, acc, (const,))
         if first_violation and found:
             return Verdict(False, found[:1], notes)

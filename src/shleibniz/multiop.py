@@ -226,6 +226,19 @@ def _by_left(bracket: MultiOp) -> dict[int, list[tuple[int, dict[int, Scalar]]]]
     return by_left
 
 
+def _images(
+    basis: GradedBasis, acc: Mapping[tuple[int, ...], Mapping[int, Scalar]]
+) -> dict[tuple[int, ...], Element]:
+    """The accumulated coefficient dicts as elements, keys in lexicographic
+    order, with zero coefficients and zero images dropped."""
+    images = {}
+    for key in sorted(acc):
+        image = Element._trusted(basis, acc[key])
+        if image.coeffs:
+            images[key] = image
+    return images
+
+
 def _residuals(
     check: str,
     basis: GradedBasis,
@@ -234,23 +247,10 @@ def _residuals(
 ) -> list[Violation]:
     """The nonzero accumulated residuals as violations, keys in lexicographic
     order, each site the prefix followed by the key's names."""
-    out: list[Violation] = []
-    for key in sorted(acc):
-        residual = Element._trusted(basis, acc[key])
-        if not residual.is_zero():
-            out.append(Violation(check, prefix + _names(basis, key), residual))
-    return out
-
-
-def _add_scaled(
-    acc: dict[tuple[int, ...], dict[int, Scalar]],
-    key: tuple[int, ...],
-    coeff: Scalar,
-    image: Mapping[int, Scalar],
-) -> None:
-    out = acc.setdefault(key, {})
-    for b, cb in image.items():
-        out[b] = out.get(b, 0) + coeff * cb
+    return [
+        Violation(check, prefix + _names(basis, key), residual)
+        for key, residual in _images(basis, acc).items()
+    ]
 
 
 def check_leibniz_identity(bracket: MultiOp) -> list[Violation]:
@@ -462,13 +462,8 @@ def op_from_terms(
     and image degrees come out of valid operations, so MultiOp's checks are
     not re-run.  Zero coefficients and empty images are dropped.
     """
-    constants = {}
-    for key in sorted(acc):
-        image = Element._trusted(basis, acc[key])
-        if image.coeffs:
-            constants[key] = image
     op = object.__new__(MultiOp)
-    for name, value in zip(MultiOp.__slots__, (basis, arity, degree, constants)):
+    for name, value in zip(MultiOp.__slots__, (basis, arity, degree, _images(basis, acc))):
         object.__setattr__(op, name, value)
     return op
 

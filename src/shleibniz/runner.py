@@ -114,10 +114,7 @@ def _cmd_derive(doc: AlgebraDocument, options: RunOptions) -> list[CheckResult]:
             detail=[f"arities 1..{structure.max_arity} agree on both constructions"],
         )
     ]
-    for i in range(1, structure.max_arity + 1):
-        op = structure.op(i)
-        if op is None:
-            continue
+    for i, op in enumerate(structure.ops, 1):
         results.append(CheckResult(f"l_{i}", None, detail=_op_table(op, f"l_{i}")))
     return results
 

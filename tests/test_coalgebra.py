@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 import shleibniz
-from shleibniz import coalgebra, graded
+from shleibniz import coalgebra, graded, runner
 from shleibniz import fixtures as shipped
 from shleibniz.coalgebra import (
     CoderivationSpec,
@@ -673,14 +673,19 @@ def dual_pattern_certified(pattern: tuple[int, ...]) -> bool:
     return pattern not in coalgebra._dual_leibniz_failures(len(pattern))
 
 
-def lift_pattern_certified(spec: CoderivationSpec, pattern: tuple[int, ...]) -> bool:
-    """The certificate of spec's lift on one parity pattern: proved for the
-    component arities that fit in it, or vacuous when none does."""
+def arities_certified(pattern: tuple[int, ...], arities, parity: int) -> bool:
+    """Whether the per-arity proofs of the pattern's length pass it for
+    every one of these arities: the engine's verdict on a lift with
+    components of these arities."""
     n = len(pattern)
-    fitting = tuple(a for a in spec.arities() if a <= n)
-    return not fitting or pattern not in coalgebra._coderivation_failures(
-        n, fitting, spec.degree % 2
-    )
+    return all(pattern not in coalgebra._coderivation_failures(n, a, parity) for a in arities)
+
+
+def lift_pattern_certified(spec: CoderivationSpec, pattern: tuple[int, ...]) -> bool:
+    """The certificate of spec's lift on one parity pattern: proved for each
+    component arity that fits in it, or vacuous when none does."""
+    fitting = [a for a in spec.arities() if a <= len(pattern)]
+    return arities_certified(pattern, fitting, spec.degree % 2)
 
 
 def assert_failing_patterns_cover_the_dense_walk(cases) -> int:
@@ -813,9 +818,9 @@ def test_first_violation_builds_no_lift_value_past_its_witness(monkeypatch):
             lengths.extend(len(word) for word in coeffs)
         return real(cls, on, coeffs)
 
-    def failures(n, arities, parity):
+    def failures(n, arity, parity):
         proved[parity].append(n)
-        return real_failures(n, arities, parity)
+        return real_failures(n, arity, parity)
 
     monkeypatch.setattr(TensorElement, "_trusted", classmethod(recorded))
     monkeypatch.setattr(coalgebra, "_coderivation_failures", failures)
@@ -829,8 +834,8 @@ def test_first_violation_builds_no_lift_value_past_its_witness(monkeypatch):
 
 
 def test_patterns_no_component_fits_are_certified_without_a_proof(monkeypatch):
-    def refuse(n, arities, parity):
-        raise AssertionError(f"proved length {n} for arities {arities}")
+    def refuse(n, arity, parity):
+        raise AssertionError(f"proved length {n} for arity {arity}")
 
     monkeypatch.setattr(coalgebra, "_coderivation_failures", refuse)
     basis = GradedBasis(("x", "y"), (0, 1))
@@ -874,7 +879,9 @@ def symbolic_against_the_oracle(max_len: int, arity_sets) -> tuple[int, int]:
     """Asserts that the symbolic verdict equals the one-pattern oracle on
     every parity pattern up to max_len, for dual Leibniz and for the lift of
     each arity set with either degree parity; returns the numbers of failing
-    and of certifying verdicts."""
+    and of certifying verdicts.  The oracle lifts an arity set jointly, the
+    engine proves each arity alone, so this checks that the residual splits
+    by arity."""
     verdicts = []
     for n in range(1, max_len + 1):
         for pattern in itertools.product((0, 1), repeat=n):
@@ -884,7 +891,7 @@ def symbolic_against_the_oracle(max_len: int, arity_sets) -> tuple[int, int]:
             for arities in arity_sets:
                 fitting = tuple(a for a in arities if a <= n)
                 for parity in (0, 1) if fitting else ():
-                    got = pattern not in coalgebra._coderivation_failures(n, fitting, parity)
+                    got = arities_certified(pattern, fitting, parity)
                     want = oracles.coderivation_certified(pattern, fitting, parity)
                     assert got == want, (pattern, fitting, parity)
                     verdicts.append(got)
@@ -944,7 +951,7 @@ def test_a_sign_monomial_of_three_symbols_is_refused(mutated_signs):
 def test_check_coalgebra_builds_one_generic_residual_per_length(fresh_certificates, monkeypatch):
     # check-coalgebra --max-word-len 8 on endo2 certifies 2^n patterns per
     # length and lifted map; it builds each grouped residual once, per
-    # (length, arities, parity), and once per length for dual Leibniz
+    # (length, arity, parity), and once per length for dual Leibniz
     built = []
 
     def counted(name):
@@ -966,6 +973,54 @@ def test_check_coalgebra_builds_one_generic_residual_per_length(fresh_certificat
     assert dual == [(n,) for n in range(1, 9)]
     assert len(set(lift)) == len(lift)
     # the bracket (arity 2, even) and the deltas (odd) and xi (even) of arity 1
-    maps = {(arities, parity) for n, arities, parity in lift if n == 8}
-    assert maps == {((2,), 0), ((1,), 1), ((1,), 0)}
-    assert sorted(lift) == sorted((n, a, p) for a, p in maps for n in range(a[0], 9))
+    maps = {(arity, parity) for n, arity, parity in lift if n == 8}
+    assert maps == {(2, 0), (1, 1), (1, 0)}
+    assert sorted(lift) == sorted((n, a, p) for a, p in maps for n in range(a, 9))
+
+
+def test_report_all_builds_each_single_arity_residual_once(fresh_certificates, monkeypatch):
+    # report-all on endo2 at the default flags proves the lifts of the
+    # bracket, the deltas, partial (arities 1 to 4) and Xi; every lift asks
+    # for the residual of each of its arities alone, so whichever of the
+    # three commands asks first builds it and no set of arities is built
+    built, asked, running = [], {}, []
+    real_residual = coalgebra._coderivation_residual
+    real_failures = coalgebra._coderivation_failures
+
+    def residual(*args):
+        built.append(args)
+        return real_residual(*args)
+
+    def failures(*args):
+        asked.setdefault(running[-1] if running else None, set()).add(args)
+        return real_failures(*args)
+
+    def during(name):
+        command = getattr(runner, name)
+
+        def run(doc, options):
+            running.append(name)
+            try:
+                return command(doc, options)
+            finally:
+                running.pop()
+
+        return run
+
+    commands = (
+        "_cmd_check_coalgebra",
+        "_cmd_check_codifferential",
+        "_cmd_check_gauge_equivalence",
+    )
+    for name in commands:
+        monkeypatch.setattr(runner, name, during(name))
+    monkeypatch.setattr(coalgebra, "_coderivation_residual", residual)
+    monkeypatch.setattr(coalgebra, "_coderivation_failures", failures)
+    report = run_command("report-all", shipped.fixture_text("endo2"), RunOptions())
+    assert all(result.passed is not False for result in report.results)
+    assert set(asked) == set(commands), set(asked)
+    assert all(type(x) is int for args in built for x in args), built
+    assert len(set(built)) == len(built)
+    assert set(built) == set().union(*asked.values())
+    partial = asked["_cmd_check_codifferential"]
+    assert {(a, p) for n, a, p in partial} == {(1, 1), (2, 1), (3, 1), (4, 1)}, partial

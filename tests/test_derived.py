@@ -508,7 +508,7 @@ def test_uncertified_square_is_an_engine_error(generated, monkeypatch):
     monkeypatch.setattr(
         coalgebra,
         "_coderivation_failures",
-        lambda n, arities, parity: real(n, arities, parity) if parity == 1 else every_pattern(n),
+        lambda n, arity, parity: real(n, arity, parity) if parity == 1 else every_pattern(n),
     )
     with pytest.raises(EngineError):
         check_codifferential(bad, max_len=3)
@@ -740,6 +740,35 @@ def test_vacuous_weights_are_noted_not_passed():
     verdict = check_sh_leibniz(structure, max_const=6)
     assert verdict.passed
     assert any("vacuous" in note for note in verdict.notes)
+
+
+def test_sh_check_looks_only_at_the_weights_with_pairs(docs, monkeypatch):
+    # Const has a pair (i, Const - i) of arities in 1..L exactly when
+    # Const <= 2L; every heavier weight is noted vacuous without looking at
+    # an operation, so a large bound costs no more than Const = 2L
+    structure = build_sh_structure(docs["abelian3"].to_family())
+    top = structure.max_arity
+    calls = collections.Counter()
+    real_op, real_terms = ShLeibnizStructure.op, derived._composite_terms
+
+    def op(self, i):
+        calls["op"] += 1
+        return real_op(self, i)
+
+    def terms(f, g):
+        calls["composite"] += 1
+        return real_terms(f, g)
+
+    monkeypatch.setattr(ShLeibnizStructure, "op", op)
+    monkeypatch.setattr(derived, "_composite_terms", terms)
+    max_const = 2000
+    verdict = check_sh_leibniz(structure, max_const)
+    assert calls["op"] <= max_const, calls
+    # one composite per pair (i, j) with 1 <= i, j <= L
+    assert calls["composite"] == top * top, calls
+    vacuous = range(2 * top + 1, max_const + 1)
+    assert verdict.notes == [f"Const={c} vacuous under truncation" for c in vacuous]
+    assert verdict.passed and not verdict.violations
 
 
 def test_sh_check_rejects_tiny_const():

@@ -24,7 +24,12 @@ from shleibniz.coalgebra import (
     extend_linearly,
     hom_bracket,
 )
-from shleibniz.derived import build_codifferential
+from shleibniz.derived import (
+    build_codifferential,
+    build_sh_structure,
+    check_codifferential,
+    check_sh_leibniz,
+)
 from shleibniz.errors import (
     EngineError,
     MalformedInputError,
@@ -393,7 +398,7 @@ def test_uncertified_xi_lift_is_an_engine_error(docs, monkeypatch):
     monkeypatch.setattr(
         coalgebra,
         "_coderivation_failures",
-        lambda n, arities, parity: real(n, arities, parity) if parity == 1 else every_pattern(n),
+        lambda n, arity, parity: real(n, arity, parity) if parity == 1 else every_pattern(n),
     )
     doc = docs["endo2"]
     with pytest.raises(EngineError, match="degree-0 lift"):
@@ -501,6 +506,31 @@ def assert_matches_reference(fam, gauge, max_len: int, label) -> list[Violation]
         got = check_gauge_equivalence(fam, gauge, max_len, first_violation=first).violations
         assert got == (first_of_each_tag(want) if first else want), (label, max_len, first)
     return want
+
+
+def test_random_gauges_keep_every_family_a_deformation(docs, family_names, generated):
+    # gauge closure: a deformation moved by a degree-0 gauge is again one,
+    # so the sh identities, the codifferential square and the gauge
+    # equivalence under a further random gauge pass on it wherever they
+    # pass on the untransformed family; the family is extended first, as
+    # check_gauge_equivalence extends before it transforms, so every
+    # operation of weight <= max_const is transformed
+    rng = random.Random(2901)
+    max_const, max_len = 6, 4
+    cases = {**{name: docs[name] for name in family_names}, **generated}
+    moved = set()
+    for name, doc in cases.items():
+        fam = doc.to_family().extended(max_const - 2)
+        gauges = [random_gauge(fam.bracket, rng, rng.randint(1, 3)) for _ in range(2)]
+        transformed = [gauge_transform(fam, gauge) for gauge in gauges]
+        if any(family != fam for family in transformed):
+            moved.add(name)
+        for family, further in zip([fam] + transformed, gauges[-1:] + gauges):
+            assert check_sh_leibniz(build_sh_structure(family), max_const).passed, name
+            assert check_codifferential(family, max_len).passed, name
+            assert check_gauge_equivalence(family, further, max_len).passed, name
+    # every family is moved by some gauge, so no check passes on a copy
+    assert moved == set(cases), moved
 
 
 def test_perturbed_families_fail_like_the_per_word_loop(docs):

@@ -1,7 +1,7 @@
 """The package exports its public API only; every name a package module
 imports is used in that module; every definition in the package has a caller
-outside the tests; and every hook the benchmark takes into the package
-resolves."""
+outside the tests; no package module asserts; and every hook the benchmark
+takes into the package resolves."""
 
 from __future__ import annotations
 
@@ -106,6 +106,20 @@ def test_the_runner_imports_no_private_name_of_another_module():
     ]
     assert len(imported_names(tree)) > 10
     assert private == []
+
+
+def test_no_package_module_holds_an_assert_statement():
+    # python -O strips assert statements: an engine invariant raises
+    # EngineError instead, so it holds under every interpreter flag
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert PACKAGE / "__init__.py" in modules and len(modules) > 10
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def referenced_names(tree: ast.Module) -> set[str]:
