@@ -381,7 +381,7 @@ def _lift_terms(
             continue
         sign = -eps if odd and jumped else eps
         prefix = tuple(word[a] for a in first)
-        for letter, c in image.coeffs.items():
+        for letter, c in image.items():
             yield prefix + (letter,) + suffix, sign * c
 
 
@@ -433,7 +433,7 @@ def scattered_lift(spec: CoderivationSpec, max_len: int) -> Iterator[tuple[Word,
                     for merged, (_, _, eps, _, jumped) in placements(free, head, parity):
                         sign = -eps if odd and jumped else eps
                         out = acc.setdefault(merged + pinned, {})
-                        for z, c in image.coeffs.items():
+                        for z, c in image.items():
                             key = free + (z,)
                             out[key] = out.get(key, 0) + sign * c
         shorter = {}

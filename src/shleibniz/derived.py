@@ -85,8 +85,8 @@ from .multiop import (
     _composite_terms,
     _residuals,
     check_derivation,
+    check_differential,
     compose_tables,
-    compose_unary,
     hom_tables,
     n_i_d,
     nary_bracket,
@@ -159,12 +159,6 @@ class ShLeibnizStructure:
     def max_arity(self) -> int:
         return len(self.ops)
 
-    def op(self, i: int) -> MultiOp | None:
-        """l_i, or None when the truncation makes it zero."""
-        if 1 <= i <= len(self.ops):
-            return self.ops[i - 1]
-        return None
-
 
 def _require_deformation_slot(delta: MultiOp) -> None:
     if delta.arity != 1 or delta.degree != 1:
@@ -198,10 +192,10 @@ def derived_bracket_tensor(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
     tails: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], dict[int, Scalar]]]] = {}
     for key, image in nary_bracket(bracket, i).constants.items():
         rest = key[1:]
-        tails.setdefault(key[0], []).append((rest, tuple(sdeg[b] for b in rest), image.coeffs))
+        tails.setdefault(key[0], []).append((rest, tuple(sdeg[b] for b in rest), image))
     acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
     for (x,), image in delta.constants.items():
-        for y, c in image.coeffs.items():
+        for y, c in image.items():
             for rest, degrees, nested in tails.get(y, ()):
                 slots, lowered = (sdeg[x],) + degrees, (sdeg[y],) + degrees
                 sign = prefactor * layer_sign(first, slots) * layer_sign(down, lowered)
@@ -219,7 +213,7 @@ def derived_bracket_explicit(bracket: MultiOp, delta: MultiOp, i: int) -> MultiO
     acc = {}
     for key, image in n_i_d(bracket, delta, i).constants.items():
         exponent = sum(basis.degree(key[j - 1]) for j in range(1, i) if (i - j) % 2)
-        acc[key] = {b: -c if exponent % 2 else c for b, c in image.coeffs.items()}
+        acc[key] = {b: -c if exponent % 2 else c for b, c in image.items()}
     return op_from_terms(shifted_degrees(basis, Shift.RAISE), i, 2 - i, acc)
 
 
@@ -284,7 +278,7 @@ def check_sh_leibniz(
                 odd = ((p + 1) * (j - 1) + j * jumped) % 2
                 coeff = -eps * sgn * c if odd else eps * sgn * c
                 out = acc.setdefault(key, {})
-                for b, cb in li.constants[fk].coeffs.items():
+                for b, cb in li.constants[fk].items():
                     out[b] = out.get(b, 0) + coeff * cb
         found = _residuals("sh-leibniz", sbasis, acc, (const,))
         if first_violation and found:
@@ -372,7 +366,7 @@ def _key_lemma_residuals(
     (N_i D, N_j D'), for inputs already known to be derivations, each site
     the prefix followed by i, j and the key."""
     n = lhs.arity
-    acc = {n: {key: dict(image.coeffs) for key, image in lhs.constants.items()}}
+    acc = {n: {key: dict(image) for key, image in lhs.constants.items()}}
     hom_tables(acc, {left.arity: left}, {right.arity: right}, -1, n)
     return _residuals("key-lemma", lhs.basis, acc[n], prefix + (left.arity, right.arity))
 
@@ -397,9 +391,10 @@ def leibniz_cohomology_check(
     from .linalg import derivation_basis
 
     _require_deformation_slot(delta1)
-    if check_derivation(delta1, bracket):
+    failed = {v.check for v in check_differential(delta1, bracket).violations}
+    if "derivation" in failed:
         raise PreconditionError("delta_1 is not a derivation of the bracket")
-    if not compose_unary(delta1, delta1).is_zero():
+    if failed:
         raise PreconditionError("delta_1 does not square to zero")
     if derivations is None:
         derivations = derivation_basis(bracket)

@@ -299,7 +299,11 @@ def parse_document(text: str) -> AlgebraDocument:
         degrees[name] = degree
         order.append((name, degree))
     if not order:
-        issues.append(DocumentIssue(0, "basis", "document has no [basis] section"))
+        header = headers.get(("basis", None))
+        if header is None:
+            issues.append(DocumentIssue(0, "basis", "document has no [basis] section"))
+        else:
+            issues.append(DocumentIssue(header, "basis", "section lists no generator"))
         raise DocumentError(issues)
     index = {name: i for i, (name, _) in enumerate(order)}
 

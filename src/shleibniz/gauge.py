@@ -325,7 +325,7 @@ def _scattered_defect(
 
     ops = {a: op for a, op in partial.components.items() if a <= max_len}
     acc = {
-        n: {key: dict(image.coeffs) for key, image in op.constants.items()}
+        n: {key: dict(image) for key, image in op.constants.items()}
         for n, op in _exponential(ops, times_xi).items()
     }
     # F_k = pr e^{Xi} on V^{(x) k}, then minus every F_k . partial'_j^c

@@ -26,7 +26,9 @@ constant's letters by those rows, from which every composite and every lift
 is scattered (a composite term with a single placing reads its row straight
 off the same table, ``_placement_table``); and ``SparseVector``, the one
 sparse exact arithmetic behind ``Element`` and the coalgebra's tensor
-elements.
+elements.  ``Element`` is the vector type at the edges (parsed images,
+evaluated values, witnesses); an operation stores its images as plain
+coefficient dicts in the canonical form of ``exact``.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EngineError, MalformedInputError
-from .graded import Element
 from .multiop import MultiOp, _derivation_residuals, check_derivation, op_from_terms
 
 
@@ -85,10 +84,7 @@ def derivation_basis(bracket: MultiOp, degrees: Sequence[int] | None = None) -> 
             for (b, c), coeff in zip(slots, vec):
                 if coeff:
                     constants.setdefault((b,), {})[c] = coeff
-            op = MultiOp(
-                basis, 1, g,
-                {key: Element(basis, coeffs) for key, coeffs in constants.items()},
-            )
+            op = op_from_terms(basis, 1, g, constants)
             if check_derivation(op, bracket):
                 raise EngineError("solver produced a non-derivation")
             out.append(op)

@@ -40,18 +40,21 @@ from __future__ import annotations
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import MalformedInputError, PreconditionError
-from .graded import Element, GradedBasis, Scalar, UnshuffleRow, _placement_table, placements
+from .graded import Element, GradedBasis, Scalar, UnshuffleRow, _placement_table, exact, placements
 from .results import Verdict, Violation
 
 
 class MultiOp:
     """Sparse structure constants for a homogeneous multilinear operation.
 
-    constants maps index tuples (length == arity) to image Elements; absent
-    tuples map to zero.  Every stored image must be homogeneous of degree
-    sum(input degrees) + degree, so the operation is homogeneous as a map.
-    The constructor checks all of this; operations the engine computes from
-    valid ones are built by op_from_terms, which does not.
+    constants maps index tuples (length == arity) to images, each a nonzero
+    coefficient dict {letter: scalar} in canonical exact form, the format
+    every kernel accumulates; absent tuples map to zero.  Every image is
+    homogeneous of degree sum(input degrees) + degree, so the operation is
+    homogeneous as a map.  The constructor takes Element images and checks
+    all of this; operations the engine computes from valid ones are built
+    by op_from_terms, which does not.  Element is the vector type at the
+    edges: apply and apply_indices return one.
     """
 
     # the first four are set on construction, _positions on first use
@@ -66,7 +69,7 @@ class MultiOp:
     ):
         if arity < 1:
             raise MalformedInputError(f"arity must be >= 1, got {arity}")
-        clean: dict[tuple[int, ...], Element] = {}
+        clean: dict[tuple[int, ...], dict[int, Scalar]] = {}
         if constants:
             for key, image in constants.items():
                 if len(key) != arity:
@@ -84,7 +87,7 @@ class MultiOp:
                         f"image of {key} has degree {got}, expected {want} "
                         f"(operation degree {degree})"
                     )
-                clean[key] = image
+                clean[key] = image.coeffs
         for name, value in zip(self.__slots__, (basis, arity, degree, clean)):
             object.__setattr__(self, name, value)
 
@@ -131,7 +134,7 @@ class MultiOp:
         if pos == self.arity:
             image = self.constants.get(key)
             if image is not None:
-                for i, c in image.coeffs.items():
+                for i, c in image.items():
                     acc[i] = acc.get(i, 0) + coeff * c
             return
         for i, c in args[pos].coeffs.items():
@@ -139,8 +142,7 @@ class MultiOp:
 
     def apply_indices(self, key: tuple[int, ...]) -> Element:
         """Evaluation on a basis tuple, the common fast path."""
-        image = self.constants.get(key)
-        return image if image is not None else Element.zero(self.basis)
+        return Element._trusted(self.basis, self.constants.get(key, {}))
 
     def letter_positions(self) -> dict[int, list[tuple]]:
         """Per letter z, every (key, p, key[:p], parities of key[:p],
@@ -165,18 +167,20 @@ class MultiOp:
 
     def __add__(self, other: "MultiOp") -> "MultiOp":
         self._require_compatible(other)
-        acc = {k: dict(v.coeffs) for k, v in self.constants.items()}
-        for k, v in other.constants.items():
-            out = acc.setdefault(k, {})
-            for b, c in v.coeffs.items():
-                out[b] = out.get(b, 0) + c
+        acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
+        for op in (self, other):
+            for k, v in op.constants.items():
+                out = acc.setdefault(k, {})
+                for b, c in v.items():
+                    out[b] = out.get(b, 0) + c
         return op_from_terms(self.basis, self.arity, self.degree, acc)
 
     def __neg__(self) -> "MultiOp":
         return self.scale(-1)
 
     def scale(self, scalar: Scalar) -> "MultiOp":
-        images = {k: v.scale(scalar).coeffs for k, v in self.constants.items()}
+        scalar = exact(scalar)
+        images = {k: {b: scalar * c for b, c in v.items()} for k, v in self.constants.items()}
         return op_from_terms(self.basis, self.arity, self.degree, images)
 
     def __eq__(self, other: object) -> bool:
@@ -197,22 +201,6 @@ def identity_op(basis: GradedBasis) -> MultiOp:
     return op_from_terms(basis, 1, 0, {(b,): {b: 1} for b in range(len(basis))})
 
 
-def compose_unary(outer: MultiOp, inner: MultiOp) -> MultiOp:
-    """outer . inner for arity-1 operations.
-
-    Read off the constants: each letter y of inner(x) contributes its
-    coefficient times outer(y) to the image of x, so only letters that are
-    keys of inner are visited.  Keys come out in ascending order.
-    """
-    if outer.arity != 1 or inner.arity != 1:
-        raise MalformedInputError("compose_unary needs arity-1 operations")
-    if outer.basis != inner.basis:
-        raise MalformedInputError("operations live over different bases")
-    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
-    compose_into(acc, outer, inner, 1)
-    return op_from_terms(inner.basis, 1, outer.degree + inner.degree, acc)
-
-
 def _names(basis: GradedBasis, key: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(basis.names[i] for i in key)
 
@@ -222,19 +210,19 @@ def _by_left(bracket: MultiOp) -> dict[int, list[tuple[int, dict[int, Scalar]]]]
     x, as (y, image): the left multiplication ad_x = {x, -} on each y."""
     by_left: dict[int, list[tuple[int, dict[int, Scalar]]]] = {}
     for (x, y), image in bracket.constants.items():
-        by_left.setdefault(x, []).append((y, image.coeffs))
+        by_left.setdefault(x, []).append((y, image))
     return by_left
 
 
 def _images(
-    basis: GradedBasis, acc: Mapping[tuple[int, ...], Mapping[int, Scalar]]
-) -> dict[tuple[int, ...], Element]:
-    """The accumulated coefficient dicts as elements, keys in lexicographic
-    order, with zero coefficients and zero images dropped."""
+    acc: Mapping[tuple[int, ...], Mapping[int, Scalar]]
+) -> dict[tuple[int, ...], dict[int, Scalar]]:
+    """The accumulated coefficient dicts in canonical exact form, keys in
+    lexicographic order, with zero coefficients and zero images dropped."""
     images = {}
     for key in sorted(acc):
-        image = Element._trusted(basis, acc[key])
-        if image.coeffs:
+        image = {b: c if type(c) is int else exact(c) for b, c in acc[key].items() if c}
+        if image:
             images[key] = image
     return images
 
@@ -248,8 +236,8 @@ def _residuals(
     """The nonzero accumulated residuals as violations, keys in lexicographic
     order, each site the prefix followed by the key's names."""
     return [
-        Violation(check, prefix + _names(basis, key), residual)
-        for key, residual in _images(basis, acc).items()
+        Violation(check, prefix + _names(basis, key), Element._trusted(basis, residual))
+        for key, residual in _images(acc).items()
     ]
 
 
@@ -315,10 +303,10 @@ def n_i_d(bracket: MultiOp, op: MultiOp, i: int) -> MultiOp:
     N_i D(x_1, ..., x_i) = {N_{i-1} D(x_1, ..., x_{i-1}), x_i}: each level
     brackets the nonzero images of the previous one on the right with every
     basis vector and keeps the nonzero results, so tuples whose leftmost
-    letter op kills are never visited.  The images are plain coefficient
-    dicts read against the bracket's constants {y, x}; the result is
-    validated once, as a MultiOp.  No Koszul sign: op acts on the first
-    tensor factor, jumping over nothing.
+    letter op kills are never visited.  The images are coefficient dicts
+    read against the bracket's constants {y, x}; the result is built once,
+    by op_from_terms.  No Koszul sign: op acts on the first tensor factor,
+    jumping over nothing.
     """
     if op.arity != 1:
         raise MalformedInputError("n_i_d needs an arity-1 operation")
@@ -330,7 +318,7 @@ def n_i_d(bracket: MultiOp, op: MultiOp, i: int) -> MultiOp:
     if op.basis != basis:
         raise MalformedInputError("operation and bracket live over different bases")
     by_left = _by_left(bracket)
-    level = {key: image.coeffs for key, image in sorted(op.constants.items())}
+    level = dict(sorted(op.constants.items()))
     for _ in range(i - 1):
         longer: dict[tuple[int, ...], dict[int, Scalar]] = {}
         for key, coeffs in level.items():
@@ -371,7 +359,7 @@ def _composite_terms(
     for gk, image in g.constants.items():
         head, last = gk[:-1], gk[-1:]
         pinned = _placement_table(0, len(head), tuple([parity[x] for x in head]))[0][1]
-        for z, c in image.coeffs.items():
+        for z, c in image.items():
             for fk, p, free, free_parity, tail in around.get(z, ()):
                 if not p:
                     yield fk, p, c, pinned, head + last + tail
@@ -397,7 +385,7 @@ def compose_into(
     for fk, _, c, row, key in _composite_terms(f, g):
         coeff = (-row[2] if odd and row[4] else row[2]) * scale * c
         out = acc.setdefault(key, {})
-        for b, cb in constants[fk].coeffs.items():
+        for b, cb in constants[fk].items():
             out[b] = out.get(b, 0) + coeff * cb
 
 
@@ -460,10 +448,11 @@ def op_from_terms(
 
     The one trusted path for operations the engine computes: keys, scalars
     and image degrees come out of valid operations, so MultiOp's checks are
-    not re-run.  Zero coefficients and empty images are dropped.
+    not re-run.  Zero coefficients and empty images are dropped, and every
+    scalar is put in canonical exact form.
     """
     op = object.__new__(MultiOp)
-    for name, value in zip(MultiOp.__slots__, (basis, arity, degree, _images(basis, acc))):
+    for name, value in zip(MultiOp.__slots__, (basis, arity, degree, _images(acc))):
         object.__setattr__(op, name, value)
     return op
 

@@ -23,7 +23,7 @@ from .derived import (
 from .document import AlgebraDocument, parse_document
 from .errors import PreconditionError
 from .gauge import GaugeFamily, check_deformation, check_gauge_equivalence, gauge_transform
-from .graded import format_element
+from .graded import Element, format_element
 from .multiop import MultiOp, check_leibniz_identity
 from .report import CheckResult, Report
 from .results import Violation
@@ -96,7 +96,8 @@ def _op_table(op: MultiOp, label: str) -> list[str]:
     lines = []
     for key in sorted(op.constants):
         args = ", ".join(op.basis.names[i] for i in key)
-        lines.append(f"{label}({args}) = {format_element(op.constants[key])}")
+        image = Element._trusted(op.basis, op.constants[key])
+        lines.append(f"{label}({args}) = {format_element(image)}")
     if not lines:
         lines.append(f"{label} = 0")
     return lines

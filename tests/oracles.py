@@ -195,7 +195,9 @@ def restrict(op: MultiOp, indices: Sequence[int]) -> MultiOp:
     on every tuple, such as check_skewsymmetry, then sees op on the
     sub-basis tuples and zero on every other tuple."""
     pool = set(indices)
-    kept = {key: image for key, image in op.constants.items() if pool.issuperset(key)}
+    kept = {
+        key: Element(op.basis, image) for key, image in op.constants.items() if pool.issuperset(key)
+    }
     return MultiOp(op.basis, op.arity, op.degree, kept)
 
 

@@ -193,7 +193,7 @@ def test_criterion_07_operations_restrict_to_sh_lie_on_abelian_part(docs):
     sbasis = structure.basis
     sub = [sbasis.index(n) for n in abelian_subalgebra("heisab")]
     for i in range(1, structure.max_arity + 1):
-        op = structure.op(i)
+        op = structure.ops[i - 1]
         for key in itertools.product(sub, repeat=i):
             image = op.apply_indices(key)
             assert all(b in sub for b in image.coeffs), (i, key)

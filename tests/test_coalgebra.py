@@ -33,14 +33,13 @@ from shleibniz.coalgebra import (
 from shleibniz.derived import build_codifferential, check_codifferential
 from shleibniz.errors import EngineError, MalformedInputError, MCRejectionError
 from shleibniz.gauge import build_xi, exp_xi, gauge_transform, mc_to_deformation
-from shleibniz.graded import Element, GradedBasis, koszul_sign, unshuffles
+from shleibniz.graded import Element, GradedBasis, SparseVector, koszul_sign, unshuffles
 from shleibniz.linalg import derivation_basis
 from shleibniz.multiop import (
     DgLeibnizAlgebra,
     MultiOp,
     check_derivation,
     check_leibniz_identity,
-    compose_unary,
     n_i_d,
     nary_bracket,
 )
@@ -58,7 +57,7 @@ from oracles import (
     word_degree,
 )
 from test_derived import random_op
-from test_multiop import dense_commutator, dense_compose_unary
+from test_multiop import compose, dense_commutator, dense_compose
 
 
 def small_basis() -> GradedBasis:
@@ -120,11 +119,13 @@ def is_canonical(c) -> bool:
 
 
 def assert_canonical(vectors) -> bool:
-    """Every stored coefficient is canonical; True if any carries a denominator."""
+    """Every stored coefficient is canonical, of vectors or of an operation's
+    coefficient dicts; True if any carries a denominator."""
     rational = False
     for vec in vectors:
-        assert all(is_canonical(c) for c in vec.coeffs.values()), vec
-        rational = rational or any(type(c) is Fraction for c in vec.coeffs.values())
+        coeffs = vec.coeffs if isinstance(vec, SparseVector) else vec
+        assert all(is_canonical(c) for c in coeffs.values()), vec
+        rational = rational or any(type(c) is Fraction for c in coeffs.values())
     return rational
 
 
@@ -176,7 +177,7 @@ def test_genuinely_rational_outputs_are_canonical():
     algebra = DgLeibnizAlgebra(basis, fam.bracket, fam.delta(0))
     induced = mc_to_deformation(algebra, mc_element("endo2"))
     assert_canonical(c for d in induced.deltas for c in d.constants.values())
-    # linalg solves over the rationals and feeds its vectors through Element
+    # linalg solves over the rationals and builds its operations through op_from_terms
     derivations = [
         c for name in ("endo2", "heis3w", "quartic")
         for d in derivation_basis(shipped.load_fixture(name).to_bracket())
@@ -462,8 +463,7 @@ def dense_hom_bracket(f: MultiOp, g: MultiOp, lift) -> MultiOp:
         for op, other, scale in ((f, g, 1), (g, f, -sign)):
             for word, c in lift(other, key).terms.items():
                 assert len(word) == op.arity
-                image = op.constants.get(word)
-                for i, ci in image.coeffs.items() if image is not None else ():
+                for i, ci in op.constants.get(word, {}).items():
                     out[i] = out.get(i, 0) + scale * c * ci
         return Element(f.basis, out)
 
@@ -529,7 +529,7 @@ def shared_letter(f: MultiOp, g: MultiOp) -> bool:
     for gk, image in g.constants.items():
         for fk in f.constants:
             for p, z in enumerate(fk):
-                if z in image.coeffs and set(fk[:p]) & set(gk[:-1]):
+                if z in image and set(fk[:p]) & set(gk[:-1]):
                     return True
     return False
 
@@ -578,7 +578,7 @@ def test_hom_bracket_matches_its_dense_tabulation(docs, generated, hom_bracket_o
 
 def test_compositions_evaluate_no_lift_and_no_table(hom_bracket_oracle, monkeypatch):
     unary = [(f, g) for _, f, g, _ in hom_bracket_oracle if f.arity == g.arity == 1]
-    expected = [(dense_compose_unary(f, g), dense_commutator(f, g)) for f, g in unary]
+    expected = [(dense_compose(f, g), dense_commutator(f, g)) for f, g in unary]
     assert len(unary) > 100 and any(not c.is_zero() for _, c in expected)
 
     def refuse(*args, **kwargs):
@@ -589,7 +589,7 @@ def test_compositions_evaluate_no_lift_and_no_table(hom_bracket_oracle, monkeypa
     for label, f, g, dense in hom_bracket_oracle:
         assert hom_bracket(f, g) == dense, (label, f, g)
     for (f, g), (composite, bracketed) in zip(unary, expected):
-        assert compose_unary(f, g) == composite and hom_bracket(f, g) == bracketed
+        assert compose(f, g) == composite and hom_bracket(f, g) == bracketed
 
 
 def coalgebra_oracle_cases(docs, generated) -> list[tuple[str, GradedBasis, list[CoderivationSpec], int]]:

@@ -212,6 +212,24 @@ def test_missing_basis_rejected():
     assert any("basis" in i.message for i in issues)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # a [basis] header without a generator is located at the header,
+        # after the entry's own issue; "no [basis] section" only without one
+        (
+            "[basis]\nx: +1\n",
+            ["line 2: [+1] degree must be an integer", "line 1: [basis] section lists no generator"],
+        ),
+        ("[metadata]\nname: bare\n\n[basis]\n", ["line 4: [basis] section lists no generator"]),
+        ("[metadata]\nname: bare\n", ["line 0: [basis] document has no [basis] section"]),
+    ],
+    ids=["bad-entry", "empty-section", "no-section"],
+)
+def test_a_basis_without_generators_is_located(text, expected):
+    assert [issue.render() for issue in issues_of(text)] == expected
+
+
 def test_converters_shape():
     doc = shipped.load_fixture("quartic")
     assert doc.to_family() is None

@@ -274,7 +274,7 @@ def exponential_laws(xi_spec: CoderivationSpec, max_len: int):
     max_len alone, so it is built once per gauge and length and shared by
     every reference call on that gauge, whatever its delta."""
     frozen = tuple(
-        (a, tuple(sorted((k, tuple(sorted(v.coeffs.items()))) for k, v in op.constants.items())))
+        (a, tuple(sorted((k, tuple(sorted(v.items()))) for k, v in op.constants.items())))
         for a, op in sorted(xi_spec.components.items())
     )
     cache_key = (xi_spec.basis, frozen, max_len)

@@ -26,7 +26,7 @@ from shleibniz.multiop import (
     check_leibniz_identity,
     check_skewsymmetry,
     compose_into,
-    compose_unary,
+    compose_tables,
     hom_tables,
     identity_op,
     n_i_d,
@@ -70,6 +70,10 @@ def test_multiop_validates_shapes():
     # mixed-degree image is rejected even when the total shape is right
     with pytest.raises(MalformedInputError):
         MultiOp(basis, 1, 0, {(0,): basis.vector(0) + basis.vector(1)})
+    # an image over another basis of the same size and degrees
+    other = GradedBasis(("u", "v"), (0, 1))
+    with pytest.raises(MalformedInputError):
+        MultiOp(basis, 1, 0, {(0,): other.vector(0)})
 
 
 def test_multiop_drops_zero_constants():
@@ -84,11 +88,25 @@ def test_op_from_terms_drops_zeros_and_sorts_keys():
     acc = {(1, 0): {0: 2, 1: 0}, (0, 1): {1: 0}, (0, 0): {1: Fraction(4, 2)}}
     op = op_from_terms(basis, 2, 0, acc)
     assert list(op.constants) == [(0, 0), (1, 0)]
-    assert type(op.constants[(0, 0)].coeffs[1]) is int
+    assert type(op.constants[(0, 0)][1]) is int
     validated = {(0, 0): basis.vector(1).scale(2), (1, 0): basis.vector(0).scale(2)}
     assert op == MultiOp(basis, 2, 0, validated)
     with pytest.raises(AttributeError):
         op.arity = 3
+    # computed and validated operations both store plain coefficient dicts
+    # of canonical exact scalars: an int when integral, never a zero
+    halves = {(0,): {0: Fraction(1, 2), 1: Fraction(4, 2)}, (1,): {0: Fraction(0)}}
+    computed = op_from_terms(basis, 1, 0, halves)
+    given = MultiOp(basis, 1, 0, {key: Element(basis, image) for key, image in halves.items()})
+    for stored in (op, MultiOp(basis, 2, 0, validated), computed, given):
+        for image in stored.constants.values():
+            assert type(image) is dict and image, stored
+            assert all(
+                type(c) is int or (type(c) is Fraction and c.denominator > 1)
+                for c in image.values()
+            ), image
+            assert all(image.values()), image
+    assert computed == given and computed.constants == {(0,): {0: Fraction(1, 2), 1: 2}}
 
 
 def test_apply_is_multilinear():
@@ -119,11 +137,11 @@ def test_compose_and_commutator_signs():
     basis = GradedBasis(("p", "q", "r"), (0, 1, 2))
     up1 = MultiOp(basis, 1, 1, {(0,): basis.vector(1)})
     up2 = MultiOp(basis, 1, 1, {(1,): basis.vector(2)})
-    both = compose_unary(up2, up1)
+    both = compose(up2, up1)
     assert both.apply_indices((0,)) == basis.vector(2)
     # odd-odd commutator is an anticommutator, and an odd self-bracket is
     # twice the square, which is p -> r here
-    assert hom_bracket(up1, up2) == compose_unary(up1, up2) + compose_unary(up2, up1)
+    assert hom_bracket(up1, up2) == compose(up1, up2) + compose(up2, up1)
     assert hom_bracket(up1 + up2, up1 + up2) == both.scale(2)
     even = identity_op(basis)
     assert hom_bracket(even, up1).is_zero()
@@ -200,7 +218,7 @@ def assert_n_i_d_matches_oracle(bracket: MultiOp, op: MultiOp, max_i: int = 4) -
         fast = n_i_d(bracket, op, i)
         assert (fast.arity, fast.degree) == (i, op.degree)
         oracle = dense_n_i_d(bracket, op, i)
-        assert fast.constants == {k: v for k, v in oracle.items() if not v.is_zero()}, i
+        assert fast.constants == {k: v.coeffs for k, v in oracle.items() if not v.is_zero()}, i
 
 
 def scrambled_op(basis: GradedBasis, seed: int) -> MultiOp:
@@ -374,7 +392,7 @@ def perturbed_bracket(bracket: MultiOp, rng: random.Random) -> MultiOp:
         targets = [t for t in range(len(basis)) if basis.degree(t) == want]
         if targets:
             break
-    constants = dict(bracket.constants)
+    constants = {key: Element(basis, image) for key, image in bracket.constants.items()}
     bump = basis.vector(rng.choice(targets)).scale(rng.choice((1, -1, 2, Fraction(-1, 2))))
     constants[x, y] = constants.get((x, y), Element.zero(basis)) + bump
     return MultiOp(basis, 2, bracket.degree, constants)
@@ -416,9 +434,16 @@ def test_leibniz_identity_never_walks_every_triple(docs, monkeypatch):
         assert check_leibniz_identity(bracket) == expected
 
 
-def dense_compose_unary(outer: MultiOp, inner: MultiOp) -> MultiOp:
-    """compose_unary as first written: outer . inner tabulated on every
-    letter through from_function and the generic apply."""
+def compose(outer: MultiOp, inner: MultiOp) -> MultiOp:
+    """outer . inner for arity-1 operations: the arity-1 table of
+    compose_tables, scattered from the constants."""
+    table = compose_tables({}, {1: outer}, {1: inner}, 1, 1)[1]
+    return op_from_terms(inner.basis, 1, outer.degree + inner.degree, table)
+
+
+def dense_compose(outer: MultiOp, inner: MultiOp) -> MultiOp:
+    """outer . inner as first written: tabulated on every letter through
+    from_function and the generic apply."""
     return MultiOp.from_function(
         inner.basis,
         1,
@@ -430,7 +455,7 @@ def dense_compose_unary(outer: MultiOp, inner: MultiOp) -> MultiOp:
 def dense_commutator(a: MultiOp, b: MultiOp) -> MultiOp:
     """[a, b] from the two dense composites, tabulated on every letter."""
     sign = -1 if (a.degree * b.degree) % 2 else 1
-    ab, ba = dense_compose_unary(a, b), dense_compose_unary(b, a)
+    ab, ba = dense_compose(a, b), dense_compose(b, a)
     return MultiOp.from_function(
         a.basis,
         1,
@@ -445,7 +470,7 @@ def test_compositions_match_their_dense_tabulation(docs, generated):
         for a, b in itertools.product(ops, repeat=2):
             bracketed = hom_bracket(a, b)
             for fast, dense in (
-                (compose_unary(a, b), dense_compose_unary(a, b)),
+                (compose(a, b), dense_compose(a, b)),
                 (bracketed, dense_commutator(a, b)),
             ):
                 assert fast == dense, (label, a, b)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import re
@@ -14,7 +15,7 @@ from shleibniz import fixtures as shipped
 from shleibniz.derived import check_key_lemma
 from shleibniz.document import parse_document, serialize_document
 from shleibniz.errors import PreconditionError
-from shleibniz.graded import GradedBasis
+from shleibniz.graded import GradedBasis, SparseVector
 from shleibniz.multiop import MultiOp, check_derivation
 from shleibniz.report import WITNESS_LIMIT, render_structured, render_text
 from shleibniz.runner import COMMANDS, RunOptions, _derivation_pool, run_command
@@ -109,6 +110,28 @@ def test_no_command_walks_a_word(monkeypatch):
     ):
         with pytest.raises(AssertionError, match="a command reached"):
             call()
+
+
+def test_passing_report_all_builds_no_vector(monkeypatch):
+    # operations store coefficient dicts, so a passing report-all, which
+    # has no witness to show, never wraps an image in a vector
+    real = SparseVector._trusted.__func__
+    built = collections.Counter()
+
+    def counted(cls, basis, coeffs):
+        built[cls.__name__] += 1
+        return real(cls, basis, coeffs)
+
+    monkeypatch.setattr(SparseVector, "_trusted", classmethod(counted))
+    names = shipped.fixture_names()
+    assert len(names) == 6
+    for name in names:
+        report = run_command("report-all", shipped.fixture_text(name))
+        assert report.passed, name
+        assert not built, (name, built)
+    # the counter sees the vectors the engine does build
+    assert not run_command("report-all", perturbed_text("endo2")).passed
+    assert built
 
 
 def test_report_all_names_the_missing_family_of_a_gauge():
