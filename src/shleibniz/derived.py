@@ -328,9 +328,23 @@ def check_key_lemma(
     the two names.  A member that is not a derivation is a precondition
     error, raised under the position, first or second, of its first use:
     the pool's head is first in the first combination and every other member
-    is first used second.  Each member is validated once, and N_i D,
-    [D, D'] and N_a([D, D']) are built once each.  Under first_violation
-    only the first witness is kept.
+    is first used second.  Each member is validated once.  Under
+    first_violation only the first witness is kept.
+
+    Half the combinations are read off the other half.  The graded
+    commutator and the hom bracket are both graded antisymmetric, and N_i D
+    has the degree of D since the bracket has degree 0, so key by key the
+    residual r(D, D', i, j) = N_{i+j-1}([D, D']) - (N_i D, N_j D') obeys
+
+        r(D', D, j, i) = -(-1)^(|D||D'|) r(D, D', i, j).
+
+    A combination whose mirror (D', D, j, i) is already decided takes its
+    mirror's witnesses on the same keys, the residuals so signed and the
+    site led by its own names and arities; r(D, D, i, i) vanishes
+    identically when |D| is even.  So only the first of each mirror pair is
+    computed, and N_i D, [D, D'] and N_a([D, D']) are built once each for
+    those alone.  A mirror fails exactly when its source does, so the first
+    failing combination is always a computed one.
     """
     if any(i < 1 or j < 1 for i, j in arities):
         raise MalformedInputError("arities must be >= 1")
@@ -341,11 +355,25 @@ def check_key_lemma(
     commuted = functools.cache(lambda n1, n2: hom_bracket(ops[n1], ops[n2]))
     nested_commuted = functools.cache(lambda n1, n2, a: n_i_d(bracket, commuted(n1, n2), a))
     members = list(enumerate(name for name, _ in derivations))
+    decided: dict[tuple[int, int, int, int], list[Violation]] = {}
     violations: list[Violation] = []
     for (n1, name1), (n2, name2), (i, j) in itertools.product(members, members, arities):
-        violations += _key_lemma_residuals(
-            nested_commuted(n1, n2, i + j - 1), nested(n1, i), nested(n2, j), (name1, name2)
-        )
+        site = (name1, name2, i, j)
+        mirror = decided.get((n2, n1, j, i))
+        if mirror is not None:
+            odd = ops[n1].degree * ops[n2].degree % 2
+            found = [
+                Violation(v.check, site + v.site[4:], v.residual if odd else -v.residual)
+                for v in mirror
+            ]
+        elif n1 == n2 and i == j and ops[n1].degree % 2 == 0:
+            found = []
+        else:
+            found = _key_lemma_residuals(
+                nested_commuted(n1, n2, i + j - 1), nested(n1, i), nested(n2, j), site
+            )
+        decided[n1, n2, i, j] = found
+        violations += found
         if first_violation and violations:
             return Verdict(False, violations[:1])
     return Verdict.from_violations(violations)
@@ -360,15 +388,16 @@ def _require_derivation(label: str, d: MultiOp, bracket: MultiOp) -> None:
 
 
 def _key_lemma_residuals(
-    lhs: MultiOp, left: MultiOp, right: MultiOp, prefix: tuple
+    lhs: MultiOp, left: MultiOp, right: MultiOp, site: tuple, check: str = "key-lemma"
 ) -> list[Violation]:
-    """The witnesses of lhs = N_{i+j-1}([D, D']) against (left, right) =
-    (N_i D, N_j D'), for inputs already known to be derivations, each site
-    the prefix followed by i, j and the key."""
+    """The witnesses of lhs = (left, right): the residual lhs - (left, right),
+    read off hom_tables, on each key where it is nonzero, each site the
+    given one followed by the key.  The key lemma compares
+    N_{i+j-1}([D, D']) with (N_i D, N_j D')."""
     n = lhs.arity
     acc = {n: {key: dict(image) for key, image in lhs.constants.items()}}
     hom_tables(acc, {left.arity: left}, {right.arity: right}, -1, n)
-    return _residuals("key-lemma", lhs.basis, acc[n], prefix + (left.arity, right.arity))
+    return _residuals(check, lhs.basis, acc[n], site)
 
 
 def leibniz_cohomology_check(
@@ -387,6 +416,12 @@ def leibniz_cohomology_check(
 
     so b restricts to the subspaces N_i Der(V) and squares to zero there.
     When derivations is None a spanning set of Der(V) is computed exactly.
+
+    The first row is the key lemma for (delta_1, D) at arities (2, i), as
+    partial_2 = N_2 delta_1, and both rows are read off hom_tables key by
+    key: the witnesses of cohomology-differential carry the residual
+    N_{i+1}([delta_1, D]) - b(N_i D), those of cohomology-square the value
+    b(b(N_i D)), each site (D<label>, i) followed by the key.
     """
     from .linalg import derivation_basis
 
@@ -407,25 +442,12 @@ def leibniz_cohomology_check(
     for label, d in enumerate(derivations):
         bracketed = hom_bracket(delta1, d)
         for i in range(1, i_max + 1):
-            image = hom_bracket(partial2, n_i_d(bracket, d, i))
-            expected = n_i_d(bracket, bracketed, i + 1)
-            if image != expected:
-                violations.append(
-                    Violation(
-                        "cohomology-differential",
-                        (f"D{label}", i),
-                        None,
-                        "b(N_i D) differs from N_{i+1}([delta_1, D])",
-                    )
-                )
-            square = hom_bracket(partial2, image)
-            if not square.is_zero():
-                violations.append(
-                    Violation(
-                        "cohomology-square",
-                        (f"D{label}", i),
-                        None,
-                        "b(b(N_i D)) is nonzero",
-                    )
-                )
+            site = (f"D{label}", i)
+            nested = n_i_d(bracket, d, i)
+            violations += _key_lemma_residuals(
+                n_i_d(bracket, bracketed, i + 1), partial2, nested, site, "cohomology-differential"
+            )
+            image = hom_bracket(partial2, nested)
+            square = hom_tables({}, {2: partial2}, {i + 1: image}, 1, i + 2)[i + 2]
+            violations += _residuals("cohomology-square", bracket.basis, square, site)
     return Verdict.from_violations(violations)

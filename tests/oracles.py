@@ -3,8 +3,9 @@
 None of this is reached by a command: the suspension as explicit tensor
 layers, the lift of an operation split by summand, the parity-pattern
 certificates proved one pattern at a time, the restriction of an operation
-to a sub-basis, and the designated perturbations, Maurer-Cartan candidates
-and abelian subalgebra of the shipped corpus.
+to a sub-basis, the key lemma decided one combination at a time, and the
+designated perturbations, Maurer-Cartan candidates and abelian subalgebra
+of the shipped corpus.
 
 Every fixture that carries a deformation family also carries a designated
 single-constant perturbation, chosen so that adding that one constant to
@@ -41,7 +42,8 @@ from shleibniz.document import AlgebraDocument, serialize_document
 from shleibniz.errors import MalformedInputError
 from shleibniz.gauge import McElement
 from shleibniz.graded import Element, GradedBasis, Scalar, Shift, layer_sign, shifted_degrees
-from shleibniz.multiop import MultiOp
+from shleibniz.multiop import MultiOp, n_i_d
+from shleibniz.results import Violation
 
 # --- the suspension as tensor layers ---
 
@@ -199,6 +201,34 @@ def restrict(op: MultiOp, indices: Sequence[int]) -> MultiOp:
         key: Element(op.basis, image) for key, image in op.constants.items() if pool.issuperset(key)
     }
     return MultiOp(op.basis, op.arity, op.degree, kept)
+
+
+# --- the key lemma, one combination at a time ---
+
+
+def key_lemma_direct(
+    bracket: MultiOp,
+    pool: Sequence[tuple[str, MultiOp]],
+    arities: Sequence[tuple[int, int]],
+    first_violation: bool = False,
+) -> list[Violation]:
+    """The witnesses of N_{i+j-1}([D, D']) = (N_i D, N_j D') with every
+    combination (D, D', (i, j)) built and compared on its own, in that
+    order: no mirror is reused and no diagonal skipped.  Each residual is
+    the difference of the two sides read key by key; the members are not
+    checked to be derivations."""
+    found: list[Violation] = []
+    for (name1, d1), (name2, d2), (i, j) in itertools.product(pool, pool, arities):
+        lhs = n_i_d(bracket, coalgebra.hom_bracket(d1, d2), i + j - 1)
+        rhs = coalgebra.hom_bracket(n_i_d(bracket, d1, i), n_i_d(bracket, d2, j))
+        for key in sorted(lhs.constants.keys() | rhs.constants.keys()):
+            residual = lhs.apply_indices(key) - rhs.apply_indices(key)
+            if not residual.is_zero():
+                names = tuple(bracket.basis.names[b] for b in key)
+                found.append(Violation("key-lemma", (name1, name2, i, j) + names, residual))
+        if first_violation and found:
+            return found[:1]
+    return found
 
 
 # --- designated inputs of the shipped corpus ---

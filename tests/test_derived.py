@@ -56,6 +56,7 @@ from oracles import (
     apply_layer,
     corestriction,
     every_pattern,
+    key_lemma_direct,
     perturbation,
     perturbed_family,
     reshape,
@@ -891,8 +892,37 @@ def test_key_lemma_witnesses_are_the_per_key_differences():
             for key in sorted(lhs.constants.keys() | rhs.constants.keys())
             if not (residual := lhs.apply_indices(key) - rhs.apply_indices(key)).is_zero()
         ]
-        assert derived._key_lemma_residuals(lhs, left, right, ("D", "E")) == expected
+        assert derived._key_lemma_residuals(lhs, left, right, ("D", "E", 2, 1)) == expected
         assert lhs is rhs or expected
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33, 34])
+def test_key_lemma_matches_the_direct_route_on_non_derivations(monkeypatch, seed):
+    # random maps are no derivations, so nearly every combination fails and
+    # the mirrored combinations must reproduce the direct residuals, sign
+    # and site, in the same order
+    monkeypatch.setattr(derived, "_require_derivation", lambda label, d, bracket: None)
+    rng = random.Random(seed)
+    basis = GradedBasis(("a", "b", "c", "d"), (0, 1, 1, 2))
+    bracket = random_op(basis, 2, 0, rng, 0.4)
+    odd, even = random_op(basis, 1, 1, rng), random_op(basis, 1, 0, rng)
+    pool = [("P", odd), ("Q", even), ("R", random_op(basis, 1, 1, rng)), ("P2", odd)]
+    arities = list(itertools.product((1, 2, 3), repeat=2))
+    for first in (False, True):
+        verdict = check_key_lemma(bracket, pool, arities, first)
+        assert verdict.violations == key_lemma_direct(bracket, pool, arities, first)
+        assert not verdict.passed
+    # the combinations whose mirror comes earlier, which are not computed
+    combos = list(itertools.product([n for n, _ in pool], [n for n, _ in pool], arities))
+    mirrored = {
+        (n1, n2, i, j)
+        for k, (n1, n2, (i, j)) in enumerate(combos)
+        if (n2, n1, (j, i)) in combos[:k]
+    }
+    sites = [v.site[:4] for v in check_key_lemma(bracket, pool, arities).violations]
+    assert sum(site in mirrored for site in sites) > 10
+    assert any(site[0] == site[1] != "Q" and site[2] == site[3] for site in sites)
+    assert not any(site[0] == site[1] == "Q" and site[2] == site[3] for site in sites)
 
 
 def test_cohomology_differential_identity():
@@ -925,6 +955,42 @@ def test_cohomology_check_refuses_a_delta_that_does_not_square_to_zero():
     square = MultiOp(basis, 2, 0, {(0, 0): basis.vector(0)})
     with pytest.raises(PreconditionError, match="delta_1 is not a derivation of the bracket"):
         leibniz_cohomology_check(square, chain)
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_cohomology_witnesses_are_the_per_key_differences(monkeypatch, seed):
+    # preconditions waived on random maps: delta_1 is no square-zero
+    # derivation and D no derivation, so both rows fail, key by key
+    monkeypatch.setattr(derived, "check_differential", lambda op, bracket: Verdict(True))
+    monkeypatch.setattr(derived, "check_derivation", lambda op, bracket: [])
+    rng = random.Random(seed)
+    basis = GradedBasis(("a", "b", "c", "d"), (0, 1, 1, 2))
+    bracket = random_op(basis, 2, 0, rng, 0.5)
+    delta1 = random_op(basis, 1, 1, rng)
+    pool = [random_op(basis, 1, 0, rng), random_op(basis, 1, 1, rng)]
+    partial2 = n_i_d(bracket, delta1, 2)
+
+    def witnesses(check, lhs, rhs, site):
+        return [
+            Violation(check, site + tuple(basis.names[b] for b in key), residual)
+            for key in sorted(lhs.constants.keys() | rhs.constants.keys())
+            if not (residual := lhs.apply_indices(key) - rhs.apply_indices(key)).is_zero()
+        ]
+
+    expected = []
+    for label, d in enumerate(pool):
+        for i in (1, 2):
+            site = (f"D{label}", i)
+            lhs = n_i_d(bracket, coalgebra.hom_bracket(delta1, d), i + 1)
+            image = coalgebra.hom_bracket(partial2, n_i_d(bracket, d, i))
+            expected += witnesses("cohomology-differential", lhs, image, site)
+            square = coalgebra.hom_bracket(partial2, image)
+            zero = MultiOp.zero(basis, i + 2, square.degree)
+            expected += witnesses("cohomology-square", square, zero, site)
+    verdict = leibniz_cohomology_check(bracket, delta1, i_max=2, derivations=pool)
+    assert verdict.violations == expected
+    assert {v.check for v in expected} == {"cohomology-differential", "cohomology-square"}
+    assert not verdict.passed
 
 
 def test_deformation_family_validation():

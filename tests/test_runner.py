@@ -257,6 +257,26 @@ def test_key_lemma_first_violation_keeps_one_witness(monkeypatch):
     assert found[True] == full[:1]
 
 
+def test_key_lemma_decides_one_combination_per_mirror_pair(monkeypatch):
+    # endo2's pool: delta_0 odd, xi_1 and xi_2 even; 36 combinations at
+    # arities up to 2 make 15 mirror pairs, 6 self-mirrored diagonals and,
+    # of those, 4 even diagonals that vanish identically
+    real, calls = derived._key_lemma_residuals, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(derived, "_key_lemma_residuals", counted)
+    doc = shipped.load_fixture("endo2")
+    pool = _derivation_pool(doc)
+    assert [(name, op.degree) for name, op in pool] == [("delta_0", 1), ("xi_1", 0), ("xi_2", 0)]
+    text = shipped.fixture_text("endo2")
+    report = run_command("check-key-lemma", text, RunOptions(max_arity=2))
+    assert report.passed
+    assert len(calls) == 17 and len(set(calls)) == 17
+
+
 def test_gauge_first_violation_keeps_the_verdict_of_every_row():
     # E01 -> E00 added to delta_0 of endo2 fails both the conjugation and the
     # order expansion; the flag keeps the head of each row, not of the list
