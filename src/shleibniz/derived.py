@@ -18,10 +18,12 @@ implemented and their structure constants asserted equal:
   pass over coefficient dicts read off the constants of delta_{i-1} and N_i,
   letting the Koszul rule produce every sign: each layer's sign is
   layer_sign of its operator degrees against the degrees of the slots it
-  hits.  It evaluates the composite only on the tuples (x_1, x_2, ..., x_i)
+  hits, and the two layers after the first are signed once per constant of
+  N_i.  It evaluates the composite only on the tuples (x_1, x_2, ..., x_i)
   where some letter y of delta_{i-1} x_1 starts a nonzero constant
   (y, x_2, ..., x_i) of N_i; by multilinearity the composite is exactly zero
-  on every other tuple;
+  on every other tuple.  build_sh_structure reads N_1, ..., N_{m+1} off one
+  run of the nested-bracket recurrence on the identity (nary_brackets);
 * route (b) uses the worked-out closed form
       l_i(s x_1, ..., s x_i) = (-1)^e s N_i(delta_{i-1} x_1, x_2, ..., x_i),
   where e sums the degrees |x_j| over j < i with i - j odd, on the nonzero
@@ -90,6 +92,7 @@ from .multiop import (
     hom_tables,
     n_i_d,
     nary_bracket,
+    nary_brackets,
     op_from_terms,
 )
 from .results import Verdict, Violation
@@ -165,18 +168,24 @@ def _require_deformation_slot(delta: MultiOp) -> None:
         raise MalformedInputError("delta must have arity 1 and degree +1")
 
 
-def derived_bracket_tensor(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
+def derived_bracket_tensor(
+    bracket: MultiOp, delta: MultiOp, i: int, nested: MultiOp | None = None
+) -> MultiOp:
     """Route (a): the defining composite as one signed layer pass.
 
     The composite is multilinear and starts with delta on x_1, so its value on
     (x_1, ..., x_i) is zero unless some letter y of delta x_1 starts a nonzero
     constant (y, x_2, ..., x_i) of N_i.  Only those tuples get a term, and
     each layer acts on coefficient dicts read off the constants: delta x_1
-    off delta, then N_i(y, x_2, ..., x_i) off N_i for each letter y.  Every
-    layer's sign is layer_sign of its operator degrees against the shifted
-    degrees of the slots it hits: s delta s^{-1} (x) 1 on (x_1, ..., x_i),
-    s^{-1}(i) on (y, x_2, ..., x_i) and s on the value.  The first and the
-    last give +1 identically, since one operator jumps nothing.
+    off delta, then N_i(y, x_2, ..., x_i) off N_i for each letter y.  N_i is
+    nested when given (build_sh_structure passes the N_i of nary_brackets)
+    and nary_bracket(bracket, i) otherwise.  Every layer's sign is
+    layer_sign of its operator degrees against the shifted degrees of the
+    slots it hits: s delta s^{-1} (x) 1 on (x_1, ..., x_i), s^{-1}(i) on
+    (y, x_2, ..., x_i) and s on the value.  The last two depend on the
+    constant (y, x_2, ..., x_i) alone, so they are taken once per constant;
+    the first and the last give +1 identically, since one operator jumps
+    nothing.
     """
     _require_deformation_slot(delta)
     if i < 1:
@@ -184,25 +193,33 @@ def derived_bracket_tensor(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
     basis = bracket.basis
     if delta.basis != basis:
         raise MalformedInputError("operation and bracket live over different bases")
+    if nested is None:
+        nested = nary_bracket(bracket, i)
     sbasis = shifted_degrees(basis, Shift.RAISE)
     sdeg = sbasis.degrees
     prefactor = -1 if (((i - 1) * (i - 2)) // 2) % 2 else 1
     first, down = (1,) + (0,) * (i - 1), (-1,) * i
-    # tails[y] lists (x_2, ..., x_i), their shifted degrees and N_i(y, x_2, ..., x_i)
-    tails: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], dict[int, Scalar]]]] = {}
-    for key, image in nary_bracket(bracket, i).constants.items():
+    # tails[y] lists (x_2, ..., x_i), their shifted degrees, N_i(y, x_2, ..., x_i)
+    # and the signs of the s^{-1}(i) and s layers on that constant, for each
+    # letter y of an image of delta
+    reached = {y for image in delta.constants.values() for y in image}
+    tails: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], dict[int, Scalar], int]]] = {}
+    for key, image in nested.constants.items():
+        if key[0] not in reached:
+            continue
         rest = key[1:]
-        tails.setdefault(key[0], []).append((rest, tuple(sdeg[b] for b in rest), image))
+        degrees = tuple(sdeg[b] for b in rest)
+        lowered = (sdeg[key[0]],) + degrees
+        sign = prefactor * layer_sign(down, lowered) * layer_sign((1,), (sum(lowered) - i,))
+        tails.setdefault(key[0], []).append((rest, degrees, image, sign))
     acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
     for (x,), image in delta.constants.items():
         for y, c in image.items():
-            for rest, degrees, nested in tails.get(y, ()):
-                slots, lowered = (sdeg[x],) + degrees, (sdeg[y],) + degrees
-                sign = prefactor * layer_sign(first, slots) * layer_sign(down, lowered)
-                sign *= layer_sign((1,), (sum(lowered) - i,))
+            for rest, degrees, nested_image, sign in tails.get(y, ()):
+                coeff = sign * layer_sign(first, (sdeg[x],) + degrees) * c
                 out = acc.setdefault((x,) + rest, {})
-                for z, cz in nested.items():
-                    out[z] = out.get(z, 0) + sign * c * cz
+                for z, cz in nested_image.items():
+                    out[z] = out.get(z, 0) + coeff * cz
     return op_from_terms(sbasis, i, 2 - i, acc)
 
 
@@ -217,9 +234,12 @@ def derived_bracket_explicit(bracket: MultiOp, delta: MultiOp, i: int) -> MultiO
     return op_from_terms(shifted_degrees(basis, Shift.RAISE), i, 2 - i, acc)
 
 
-def derived_bracket(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
-    """The derived arity-i operation; both routes are computed and compared."""
-    via_tensor = derived_bracket_tensor(bracket, delta, i)
+def derived_bracket(
+    bracket: MultiOp, delta: MultiOp, i: int, nested: MultiOp | None = None
+) -> MultiOp:
+    """The derived arity-i operation; both routes are computed and compared.
+    nested, when given, is N_i for route (a)."""
+    via_tensor = derived_bracket_tensor(bracket, delta, i, nested)
     via_explicit = derived_bracket_explicit(bracket, delta, i)
     if via_tensor != via_explicit:
         raise EngineError(
@@ -230,10 +250,13 @@ def derived_bracket(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
 
 
 def build_sh_structure(fam: DeformationFamily) -> ShLeibnizStructure:
-    """l_i from delta_{i-1} for i = 1, ..., order + 1."""
+    """l_i from delta_{i-1} for i = 1, ..., order + 1; route (a) reads every
+    N_i off one run of the recurrence on the identity."""
     sbasis = shifted_degrees(fam.basis, Shift.RAISE)
+    nested = nary_brackets(fam.bracket, fam.order + 1)
     ops = tuple(
-        derived_bracket(fam.bracket, fam.deltas[i - 1], i) for i in range(1, fam.order + 2)
+        derived_bracket(fam.bracket, delta, i, nested[i - 1])
+        for i, delta in enumerate(fam.deltas, 1)
     )
     return ShLeibnizStructure(sbasis, ops)
 
@@ -341,7 +364,11 @@ def check_key_lemma(
     A combination whose mirror (D', D, j, i) is already decided takes its
     mirror's witnesses on the same keys, the residuals so signed and the
     site led by its own names and arities; r(D, D, i, i) vanishes
-    identically when |D| is even.  So only the first of each mirror pair is
+    identically when |D| is even.  So does every r(D, D', 1, 1): N_1 is the
+    identity, so its left side is the table of hom_bracket(D, D'), and the
+    hom bracket (N_1 D, N_1 D') = (D, D') it subtracts is the same
+    hom_tables call on the same operations, so the residual is that table
+    minus itself.  So only the first of each mirror pair off these is
     computed, and N_i D, [D, D'] and N_a([D, D']) are built once each for
     those alone.  A mirror fails exactly when its source does, so the first
     failing combination is always a computed one.
@@ -366,7 +393,7 @@ def check_key_lemma(
                 Violation(v.check, site + v.site[4:], v.residual if odd else -v.residual)
                 for v in mirror
             ]
-        elif n1 == n2 and i == j and ops[n1].degree % 2 == 0:
+        elif (i, j) == (1, 1) or (n1 == n2 and i == j and ops[n1].degree % 2 == 0):
             found = []
         else:
             found = _key_lemma_residuals(

@@ -50,6 +50,8 @@ otherwise, zero entries dropped), so ``parse(serialize(parse(text)))`` equals
 ``parse(text)`` for any valid input, and ``serialize`` is a bijection on
 parsed documents.  An ``AlgebraDocument`` builds its basis, bracket, family
 and gauge once, when it is constructed; the ``to_*`` methods return them.
+Each image goes straight from its terms to the operation's validator as a
+coefficient dict {basis index: scalar}: parsing builds no ``Element``.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DocumentError, DocumentIssue, GaugeDerivationError
-from .graded import Element, GradedBasis, Scalar, exact, format_terms
+from .graded import GradedBasis, Scalar, exact, format_terms
 from .multiop import MultiOp
 from .derived import DeformationFamily
 from .gauge import GaugeFamily
@@ -70,6 +72,8 @@ _INT_RE = re.compile(r"-?\d+\Z")
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
 # a document's only line breaks; str.splitlines breaks at more characters
 LINE_BREAK = re.compile(r"\r\n|\r|\n")
+# an element splits into terms before every sign and nowhere else
+_TERM_SPLIT = re.compile(r"(?=[+-])")
 
 Terms = tuple[tuple[Scalar, str], ...]
 
@@ -86,7 +90,9 @@ class AlgebraDocument:
     """Parsed, normalised content of an algebra document.
 
     Construction builds the basis, the bracket, the family and the gauge once,
-    through the operator layer's validation; the ``to_*`` methods return them.
+    through the operator layer's validation, which takes each entry's image
+    as a coefficient dict keyed by basis index; the ``to_*`` methods return
+    them.
     """
 
     basis: tuple[tuple[str, int], ...]
@@ -103,11 +109,11 @@ class AlgebraDocument:
         basis = GradedBasis(tuple(n for n, _ in self.basis), tuple(d for _, d in self.basis))
 
         def op(arity: int, degree: int, entries: tuple[tuple, ...]) -> MultiOp:
-            # an entry is its generator names followed by the image's terms
+            # an entry is its generator names followed by the image's terms;
+            # the images go to the validator as plain coefficient dicts
+            index = basis.index
             constants = {
-                tuple(basis.index(n) for n in entry[:-1]): Element(
-                    basis, {basis.index(n): c for c, n in entry[-1]}
-                )
+                tuple([index(n) for n in entry[:-1]]): {index(n): c for c, n in entry[-1]}
                 for entry in entries
             }
             return MultiOp(basis, arity, degree, constants)
@@ -154,67 +160,54 @@ def _parse_element(
     if not raw:
         issues.append(DocumentIssue(line_no, raw, "empty element"))
         return None
-    # split before every sign, then read one signed term per chunk; only the
-    # first chunk can be empty, when the element starts with a sign
-    signed: list[tuple[int, str]] = []
-    for chunk in re.split(r"(?=[+-])", raw):
-        chunk = chunk.strip()
+    # split before every sign and read one signed term per chunk: every chunk
+    # but the first starts with its sign, and the first, which starts where
+    # raw does, is empty when raw starts with a sign; a dangling sign is the
+    # element's only issue
+    start = len(issues)
+    collected: dict[str, Scalar] = {}
+    for chunk in _TERM_SPLIT.split(raw):
         if not chunk:
             continue
         sgn = 1
-        body = chunk
         if chunk[0] == "+":
-            body = chunk[1:].strip()
+            chunk = chunk[1:]
         elif chunk[0] == "-":
-            sgn, body = -1, chunk[1:].strip()
-        if not body:
-            issues.append(DocumentIssue(line_no, raw, "dangling sign"))
-            return None
-        signed.append((sgn, body))
-    collected: dict[str, Scalar] = {}
-    bad = False
-    for sgn, chunk in signed:
+            sgn, chunk = -1, chunk[1:]
         parts = chunk.split()
         if len(parts) == 1:
             coeff_str, name = None, parts[0]
         elif len(parts) == 2:
             coeff_str, name = parts
-        else:
-            issues.append(DocumentIssue(line_no, chunk, "malformed term"))
-            bad = True
+        elif parts:
+            issues.append(DocumentIssue(line_no, chunk.strip(), "malformed term"))
             continue
+        else:
+            del issues[start:]
+            issues.append(DocumentIssue(line_no, raw, "dangling sign"))
+            return None
         coeff: Scalar = sgn
         if coeff_str is not None:
             match = _RATIONAL_RE.match(coeff_str)
             if match is None:
-                issues.append(
-                    DocumentIssue(line_no, coeff_str, "bad coefficient")
-                )
-                bad = True
+                issues.append(DocumentIssue(line_no, coeff_str, "bad coefficient"))
                 continue
-            num = int(match.group(1))
-            den = int(match.group(2)) if match.group(2) else 1
-            if den == 0:
-                issues.append(
-                    DocumentIssue(line_no, coeff_str, "zero denominator")
-                )
-                bad = True
+            num, den = match.groups()
+            if den is None:
+                coeff = sgn * int(num)
+            elif int(den):
+                coeff = sgn * Fraction(int(num), int(den))
+            else:
+                issues.append(DocumentIssue(line_no, coeff_str, "zero denominator"))
                 continue
-            coeff = sgn * Fraction(num, den)
-        if not _NAME_RE.match(name):
-            issues.append(DocumentIssue(line_no, name, "bad generator name"))
-            bad = True
-            continue
         if name not in degrees:
-            issues.append(DocumentIssue(line_no, name, "unknown generator"))
-            bad = True
+            message = "unknown generator" if _NAME_RE.match(name) else "bad generator name"
+            issues.append(DocumentIssue(line_no, name, message))
             continue
         collected[name] = collected.get(name, 0) + coeff
-    if bad:
+    if len(issues) > start:
         return None
-    return tuple(
-        (exact(coeff), name) for name, coeff in collected.items() if coeff != 0
-    )
+    return tuple((exact(coeff), name) for name, coeff in collected.items() if coeff)
 
 
 def parse_document(text: str) -> AlgebraDocument:
@@ -323,15 +316,15 @@ def parse_document(text: str) -> AlgebraDocument:
             terms = _parse_element(value, line_no, degrees, issues)
             if terms is None:
                 continue
-            want = sum(degrees[n] for n in names) + shift
-            got = sorted({degrees[n] for _, n in terms})
-            if got and got != [want]:
+            want = sum([degrees[n] for n in names]) + shift
+            got = {degrees[n] for _, n in terms}
+            if got and got != {want}:
                 issues.append(
                     DocumentIssue(
                         line_no,
                         " ".join(names),
                         f"{kind} image must have degree {want}, found "
-                        + ", ".join(str(d) for d in got),
+                        + ", ".join(str(d) for d in sorted(got)),
                     )
                 )
                 continue

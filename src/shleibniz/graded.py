@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -50,22 +50,25 @@ class GradedBasis:
 
     names: tuple[str, ...]
     degrees: tuple[int, ...]
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.names) != len(self.degrees):
             raise MalformedInputError(
                 f"basis has {len(self.names)} names but {len(self.degrees)} degrees"
             )
-        if len(set(self.names)) != len(self.names):
+        positions = {name: k for k, name in enumerate(self.names)}
+        if len(positions) != len(self.names):
             raise MalformedInputError("basis names must be distinct")
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
         return len(self.names)
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise MalformedInputError(f"unknown basis name {name!r}") from None
 
     def degree(self, index: int) -> int:

@@ -25,14 +25,17 @@ solver (linalg.derivation_basis) all go through it.
 N_i denotes the left-nested bracket N_i(x_1, ..., x_i) =
 {...{{x_1, x_2}, x_3}..., x_i}, with N_1 the identity, and N_i D feeds D into
 the leftmost slot only: (N_i D)(x_1, ..., x_i) = N_i(D x_1, x_2, ..., x_i).
-``n_i_d`` is the one evaluator of this nested insertion.  It builds N_i D from
-the nonzero constants of D by the recurrence
+``_nested_levels`` is the one evaluator of this nested insertion.  It builds
+N_1 D, N_2 D, ... from the nonzero constants of D by the recurrence
 
     N_i D(x_1, ..., x_i) = {N_{i-1} D(x_1, ..., x_{i-1}), x_i},
 
-keeping only nonzero images; ``nary_bracket`` is the case D = id, and the
-derived brackets, the codifferential, the gauge coderivation and the key
-lemma all read their operations from it.
+keeping only nonzero images.  ``n_i_d`` keeps its level i, and
+``nary_bracket`` is the case D = id; the codifferential, route (b) of the
+derived brackets, the gauge coderivation and the key lemma read their
+operations from n_i_d.  ``nary_brackets`` keeps every level up to i of one
+run on the identity, and route (a) of the derived brackets reads each N_i
+from it.
 """
 
 from __future__ import annotations
@@ -51,10 +54,14 @@ class MultiOp:
     coefficient dict {letter: scalar} in canonical exact form, the format
     every kernel accumulates; absent tuples map to zero.  Every image is
     homogeneous of degree sum(input degrees) + degree, so the operation is
-    homogeneous as a map.  The constructor takes Element images and checks
-    all of this; operations the engine computes from valid ones are built
-    by op_from_terms, which does not.  Element is the vector type at the
-    edges: apply and apply_indices return one.
+    homogeneous as a map.  The constructor is the one validator: it takes
+    plain coefficient dicts, as a parsed document gives them, or Element
+    images, and checks all of this in one pass per image over its
+    coefficients and basis.degrees; a dict image's letters and scalars get
+    the checks and texts of Element's own constructor.  Operations the
+    engine computes from valid ones are built by op_from_terms, which checks
+    nothing.  Element is the vector type at the edges: apply and
+    apply_indices return one.
     """
 
     # the first four are set on construction, _positions on first use
@@ -65,29 +72,43 @@ class MultiOp:
         basis: GradedBasis,
         arity: int,
         degree: int,
-        constants: Mapping[tuple[int, ...], Element] | None = None,
+        constants: Mapping[tuple[int, ...], Element | Mapping[int, Scalar]] | None = None,
     ):
         if arity < 1:
             raise MalformedInputError(f"arity must be >= 1, got {arity}")
+        degrees = basis.degrees
+        dim = len(degrees)
         clean: dict[tuple[int, ...], dict[int, Scalar]] = {}
-        if constants:
-            for key, image in constants.items():
-                if len(key) != arity:
-                    raise MalformedInputError(f"constant key {key} does not have arity {arity}")
-                if any(not 0 <= i < len(basis) for i in key):
-                    raise MalformedInputError(f"constant key {key} has an index out of range")
+        for key, image in (constants or {}).items():
+            if len(key) != arity:
+                raise MalformedInputError(f"constant key {key} does not have arity {arity}")
+            if min(key) < 0 or max(key) >= dim:
+                raise MalformedInputError(f"constant key {key} has an index out of range")
+            if isinstance(image, Element):
                 if image.basis != basis:
                     raise MalformedInputError("constant image lives over a foreign basis")
-                if image.is_zero():
-                    continue
-                want = sum(basis.degree(i) for i in key) + degree
-                got = image.homogeneous_degree()
-                if got != want:
+                coeffs = image.coeffs
+            else:
+                # Element's own checks and texts, on a plain dict
+                coeffs = {}
+                for b, c in image.items():
+                    if not 0 <= b < dim:
+                        raise MalformedInputError(f"basis index {b} out of range")
+                    if type(c) is not int:
+                        c = exact(c, f"coefficient of {b!r}")
+                    if c:
+                        coeffs[b] = c
+            got = {degrees[b] for b in coeffs}
+            if len(got) > 1:
+                raise MalformedInputError(f"element is not homogeneous: degrees {sorted(got)}")
+            if got:
+                want = sum([degrees[i] for i in key]) + degree
+                if want not in got:
                     raise MalformedInputError(
-                        f"image of {key} has degree {got}, expected {want} "
+                        f"image of {key} has degree {got.pop()}, expected {want} "
                         f"(operation degree {degree})"
                     )
-                clean[key] = image.coeffs
+                clean[key] = coeffs
         for name, value in zip(self.__slots__, (basis, arity, degree, clean)):
             object.__setattr__(self, name, value)
 
@@ -292,34 +313,52 @@ def check_differential(op: MultiOp, bracket: MultiOp) -> Verdict:
 
 
 def nary_bracket(bracket: MultiOp, i: int) -> MultiOp:
-    """Left-nested N_i, the nested insertion of the identity; N_1 is the identity."""
+    """Left-nested N_i, the nested insertion of the identity; N_1 is the
+    identity.  nary_brackets gives N_1, ..., N_i at the cost of N_i alone."""
     return n_i_d(bracket, identity_op(bracket.basis), i)
+
+
+def nary_brackets(bracket: MultiOp, top: int) -> tuple[MultiOp, ...]:
+    """N_1, ..., N_top, every level of one run of the recurrence on the
+    identity; the i-th is nary_bracket(bracket, i)."""
+    levels = _nested_levels(bracket, identity_op(bracket.basis), top)
+    return tuple(op_from_terms(bracket.basis, i, 0, level) for i, level in enumerate(levels, 1))
 
 
 def n_i_d(bracket: MultiOp, op: MultiOp, i: int) -> MultiOp:
     """N_i with op in the leftmost slot: (x_1, ..., x_i) |-> N_i(op x_1, x_2, ..., x_i).
 
-    Built from op.constants by the recurrence
-    N_i D(x_1, ..., x_i) = {N_{i-1} D(x_1, ..., x_{i-1}), x_i}: each level
-    brackets the nonzero images of the previous one on the right with every
-    basis vector and keeps the nonzero results, so tuples whose leftmost
-    letter op kills are never visited.  The images are coefficient dicts
-    read against the bracket's constants {y, x}; the result is built once,
-    by op_from_terms.  No Koszul sign: op acts on the first tensor factor,
+    Level i of _nested_levels, the only one made an operation, by
+    op_from_terms.  No Koszul sign: op acts on the first tensor factor,
     jumping over nothing.
+    """
+    *_, last = _nested_levels(bracket, op, i)
+    return op_from_terms(bracket.basis, i, op.degree, last)
+
+
+def _nested_levels(
+    bracket: MultiOp, op: MultiOp, top: int
+) -> Iterator[dict[tuple[int, ...], dict[int, Scalar]]]:
+    """The constants of N_1 op, ..., N_top op, one level at a time, by the
+    recurrence N_i D(x_1, ..., x_i) = {N_{i-1} D(x_1, ..., x_{i-1}), x_i}.
+
+    Each level brackets the nonzero images of the previous one on the right
+    with every basis vector and keeps the nonzero results, so tuples whose
+    leftmost letter op kills are never visited.  The images are coefficient
+    dicts read against the bracket's constants {y, x}, keys ascending.
     """
     if op.arity != 1:
         raise MalformedInputError("n_i_d needs an arity-1 operation")
-    if i < 1:
+    if top < 1:
         raise MalformedInputError("nested bracket needs i >= 1")
     if bracket.arity != 2:
         raise MalformedInputError("bracket must have arity 2")
-    basis = bracket.basis
-    if op.basis != basis:
+    if op.basis != bracket.basis:
         raise MalformedInputError("operation and bracket live over different bases")
     by_left = _by_left(bracket)
     level = dict(sorted(op.constants.items()))
-    for _ in range(i - 1):
+    yield level
+    for _ in range(top - 1):
         longer: dict[tuple[int, ...], dict[int, Scalar]] = {}
         for key, coeffs in level.items():
             by_x: dict[int, dict[int, Scalar]] = {}
@@ -333,7 +372,7 @@ def n_i_d(bracket: MultiOp, op: MultiOp, i: int) -> MultiOp:
                 if value:
                     longer[key + (x,)] = value
         level = longer
-    return op_from_terms(basis, i, op.degree, level)
+        yield level
 
 
 def _composite_terms(

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from shleibniz import coalgebra, derived, graded
+from shleibniz import coalgebra, derived, graded, multiop
 from shleibniz import fixtures as shipped
 from shleibniz.coalgebra import (
     TensorElement,
@@ -47,6 +47,7 @@ from shleibniz.multiop import (
     check_leibniz_identity,
     check_skewsymmetry,
     compose_tables,
+    identity_op,
     n_i_d,
     nary_bracket,
 )
@@ -276,6 +277,33 @@ def test_route_a_applies_no_operation_and_no_layer_evaluator(generated, monkeypa
     monkeypatch.setattr(MultiOp, "apply", refuse)
     for (n, i), want in expected.items():
         assert derived_bracket_tensor(fam.bracket, deltas[n], i) == want, (n, i)
+
+
+def test_sh_structure_runs_the_identity_recurrence_once_per_family(
+    docs, family_names, generated, monkeypatch
+):
+    # route (a) reads every N_i off one run of the recurrence on the
+    # identity, up to arity order + 1; route (b) runs it on each delta
+    real, runs = multiop._nested_levels, []
+
+    def counted(bracket, op, top):
+        identity = op.degree == 0 and op.constants == identity_op(op.basis).constants
+        runs.append((identity, top))
+        return real(bracket, op, top)
+
+    fams = [docs[name].to_family() for name in family_names]
+    fams += [doc.to_family() for doc in generated.values()]
+    assert len(fams) > 4
+    for fam in fams:
+        expected = [derived_bracket_tensor(fam.bracket, d, i) for i, d in enumerate(fam.deltas, 1)]
+        with monkeypatch.context() as patched:
+            patched.setattr(multiop, "_nested_levels", counted)
+            runs.clear()
+            structure = build_sh_structure(fam)
+        top = fam.order + 1
+        assert [t for identity, t in runs if identity] == [top]
+        assert [t for identity, t in runs if not identity] == list(range(1, top + 1))
+        assert list(structure.ops) == expected
 
 
 def test_binary_derived_bracket_is_leibniz(docs, family_names):

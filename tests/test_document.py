@@ -10,6 +10,7 @@ import pytest
 from shleibniz import fixtures as shipped
 from shleibniz.document import AlgebraDocument, parse_document, serialize_document
 from shleibniz.errors import DocumentError
+from shleibniz.graded import Element, GradedBasis, SparseVector
 
 
 def issues_of(text: str):
@@ -352,3 +353,31 @@ def test_converters_return_the_objects_built_at_parse():
         doc = shipped.load_fixture(name)
         for convert in (doc.to_basis, doc.to_bracket, doc.to_family, doc.to_gauge):
             assert convert() is convert(), (name, convert.__name__)
+
+
+def test_parsing_builds_no_vector(docs, generated, monkeypatch):
+    # a parsed image goes to the operation's validator as a plain coefficient
+    # dict: no sparse vector is built on the way, by either constructor
+    texts = {name: shipped.fixture_text(name) for name in docs}
+    texts.update({name: serialize_document(doc) for name, doc in generated.items()})
+    assert len(texts) == 8
+    real_init, real_trusted = SparseVector.__init__, SparseVector._trusted.__func__
+    built = []
+
+    def counted_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        real_init(self, *args, **kwargs)
+
+    def counted_trusted(cls, basis, coeffs):
+        built.append(cls.__name__)
+        return real_trusted(cls, basis, coeffs)
+
+    monkeypatch.setattr(SparseVector, "__init__", counted_init)
+    monkeypatch.setattr(SparseVector, "_trusted", classmethod(counted_trusted))
+    for name, text in texts.items():
+        parse_document(text)
+        assert built == [], (name, built)
+    # the counters see the vectors that are built
+    GradedBasis(("x",), (0,)).vector("x")
+    Element._trusted(GradedBasis(("x",), (0,)), {0: 1})
+    assert built == ["Element", "Element"]

@@ -1,7 +1,7 @@
 """The package exports its public API only; every name a package module
 imports is used in that module; every definition in the package has a caller
-outside the tests; no package module asserts; and every hook the benchmark
-takes into the package resolves."""
+outside the tests; no package module asserts or compiles a regular expression
+at call time; and every hook the benchmark takes into the package resolves."""
 
 from __future__ import annotations
 
@@ -120,6 +120,47 @@ def test_no_package_module_holds_an_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def regex_calls_at_call_time(tree: ast.Module) -> list[int]:
+    """Lines that reach the re module other than through a module-level
+    re.compile: a call such as re.split(pattern, text) looks its pattern up
+    in re's cache, or compiles it, on every call."""
+    at_module_level = {
+        id(node.value)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "re":
+            found.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "re"
+            and not (node.func.attr == "compile" and id(node) in at_module_level)
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_every_regular_expression_is_compiled_at_module_level():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in modules
+        for line in regex_calls_at_call_time(ast.parse(path.read_text("utf-8")))
+    ]
+    assert found == []
+    # the guard sees a pattern literal used at call time, and a compile
+    # inside a function
+    late = (
+        "import re\nP = re.compile('a')\n"
+        "def f(s):\n    return re.split(r'(?=[+-])', s), re.compile('b')\n"
+    )
+    assert regex_calls_at_call_time(ast.parse(late)) == [4, 4]
 
 
 def referenced_names(tree: ast.Module) -> set[str]:

@@ -109,6 +109,97 @@ def test_op_from_terms_drops_zeros_and_sorts_keys():
     assert computed == given and computed.constants == {(0,): {0: Fraction(1, 2), 1: 2}}
 
 
+def refusal(build) -> str | None:
+    """The text of the MalformedInputError that build raises, None if none."""
+    try:
+        build()
+    except MalformedInputError as exc:
+        return str(exc)
+    return None
+
+
+def test_dict_and_element_images_build_the_same_operation(docs, generated):
+    # the validated constructor takes a parsed document's plain coefficient
+    # dicts and Element images alike: the same operation, checked the same way
+    ops = []
+    for doc in [*docs.values(), *generated.values()]:
+        fam, gauge = doc.to_family(), doc.to_gauge()
+        ops += [doc.to_bracket(), *(fam.deltas if fam else ()), *(gauge.xis if gauge else ())]
+    rng = random.Random(7)
+    basis = GradedBasis(("a", "b", "c", "d"), (0, 1, 1, 2))
+    by_degree = collections.defaultdict(list)
+    for letter, degree in enumerate(basis.degrees):
+        by_degree[degree].append(letter)
+    for _ in range(60):
+        arity, degree = rng.randint(1, 3), rng.randint(-1, 1)
+        table = {}
+        for key in itertools.product(range(len(basis)), repeat=arity):
+            letters = by_degree[sum(basis.degrees[x] for x in key) + degree]
+            if letters and rng.random() < 0.5:
+                table[key] = {
+                    b: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+                    for b in rng.sample(letters, rng.randint(1, len(letters)))
+                }
+        ops.append(op_from_terms(basis, arity, degree, table))
+        raw = {key: {b: Fraction(c) for b, c in image.items()} for key, image in table.items()}
+        assert MultiOp(basis, arity, degree, raw) == ops[-1]
+    assert len(ops) > 80 and sum(op.is_zero() for op in ops) < 10
+    for op in ops:
+        dicts = {key: dict(image) for key, image in op.constants.items()}
+        elements = {key: Element(op.basis, image) for key, image in op.constants.items()}
+        from_dicts = MultiOp(op.basis, op.arity, op.degree, dicts)
+        assert from_dicts == MultiOp(op.basis, op.arity, op.degree, elements) == op
+        scalars = [c for image in from_dicts.constants.values() for c in image.values()]
+        assert all(type(c) is int or c.denominator > 1 for c in scalars), scalars
+
+
+def test_dict_and_element_images_are_refused_with_the_same_text():
+    basis = GradedBasis(("x", "y", "z"), (0, 1, 1))
+    # (key, image, arity, degree) per refusal; an Element image of a bad
+    # letter or scalar is refused as the Element is built
+    cases = {
+        "key index out of range": ((0, 3), {1: 1}, 2, 1),
+        "image index out of range": ((0,), {3: 1}, 1, 1),
+        "wrong key length": ((0,), {1: 1}, 2, 1),
+        "inhomogeneous image": ((0,), {0: 1, 1: 2}, 1, 0),
+        "wrong degree": ((1,), {2: Fraction(1, 2)}, 1, 1),
+        "float scalar": ((0,), {1: 1.5}, 1, 1),
+        "bool scalar": ((0,), {1: True}, 1, 1),
+    }
+    texts = {}
+    for label, (key, image, arity, degree) in cases.items():
+        text = refusal(lambda: MultiOp(basis, arity, degree, {key: image}))
+        as_element = refusal(lambda: MultiOp(basis, arity, degree, {key: Element(basis, image)}))
+        assert text is not None and text == as_element, (label, text, as_element)
+        texts[label] = text
+    assert texts == {
+        "key index out of range": "constant key (0, 3) has an index out of range",
+        "image index out of range": "basis index 3 out of range",
+        "wrong key length": "constant key (0,) does not have arity 2",
+        "inhomogeneous image": "element is not homogeneous: degrees [0, 1]",
+        "wrong degree": "image of (1,) has degree 1, expected 2 (operation degree 1)",
+        "float scalar": "coefficient of 1 is a float, not an int or a Fraction",
+        "bool scalar": "coefficient of 1 is a bool, not an int or a Fraction",
+    }
+    # random images with one fault each: both paths refuse with one text
+    rng = random.Random(11)
+    refused = 0
+    for _ in range(200):
+        arity = rng.randint(1, 2)
+        key = tuple(rng.randint(-1, 3) for _ in range(rng.randint(1, 3)))
+        image = {rng.randint(-1, 3): rng.choice((1, -2, Fraction(1, 3), 0.5, 0))}
+        degree = rng.randint(-1, 2)
+        text = refusal(lambda: MultiOp(basis, arity, degree, {key: image}))
+        as_element = refusal(lambda: MultiOp(basis, arity, degree, {key: Element(basis, image)}))
+        key_ok = len(key) == arity and min(key) >= 0 and max(key) < 3
+        ((letter, c),) = image.items()
+        if key_ok or (0 <= letter < 3 and type(c) is not float):
+            # a fault in the key or in the image, not in both
+            assert text == as_element, (key, image, arity, degree)
+            refused += text is not None
+    assert refused > 50
+
+
 def test_apply_is_multilinear():
     doc = shipped.load_fixture("endo2")
     bracket = doc.to_bracket()

@@ -260,7 +260,8 @@ def test_key_lemma_first_violation_keeps_one_witness(monkeypatch):
 def test_key_lemma_decides_one_combination_per_mirror_pair(monkeypatch):
     # endo2's pool: delta_0 odd, xi_1 and xi_2 even; 36 combinations at
     # arities up to 2 make 15 mirror pairs, 6 self-mirrored diagonals and,
-    # of those, 4 even diagonals that vanish identically
+    # of those, 4 even diagonals that vanish identically; of the 17 left,
+    # the 4 at arities (1, 1) vanish identically too
     real, calls = derived._key_lemma_residuals, []
 
     def counted(*args, **kwargs):
@@ -274,7 +275,8 @@ def test_key_lemma_decides_one_combination_per_mirror_pair(monkeypatch):
     text = shipped.fixture_text("endo2")
     report = run_command("check-key-lemma", text, RunOptions(max_arity=2))
     assert report.passed
-    assert len(calls) == 17 and len(set(calls)) == 17
+    assert len(calls) == 13 and len(set(calls)) == 13
+    assert all(site[2:] != (1, 1) for site in calls)
 
 
 def test_gauge_first_violation_keeps_the_verdict_of_every_row():
