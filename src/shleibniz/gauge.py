@@ -102,6 +102,7 @@ from .graded import Element, GradedBasis, Scalar
 from .multiop import (
     DgLeibnizAlgebra,
     MultiOp,
+    _by_left,
     _residuals,
     check_derivation,
     check_skewsymmetry,
@@ -186,14 +187,25 @@ def check_deformation(fam: DeformationFamily) -> list[Violation]:
 
 
 def adjoint_op(bracket: MultiOp, elt: Element, degree: int) -> MultiOp:
-    """{elt, -} as an arity-1 operation; degree must match elt when nonzero."""
+    """{elt, -} as an arity-1 operation; degree must match elt when nonzero.
+
+    Read off the constants: elt's coefficients contracted with the bracket's
+    left multiplications, as _by_left gives them."""
     got = elt.homogeneous_degree()
     if got is not None and got != degree:
         raise MalformedInputError(f"element has degree {got}, expected {degree}")
-    basis = bracket.basis
-    return MultiOp.from_function(
-        basis, 1, degree, lambda key: bracket.apply([elt, basis.vector(key[0])])
-    )
+    if bracket.arity != 2 or bracket.degree != 0:
+        raise MalformedInputError("bracket must have arity 2 and degree 0")
+    if elt.basis != bracket.basis:
+        raise MalformedInputError("argument lives over a foreign basis")
+    by_left = _by_left(bracket)
+    acc: dict[Word, dict[int, Scalar]] = {}
+    for x, c in elt.coeffs.items():
+        for y, image in by_left.get(x, ()):
+            out = acc.setdefault((y,), {})
+            for z, cz in image.items():
+                out[z] = out.get(z, 0) + c * cz
+    return op_from_terms(bracket.basis, 1, degree, acc)
 
 
 def mc_to_deformation(algebra: DgLeibnizAlgebra, mc: McElement) -> DeformationFamily:
@@ -204,29 +216,32 @@ def mc_to_deformation(algebra: DgLeibnizAlgebra, mc: McElement) -> DeformationFa
     order.  A truncated element has theta_n = 0 beyond its last component,
     so the quadratic terms still contribute up to twice the truncation order
     and the equation is vacuous after that; the first failing order raises
-    MCRejectionError.
+    MCRejectionError.  Each order's residual is summed as one coefficient
+    dict, read off the constants of delta_0 and of the adjoints {theta_p, -},
+    which are the deltas.
     """
     bracket = algebra.bracket
     if not check_skewsymmetry(bracket).passed:
         raise PreconditionError("bracket is not graded skewsymmetric (need a dg Lie algebra)")
     half = Fraction(1, 2)
-    for n in range(1, 2 * mc.order + 1):
-        theta_n = mc.theta(n)
-        residual = (
-            algebra.differential.apply([theta_n])
-            if theta_n is not None
-            else Element(algebra.basis, {})
-        )
-        for p in range(1, n):
-            left, right = mc.theta(p), mc.theta(n - p)
-            if left is None or right is None:
-                continue
-            residual = residual + bracket.apply([left, right]).scale(half)
-        if not residual.is_zero():
-            raise MCRejectionError(n, residual)
     deltas = [algebra.differential]
-    deltas += [adjoint_op(bracket, theta, 1) for theta in mc.thetas]
+    for n in range(1, 2 * mc.order + 1):
+        residual: dict[int, Scalar] = {}
+        if n <= mc.order:
+            deltas.append(adjoint_op(bracket, mc.theta(n), 1))
+            _apply_into(residual, algebra.differential, mc.theta(n), 1)
+        for p in range(max(1, n - mc.order), min(n, mc.order + 1)):
+            _apply_into(residual, deltas[p], mc.theta(n - p), half)
+        if any(residual.values()):
+            raise MCRejectionError(n, Element._trusted(algebra.basis, residual))
     return DeformationFamily(bracket, tuple(deltas))
+
+
+def _apply_into(acc: dict[int, Scalar], op: MultiOp, elt: Element, scale: Scalar) -> None:
+    """Add scale * op(elt) into acc, for an arity-1 op over elt's basis."""
+    for x, c in elt.coeffs.items():
+        for z, cz in op.constants.get((x,), {}).items():
+            acc[z] = acc.get(z, 0) + scale * c * cz
 
 
 def gauge_transform(fam: DeformationFamily, gauge: GaugeFamily) -> DeformationFamily:

@@ -26,9 +26,9 @@ constant's letters by those rows, from which every composite and every lift
 is scattered (a composite term with a single placing reads its row straight
 off the same table, ``_placement_table``); and ``SparseVector``, the one
 sparse exact arithmetic behind ``Element`` and the coalgebra's tensor
-elements.  ``Element`` is the vector type at the edges (parsed images,
-evaluated values, witnesses); an operation stores its images as plain
-coefficient dicts in the canonical form of ``exact``.
+elements.  ``Element`` is the vector type at the edges (witnesses, and the
+components and residuals of a Maurer-Cartan element); an operation stores
+its images as plain coefficient dicts in the canonical form of ``exact``.
 """
 
 from __future__ import annotations
@@ -73,14 +73,6 @@ class GradedBasis:
 
     def degree(self, index: int) -> int:
         return self.degrees[index]
-
-    def vector(self, key: int | str) -> "Element":
-        index = self.index(key) if isinstance(key, str) else key
-        return Element(self, {index: 1})
-
-    def index_tuples(self, length: int) -> Iterator[tuple[int, ...]]:
-        """All tuples of basis indices of the given length, lexicographic."""
-        return itertools.product(range(len(self)), repeat=length)
 
 
 class Shift(Enum):

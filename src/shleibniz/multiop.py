@@ -40,7 +40,7 @@ from it.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .errors import MalformedInputError, PreconditionError
 from .graded import Element, GradedBasis, Scalar, UnshuffleRow, _placement_table, exact, placements
@@ -52,16 +52,14 @@ class MultiOp:
 
     constants maps index tuples (length == arity) to images, each a nonzero
     coefficient dict {letter: scalar} in canonical exact form, the format
-    every kernel accumulates; absent tuples map to zero.  Every image is
-    homogeneous of degree sum(input degrees) + degree, so the operation is
-    homogeneous as a map.  The constructor is the one validator: it takes
-    plain coefficient dicts, as a parsed document gives them, or Element
-    images, and checks all of this in one pass per image over its
-    coefficients and basis.degrees; a dict image's letters and scalars get
-    the checks and texts of Element's own constructor.  Operations the
-    engine computes from valid ones are built by op_from_terms, which checks
-    nothing.  Element is the vector type at the edges: apply and
-    apply_indices return one.
+    every kernel accumulates and every check reads; absent tuples map to
+    zero.  Every image is homogeneous of degree sum(input degrees) + degree,
+    so the operation is homogeneous as a map.  The constructor is the one
+    validator: it takes plain coefficient dicts, as a parsed document gives
+    them, and checks all of this in one pass per image over its coefficients
+    and basis.degrees, with the checks and texts of Element's own
+    constructor for the letters and scalars.  Operations the engine computes
+    from valid ones are built by op_from_terms, which checks nothing.
     """
 
     # the first four are set on construction, _positions on first use
@@ -72,7 +70,7 @@ class MultiOp:
         basis: GradedBasis,
         arity: int,
         degree: int,
-        constants: Mapping[tuple[int, ...], Element | Mapping[int, Scalar]] | None = None,
+        constants: Mapping[tuple[int, ...], dict[int, Scalar]] | None = None,
     ):
         if arity < 1:
             raise MalformedInputError(f"arity must be >= 1, got {arity}")
@@ -84,20 +82,16 @@ class MultiOp:
                 raise MalformedInputError(f"constant key {key} does not have arity {arity}")
             if min(key) < 0 or max(key) >= dim:
                 raise MalformedInputError(f"constant key {key} has an index out of range")
-            if isinstance(image, Element):
-                if image.basis != basis:
-                    raise MalformedInputError("constant image lives over a foreign basis")
-                coeffs = image.coeffs
-            else:
-                # Element's own checks and texts, on a plain dict
-                coeffs = {}
-                for b, c in image.items():
-                    if not 0 <= b < dim:
-                        raise MalformedInputError(f"basis index {b} out of range")
-                    if type(c) is not int:
-                        c = exact(c, f"coefficient of {b!r}")
-                    if c:
-                        coeffs[b] = c
+            if not isinstance(image, dict):
+                raise MalformedInputError(f"image of {key} is not a coefficient dict")
+            coeffs = {}
+            for b, c in image.items():
+                if not 0 <= b < dim:
+                    raise MalformedInputError(f"basis index {b} out of range")
+                if type(c) is not int:
+                    c = exact(c, f"coefficient of {b!r}")
+                if c:
+                    coeffs[b] = c
             got = {degrees[b] for b in coeffs}
             if len(got) > 1:
                 raise MalformedInputError(f"element is not homogeneous: degrees {sorted(got)}")
@@ -119,51 +113,8 @@ class MultiOp:
     def zero(basis: GradedBasis, arity: int, degree: int) -> "MultiOp":
         return MultiOp(basis, arity, degree, None)
 
-    @staticmethod
-    def from_function(
-        basis: GradedBasis,
-        arity: int,
-        degree: int,
-        fn: Callable[[tuple[int, ...]], Element],
-    ) -> "MultiOp":
-        """Tabulate fn on every basis tuple; fn may return zero elements."""
-        constants = {key: fn(key) for key in basis.index_tuples(arity)}
-        return MultiOp(basis, arity, degree, constants)
-
     def is_zero(self) -> bool:
         return not self.constants
-
-    def apply(self, args: Sequence[Element]) -> Element:
-        """Multilinear evaluation, no signs."""
-        if len(args) != self.arity:
-            raise MalformedInputError(f"expected {self.arity} arguments, got {len(args)}")
-        for a in args:
-            if a.basis != self.basis:
-                raise MalformedInputError("argument lives over a foreign basis")
-        acc: dict[int, Scalar] = {}
-        self._accumulate(args, 0, (), 1, acc)
-        return Element._trusted(self.basis, acc)
-
-    def _accumulate(
-        self,
-        args: Sequence[Element],
-        pos: int,
-        key: tuple[int, ...],
-        coeff: Scalar,
-        acc: dict[int, Scalar],
-    ) -> None:
-        if pos == self.arity:
-            image = self.constants.get(key)
-            if image is not None:
-                for i, c in image.items():
-                    acc[i] = acc.get(i, 0) + coeff * c
-            return
-        for i, c in args[pos].coeffs.items():
-            self._accumulate(args, pos + 1, key + (i,), coeff * c, acc)
-
-    def apply_indices(self, key: tuple[int, ...]) -> Element:
-        """Evaluation on a basis tuple, the common fast path."""
-        return Element._trusted(self.basis, self.constants.get(key, {}))
 
     def letter_positions(self) -> dict[int, list[tuple]]:
         """Per letter z, every (key, p, key[:p], parities of key[:p],
@@ -253,11 +204,12 @@ def _residuals(
     basis: GradedBasis,
     acc: Mapping[tuple[int, ...], Mapping[int, Scalar]],
     prefix: tuple = (),
+    suffix: tuple = (),
 ) -> list[Violation]:
     """The nonzero accumulated residuals as violations, keys in lexicographic
-    order, each site the prefix followed by the key's names."""
+    order, each site the prefix, the key's names and the suffix."""
     return [
-        Violation(check, prefix + _names(basis, key), Element._trusted(basis, residual))
+        Violation(check, prefix + _names(basis, key) + suffix, Element._trusted(basis, residual))
         for key, residual in _images(acc).items()
     ]
 
@@ -497,24 +449,30 @@ def op_from_terms(
 
 
 def check_skewsymmetry(op: MultiOp) -> Verdict:
-    """Graded skewsymmetry under adjacent transpositions, on every basis tuple.
+    """Graded skewsymmetry under adjacent transpositions, read off the constants.
 
-    For each tuple and each adjacent pair (p, p+1), the residual is
+    For a basis tuple and an adjacent pair (p, p+1), the residual is
     op(..., x_{p+1}, x_p, ...) + (-1)^(|x_p||x_{p+1}|) op(..., x_p, x_{p+1}, ...);
     all of them vanish exactly when op is graded skewsymmetric, since adjacent
-    transpositions generate the symmetric group.
+    transpositions generate the symmetric group.  A residual can be nonzero
+    only when the tuple or its swap is a key of the constants, so only those
+    (tuple, p) are tested, sorted: the violations come out in lexicographic
+    tuple order, then by p.
     """
-    basis = op.basis
+    basis, constants = op.basis, op.constants
+    parity = [d % 2 for d in basis.degrees]
+
+    def swap(key: tuple[int, ...], p: int) -> tuple[int, ...]:
+        return key[:p] + (key[p + 1], key[p]) + key[p + 2 :]
+
+    sites = {(k, p) for key in constants for p in range(op.arity - 1) for k in (key, swap(key, p))}
     violations: list[Violation] = []
-    for key in basis.index_tuples(op.arity):
-        for p in range(op.arity - 1):
-            swapped = key[:p] + (key[p + 1], key[p]) + key[p + 2 :]
-            sign = -1 if (basis.degree(key[p]) * basis.degree(key[p + 1])) % 2 else 1
-            residual = op.apply_indices(swapped) + op.apply_indices(key).scale(sign)
-            if not residual.is_zero():
-                violations.append(
-                    Violation("skewsymmetry", _names(basis, key) + (f"swap@{p + 1}",), residual)
-                )
+    for key, p in sorted(sites):
+        residual = dict(constants.get(swap(key, p), {}))
+        sign = -1 if parity[key[p]] and parity[key[p + 1]] else 1
+        for b, c in constants.get(key, {}).items():
+            residual[b] = residual.get(b, 0) + sign * c
+        violations += _residuals("skewsymmetry", basis, {key: residual}, (), (f"swap@{p + 1}",))
     return Verdict.from_violations(violations)
 
 

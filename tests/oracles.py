@@ -1,11 +1,14 @@
 """Oracles and fixture helpers shared by the test modules.
 
-None of this is reached by a command: the suspension as explicit tensor
-layers, the lift of an operation split by summand, the parity-pattern
-certificates proved one pattern at a time, the restriction of an operation
-to a sub-basis, the key lemma decided one combination at a time, and the
-designated perturbations, Maurer-Cartan candidates and abelian subalgebra
-of the shipped corpus.
+None of this is reached by a command: the dense evaluation path (basis
+vectors, every basis tuple, an operation applied to elements, tabulation,
+skewsymmetry walked tuple by tuple and the Maurer-Cartan equation summed
+in Element arithmetic), the suspension as explicit tensor layers, the lift
+of an operation split by summand, the parity-pattern certificates proved
+one pattern at a time, the restriction of an operation to a sub-basis, the
+key lemma decided one combination at a time, and the designated
+perturbations, Maurer-Cartan candidates and abelian subalgebra of the
+shipped corpus.
 
 Every fixture that carries a deformation family also carries a designated
 single-constant perturbation, chosen so that adding that one constant to
@@ -21,9 +24,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from shleibniz import coalgebra, graded
 from shleibniz import fixtures as shipped
@@ -39,11 +43,129 @@ from shleibniz.coalgebra import (
 )
 from shleibniz.derived import DeformationFamily
 from shleibniz.document import AlgebraDocument, serialize_document
-from shleibniz.errors import MalformedInputError
+from shleibniz.errors import MalformedInputError, MCRejectionError, PreconditionError
 from shleibniz.gauge import McElement
 from shleibniz.graded import Element, GradedBasis, Scalar, Shift, layer_sign, shifted_degrees
-from shleibniz.multiop import MultiOp, n_i_d
-from shleibniz.results import Violation
+from shleibniz.multiop import DgLeibnizAlgebra, MultiOp, n_i_d
+from shleibniz.results import Verdict, Violation
+
+# --- the dense evaluation path: one basis tuple, one element at a time ---
+
+# what MultiOp and GradedBasis no longer carry: no engine check can walk
+# every basis tuple or evaluate an operation on elements through them
+DENSE_API = (
+    (GradedBasis, "index_tuples"),
+    (GradedBasis, "vector"),
+    (MultiOp, "apply"),
+    (MultiOp, "_accumulate"),
+    (MultiOp, "apply_indices"),
+    (MultiOp, "from_function"),
+)
+
+
+def assert_no_dense_api() -> None:
+    present = [f"{cls.__name__}.{name}" for cls, name in DENSE_API if hasattr(cls, name)]
+    assert present == [], present
+
+
+def vector(basis: GradedBasis, key: int | str) -> Element:
+    """The basis vector of a letter, by index or by name."""
+    return Element(basis, {basis.index(key) if isinstance(key, str) else key: 1})
+
+
+def index_tuples(basis: GradedBasis, length: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of basis indices of the given length, lexicographic."""
+    return itertools.product(range(len(basis)), repeat=length)
+
+
+def apply_indices(op: MultiOp, key: tuple[int, ...]) -> Element:
+    """op on one basis tuple."""
+    return Element._trusted(op.basis, op.constants.get(key, {}))
+
+
+def apply(op: MultiOp, args: Sequence[Element]) -> Element:
+    """Multilinear evaluation, no signs: op on every tuple of letters, one
+    from each argument, times the product of their coefficients."""
+    if len(args) != op.arity:
+        raise MalformedInputError(f"expected {op.arity} arguments, got {len(args)}")
+    for a in args:
+        if a.basis != op.basis:
+            raise MalformedInputError("argument lives over a foreign basis")
+    acc: dict[int, Scalar] = {}
+    for terms in itertools.product(*(a.coeffs.items() for a in args)):
+        coeff = math.prod(c for _, c in terms)
+        for z, cz in op.constants.get(tuple(b for b, _ in terms), {}).items():
+            acc[z] = acc.get(z, 0) + coeff * cz
+    return Element._trusted(op.basis, acc)
+
+
+def tabulate(
+    basis: GradedBasis, arity: int, degree: int, fn: Callable[[tuple[int, ...]], Element]
+) -> MultiOp:
+    """The operation with image fn(key) on every basis tuple; fn may return
+    zero elements, and must return them over basis."""
+    constants = {}
+    for key in index_tuples(basis, arity):
+        image = fn(key)
+        if image.basis != basis:
+            raise MalformedInputError("constant image lives over a foreign basis")
+        constants[key] = dict(image.coeffs)
+    return MultiOp(basis, arity, degree, constants)
+
+
+def skewsymmetry_walk(op: MultiOp) -> Verdict:
+    """check_skewsymmetry as first written: the residual
+    op(..., x_{p+1}, x_p, ...) + (-1)^(|x_p||x_{p+1}|) op(..., x_p, x_{p+1}, ...)
+    on every one of the dim^arity basis tuples and every adjacent pair."""
+    basis = op.basis
+    violations: list[Violation] = []
+    for key in index_tuples(basis, op.arity):
+        for p in range(op.arity - 1):
+            swapped = key[:p] + (key[p + 1], key[p]) + key[p + 2 :]
+            sign = -1 if (basis.degree(key[p]) * basis.degree(key[p + 1])) % 2 else 1
+            residual = apply_indices(op, swapped) + apply_indices(op, key).scale(sign)
+            if not residual.is_zero():
+                names = tuple(basis.names[i] for i in key)
+                violations.append(Violation("skewsymmetry", names + (f"swap@{p + 1}",), residual))
+    return Verdict.from_violations(violations)
+
+
+def adjoint_direct(bracket: MultiOp, elt: Element, degree: int) -> MultiOp:
+    """{elt, -} tabulated on every letter through apply."""
+    got = elt.homogeneous_degree()
+    if got is not None and got != degree:
+        raise MalformedInputError(f"element has degree {got}, expected {degree}")
+    basis = bracket.basis
+    return tabulate(basis, 1, degree, lambda key: apply(bracket, [elt, vector(basis, key[0])]))
+
+
+def mc_direct(algebra: DgLeibnizAlgebra, mc: McElement) -> DeformationFamily:
+    """mc_to_deformation as first written: skewsymmetry walked tuple by
+    tuple, the residual delta_0 theta_n + (1/2) sum_{p+q=n} {theta_p, theta_q}
+    summed in Element arithmetic through apply, and each {theta_n, -}
+    tabulated on every letter."""
+    bracket = algebra.bracket
+    if not skewsymmetry_walk(bracket).passed:
+        raise PreconditionError("bracket is not graded skewsymmetric (need a dg Lie algebra)")
+    half = Fraction(1, 2)
+    for n in range(1, 2 * mc.order + 1):
+        theta_n = mc.theta(n)
+        residual = (
+            apply(algebra.differential, [theta_n])
+            if theta_n is not None
+            else Element(algebra.basis, {})
+        )
+        for p in range(1, n):
+            left, right = mc.theta(p), mc.theta(n - p)
+            if left is None or right is None:
+                continue
+            residual = residual + apply(bracket, [left, right]).scale(half)
+        if not residual.is_zero():
+            raise MCRejectionError(n, residual)
+    deltas = [algebra.differential]
+    deltas += [adjoint_direct(bracket, theta, 1) for theta in mc.thetas]
+    return DeformationFamily(bracket, tuple(deltas))
+
 
 # --- the suspension as tensor layers ---
 
@@ -153,9 +275,9 @@ def coderivation_certified(pattern: tuple[int, ...], arities: tuple[int, ...], p
     names = _position_names(n) + tuple("f" + ".".join(map(str, key)) for key in keys)
     degrees = pattern + tuple(parity + sum(pattern[j] for j in key) for key in keys)
     basis = GradedBasis(names, degrees)
-    constants: dict[int, dict[Word, Element]] = {a: {} for a in arities}
+    constants: dict[int, dict[Word, dict[int, Scalar]]] = {a: {} for a in arities}
     for letter, key in enumerate(keys, start=n):
-        constants[len(key)][key] = basis.vector(letter)
+        constants[len(key)][key] = {letter: 1}
     spec = CoderivationSpec(
         basis, parity, {a: MultiOp(basis, a, parity, c) for a, c in constants.items()}
     )
@@ -194,12 +316,10 @@ def corestriction(te: TensorElement) -> Element:
 
 def restrict(op: MultiOp, indices: Sequence[int]) -> MultiOp:
     """op with only the constants whose keys lie in the sub-basis.  A check
-    on every tuple, such as check_skewsymmetry, then sees op on the
+    read off the constants, such as check_skewsymmetry, then sees op on the
     sub-basis tuples and zero on every other tuple."""
     pool = set(indices)
-    kept = {
-        key: Element(op.basis, image) for key, image in op.constants.items() if pool.issuperset(key)
-    }
+    kept = {key: dict(image) for key, image in op.constants.items() if pool.issuperset(key)}
     return MultiOp(op.basis, op.arity, op.degree, kept)
 
 
@@ -222,7 +342,7 @@ def key_lemma_direct(
         lhs = n_i_d(bracket, coalgebra.hom_bracket(d1, d2), i + j - 1)
         rhs = coalgebra.hom_bracket(n_i_d(bracket, d1, i), n_i_d(bracket, d2, j))
         for key in sorted(lhs.constants.keys() | rhs.constants.keys()):
-            residual = lhs.apply_indices(key) - rhs.apply_indices(key)
+            residual = apply_indices(lhs, key) - apply_indices(rhs, key)
             if not residual.is_zero():
                 names = tuple(bracket.basis.names[b] for b in key)
                 found.append(Violation("key-lemma", (name1, name2, i, j) + names, residual))
@@ -298,7 +418,7 @@ def with_constants(fam: DeformationFamily, tweaks: Sequence[Perturbation]) -> De
     basis = fam.basis
     deltas = list(fam.extended(max([fam.order] + [t.order for t in tweaks])).deltas)
     for tweak in tweaks:
-        image = Element(basis, {basis.index(tweak.target): tweak.amount})
+        image = {basis.index(tweak.target): tweak.amount}
         bump = MultiOp(basis, 1, 1, {(basis.index(tweak.source),): image})
         deltas[tweak.order] = deltas[tweak.order] + bump
     return DeformationFamily(fam.bracket, tuple(deltas))

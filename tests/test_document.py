@@ -378,6 +378,6 @@ def test_parsing_builds_no_vector(docs, generated, monkeypatch):
         parse_document(text)
         assert built == [], (name, built)
     # the counters see the vectors that are built
-    GradedBasis(("x",), (0,)).vector("x")
+    Element(GradedBasis(("x",), (0,)), {0: 1})
     Element._trusted(GradedBasis(("x",), (0,)), {0: 1})
     assert built == ["Element", "Element"]

@@ -53,11 +53,17 @@ from shleibniz.multiop import DgLeibnizAlgebra, MultiOp, compose_tables, identit
 from shleibniz.results import Violation
 from oracles import (
     Perturbation,
+    apply,
+    apply_indices,
+    assert_no_dense_api,
     corestriction,
     every_pattern,
+    index_tuples,
+    mc_direct,
     mc_element,
     perturbation,
     perturbed_family,
+    vector,
     with_constants,
 )
 
@@ -85,7 +91,7 @@ def test_check_deformation_flags_non_derivation():
     basis = fam.basis
     from shleibniz.derived import DeformationFamily
 
-    bump = MultiOp(basis, 1, 1, {(basis.index("g1"),): basis.vector("w")})
+    bump = MultiOp(basis, 1, 1, {(basis.index("g1"),): {basis.index("w"): 1}})
     bad = DeformationFamily(fam.bracket, (fam.delta(0) + bump,) + fam.deltas[1:])
     checks = {v.check for v in check_deformation(bad)}
     assert "deformation-derivation" in checks
@@ -95,10 +101,10 @@ def test_gauge_family_validation():
     doc = shipped.load_fixture("endo2")
     bracket = doc.to_bracket()
     basis = bracket.basis
-    not_der = MultiOp(basis, 1, 0, {(basis.index("E00"),): basis.vector("E11")})
+    not_der = MultiOp(basis, 1, 0, {(basis.index("E00"),): {basis.index("E11"): 1}})
     with pytest.raises(PreconditionError):
         GaugeFamily(bracket, (not_der,))
-    wrong_degree = MultiOp(basis, 1, 1, {(basis.index("E00"),): basis.vector("E10")})
+    wrong_degree = MultiOp(basis, 1, 1, {(basis.index("E00"),): {basis.index("E10"): 1}})
     with pytest.raises(MalformedInputError):
         GaugeFamily(bracket, (wrong_degree,))
 
@@ -286,7 +292,7 @@ def exponential_laws(xi_spec: CoderivationSpec, max_len: int):
     exp_neg = functools.cache(lambda w: exp_xi(neg_xi, w))
     split = functools.cache(lambda w: comultiply(basis, w))
     laws = {}
-    for word in (w for n in range(1, max_len + 1) for w in basis.index_tuples(n)):
+    for word in (w for n in range(1, max_len + 1) for w in index_tuples(basis, n)):
         names = tuple(basis.names[i] for i in word)
         found = []
         residual = morphism_residual(word, exp_plus, split)
@@ -326,7 +332,7 @@ def gauge_reference(fam, gauge, max_len: int, first_violation: bool = False) -> 
     lift = functools.cache(lambda w: evaluate_coderivation(partial, w))
 
     violations = []
-    for word in (w for n in range(1, max_len + 1) for w in basis.index_tuples(n)):
+    for word in (w for n in range(1, max_len + 1) for w in index_tuples(basis, n)):
         names = tuple(basis.names[i] for i in word)
         lhs = evaluate_coderivation(partial_prime, word)
         image = extend_linearly(exp_plus(word), lift, TensorElement)
@@ -427,13 +433,12 @@ def with_random_constant(
     choices = [
         (a, key, t)
         for a in arities
-        for key in basis.index_tuples(a)
+        for key in index_tuples(basis, a)
         for t in range(len(basis))
         if basis.degree(t) == sum(basis.degree(i) for i in key) + spec.degree
     ]
     a, key, t = rng.choice(choices)
-    image = basis.vector(t).scale(rng.choice((1, -1, Fraction(1, 2))))
-    bump = MultiOp(basis, a, spec.degree, {key: image})
+    bump = MultiOp(basis, a, spec.degree, {key: {t: rng.choice((1, -1, Fraction(1, 2)))}})
     components = dict(spec.components)
     components[a] = components[a] + bump if a in components else bump
     return CoderivationSpec(basis, spec.degree, components)
@@ -443,7 +448,7 @@ def table_value(tables: dict[int, MultiOp], basis: GradedBasis, word) -> Element
     """The value on one word of the map with these arity tables; an absent
     arity is zero."""
     op = tables.get(len(word))
-    return op.apply_indices(word) if op is not None else Element.zero(basis)
+    return apply_indices(op, word) if op is not None else Element.zero(basis)
 
 
 def test_corestricted_defect_matches_the_walk_on_random_gauges(docs, family_names):
@@ -480,7 +485,7 @@ def test_corestricted_defect_matches_the_walk_on_random_gauges(docs, family_name
             taylor = gauge_module._exponential(
                 {1: identity_op(basis)}, lambda t: compose_tables({}, t, x.components, 1, 4)
             )
-            for word in (w for n in range(1, 5) for w in basis.index_tuples(n)):
+            for word in (w for n in range(1, 5) for w in index_tuples(basis, n)):
                 head = corestriction(exp_plus(word))
                 assert table_value(taylor, basis, word) == head, (name, kind, word)
                 g = extend_linearly(exp_plus(word), lift, TensorElement) - extend_linearly(
@@ -618,14 +623,11 @@ def test_corrupted_transforms_fail_like_the_per_word_loop(docs, generated, monke
 
 
 def refuse_words(monkeypatch, bases) -> collections.Counter:
-    """Make any enumeration of words raise, and count the calls of exp_xi,
-    of evaluate_coderivation and of the witness scatter on these bases; the
-    certificates' generic words live over bases of their own."""
-
-    def refuse(self, length):
-        raise AssertionError("a word was walked")
-
-    monkeypatch.setattr(GradedBasis, "index_tuples", refuse)
+    """Check that no walk over basis tuples is left to call, and count the
+    calls of exp_xi, of evaluate_coderivation and of the witness scatter on
+    these bases; the certificates' generic words live over bases of their
+    own."""
+    assert_no_dense_api()
     calls = collections.Counter()
     for module, name in (
         (gauge_module, "exp_xi"),
@@ -663,11 +665,11 @@ def random_degree_zero_spec(rng: random.Random) -> CoderivationSpec:
     components = {}
     for arity in rng.choice(((2,), (3,), (2, 3))):
         constants = {}
-        for key in basis.index_tuples(arity):
+        for key in index_tuples(basis, arity):
             targets = [t for t in range(dim) if degrees[t] == sum(degrees[i] for i in key)]
             if targets and rng.random() < 0.5:
                 coeffs = {t: rng.choice((1, -2, Fraction(1, 2), Fraction(-3, 4))) for t in targets}
-                constants[key] = Element(basis, coeffs)
+                constants[key] = coeffs
         components[arity] = MultiOp(basis, arity, 0, constants)
     return CoderivationSpec(basis, 0, components)
 
@@ -685,7 +687,7 @@ def test_certified_gauge_laws_hold_on_random_coderivations():
         exp_plus = functools.cache(lambda w: exp_xi(spec, w))
         exp_minus = functools.cache(lambda w: exp_xi(neg, w))
         split = functools.cache(lambda w: comultiply(basis, w))
-        for word in (w for n in range(1, 5) for w in basis.index_tuples(n)):
+        for word in (w for n in range(1, 5) for w in index_tuples(basis, n)):
             assert evaluate_coderivation(neg, word) == -evaluate_coderivation(spec, word), word
             assert morphism_residual(word, exp_plus, split).is_zero(), word
             assert inverse_residual(word, exp_plus, exp_minus).is_zero(), word
@@ -747,11 +749,15 @@ def test_adjoint_op_values_and_validation():
     doc = shipped.load_fixture("quartic")
     bracket = doc.to_bracket()
     basis = bracket.basis
-    ad_v = adjoint_op(bracket, basis.vector("v"), 1)
-    assert ad_v.apply_indices((basis.index("v"),)) == basis.vector("w")
-    assert ad_v.apply_indices((basis.index("u"),)) == basis.vector("v").scale(-1)
+    ad_v = adjoint_op(bracket, vector(basis, "v"), 1)
+    assert apply_indices(ad_v, (basis.index("v"),)) == vector(basis, "w")
+    assert apply_indices(ad_v, (basis.index("u"),)) == vector(basis, "v").scale(-1)
     with pytest.raises(MalformedInputError):
-        adjoint_op(bracket, basis.vector("v"), 2)
+        adjoint_op(bracket, vector(basis, "v"), 2)
+    # an arity-1 operation or a bracket of nonzero degree is no bracket
+    for bad in (MultiOp.zero(basis, 1, 0), MultiOp(basis, 2, 1, {(1, 0): {2: 1}})):
+        with pytest.raises(MalformedInputError):
+            adjoint_op(bad, vector(basis, "v"), 1)
 
 
 def test_mc_element_validation():
@@ -759,10 +765,10 @@ def test_mc_element_validation():
     with pytest.raises(MalformedInputError):
         McElement(())
     with pytest.raises(MalformedInputError):
-        McElement((basis.vector("u"),))
-    mc = McElement((basis.vector("v"),))
+        McElement((vector(basis, "u"),))
+    mc = McElement((vector(basis, "v"),))
     assert mc.order == 1
-    assert mc.theta(1) == basis.vector("v")
+    assert mc.theta(1) == vector(basis, "v")
     assert mc.theta(2) is None
 
 
@@ -787,7 +793,7 @@ def test_mc_rejected_on_quartic_at_second_order():
     with pytest.raises(MCRejectionError) as excinfo:
         mc_to_deformation(algebra, mc_element("quartic"))
     assert excinfo.value.order == 2
-    assert excinfo.value.residual == basis.vector("w").scale(Fraction(1, 2))
+    assert excinfo.value.residual == vector(basis, "w").scale(Fraction(1, 2))
 
 
 def test_mc_requires_skewsymmetric_bracket():
@@ -795,6 +801,105 @@ def test_mc_requires_skewsymmetric_bracket():
     fam = doc.to_family()
     algebra_args = (doc.to_basis(), fam.bracket, fam.delta(0))
     algebra = DgLeibnizAlgebra(*algebra_args)
-    theta = McElement((fam.basis.vector("b"),))
+    theta = McElement((vector(fam.basis, "b"),))
     with pytest.raises(PreconditionError):
         mc_to_deformation(algebra, theta)
+
+
+def cancelling_algebra() -> DgLeibnizAlgebra:
+    """p and q odd, r of degree 2, {p, p} = r and d q = r: a dg Lie
+    algebra on which theta = (p, -q/2) is Maurer-Cartan only because
+    d theta_2 cancels the nonzero (1/2) {theta_1, theta_1}."""
+    basis = GradedBasis(("p", "q", "r"), (1, 1, 2))
+    bracket = MultiOp(basis, 2, 0, {(0, 0): {2: 1}})
+    return DgLeibnizAlgebra(basis, bracket, MultiOp(basis, 1, 1, {(1,): {2: 1}}))
+
+
+def mc_outcome(build, algebra: DgLeibnizAlgebra, mc: McElement):
+    """The deltas with their key order, or the refusal's type, text, order
+    and residual."""
+    try:
+        fam = build(algebra, mc)
+    except PreconditionError as exc:
+        return type(exc), str(exc), getattr(exc, "order", None), getattr(exc, "residual", None)
+    return [(delta, list(delta.constants)) for delta in fam.deltas]
+
+
+def test_maurer_cartan_matches_its_element_arithmetic():
+    # random candidates over every fixture's degree-1 letters, with
+    # Fraction coefficients and one to three orders, against the Element
+    # arithmetic: accepted ones give equal deltas, rejected ones the same
+    # MCRejectionError order and residual, l2b the same precondition
+    rng = random.Random(3302)
+    algebras = {}
+    for name in shipped.fixture_names():
+        doc = shipped.load_fixture(name)
+        fam = doc.to_family()
+        d = fam.delta(0) if fam is not None else MultiOp.zero(doc.to_basis(), 1, 1)
+        algebras[name] = DgLeibnizAlgebra(doc.to_basis(), doc.to_bracket(), d)
+    algebras["cancelling"] = cancelling_algebra()
+    cases = []
+    for name, algebra in sorted(algebras.items()):
+        basis = algebra.basis
+        odd = [b for b in range(len(basis)) if basis.degree(b) == 1]
+        for _ in range(12):
+            thetas = tuple(
+                Element(basis, {b: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for b in odd})
+                for _ in range(rng.randint(1, 3))
+            )
+            cases.append((name, McElement(thetas)))
+    # with a and c nonzero: (a p, -a^2/2 q) passes, as d theta_2 = -a^2/2 r
+    # cancels (1/2) {theta_1, theta_1} = a^2/2 r; adding c p to theta_2
+    # fails at order 3 with a c r, and (0, c p) at order 4 with c^2/2 r
+    p_, q_ = (vector(algebras["cancelling"].basis, n) for n in ("p", "q"))
+    for _ in range(4):
+        a, c = (Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)) for _ in range(2))
+        for thetas in (
+            (p_.scale(a), q_.scale(-a * a / 2)),
+            (p_.scale(a), p_.scale(c) + q_.scale(-a * a / 2)),
+            (Element(p_.basis, {}), p_.scale(c)),
+        ):
+            cases.append(("cancelling", McElement(thetas)))
+    cases.append(("cancelling", McElement((p_, q_.scale(Fraction(-1, 2))))))
+    accepted, rejected = collections.Counter(), collections.Counter()
+    for name, mc in cases:
+        algebra = algebras[name]
+        got = mc_outcome(mc_to_deformation, algebra, mc)
+        assert got == mc_outcome(mc_direct, algebra, mc), (name, mc.thetas)
+        if type(got) is list:
+            accepted[name] += 1
+        else:
+            rejected[got[0].__name__, got[2]] += 1
+    assert accepted["cancelling"] >= 5
+    assert len(accepted) >= 5 and sum(accepted.values()) >= 50, accepted
+    assert rejected[("PreconditionError", None)] == 12, rejected
+    assert {order for kind, order in rejected if kind == "MCRejectionError"} == {1, 2, 3, 4}
+    # the quadratic term of (p, -q/2) is nonzero on its own
+    cancelling = algebras["cancelling"]
+    assert apply(cancelling.bracket, [p_, p_]) == vector(cancelling.basis, "r")
+    fam = mc_to_deformation(cancelling, cases[-1][1])
+    assert fam.deltas[1:] == (adjoint_op(cancelling.bracket, p_, 1), MultiOp.zero(p_.basis, 1, 1))
+
+
+def test_a_theta_over_a_foreign_basis_is_refused():
+    # the same names and degrees plus one letter: another basis, refused
+    # before any of its letters is read, at the order it first appears
+    doc = shipped.load_fixture("endo2")
+    fam = doc.to_family()
+    algebra = DgLeibnizAlgebra(doc.to_basis(), fam.bracket, fam.delta(0))
+    basis = algebra.basis
+    foreign = GradedBasis(basis.names + ("X",), basis.degrees + (1,))
+    theta = Element(foreign, {foreign.index("X"): 1})
+    text = "^argument lives over a foreign basis$"
+    with pytest.raises(MalformedInputError, match=text):
+        adjoint_op(fam.bracket, theta, 1)
+    with pytest.raises(MalformedInputError, match=text):
+        mc_to_deformation(algebra, McElement((theta,)))
+    native = Element(basis, {basis.index("E10"): 1})
+    with pytest.raises(MalformedInputError, match=text):
+        mc_to_deformation(algebra, McElement((native, theta)))
+    # an order that fails first is reported before a later foreign one
+    cancelling = cancelling_algebra()
+    q = Element(cancelling.basis, {cancelling.basis.index("q"): 1})
+    with pytest.raises(MCRejectionError, match="order 1"):
+        mc_to_deformation(cancelling, McElement((q, theta)))

@@ -14,12 +14,19 @@ from shleibniz import coalgebra, derived, gauge
 from shleibniz import fixtures as shipped
 from shleibniz.derived import check_key_lemma
 from shleibniz.document import parse_document, serialize_document
-from shleibniz.errors import PreconditionError
+from shleibniz.errors import MCRejectionError, PreconditionError
+from shleibniz.gauge import McElement
 from shleibniz.graded import GradedBasis, SparseVector
-from shleibniz.multiop import MultiOp, check_derivation
+from shleibniz.multiop import DgLeibnizAlgebra, MultiOp, check_derivation
 from shleibniz.report import WITNESS_LIMIT, render_structured, render_text
 from shleibniz.runner import COMMANDS, RunOptions, _derivation_pool, run_command
-from oracles import family_fixture_names, perturbed_text
+from oracles import (
+    assert_no_dense_api,
+    family_fixture_names,
+    mc_element,
+    perturbed_text,
+    vector,
+)
 
 
 def broken_endo2_text() -> str:
@@ -31,7 +38,7 @@ def broken_endo2_text() -> str:
     return text
 
 
-def test_codifferential_at_length_five_on_a_dimension_11_sum_walks_no_word(monkeypatch):
+def test_codifferential_at_length_five_on_a_dimension_11_sum_walks_no_word():
     # a walk over the 11 + ... + 11^5 words takes seconds; the certificate
     # proves the pass from the reachable words alone
     names = ("endo2", "heis3w", "quartic")
@@ -39,18 +46,15 @@ def test_codifferential_at_length_five_on_a_dimension_11_sum_walks_no_word(monke
     text = serialize_document(doc)
     assert len(doc.basis) == 11
 
-    def refuse(self, length):
-        raise AssertionError("check-codifferential walked every word")
-
-    monkeypatch.setattr(GradedBasis, "index_tuples", refuse)
+    assert_no_dense_api()
     report = run_command("check-codifferential", text, RunOptions(max_word_len=5))
     assert [r.passed for r in report.results] == [True]
 
 
 def refuse_the_word_layer(monkeypatch) -> None:
-    """Make every walk over basis tuples, every per-word evaluation and
-    every tuple helper of MultiOp raise, wherever a shleibniz module binds
-    it."""
+    """Make every per-word evaluation raise, wherever a shleibniz module
+    binds it.  MultiOp and GradedBasis have no tuple walk or dense
+    evaluation left to refuse."""
 
     def refusal(name):
         def refuse(*args, **kwargs):
@@ -58,13 +62,7 @@ def refuse_the_word_layer(monkeypatch) -> None:
 
         return refuse
 
-    for cls, name in (
-        (GradedBasis, "index_tuples"),
-        (MultiOp, "apply"),
-        (MultiOp, "apply_indices"),
-        (MultiOp, "from_function"),
-    ):
-        monkeypatch.setattr(cls, name, refusal(f"{cls.__name__}.{name}"))
+    assert_no_dense_api()
     modules = [m for n, m in sys.modules.items() if n.startswith("shleibniz") and m]
     for owner, name in (
         (coalgebra, "comultiply"),
@@ -101,15 +99,36 @@ def test_no_command_walks_a_word(monkeypatch):
     assert ran >= 200, ran
     # the refusals reach the bindings the engine calls through
     basis = GradedBasis(("x",), (0,))
-    spec = coalgebra.lift_coderivation(MultiOp(basis, 2, 0, {(0, 0): basis.vector("x")}))
+    spec = coalgebra.lift_coderivation(MultiOp(basis, 2, 0, {(0, 0): {0: 1}}))
     for call in (
-        lambda: basis.index_tuples(1),
-        lambda: spec.components[2].apply_indices((0, 0)),
         lambda: coalgebra.evaluate_coderivation(spec, (0, 0)),
         lambda: gauge.exp_xi(spec, (0, 0)),
     ):
         with pytest.raises(AssertionError, match="a command reached"):
             call()
+
+
+def test_maurer_cartan_and_the_cohomology_complex_walk_no_word(monkeypatch):
+    # the library entry points no command reaches, under the same guard:
+    # Maurer-Cartan accepted on endo2, rejected at order 2 on quartic and
+    # refused on l2b, whose bracket is not skewsymmetric; the cohomology
+    # complex on the two fixtures whose delta_0 it takes
+    refuse_the_word_layer(monkeypatch)
+    endo2 = shipped.load_fixture("endo2").to_family()
+    algebra = DgLeibnizAlgebra(endo2.basis, endo2.bracket, endo2.delta(0))
+    assert gauge.mc_to_deformation(algebra, mc_element("endo2")).order == 1
+    quartic = shipped.load_fixture("quartic").to_bracket()
+    flat = DgLeibnizAlgebra(quartic.basis, quartic, MultiOp.zero(quartic.basis, 1, 1))
+    with pytest.raises(MCRejectionError) as rejected:
+        gauge.mc_to_deformation(flat, mc_element("quartic"))
+    assert rejected.value.order == 2
+    l2b = shipped.load_fixture("l2b").to_family()
+    lie = DgLeibnizAlgebra(l2b.basis, l2b.bracket, l2b.delta(0))
+    with pytest.raises(PreconditionError, match="not graded skewsymmetric"):
+        gauge.mc_to_deformation(lie, McElement((vector(l2b.basis, "b"),)))
+    for name in ("endo2", "heis3w"):
+        fam = shipped.load_fixture(name).to_family()
+        assert derived.leibniz_cohomology_check(fam.bracket, fam.delta(0), i_max=2).passed, name
 
 
 def test_passing_report_all_builds_no_vector(monkeypatch):
