@@ -69,6 +69,22 @@ coalgebra.lift_witnesses scatters the words w with D^c(w) nonzero from D's
 constants, as derived.check_codifferential does for the square of partial,
 and no word is walked.
 
+Every series is summed on integer tables.  A series that stops after at
+most b steps is summed with step p weighted by the integer b!/p!: the sum
+is b! times the series, no 1/p! is taken, and integer constants stay
+integers.  delta' stops after m = order(family) steps, as step p carries
+order >= p, so gauge_transform sums M delta' with M = m! and divides by M
+once.  The check scales it back and builds M partial' from M delta', the
+lift being linear; the order expansion raises the arity by one or more
+per step, from 1 up to at most m + 1, so it stops after m steps and gives
+M E.  On the words of length <= L the two exponentials of pr G stop after
+L - 1 steps, and pr(partial Xi^p) is weighted by M as well, so their
+tables are (L - 1)! M pr G.  A multiple by a nonzero integer is zero
+exactly when the table is, so the verdicts and the EngineError
+cross-check are unchanged, and M D = M partial' - M E is divided by M only
+once it is nonzero, before the lift: the witness values are exactly D's.
+A nonzero step past its bound is an EngineError, never a truncation.
+
 A Maurer-Cartan element theta_t = t theta_1 + ... + t^m theta_m of a dg Lie
 algebra (delta_0 theta_n + (1/2) sum_{p+q=n} {theta_p, theta_q} = 0 for
 n <= m) induces the family delta_n = {theta_n, -}.
@@ -79,7 +95,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Mapping
 
 from .coalgebra import (
     CoderivationSpec,
@@ -247,26 +263,45 @@ def _apply_into(acc: dict[int, Scalar], op: MultiOp, elt: Element, scale: Scalar
 def gauge_transform(fam: DeformationFamily, gauge: GaugeFamily) -> DeformationFamily:
     """Apply the nested-commutator series, truncated at order(fam); extend
     the family first to transform to a higher order.  The series in p
-    terminates on its own since the p-th term carries order >= p.
+    terminates on its own since the p-th term carries order >= p, so p <=
+    order(fam): step p is added into one coefficient dict per order with
+    the integer weight M/p!, M = order(fam)!, and the sums are divided by M
+    once at the end.
     """
     if gauge.bracket != fam.bracket:
         raise MalformedInputError("gauge and family belong to different brackets")
+    scale = math.factorial(fam.order)
     current: list[MultiOp] = list(fam.deltas)
-    total: list[MultiOp] = list(current)
+    sums: list[dict[Word, dict[int, Scalar]]] = [{} for _ in current]
+    for total, delta in zip(sums, current):
+        _add_into(total, delta.constants, scale)
+    weight = scale
     for p in range(1, fam.order + 1):
+        weight //= p
         nxt: list[MultiOp] = []
-        for n in range(fam.order + 1):
+        for n, total in enumerate(sums):
             # sum_b [delta_{n-b}, xi_b] into one table, wrapped once
             acc: dict[int, dict[Word, dict[int, Scalar]]] = {}
             for b, xi in enumerate(gauge.xis[:n], start=1):
                 hom_tables(acc, {1: current[n - b]}, {1: xi}, 1, 1)
             nxt.append(op_from_terms(fam.basis, 1, 1, acc.get(1, {})))
+            _add_into(total, nxt[-1].constants, weight)
         current = nxt
-        coeff = Fraction(1, math.factorial(p))
-        total = [t + c.scale(coeff) for t, c in zip(total, current)]
         if all(c.is_zero() for c in current):
             break
-    return DeformationFamily(fam.bracket, tuple(total))
+    unit = Fraction(1, scale)
+    deltas = tuple(op_from_terms(fam.basis, 1, 1, total).scale(unit) for total in sums)
+    return DeformationFamily(fam.bracket, deltas)
+
+
+def _add_into(
+    acc: dict[Word, dict[int, Scalar]], constants: Mapping[Word, dict[int, Scalar]], weight: Scalar
+) -> None:
+    """Add weight times these coefficient dicts into acc, key by key."""
+    for key, image in constants.items():
+        out = acc.setdefault(key, {})
+        for z, c in image.items():
+            out[z] = out.get(z, 0) + weight * c
 
 
 def build_xi(gauge: GaugeFamily) -> CoderivationSpec:
@@ -300,27 +335,34 @@ def exp_xi(spec: CoderivationSpec, word: Word) -> TensorElement:
 
 
 def _exponential(
-    tables: dict[int, MultiOp], step: Callable[[dict[int, MultiOp]], dict[int, dict]]
+    tables: dict[int, MultiOp], step: Callable[[dict[int, MultiOp]], dict[int, dict]], bound: int
 ) -> dict[int, MultiOp]:
-    """sum_p step^p(tables)/p!, for a step by Xi that is linear in the arity
-    tables and returns their images as coefficient dicts per arity: [-, Xi]
-    through hom_tables, or right composition through compose_tables.  Step
-    p is taken of the unscaled tables of step p - 1, so integer inputs
-    compose on ints, and only its share of the sum is scaled, by 1/p!; the
-    steps stop since the arities of Xi are >= 2."""
-    total = dict(tables)
+    """bound! sum_p step^p(tables)/p!, for a step by Xi that is linear in the
+    arity tables and returns their images as coefficient dicts per arity:
+    [-, Xi] through hom_tables, or right composition through compose_tables.
+    Step p is taken of the tables of step p - 1 and added straight into one
+    coefficient dict per arity with the integer weight bound!/p!, so integer
+    inputs stay integers; only the next step's tables are wrapped, and the
+    sums once at the end.  The steps stop since the arities of Xi are >= 2,
+    and a nonzero step past bound, whose weight would not be an integer,
+    is an EngineError."""
+    if not tables:
+        return {}
+    some = next(iter(tables.values()))  # Xi has degree 0
+    basis, degree = some.basis, some.degree
+    weight = math.factorial(bound)
+    sums: dict[int, dict[Word, dict[int, Scalar]]] = {}
     p = 0
     while tables:
-        p += 1
-        some = next(iter(tables.values()))  # Xi has degree 0
-        images = step(tables).items()
-        ops = (op_from_terms(some.basis, n, some.degree, terms) for n, terms in images)
-        tables = {op.arity: op for op in ops if not op.is_zero()}
-        weight = Fraction(1, math.factorial(p))
         for n, op in tables.items():
-            share = op.scale(weight)
-            total[n] = total[n] + share if n in total else share
-    return total
+            _add_into(sums.setdefault(n, {}), op.constants, weight)
+        p += 1
+        ops = (op_from_terms(basis, n, degree, terms) for n, terms in step(tables).items())
+        tables = {op.arity: op for op in ops if not op.is_zero()}
+        if tables and p > bound:
+            raise EngineError(f"step {p} of an exponential bounded by {bound} steps is nonzero")
+        weight //= p
+    return {n: op_from_terms(basis, n, degree, terms) for n, terms in sums.items()}
 
 
 def _scattered_defect(
@@ -328,10 +370,13 @@ def _scattered_defect(
     partial_prime: CoderivationSpec,
     xi_spec: CoderivationSpec,
     max_len: int,
+    scale: int,
 ) -> dict[int, MultiOp]:
-    """The nonzero arity tables of pr G, G = partial e^{Xi} - e^{Xi} partial',
-    on the words of length <= max_len, scattered from the constants as the
-    module docstring sets out."""
+    """The nonzero arity tables of (max_len - 1)! scale pr G on the words of
+    length <= max_len, G = partial e^{Xi} - e^{Xi} partial' for
+    partial_prime = scale partial', scattered from the constants as the
+    module docstring sets out.  Both exponentials take max_len - 1 steps
+    at most, as each lengthens the key by one or more."""
     basis = partial.basis
 
     def times_xi(tables: dict[int, MultiOp]) -> dict[int, dict]:
@@ -339,12 +384,11 @@ def _scattered_defect(
         return compose_tables({}, tables, xi_spec.components, 1, max_len)
 
     ops = {a: op for a, op in partial.components.items() if a <= max_len}
-    acc = {
-        n: {key: dict(image) for key, image in op.constants.items()}
-        for n, op in _exponential(ops, times_xi).items()
-    }
+    acc: dict[int, dict[Word, dict[int, Scalar]]] = {}
+    for n, op in _exponential(ops, times_xi, max_len - 1).items():
+        _add_into(acc.setdefault(n, {}), op.constants, scale)
     # F_k = pr e^{Xi} on V^{(x) k}, then minus every F_k . partial'_j^c
-    taylor = _exponential({1: identity_op(basis)}, times_xi)
+    taylor = _exponential({1: identity_op(basis)}, times_xi, max_len - 1)
     compose_tables(acc, taylor, partial_prime.components, -1, max_len)
     tables = {n: op_from_terms(basis, n, 1, terms) for n, terms in acc.items()}
     return {n: op for n, op in tables.items() if not op.is_zero()}
@@ -379,29 +423,43 @@ def check_gauge_equivalence(
         raise MalformedInputError("max_len must be >= 1")
     fam_x = fam.extended(max(fam.order, max_len - 1))
     partial = build_codifferential(fam_x)
-    partial_prime = build_codifferential(gauge_transform(fam_x, gauge))
+    # M = order! clears every 1/p! below: partial' is built as M partial'
+    # from M delta', and the order expansion gives M exp([-, Xi]) partial
+    scale = math.factorial(fam_x.order)
+    transformed = gauge_transform(fam_x, gauge)
+    partial_prime = build_codifferential(
+        DeformationFamily(fam.bracket, tuple(d.scale(scale) for d in transformed.deltas))
+    )
     xi_spec = build_xi(gauge)
     for spec in (xi_spec, partial, partial_prime):
         check_coderivation_axiom(spec, max_len)
     basis = fam.basis
-    # partial' - exp([-, Xi]) partial, arity by arity; the spec drops zero arities
     max_arity = fam_x.order + 1
     expanded = _exponential(
-        dict(partial.components), lambda t: hom_tables({}, t, xi_spec.components, 1, max_arity)
+        dict(partial.components),
+        lambda t: hom_tables({}, t, xi_spec.components, 1, max_arity),
+        fam_x.order,
     )
-    zero = {a: MultiOp.zero(basis, a, 1) for a in range(1, max_arity + 1)}
-    prime = partial_prime.components
-    difference = CoderivationSpec(
-        basis, 1, {a: prime.get(a, z) + -expanded.get(a, z) for a, z in zero.items()}
-    ).components
-    defect = CoderivationSpec(basis, 1, {a: d for a, d in difference.items() if a <= max_len})
-    scattered = _scattered_defect(partial, partial_prime, xi_spec, max_len)
-    if bool(scattered) != bool(defect.components):
+    # M partial' - M exp([-, Xi]) partial, arity by arity, zero arities dropped
+    acc: dict[int, dict[Word, dict[int, Scalar]]] = {}
+    for sign, tables in ((1, partial_prime.components), (-1, expanded)):
+        for a, op in tables.items():
+            if a <= max_arity:
+                _add_into(acc.setdefault(a, {}), op.constants, sign)
+    ops = (op_from_terms(basis, a, 1, acc[a]) for a in sorted(acc))
+    difference = {op.arity: op for op in ops if not op.is_zero()}
+    # divided by M only when nonzero, so the witness values are D's own
+    unit = Fraction(1, scale)
+    defect = {a: d.scale(unit) for a, d in difference.items() if a <= max_len}
+    scattered = _scattered_defect(partial, partial_prime, xi_spec, max_len, scale)
+    if bool(scattered) != bool(defect):
         raise EngineError(
             f"the morphism equation and exp([-, Xi]) disagree on the conjugation "
             f"up to length {max_len}; the sign conventions are inconsistent"
         )
-    violations = lift_witnesses(defect, max_len, "gauge-conjugation", first_violation)
+    violations = lift_witnesses(
+        CoderivationSpec(basis, 1, defect), max_len, "gauge-conjugation", first_violation
+    )
     detail = "component of exp([-, Xi]) partial differs from the transformed codifferential"
     expansion = [
         Violation("gauge-order-expansion", (a,), None, f"arity-{a} {detail}") for a in difference

@@ -147,9 +147,6 @@ class MultiOp:
                     out[b] = out.get(b, 0) + c
         return op_from_terms(self.basis, self.arity, self.degree, acc)
 
-    def __neg__(self) -> "MultiOp":
-        return self.scale(-1)
-
     def scale(self, scalar: Scalar) -> "MultiOp":
         scalar = exact(scalar)
         images = {k: {b: scalar * c for b, c in v.items()} for k, v in self.constants.items()}

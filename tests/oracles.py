@@ -3,12 +3,12 @@
 None of this is reached by a command: the dense evaluation path (basis
 vectors, every basis tuple, an operation applied to elements, tabulation,
 skewsymmetry walked tuple by tuple and the Maurer-Cartan equation summed
-in Element arithmetic), the suspension as explicit tensor layers, the lift
-of an operation split by summand, the parity-pattern certificates proved
-one pattern at a time, the restriction of an operation to a sub-basis, the
-key lemma decided one combination at a time, and the designated
-perturbations, Maurer-Cartan candidates and abelian subalgebra of the
-shipped corpus.
+in Element arithmetic), the gauge series weighted by a Fraction per step,
+the suspension as explicit tensor layers, the lift of an operation split
+by summand, the parity-pattern certificates proved one pattern at a time,
+the restriction of an operation to a sub-basis, the key lemma decided one
+combination at a time, and the designated perturbations, Maurer-Cartan
+candidates and abelian subalgebra of the shipped corpus.
 
 Every fixture that carries a deformation family also carries a designated
 single-constant perturbation, chosen so that adding that one constant to
@@ -44,9 +44,9 @@ from shleibniz.coalgebra import (
 from shleibniz.derived import DeformationFamily
 from shleibniz.document import AlgebraDocument, serialize_document
 from shleibniz.errors import MalformedInputError, MCRejectionError, PreconditionError
-from shleibniz.gauge import McElement
+from shleibniz.gauge import GaugeFamily, McElement
 from shleibniz.graded import Element, GradedBasis, Scalar, Shift, layer_sign, shifted_degrees
-from shleibniz.multiop import DgLeibnizAlgebra, MultiOp, n_i_d
+from shleibniz.multiop import DgLeibnizAlgebra, MultiOp, hom_tables, n_i_d, op_from_terms
 from shleibniz.results import Verdict, Violation
 
 # --- the dense evaluation path: one basis tuple, one element at a time ---
@@ -165,6 +165,53 @@ def mc_direct(algebra: DgLeibnizAlgebra, mc: McElement) -> DeformationFamily:
     deltas = [algebra.differential]
     deltas += [adjoint_direct(bracket, theta, 1) for theta in mc.thetas]
     return DeformationFamily(bracket, tuple(deltas))
+
+
+# --- the gauge series with a Fraction weight per step ---
+
+
+def gauge_transform_direct(fam: DeformationFamily, gauge: GaugeFamily) -> DeformationFamily:
+    """gauge_transform as first written: step p of the nested-commutator
+    series is scaled by 1/p! and added to the running sum as a whole
+    operation, order by order."""
+    if gauge.bracket != fam.bracket:
+        raise MalformedInputError("gauge and family belong to different brackets")
+    current: list[MultiOp] = list(fam.deltas)
+    total: list[MultiOp] = list(current)
+    for p in range(1, fam.order + 1):
+        nxt: list[MultiOp] = []
+        for n in range(fam.order + 1):
+            acc: dict = {}
+            for b, xi in enumerate(gauge.xis[:n], start=1):
+                hom_tables(acc, {1: current[n - b]}, {1: xi}, 1, 1)
+            nxt.append(op_from_terms(fam.basis, 1, 1, acc.get(1, {})))
+        current = nxt
+        coeff = Fraction(1, math.factorial(p))
+        total = [t + c.scale(coeff) for t, c in zip(total, current)]
+        if all(c.is_zero() for c in current):
+            break
+    return DeformationFamily(fam.bracket, tuple(total))
+
+
+def exponential_direct(
+    tables: dict[int, MultiOp], step: Callable[[dict[int, MultiOp]], dict[int, dict]]
+) -> dict[int, MultiOp]:
+    """sum_p step^p(tables)/p! as gauge._exponential first summed it: each
+    step's tables are wrapped, scaled by 1/p! and added to the total as
+    whole operations, until a step is zero."""
+    total = dict(tables)
+    p = 0
+    while tables:
+        p += 1
+        some = next(iter(tables.values()))
+        images = step(tables).items()
+        ops = (op_from_terms(some.basis, n, some.degree, terms) for n, terms in images)
+        tables = {op.arity: op for op in ops if not op.is_zero()}
+        weight = Fraction(1, math.factorial(p))
+        for n, op in tables.items():
+            share = op.scale(weight)
+            total[n] = total[n] + share if n in total else share
+    return total
 
 
 # --- the suspension as tensor layers ---

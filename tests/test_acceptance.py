@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from fractions import Fraction
 
 import pytest
 

@@ -14,6 +14,7 @@ import pytest
 from shleibniz import coalgebra
 from shleibniz import fixtures as shipped
 from shleibniz import gauge as gauge_module
+from shleibniz import multiop
 from shleibniz.coalgebra import (
     CoderivationSpec,
     TensorElement,
@@ -49,7 +50,14 @@ from shleibniz.gauge import (
 )
 from shleibniz.graded import Element, GradedBasis
 from shleibniz.linalg import derivation_basis
-from shleibniz.multiop import DgLeibnizAlgebra, MultiOp, compose_tables, identity_op, n_i_d
+from shleibniz.multiop import (
+    DgLeibnizAlgebra,
+    MultiOp,
+    compose_tables,
+    hom_tables,
+    identity_op,
+    n_i_d,
+)
 from shleibniz.results import Violation
 from oracles import (
     Perturbation,
@@ -58,6 +66,8 @@ from oracles import (
     assert_no_dense_api,
     corestriction,
     every_pattern,
+    exponential_direct,
+    gauge_transform_direct,
     index_tuples,
     mc_direct,
     mc_element,
@@ -144,7 +154,7 @@ def test_gauge_transform_round_trip_is_exact():
     doc = shipped.load_fixture("endo2")
     fam = doc.to_family()
     gauge = doc.to_gauge()
-    negated = GaugeFamily(gauge.bracket, tuple(-xi for xi in gauge.xis))
+    negated = GaugeFamily(gauge.bracket, tuple(xi.scale(-1) for xi in gauge.xis))
     assert gauge_transform(gauge_transform(fam, gauge), negated) == fam
 
 
@@ -159,6 +169,68 @@ def test_gauge_transform_preconditions():
     foreign = shipped.load_fixture("endo2").to_gauge()
     with pytest.raises(MalformedInputError):
         gauge_transform(fam, foreign)
+
+
+def exact_form(op: MultiOp) -> list:
+    """op's constants with the type of every scalar, letters sorted as a
+    report renders them: two equal operations whose scalars are not in the
+    same exact form differ here."""
+    return [(k, [(z, type(c), c) for z, c in sorted(v.items())]) for k, v in op.constants.items()]
+
+
+def test_gauge_transform_matches_the_fraction_weighted_series(docs, family_names, generated):
+    # one factorial weight per step and one division at the end against a
+    # Fraction per step: every shipped family, the dimension-8 sum and the
+    # product, as shipped and extended to order 4 so that four steps are
+    # live, under its own gauge and two random degree-0 gauges
+    rng = random.Random(3401)
+    cases = {**{name: docs[name] for name in family_names}, **generated}
+    moved = 0
+    for name, doc in cases.items():
+        for fam in (doc.to_family(), doc.to_family().extended(4)):
+            gauges = [random_gauge(fam.bracket, rng, rng.randint(1, 3)) for _ in range(2)]
+            gauges += [doc.to_gauge()] if doc.to_gauge() is not None else []
+            for gauge in gauges:
+                got, want = gauge_transform(fam, gauge), gauge_transform_direct(fam, gauge)
+                assert got == want, (name, fam.order)
+                assert list(map(exact_form, got.deltas)) == list(map(exact_form, want.deltas))
+                moved += got != fam
+    assert moved >= 2 * len(cases), moved
+
+
+def test_exponential_matches_the_fraction_weighted_sum(docs, family_names, generated):
+    # bound! times the Fraction-weighted sum, for the steps the gauge check
+    # takes: right composition by Xi from the identity and from partial, and
+    # [-, Xi] from partial, at the least bound and past it
+    rng = random.Random(3402)
+    cases = {**{name: docs[name] for name in family_names}, **generated}
+    for name, doc in cases.items():
+        fam = doc.to_family().extended(3)
+        xi = build_xi(random_gauge(fam.bracket, rng, 3))
+        partial = dict(build_codifferential(fam).components)
+        times_xi = lambda t: compose_tables({}, t, xi.components, 1, 4)
+        commutator = lambda t: hom_tables({}, t, xi.components, 1, 4)
+        identity = {1: identity_op(fam.basis)}
+        for tables, step in ((identity, times_xi), (partial, times_xi), (partial, commutator)):
+            want = {n: op for n, op in exponential_direct(tables, step).items() if not op.is_zero()}
+            for bound in (3, 5):
+                unit = Fraction(1, math.factorial(bound))
+                got = gauge_module._exponential(tables, step, bound)
+                got = {n: op.scale(unit) for n, op in got.items() if not op.is_zero()}
+                assert got == want, (name, bound)
+
+
+def test_exponential_past_its_bound_is_an_engine_error(docs):
+    # pr Xi^3 is nonzero on the words of length 4 under endo2's gauge: a
+    # bound below 3 would weight it by bound!/3!, which is no integer
+    doc = docs["endo2"]
+    xi = build_xi(doc.to_gauge())
+    identity = {1: identity_op(doc.to_basis())}
+    times_xi = lambda t: compose_tables({}, t, xi.components, 1, 4)
+    assert set(gauge_module._exponential(identity, times_xi, 3)) == {1, 2, 3, 4}
+    for bound in (0, 1, 2):
+        with pytest.raises(EngineError, match=f"step {bound + 1} of an exponential bounded"):
+            gauge_module._exponential(identity, times_xi, bound)
 
 
 def test_exp_xi_matches_manual_series_on_three_letters():
@@ -185,7 +257,7 @@ def test_exp_xi_inverse_on_all_short_words():
     gauge = doc.to_gauge()
     spec = build_xi(gauge)
     neg = CoderivationSpec(
-        spec.basis, spec.degree, {a: -op for a, op in spec.components.items()}
+        spec.basis, spec.degree, {a: op.scale(-1) for a, op in spec.components.items()}
     )
     basis = gauge.basis
     for length in (1, 2, 3):
@@ -286,7 +358,9 @@ def exponential_laws(xi_spec: CoderivationSpec, max_len: int):
     cache_key = (xi_spec.basis, frozen, max_len)
     if cache_key in _EXPONENTIAL_LAWS:
         return _EXPONENTIAL_LAWS[cache_key]
-    neg_xi = CoderivationSpec(xi_spec.basis, 0, {a: -op for a, op in xi_spec.components.items()})
+    neg_xi = CoderivationSpec(
+        xi_spec.basis, 0, {a: op.scale(-1) for a, op in xi_spec.components.items()}
+    )
     basis = xi_spec.basis
     exp_plus = functools.cache(lambda w: exp_xi(xi_spec, w))
     exp_neg = functools.cache(lambda w: exp_xi(neg_xi, w))
@@ -481,18 +555,19 @@ def test_corestricted_defect_matches_the_walk_on_random_gauges(docs, family_name
             exp_plus = functools.cache(lambda w: exp_xi(x, w))
             lift = functools.cache(lambda w: evaluate_coderivation(d, w))
             lift_prime = functools.cache(lambda w: evaluate_coderivation(prime, w))
-            tables = gauge_module._scattered_defect(d, prime, x, 4)
+            # both come out weighted by 3! = (max_len - 1)!, pr G with scale 1
+            tables = gauge_module._scattered_defect(d, prime, x, 4, 1)
             taylor = gauge_module._exponential(
-                {1: identity_op(basis)}, lambda t: compose_tables({}, t, x.components, 1, 4)
+                {1: identity_op(basis)}, lambda t: compose_tables({}, t, x.components, 1, 4), 3
             )
             for word in (w for n in range(1, 5) for w in index_tuples(basis, n)):
                 head = corestriction(exp_plus(word))
-                assert table_value(taylor, basis, word) == head, (name, kind, word)
+                assert table_value(taylor, basis, word) == head.scale(6), (name, kind, word)
                 g = extend_linearly(exp_plus(word), lift, TensorElement) - extend_linearly(
                     lift_prime(word), exp_plus, TensorElement
                 )
                 want = corestriction(g)
-                assert table_value(tables, basis, word) == want, (name, kind, word)
+                assert table_value(tables, basis, word) == want.scale(6), (name, kind, word)
                 nonzero[kind] += not want.is_zero()
             failing[kind] += bool(tables)
     # a constant added to partial or partial' shows in pr G at its own key;
@@ -622,6 +697,48 @@ def test_corrupted_transforms_fail_like_the_per_word_loop(docs, generated, monke
     assert failed.pop("endo2+heis3w") == 2 and sum(failed.values()) >= 10, failed
 
 
+def test_rational_gauges_pass_and_fail_like_the_per_word_loop(docs):
+    # endo2's gauge scaled by 1/3 is still a derivation and has no integer
+    # constant, so every table of the check holds Fractions: the family
+    # passes, and its designated perturbation fails with the walk's whole
+    # violation list, whose values are not all integers
+    doc = docs["endo2"]
+    gauge = doc.to_gauge()
+    third = GaugeFamily(gauge.bracket, tuple(xi.scale(Fraction(1, 3)) for xi in gauge.xis))
+    scalars = [c for xi in third.xis for image in xi.constants.values() for c in image.values()]
+    assert scalars and all(type(c) is Fraction for c in scalars)
+    bad = perturbed_family(doc, perturbation("endo2"))
+    for max_len in (3, 4):
+        assert assert_matches_reference(doc.to_family(), third, max_len, "endo2") == []
+        found = assert_matches_reference(bad, third, max_len, "perturbed endo2")
+        values = [c for v in found if v.residual is not None for c in v.residual.coeffs.values()]
+        assert any(type(c) is Fraction for c in values), max_len
+
+
+def test_a_passing_gauge_check_composes_integer_tables_only(docs, monkeypatch):
+    # every weight of the three series is an integer, so on integer
+    # constants no table that reaches compose_into holds a Fraction: not
+    # the operations composed, not the scale and not the accumulator
+    real = multiop.compose_into
+    calls = collections.Counter()
+
+    def integral(acc, f, g, scale):
+        real(acc, f, g, scale)
+        tables = [f.constants, g.constants, acc]
+        scalars = [c for table in tables for image in table.values() for c in image.values()]
+        assert type(scale) is int and all(type(c) is int for c in scalars), (f, g)
+        calls[f.arity, g.arity] += 1
+
+    monkeypatch.setattr(multiop, "compose_into", integral)
+    fixtures = gauge_fixtures(docs)
+    for name, doc in fixtures:
+        ops = [doc.to_bracket(), *doc.to_family().deltas, *doc.to_gauge().xis]
+        scalars = [c for op in ops for image in op.constants.values() for c in image.values()]
+        assert all(type(c) is int for c in scalars), name
+        assert check_gauge_equivalence(doc.to_family(), doc.to_gauge(), 4).passed, name
+    assert len(fixtures) >= 4 and sum(calls.values()) > 100, calls
+
+
 def refuse_words(monkeypatch, bases) -> collections.Counter:
     """Check that no walk over basis tuples is left to call, and count the
     calls of exp_xi, of evaluate_coderivation and of the witness scatter on
@@ -681,7 +798,9 @@ def test_certified_gauge_laws_hold_on_random_coderivations():
     moved = 0
     for _ in range(8):
         spec = random_degree_zero_spec(rng)
-        neg = CoderivationSpec(spec.basis, 0, {a: -op for a, op in spec.components.items()})
+        neg = CoderivationSpec(
+            spec.basis, 0, {a: op.scale(-1) for a, op in spec.components.items()}
+        )
         basis = spec.basis
         assert check_coderivation_axiom(spec, 4).passed
         exp_plus = functools.cache(lambda w: exp_xi(spec, w))

@@ -1,7 +1,8 @@
-"""The package exports its public API only; every name a package module
-imports is used in that module; every definition in the package has a caller
-outside the tests; no package module asserts or compiles a regular expression
-at call time; and every hook the benchmark takes into the package resolves."""
+"""The package exports its public API only; every name a package or test
+module imports is used in that module; every definition in the package has
+a caller outside the tests; no package module asserts or compiles a regular
+expression at call time; and every hook the benchmark takes into the
+package resolves."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import shleibniz
 
 PACKAGE = Path(shleibniz.__file__).parent
 BENCH = PACKAGE.parent.parent / "bench"
+TESTS = Path(__file__).resolve().parent
 
 # Module-level definitions that no other line of the package or of bench/
 # names.  Each is library API for callers outside both, and is exercised by
@@ -80,16 +82,27 @@ def test_the_package_exports_no_module_and_no_future_feature():
     assert {"check_coderivation_axiom", "run_command", "EngineError"} <= namespace.keys()
 
 
-def test_no_module_imports_a_name_it_never_uses():
-    assert len(package_modules()) > 5
+def unused_imports(paths: list[Path], root: Path) -> list[str]:
+    """path:line: name for every imported name its module never uses."""
     unused = []
-    for path in package_modules():
+    for path in paths:
         tree = ast.parse(path.read_text("utf-8"))
         used = used_names(tree)
         for name, line in imported_names(tree).items():
             if name not in used:
-                unused.append(f"{path.relative_to(PACKAGE)}:{line}: {name}")
-    assert unused == []
+                unused.append(f"{path.relative_to(root)}:{line}: {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert len(package_modules()) > 5
+    assert unused_imports(package_modules(), PACKAGE) == []
+
+
+def test_no_test_module_imports_a_name_it_never_uses():
+    modules = sorted(TESTS.glob("*.py"))
+    assert len(modules) > 5
+    assert unused_imports(modules, TESTS) == []
 
 
 def test_the_runner_imports_no_private_name_of_another_module():
