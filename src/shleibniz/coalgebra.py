@@ -100,7 +100,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 from . import graded
@@ -113,6 +112,7 @@ from .graded import (
     signed_unshuffles,
 )
 from .multiop import MultiOp, hom_tables, op_from_terms
+from .record import Record
 from .results import Verdict, Violation
 
 Word = tuple[int, ...]
@@ -330,8 +330,7 @@ def check_dual_leibniz(basis: GradedBasis, max_len: int) -> Verdict:
     return _prove(basis, max_len, _dual_leibniz_failures, "the dual Leibniz axiom")
 
 
-@dataclass(frozen=True)
-class CoderivationSpec:
+class CoderivationSpec(Record):
     """A coderivation of T(V) described by its corestriction components.
 
     components[i] is the arity-i operation whose lift contributes; all
@@ -339,24 +338,22 @@ class CoderivationSpec:
     the lifts of every component of arity <= n.
     """
 
-    basis: GradedBasis
-    degree: int
-    components: Mapping[int, MultiOp]
+    __slots__ = ("basis", "degree", "components")
 
-    def __post_init__(self) -> None:
+    def __init__(self, basis: GradedBasis, degree: int, components: Mapping[int, MultiOp]):
         frozen: dict[int, MultiOp] = {}
-        for arity, op in self.components.items():
+        for arity, op in components.items():
             if op.arity != arity:
                 raise MalformedInputError(f"component at key {arity} has arity {op.arity}")
-            if op.degree != self.degree:
+            if op.degree != degree:
                 raise MalformedInputError(
-                    f"component of arity {arity} has degree {op.degree}, spec says {self.degree}"
+                    f"component of arity {arity} has degree {op.degree}, spec says {degree}"
                 )
-            if op.basis != self.basis:
+            if op.basis != basis:
                 raise MalformedInputError("component lives over a foreign basis")
             if not op.is_zero():
                 frozen[arity] = op
-        object.__setattr__(self, "components", frozen)
+        self._assign(basis, degree, frozen)
 
     def arities(self) -> list[int]:
         return sorted(self.components)

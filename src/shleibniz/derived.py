@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .coalgebra import CoderivationSpec, check_coderivation_axiom, hom_bracket, lift_witnesses
@@ -95,26 +94,26 @@ from .multiop import (
     nary_brackets,
     op_from_terms,
 )
+from .record import Record
 from .results import Verdict, Violation
 
 
-@dataclass(frozen=True)
-class DeformationFamily:
+class DeformationFamily(Record):
     """Bracket plus the coefficients delta_0, ..., delta_m of the deformation."""
 
-    bracket: MultiOp
-    deltas: tuple[MultiOp, ...]
+    __slots__ = ("bracket", "deltas")
 
-    def __post_init__(self) -> None:
-        if self.bracket.arity != 2 or self.bracket.degree != 0:
+    def __init__(self, bracket: MultiOp, deltas: tuple[MultiOp, ...]):
+        if bracket.arity != 2 or bracket.degree != 0:
             raise MalformedInputError("bracket must have arity 2 and degree 0")
-        if not self.deltas:
+        if not deltas:
             raise MalformedInputError("a deformation family needs at least delta_0")
-        for n, d in enumerate(self.deltas):
-            if d.basis != self.bracket.basis:
+        for n, d in enumerate(deltas):
+            if d.basis != bracket.basis:
                 raise MalformedInputError(f"delta_{n} lives over a foreign basis")
             if d.arity != 1 or d.degree != 1:
                 raise MalformedInputError(f"delta_{n} must have arity 1 and degree +1")
+        self._assign(bracket, deltas)
 
     @property
     def basis(self) -> GradedBasis:
@@ -140,23 +139,22 @@ class DeformationFamily:
         return DeformationFamily(self.bracket, self.deltas + (zero,) * (order - self.order))
 
 
-@dataclass(frozen=True)
-class ShLeibnizStructure:
+class ShLeibnizStructure(Record):
     """Operations l_1, ..., l_L on the shifted basis; arities beyond L are zero."""
 
-    basis: GradedBasis
-    ops: tuple[MultiOp, ...]
+    __slots__ = ("basis", "ops")
 
-    def __post_init__(self) -> None:
-        for k, op in enumerate(self.ops):
+    def __init__(self, basis: GradedBasis, ops: tuple[MultiOp, ...]):
+        for k, op in enumerate(ops):
             i = k + 1
-            if op.basis != self.basis:
+            if op.basis != basis:
                 raise MalformedInputError(f"l_{i} lives over a foreign basis")
             if op.arity != i or op.degree != 2 - i:
                 raise MalformedInputError(
                     f"l_{i} must have arity {i} and degree {2 - i}, "
                     f"got arity {op.arity} degree {op.degree}"
                 )
+        self._assign(basis, ops)
 
     @property
     def max_arity(self) -> int:

@@ -57,7 +57,6 @@ coefficient dict {basis index: scalar}: parsing builds no ``Element``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DocumentError, DocumentIssue, GaugeDerivationError
@@ -65,6 +64,7 @@ from .graded import GradedBasis, Scalar, exact, format_terms
 from .multiop import MultiOp
 from .derived import DeformationFamily
 from .gauge import GaugeFamily
+from .record import Record
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _HEADER_RE = re.compile(r"\[\s*([A-Za-z_]+)(?:\s+(-?\d+))?\s*\]\Z")
@@ -85,8 +85,7 @@ _NUMBERED = {
 }
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
+class AlgebraDocument(Record):
     """Parsed, normalised content of an algebra document.
 
     Construction builds the basis, the bracket, the family and the gauge once,
@@ -95,36 +94,40 @@ class AlgebraDocument:
     them.
     """
 
-    basis: tuple[tuple[str, int], ...]
-    bracket: tuple[tuple[str, str, Terms], ...]
-    deltas: tuple[tuple[tuple[str, Terms], ...], ...]
-    gauges: tuple[tuple[tuple[str, Terms], ...], ...]
-    metadata: tuple[tuple[str, str], ...] = field(default=())
-    _basis: GradedBasis = field(init=False, repr=False, compare=False)
-    _bracket: MultiOp = field(init=False, repr=False, compare=False)
-    _family: DeformationFamily | None = field(init=False, repr=False, compare=False)
-    _gauge: GaugeFamily | None = field(init=False, repr=False, compare=False)
+    # the fields as parsed, then the operator layer's objects built from them
+    __slots__ = (
+        "basis", "bracket", "deltas", "gauges", "metadata",
+        "_basis", "_bracket", "_family", "_gauge",
+    )
 
-    def __post_init__(self) -> None:
-        basis = GradedBasis(tuple(n for n, _ in self.basis), tuple(d for _, d in self.basis))
+    def __init__(
+        self,
+        basis: tuple[tuple[str, int], ...],
+        bracket: tuple[tuple[str, str, Terms], ...],
+        deltas: tuple[tuple[tuple[str, Terms], ...], ...],
+        gauges: tuple[tuple[tuple[str, Terms], ...], ...],
+        metadata: tuple[tuple[str, str], ...] = (),
+    ):
+        graded_basis = GradedBasis(tuple(n for n, _ in basis), tuple(d for _, d in basis))
 
         def op(arity: int, degree: int, entries: tuple[tuple, ...]) -> MultiOp:
             # an entry is its generator names followed by the image's terms;
             # the images go to the validator as plain coefficient dicts
-            index = basis.index
+            index = graded_basis.index
             constants = {
                 tuple([index(n) for n in entry[:-1]]): {index(n): c for c, n in entry[-1]}
                 for entry in entries
             }
-            return MultiOp(basis, arity, degree, constants)
+            return MultiOp(graded_basis, arity, degree, constants)
 
-        bracket = op(2, 0, self.bracket)
-        deltas = tuple(op(1, 1, entries) for entries in self.deltas)
-        xis = tuple(op(1, 0, entries) for entries in self.gauges)
-        object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_bracket", bracket)
-        object.__setattr__(self, "_family", DeformationFamily(bracket, deltas) if deltas else None)
-        object.__setattr__(self, "_gauge", GaugeFamily(bracket, xis) if xis else None)
+        bracket_op = op(2, 0, bracket)
+        delta_ops = tuple(op(1, 1, entries) for entries in deltas)
+        xi_ops = tuple(op(1, 0, entries) for entries in gauges)
+        self._assign(
+            basis, bracket, deltas, gauges, metadata, graded_basis, bracket_op,
+            DeformationFamily(bracket_op, delta_ops) if delta_ops else None,
+            GaugeFamily(bracket_op, xi_ops) if xi_ops else None,
+        )
 
     @property
     def name(self) -> str:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
 class EngineError(Exception):
@@ -34,13 +34,13 @@ class GaugeDerivationError(PreconditionError):
         super().__init__(f"xi_{order} is not a derivation of the bracket")
 
 
-@dataclass(frozen=True)
-class DocumentIssue:
+class DocumentIssue(Record):
     """One located parse or validation problem in an algebra document."""
 
-    line: int
-    field: str
-    message: str
+    __slots__ = ("line", "field", "message")
+
+    def __init__(self, line: int, field: str, message: str):
+        self._assign(line, field, message)
 
     def render(self) -> str:
         return f"line {self.line}: [{self.field}] {self.message}"

@@ -93,7 +93,6 @@ n <= m) induces the family delta_n = {theta_n, -}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -129,25 +128,25 @@ from .multiop import (
     n_i_d,
     op_from_terms,
 )
+from .record import Record
 from .results import Verdict, Violation
 
 
-@dataclass(frozen=True)
-class GaugeFamily:
+class GaugeFamily(Record):
     """xi_1, ..., xi_m: degree-0 derivations of the bracket, orders 1 and up."""
 
-    bracket: MultiOp
-    xis: tuple[MultiOp, ...]
+    __slots__ = ("bracket", "xis")
 
-    def __post_init__(self) -> None:
-        for k, xi in enumerate(self.xis):
+    def __init__(self, bracket: MultiOp, xis: tuple[MultiOp, ...]):
+        for k, xi in enumerate(xis):
             order = k + 1
-            if xi.basis != self.bracket.basis:
+            if xi.basis != bracket.basis:
                 raise MalformedInputError(f"xi_{order} lives over a foreign basis")
             if xi.arity != 1 or xi.degree != 0:
                 raise MalformedInputError(f"xi_{order} must have arity 1 and degree 0")
-            if check_derivation(xi, self.bracket):
+            if check_derivation(xi, bracket):
                 raise GaugeDerivationError(order)
+        self._assign(bracket, xis)
 
     @property
     def basis(self) -> GradedBasis:
@@ -158,19 +157,19 @@ class GaugeFamily:
         return len(self.xis)
 
 
-@dataclass(frozen=True)
-class McElement:
+class McElement(Record):
     """theta_1, ..., theta_m: the orders of a candidate Maurer-Cartan element."""
 
-    thetas: tuple[Element, ...]
+    __slots__ = ("thetas",)
 
-    def __post_init__(self) -> None:
-        if not self.thetas:
+    def __init__(self, thetas: tuple[Element, ...]):
+        if not thetas:
             raise MalformedInputError("a Maurer-Cartan element needs at least theta_1")
-        for k, theta in enumerate(self.thetas):
+        for k, theta in enumerate(thetas):
             deg = theta.homogeneous_degree()
             if deg is not None and deg != 1:
                 raise MalformedInputError(f"theta_{k + 1} must be homogeneous of degree 1")
+        self._assign(thetas)
 
     @property
     def order(self) -> int:

@@ -36,31 +36,26 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MalformedInputError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class GradedBasis:
+class GradedBasis(Record):
     """Ordered homogeneous basis with integer degrees."""
 
-    names: tuple[str, ...]
-    degrees: tuple[int, ...]
-    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("names", "degrees", "_positions")
 
-    def __post_init__(self) -> None:
-        if len(self.names) != len(self.degrees):
-            raise MalformedInputError(
-                f"basis has {len(self.names)} names but {len(self.degrees)} degrees"
-            )
-        positions = {name: k for k, name in enumerate(self.names)}
-        if len(positions) != len(self.names):
+    def __init__(self, names: tuple[str, ...], degrees: tuple[int, ...]):
+        if len(names) != len(degrees):
+            raise MalformedInputError(f"basis has {len(names)} names but {len(degrees)} degrees")
+        positions = {name: k for k, name in enumerate(names)}
+        if len(positions) != len(names):
             raise MalformedInputError("basis names must be distinct")
-        object.__setattr__(self, "_positions", positions)
+        self._assign(names, degrees, positions)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -103,12 +98,12 @@ def exact(c: object, label: str = "scalar") -> Scalar:
     raise MalformedInputError(f"{label} is a {type(c).__name__}, not an int or a Fraction")
 
 
-class SparseVector:
+class SparseVector(Record):
     """Sparse vector over a GradedBasis: keys mapped to exact scalars.
 
-    Immutable by convention; all operations return fresh vectors of the same
-    class.  Zero coefficients are never stored.  Subclasses fix the kind of
-    key (``_check_key``) and the order ``items`` lists them in (``_order``).
+    Immutable; all operations return fresh vectors of the same class.  Zero
+    coefficients are never stored.  Subclasses fix the kind of key
+    (``_check_key``) and the order ``items`` lists them in (``_order``).
     """
 
     __slots__ = ("basis", "coeffs")
@@ -122,8 +117,7 @@ class SparseVector:
                 c = c if type(c) is int else exact(c, f"coefficient of {key!r}")
                 if c:
                     clean[key] = c
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "coeffs", clean)
+        self._assign(basis, clean)
 
     @staticmethod
     def _check_key(basis: GradedBasis, key):
@@ -145,13 +139,8 @@ class SparseVector:
         Fraction(1, 2) * 2, is stored as an int.
         """
         out = object.__new__(cls)
-        object.__setattr__(out, "basis", basis)
-        clean = {k: c if type(c) is int else exact(c) for k, c in coeffs.items() if c}
-        object.__setattr__(out, "coeffs", clean)
+        out._assign(basis, {k: c if type(c) is int else exact(c) for k, c in coeffs.items() if c})
         return out
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, basis: GradedBasis):
@@ -167,11 +156,6 @@ class SparseVector:
 
     def items(self) -> list:
         return sorted(self.coeffs.items(), key=lambda kv: self._order(kv[0]))
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.basis == other.basis and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.basis, tuple(self.items())))
@@ -250,16 +234,16 @@ def format_element(
     return format_terms((render_key(vec.basis, key), c) for key, c in vec.items())
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """Permutation of {1, ..., n} stored as the tuple (sigma(1), ..., sigma(n))."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise MalformedInputError(f"not a permutation of 1..{n}: {self.images}")
+    def __init__(self, images: tuple[int, ...]):
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise MalformedInputError(f"not a permutation of 1..{n}: {images}")
+        self._assign(images)
 
     @property
     def size(self) -> int:

@@ -44,10 +44,11 @@ from typing import Iterator, Mapping
 
 from .errors import MalformedInputError, PreconditionError
 from .graded import Element, GradedBasis, Scalar, UnshuffleRow, _placement_table, exact, placements
+from .record import Immutable, Record
 from .results import Verdict, Violation
 
 
-class MultiOp:
+class MultiOp(Record):
     """Sparse structure constants for a homogeneous multilinear operation.
 
     constants maps index tuples (length == arity) to images, each a nonzero
@@ -64,6 +65,7 @@ class MultiOp:
 
     # the first four are set on construction, _positions on first use
     __slots__ = ("basis", "arity", "degree", "constants", "_positions")
+    __hash__ = None  # constants is a dict
 
     def __init__(
         self,
@@ -103,11 +105,7 @@ class MultiOp:
                         f"(operation degree {degree})"
                     )
                 clean[key] = coeffs
-        for name, value in zip(self.__slots__, (basis, arity, degree, clean)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MultiOp is immutable")
+        self._assign(basis, arity, degree, clean)
 
     @staticmethod
     def zero(basis: GradedBasis, arity: int, degree: int) -> "MultiOp":
@@ -151,16 +149,6 @@ class MultiOp:
         scalar = exact(scalar)
         images = {k: {b: scalar * c for b, c in v.items()} for k, v in self.constants.items()}
         return op_from_terms(self.basis, self.arity, self.degree, images)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiOp):
-            return NotImplemented
-        return (
-            self.basis == other.basis
-            and self.arity == other.arity
-            and self.degree == other.degree
-            and self.constants == other.constants
-        )
 
     def __repr__(self) -> str:
         return f"MultiOp(arity={self.arity}, degree={self.degree}, {len(self.constants)} constants)"
@@ -440,8 +428,7 @@ def op_from_terms(
     scalar is put in canonical exact form.
     """
     op = object.__new__(MultiOp)
-    for name, value in zip(MultiOp.__slots__, (basis, arity, degree, _images(acc))):
-        object.__setattr__(op, name, value)
+    op._assign(basis, arity, degree, _images(acc))
     return op
 
 
@@ -473,7 +460,7 @@ def check_skewsymmetry(op: MultiOp) -> Verdict:
     return Verdict.from_violations(violations)
 
 
-class LeibnizAlgebra:
+class LeibnizAlgebra(Immutable):
     """A graded basis with a degree-0 bracket satisfying the left Leibniz identity.
 
     Construction validates the identity exhaustively; use raw MultiOps to work
@@ -493,11 +480,7 @@ class LeibnizAlgebra:
             raise PreconditionError(
                 f"Leibniz identity fails on {site} (and {len(bad) - 1} more triples)"
             )
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "bracket", bracket)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LeibnizAlgebra is immutable")
+        self._assign(basis, bracket)
 
 
 class DgLeibnizAlgebra(LeibnizAlgebra):

@@ -9,37 +9,50 @@ one key that consumers can strip.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .coalgebra import TensorElement, format_word
 from .graded import Element, format_element
+from .record import Record
 from .results import Violation
 
 # enough witnesses to act on without flooding the terminal
 WITNESS_LIMIT = 5
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one named check inside a command run.
 
     passed is None for purely informational results (tables of derived
     structure constants and the like), which do not affect the verdict.
     """
 
-    name: str
-    passed: bool | None
-    violations: list[Violation] = field(default_factory=list)
-    detail: list[str] = field(default_factory=list)
+    __slots__ = ("name", "passed", "violations", "detail")
+    __hash__ = None  # its fields are lists
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool | None,
+        violations: list[Violation] | None = None,
+        detail: list[str] | None = None,
+    ):
+        violations = [] if violations is None else violations
+        self._assign(name, passed, violations, [] if detail is None else detail)
 
 
-@dataclass
-class Report:
-    command: str
-    document: str
-    options: list[tuple[str, int | bool]]
-    results: list[CheckResult]
-    elapsed_ms: int = 0
+class Report(Record):
+    __slots__ = ("command", "document", "options", "results", "elapsed_ms")
+    __hash__ = None  # its fields are lists
+
+    def __init__(
+        self,
+        command: str,
+        document: str,
+        options: list[tuple[str, int | bool]],
+        results: list[CheckResult],
+        elapsed_ms: int = 0,
+    ):
+        self._assign(command, document, options, results, elapsed_ms)
 
     @property
     def passed(self) -> bool:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One counterexample found by a check.
 
     site identifies where (basis names, word letters, a Const or order value);
@@ -14,19 +13,26 @@ class Violation:
     element, or None when the failure is structural rather than numeric).
     """
 
-    check: str
-    site: tuple
-    residual: object | None = None
-    detail: str = ""
+    __slots__ = ("check", "site", "residual", "detail")
+
+    def __init__(self, check: str, site: tuple, residual: object | None = None, detail: str = ""):
+        self._assign(check, site, residual, detail)
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
     """Outcome of a verdict-shaped check: pass/fail plus all witnesses found."""
 
-    passed: bool
-    violations: list[Violation] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("passed", "violations", "notes")
+    __hash__ = None  # its fields are lists
+
+    def __init__(
+        self,
+        passed: bool,
+        violations: list[Violation] | None = None,
+        notes: list[str] | None = None,
+    ):
+        violations = [] if violations is None else violations
+        self._assign(passed, violations, [] if notes is None else notes)
 
     @staticmethod
     def from_violations(violations: list[Violation], notes: list[str] | None = None) -> "Verdict":
