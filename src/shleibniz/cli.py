@@ -4,7 +4,9 @@ Thin wrapper over the runner: each subcommand reads one document (a file
 path or '-' for stdin), runs its checks, prints the report, and exits with
 0 when everything passed, 1 when a check found violations, and 2 when the
 input could not be used (undecodable bytes, parse errors, missing sections,
-bad flags).  A document is UTF-8, with or without a byte-order mark.
+bad flags).  A document is UTF-8, with or without a byte-order mark, and
+every report, message and help text is written as UTF-8, whatever encoding
+the stream is configured with.
 
 The subcommands are generated from ``runner.COMMANDS``: each takes the
 scope flags its ``runner._OPTION_FIELDS`` entry lists, with the
@@ -14,11 +16,10 @@ runner function.
 
 from __future__ import annotations
 
+import argparse
 import codecs
-import dataclasses
+import os
 import sys
-
-import click
 
 from .document import LINE_BREAK
 from .errors import DocumentError, DocumentIssue, EngineError
@@ -26,86 +27,108 @@ from .report import render_structured, render_text
 from .runner import _OPTION_FIELDS, COMMANDS, RunOptions, run_command
 
 
+def _echo(stream, text: str) -> None:
+    try:
+        stream.flush()
+        stream.buffer.write(text.encode("utf-8"))
+        stream.flush()
+    except BrokenPipeError:
+        # the reader has gone, as under `| head`: exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        sys.exit(1)
+
+
+class _Parser(argparse.ArgumentParser):
+    # help, usage and error messages all leave argparse through this method
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            _echo(file or sys.stderr, message)
+
+
+def _at_least(low: int):
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is less than the minimum {low}")
+        return value
+
+    return integer
+
+
+def _source(path: str) -> bytes:
+    if path == "-":
+        return sys.stdin.buffer.read()
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"can't read {path!r}: {exc.strerror}") from None
+
+
 def _decode(data: bytes) -> str:
-    """The document's text; bytes that are not UTF-8 exit 2 naming the line
-    of the first of them, as the parser numbers lines."""
+    """The document's text; bytes that are not UTF-8 are a DocumentError
+    naming the line of the first of them, as the parser numbers lines."""
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # the offset counts from after a byte-order mark
         start = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
         line = len(LINE_BREAK.split(data[:start].decode("utf-8-sig")))
-        issue = DocumentIssue(line, "encoding", f"not UTF-8: {exc.reason} at byte {start}")
-        click.echo(issue.render(), err=True)
-        sys.exit(2)
+        message = f"not UTF-8: {exc.reason} at byte {start}"
+        raise DocumentError([DocumentIssue(line, "encoding", message)]) from None
 
 
-def _finish(command: str, text: str, options: RunOptions, fmt: str) -> None:
-    try:
-        report = run_command(command, text, options)
-    except DocumentError as exc:
-        for issue in exc.issues:
-            click.echo(issue.render(), err=True)
-        sys.exit(2)
-    except EngineError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    rendered = render_structured(report) if fmt == "structured" else render_text(report)
-    click.echo(rendered, nl=False)
-    sys.exit(0 if report.passed else 1)
-
-
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunOptions)}
-
-# click settings per RunOptions field; defaults come from RunOptions itself
+# argparse settings per RunOptions field; defaults come from RunOptions itself
+_DEFAULT = " (default: %(default)s)."
 _FLAGS = {
-    "max_const": dict(
-        type=click.IntRange(min=2), show_default=True, help="Largest identity weight checked."
-    ),
-    "max_word_len": dict(
-        type=click.IntRange(min=1), show_default=True, help="Largest tensor word length checked."
-    ),
-    "max_arity": dict(
-        type=click.IntRange(min=1),
-        show_default=True,
-        help="Largest nested-operation arity checked.",
-    ),
-    "first_violation": dict(
-        is_flag=True, help="Stop each check at its first counterexample."
-    ),
+    "max_const": dict(type=_at_least(2), help="Largest identity weight checked" + _DEFAULT),
+    "max_word_len": dict(type=_at_least(1), help="Largest tensor word length checked" + _DEFAULT),
+    "max_arity": dict(type=_at_least(1), help="Largest nested-operation arity checked" + _DEFAULT),
+    "first_violation": dict(action="store_true", help="Stop each check at its first witness."),
 }
 
 
-@click.group()
-def main() -> None:
-    """Exact verification of derived brackets on graded Leibniz algebras."""
-
-
-def _add_command(command: str) -> None:
-    def callback(source, fmt: str, **flags) -> None:
-        _finish(command, _decode(source.read()), RunOptions(**flags), fmt)
-
-    params = [click.Argument(["source"], type=click.File("rb"))]
-    for name in _OPTION_FIELDS.get(command, ()):
-        flag = "--" + name.replace("_", "-")
-        params.append(click.Option([flag], default=_DEFAULTS[name], **_FLAGS[name]))
-    params.append(
-        click.Option(
-            ["--format", "fmt"],
-            type=click.Choice(["text", "structured"]),
-            default="text",
-            show_default=True,
-            help="Report rendering.",
+def _parser() -> argparse.ArgumentParser:
+    defaults = RunOptions()
+    parser = _Parser(
+        prog="shleibniz",
+        description="Exact verification of derived brackets on graded Leibniz algebras.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for command, run in COMMANDS.items():
+        sub = commands.add_parser(
+            command, help=run.__doc__, description=run.__doc__, allow_abbrev=False
         )
-    )
-    main.add_command(
-        click.Command(command, callback=callback, params=params, help=COMMANDS[command].__doc__)
-    )
+        sub.add_argument("source", type=_source, help="Document path, or - for stdin.")
+        for name in _OPTION_FIELDS.get(command, ()):
+            flag = "--" + name.replace("_", "-")
+            sub.add_argument(flag, default=getattr(defaults, name), **_FLAGS[name])
+        sub.add_argument(
+            "--format",
+            dest="fmt",
+            choices=("text", "structured"),
+            default="text",
+            help="Report rendering" + _DEFAULT,
+        )
+    return parser
 
 
-for _command in COMMANDS:
-    _add_command(_command)
+def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the exit code, or SystemExit(2) on bad flags."""
+    flags = vars(_parser().parse_args(argv))
+    command, data, fmt = (flags.pop(k) for k in ("command", "source", "fmt"))
+    try:
+        report = run_command(command, _decode(data), RunOptions(**flags))
+    except DocumentError as exc:
+        _echo(sys.stderr, "".join(issue.render() + "\n" for issue in exc.issues))
+        return 2
+    except EngineError as exc:
+        _echo(sys.stderr, f"error: {exc}\n")
+        return 2
+    _echo(sys.stdout, render_structured(report) if fmt == "structured" else render_text(report))
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

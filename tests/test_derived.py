@@ -337,6 +337,31 @@ def test_codifferential_squares_to_zero(docs, family_names):
         assert verdict.passed, name
 
 
+def test_the_smallest_scopes_check_weight_two_and_single_letters(docs, family_names):
+    # max_const = 2 is the weight-2 identity alone and max_len = 1 the square
+    # on single letters: both are accepted, pass on every family, and on each
+    # designated perturbation report exactly the weight-2 or length-1
+    # witnesses of the next wider scope; a smaller scope is refused
+    for name in family_names:
+        fam = docs[name].to_family()
+        assert check_sh_leibniz(build_sh_structure(fam), max_const=2).passed, name
+        assert check_codifferential(fam, max_len=1).passed, name
+        bad = perturbed_family(docs[name], perturbation(name))
+        structure = build_sh_structure(bad)
+        wider = check_sh_leibniz(structure, max_const=3).violations
+        weight_two = [v for v in wider if v.site[0] == 2]
+        assert check_sh_leibniz(structure, max_const=2).violations == weight_two != [], name
+        longer = check_codifferential(bad, max_len=2).violations
+        letters = [v for v in longer if len(v.site) == 1]
+        assert check_codifferential(bad, max_len=1).violations == letters != [], name
+        for max_const in (1, 0):
+            with pytest.raises(MalformedInputError):
+                check_sh_leibniz(structure, max_const)
+        for max_len in (0, -1):
+            with pytest.raises(MalformedInputError):
+                check_codifferential(bad, max_len)
+
+
 def test_routes_agree_on_perturbed_families(docs, family_names):
     # both formulations must reject the same deliberately broken input
     for name in family_names:

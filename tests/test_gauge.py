@@ -864,6 +864,21 @@ def test_check_gauge_equivalence_rejects_tiny_scope():
         check_gauge_equivalence(doc.to_family(), doc.to_gauge(), max_len=0)
 
 
+def test_check_gauge_equivalence_accepts_single_letters(docs, family_names):
+    # max_len = 1 compares the formulations on single letters: accepted on
+    # every gauged family, passing there, and already failing on the
+    # designated perturbation of endo2; -1 is refused like 0
+    for name in family_names:
+        doc = docs[name]
+        assert doc.gauges, name
+        assert check_gauge_equivalence(doc.to_family(), doc.to_gauge(), max_len=1).passed, name
+    doc = docs["endo2"]
+    bad = perturbed_family(doc, perturbation("endo2"))
+    assert not check_gauge_equivalence(bad, doc.to_gauge(), max_len=1).passed
+    with pytest.raises(MalformedInputError):
+        check_gauge_equivalence(bad, doc.to_gauge(), max_len=-1)
+
+
 def test_adjoint_op_values_and_validation():
     doc = shipped.load_fixture("quartic")
     bracket = doc.to_bracket()

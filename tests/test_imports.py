@@ -1,8 +1,9 @@
 """The package exports its public API only; every name a package or test
 module imports is used in that module; every definition in the package has
 a caller outside the tests; no package module asserts or compiles a regular
-expression at call time; RunOptions is the package's only dataclass; and
-every hook the benchmark takes into the package resolves."""
+expression at call time; RunOptions is the package's only dataclass; the
+command line needs no third-party package; and every hook the benchmark
+takes into the package resolves."""
 
 from __future__ import annotations
 
@@ -10,8 +11,13 @@ import __future__
 import ast
 import functools
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import shleibniz
 
@@ -140,8 +146,8 @@ def test_run_options_is_the_only_dataclass_in_the_package():
     # imported, at 0.6-1.3 ms a class (Python 3.11, 2-core VM), more than
     # the checks of a small document take; record types derive from
     # record.Record instead.  RunOptions stays a dataclass: the benchmark
-    # reads it with dataclasses.asdict, and the CLI its defaults with
-    # dataclasses.fields
+    # reads it with dataclasses.asdict, and the tests vary it with
+    # dataclasses.replace
     modules = sorted(PACKAGE.rglob("*.py"))
     assert PACKAGE / "runner.py" in modules and len(modules) > 10
     found = []
@@ -153,6 +159,20 @@ def test_run_options_is_the_only_dataclass_in_the_package():
                     if ast.unparse(target).split(".")[-1] == "dataclass":
                         found.append(f"{path.relative_to(PACKAGE)}:{node.name}")
     assert found == ["runner.py:RunOptions"]
+
+
+def test_the_command_line_needs_no_third_party_package():
+    # argparse parses the flags: a fresh interpreter that imports the command
+    # line loads no click, and the project declares no runtime dependency
+    probe = "import sys, shleibniz, shleibniz.cli; print('click' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0 and result.stdout == "False\n", result.stderr
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((PACKAGE.parent.parent / "pyproject.toml").read_text("utf-8"))
+    assert "dependencies" not in project["project"]
 
 
 def regex_calls_at_call_time(tree: ast.Module) -> list[int]:

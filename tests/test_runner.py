@@ -1,4 +1,4 @@
-"""Command dispatch and report rendering outside the click layer."""
+"""Command dispatch and report rendering outside the command-line layer."""
 
 from __future__ import annotations
 
