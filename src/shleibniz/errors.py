@@ -34,6 +34,15 @@ class GaugeDerivationError(PreconditionError):
         super().__init__(f"xi_{order} is not a derivation of the bracket")
 
 
+_CONTROLS = {c: f"\\u{c:04x}" for c in (*range(0x09), *range(0x0A, 0x20), *range(0x7F, 0xA0))}
+
+
+def escape_controls(text: str) -> str:
+    """Text echoed from a document with every C0 control character but tab,
+    DEL and every C1 control character written as \\u00XX."""
+    return text.translate(_CONTROLS)
+
+
 class DocumentIssue(Record):
     """One located parse or validation problem in an algebra document."""
 
@@ -43,7 +52,7 @@ class DocumentIssue(Record):
         self._assign(line, field, message)
 
     def render(self) -> str:
-        return f"line {self.line}: [{self.field}] {self.message}"
+        return f"line {self.line}: [{escape_controls(self.field)}] {self.message}"
 
 
 class DocumentError(EngineError):

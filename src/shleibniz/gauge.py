@@ -69,21 +69,24 @@ coalgebra.lift_witnesses scatters the words w with D^c(w) nonzero from D's
 constants, as derived.check_codifferential does for the square of partial,
 and no word is walked.
 
-Every series is summed on integer tables.  A series that stops after at
-most b steps is summed with step p weighted by the integer b!/p!: the sum
-is b! times the series, no 1/p! is taken, and integer constants stay
-integers.  delta' stops after m = order(family) steps, as step p carries
-order >= p, so gauge_transform sums M delta' with M = m! and divides by M
-once.  The check scales it back and builds M partial' from M delta', the
-lift being linear; the order expansion raises the arity by one or more
-per step, from 1 up to at most m + 1, so it stops after m steps and gives
-M E.  On the words of length <= L the two exponentials of pr G stop after
-L - 1 steps, and pr(partial Xi^p) is weighted by M as well, so their
-tables are (L - 1)! M pr G.  A multiple by a nonzero integer is zero
-exactly when the table is, so the verdicts and the EngineError
-cross-check are unchanged, and M D = M partial' - M E is divided by M only
-once it is nonzero, before the lift: the witness values are exactly D's.
-A nonzero step past its bound is an EngineError, never a truncation.
+Every series is summed on integer tables, by _exponential.  A series that
+stops after at most b steps is summed with step p weighted by the integer
+b!/p!: the sum is b! times the series, no 1/p! is taken, and integer
+constants stay integers.  Order n feeds arity n + 1 (partial_{n+1} =
+N_{n+1} delta_n, Xi_{b+1} = N_{b+1} xi_b), so with delta_n labelled n + 1
+and xi_b labelled b + 1, delta' = exp([-, xi]) delta is the series of the
+order expansion E = exp([-, Xi]) partial, and _adjoint_series sums both up
+to label m + 1, m = order(family).  A step raises the label by one or
+more, so both stop after m steps and give M delta' and M E, M = m!.
+gauge_transform divides by M once; the check scales back and builds M
+partial' from M delta', the lift being linear.  On the words of length
+<= L the two exponentials of pr G stop after L - 1 steps, and
+pr(partial Xi^p) is weighted by M as well, so their tables are
+(L - 1)! M pr G.  A multiple by a nonzero integer is zero exactly when the
+table is, so the verdicts and the EngineError cross-check are unchanged,
+and M D = M partial' - M E is divided by M only once it is nonzero, before
+the lift: the witness values are exactly D's.  A nonzero step past its
+bound is an EngineError, never a truncation.
 
 A Maurer-Cartan element theta_t = t theta_1 + ... + t^m theta_m of a dg Lie
 algebra (delta_0 theta_n + (1/2) sum_{p+q=n} {theta_p, theta_q} = 0 for
@@ -121,7 +124,6 @@ from .multiop import (
     _residuals,
     check_derivation,
     check_skewsymmetry,
-    compose_into,
     compose_tables,
     hom_tables,
     identity_op,
@@ -186,18 +188,18 @@ def check_deformation(fam: DeformationFamily) -> list[Violation]:
     """Derivation rule for every delta_i and the square-zero residual for n <= m.
 
     The residual at order n is sum_{i+j=n} delta_i delta_j on each basis
-    vector, scattered from the constants by compose_into.  Orders beyond m
-    are outside the truncation contract and are not checked here.
+    vector: with order n labelled n + 1, one compose_tables call scatters
+    every order from the constants.  Orders beyond m are outside the
+    truncation contract and are not checked here.
     """
     violations: list[Violation] = []
     for i, delta in enumerate(fam.deltas):
         for v in check_derivation(delta, fam.bracket):
             violations.append(Violation("deformation-derivation", (i,) + v.site, v.residual))
+    deltas = dict(enumerate(fam.deltas, start=1))
+    square = compose_tables({}, deltas, deltas, 1, fam.order + 1)
     for n in range(fam.order + 1):
-        acc: dict[Word, dict[int, Scalar]] = {}
-        for i in range(n + 1):
-            compose_into(acc, fam.deltas[i], fam.deltas[n - i], 1)
-        violations += _residuals("deformation-square", fam.basis, acc, (n,))
+        violations += _residuals("deformation-square", fam.basis, square[n + 1], (n,))
     return violations
 
 
@@ -261,36 +263,17 @@ def _apply_into(acc: dict[int, Scalar], op: MultiOp, elt: Element, scale: Scalar
 
 def gauge_transform(fam: DeformationFamily, gauge: GaugeFamily) -> DeformationFamily:
     """Apply the nested-commutator series, truncated at order(fam); extend
-    the family first to transform to a higher order.  The series in p
-    terminates on its own since the p-th term carries order >= p, so p <=
-    order(fam): step p is added into one coefficient dict per order with
-    the integer weight M/p!, M = order(fam)!, and the sums are divided by M
-    once at the end.
+    the family first to transform to a higher order.  With delta_n labelled
+    n + 1 and xi_b labelled b + 1, the series is exp([-, xi]) summed by
+    _adjoint_series, as the module docstring sets out: M delta' with
+    M = order(fam)!, divided by M once at the end.
     """
     if gauge.bracket != fam.bracket:
         raise MalformedInputError("gauge and family belong to different brackets")
-    scale = math.factorial(fam.order)
-    current: list[MultiOp] = list(fam.deltas)
-    sums: list[dict[Word, dict[int, Scalar]]] = [{} for _ in current]
-    for total, delta in zip(sums, current):
-        _add_into(total, delta.constants, scale)
-    weight = scale
-    for p in range(1, fam.order + 1):
-        weight //= p
-        nxt: list[MultiOp] = []
-        for n, total in enumerate(sums):
-            # sum_b [delta_{n-b}, xi_b] into one table, wrapped once
-            acc: dict[int, dict[Word, dict[int, Scalar]]] = {}
-            for b, xi in enumerate(gauge.xis[:n], start=1):
-                hom_tables(acc, {1: current[n - b]}, {1: xi}, 1, 1)
-            nxt.append(op_from_terms(fam.basis, 1, 1, acc.get(1, {})))
-            _add_into(total, nxt[-1].constants, weight)
-        current = nxt
-        if all(c.is_zero() for c in current):
-            break
-    unit = Fraction(1, scale)
-    deltas = tuple(op_from_terms(fam.basis, 1, 1, total).scale(unit) for total in sums)
-    return DeformationFamily(fam.bracket, deltas)
+    deltas, xis = dict(enumerate(fam.deltas, start=1)), dict(enumerate(gauge.xis, start=2))
+    sums = _adjoint_series(deltas, xis, fam.order + 1)
+    unit, zero = Fraction(1, math.factorial(fam.order)), MultiOp.zero(fam.basis, 1, 1)
+    return DeformationFamily(fam.bracket, tuple(sums.get(n, zero).scale(unit) for n in deltas))
 
 
 def _add_into(
@@ -337,18 +320,23 @@ def _exponential(
     tables: dict[int, MultiOp], step: Callable[[dict[int, MultiOp]], dict[int, dict]], bound: int
 ) -> dict[int, MultiOp]:
     """bound! sum_p step^p(tables)/p!, for a step by Xi that is linear in the
-    arity tables and returns their images as coefficient dicts per arity:
+    labelled tables and returns their images as coefficient dicts per label:
     [-, Xi] through hom_tables, or right composition through compose_tables.
     Step p is taken of the tables of step p - 1 and added straight into one
-    coefficient dict per arity with the integer weight bound!/p!, so integer
+    coefficient dict per label with the integer weight bound!/p!, so integer
     inputs stay integers; only the next step's tables are wrapped, and the
-    sums once at the end.  The steps stop since the arities of Xi are >= 2,
-    and a nonzero step past bound, whose weight would not be an integer,
-    is an EngineError."""
+    sums once at the end, each with the arity of its keys.  The steps stop
+    since the labels of Xi are >= 2, and a nonzero step past bound, whose
+    weight would not be an integer, is an EngineError."""
     if not tables:
         return {}
     some = next(iter(tables.values()))  # Xi has degree 0
     basis, degree = some.basis, some.degree
+
+    def wrap(acc: dict[int, dict[Word, dict[int, Scalar]]]) -> dict[int, MultiOp]:
+        # each table with the arity of its keys; a label with no key has none
+        return {n: op_from_terms(basis, len(next(iter(t))), degree, t) for n, t in acc.items() if t}
+
     weight = math.factorial(bound)
     sums: dict[int, dict[Word, dict[int, Scalar]]] = {}
     p = 0
@@ -356,12 +344,20 @@ def _exponential(
         for n, op in tables.items():
             _add_into(sums.setdefault(n, {}), op.constants, weight)
         p += 1
-        ops = (op_from_terms(basis, n, degree, terms) for n, terms in step(tables).items())
-        tables = {op.arity: op for op in ops if not op.is_zero()}
+        tables = {n: op for n, op in wrap(step(tables)).items() if not op.is_zero()}
         if tables and p > bound:
             raise EngineError(f"step {p} of an exponential bounded by {bound} steps is nonzero")
         weight //= p
-    return {n: op_from_terms(basis, n, degree, terms) for n, terms in sums.items()}
+    return wrap(sums)
+
+
+def _adjoint_series(
+    tables: dict[int, MultiOp], xis: Mapping[int, MultiOp], top: int
+) -> dict[int, MultiOp]:
+    """(top - 1)! exp([-, Xi]) of tables labelled from 1, Xi's labelled from
+    2, on the labels <= top: a step raises the label by one or more, so it
+    stops after top - 1 steps."""
+    return _exponential(tables, lambda t: hom_tables({}, t, xis, 1, top), top - 1)
 
 
 def _scattered_defect(
@@ -434,11 +430,7 @@ def check_gauge_equivalence(
         check_coderivation_axiom(spec, max_len)
     basis = fam.basis
     max_arity = fam_x.order + 1
-    expanded = _exponential(
-        dict(partial.components),
-        lambda t: hom_tables({}, t, xi_spec.components, 1, max_arity),
-        fam_x.order,
-    )
+    expanded = _adjoint_series(partial.components, xi_spec.components, max_arity)
     # M partial' - M exp([-, Xi]) partial, arity by arity, zero arities dropped
     acc: dict[int, dict[Word, dict[int, Scalar]]] = {}
     for sign, tables in ((1, partial_prime.components), (-1, expanded)):
@@ -448,8 +440,7 @@ def check_gauge_equivalence(
     ops = (op_from_terms(basis, a, 1, acc[a]) for a in sorted(acc))
     difference = {op.arity: op for op in ops if not op.is_zero()}
     # divided by M only when nonzero, so the witness values are D's own
-    unit = Fraction(1, scale)
-    defect = {a: d.scale(unit) for a, d in difference.items() if a <= max_len}
+    defect = {a: d.scale(Fraction(1, scale)) for a, d in difference.items() if a <= max_len}
     scattered = _scattered_defect(partial, partial_prime, xi_spec, max_len, scale)
     if bool(scattered) != bool(defect):
         raise EngineError(
@@ -459,8 +450,5 @@ def check_gauge_equivalence(
     violations = lift_witnesses(
         CoderivationSpec(basis, 1, defect), max_len, "gauge-conjugation", first_violation
     )
-    detail = "component of exp([-, Xi]) partial differs from the transformed codifferential"
-    expansion = [
-        Violation("gauge-order-expansion", (a,), None, f"arity-{a} {detail}") for a in difference
-    ]
+    expansion = [Violation("gauge-order-expansion", (a,)) for a in difference]
     return Verdict.from_violations(violations + (expansion[:1] if first_violation else expansion))

@@ -238,9 +238,7 @@ def check_differential(op: MultiOp, bracket: MultiOp) -> Verdict:
     square scattered from the constants by compose_into."""
     violations: list[Violation] = []
     if op.degree != 1:
-        violations.append(
-            Violation("differential-degree", (), None, f"degree is {op.degree}, expected 1")
-        )
+        violations.append(Violation("differential-degree", ()))
     else:
         violations.extend(check_derivation(op, bracket))
         acc: dict[tuple[int, ...], dict[int, Scalar]] = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 
 from .coalgebra import TensorElement, format_word
+from .errors import escape_controls
 from .graded import Element, format_element
 from .record import Record
 from .results import Violation
@@ -74,7 +75,7 @@ def _site_text(site: tuple) -> str:
 
 
 def render_text(report: Report) -> str:
-    lines = [f"document: {report.document}", f"command: {report.command}"]
+    lines = [f"document: {escape_controls(report.document)}", f"command: {report.command}"]
     for key, value in report.options:
         shown = str(value).lower() if isinstance(value, bool) else value
         lines.append(f"{key}: {shown}")

@@ -13,10 +13,10 @@ class Violation(Record):
     element, or None when the failure is structural rather than numeric).
     """
 
-    __slots__ = ("check", "site", "residual", "detail")
+    __slots__ = ("check", "site", "residual")
 
-    def __init__(self, check: str, site: tuple, residual: object | None = None, detail: str = ""):
-        self._assign(check, site, residual, detail)
+    def __init__(self, check: str, site: tuple, residual: object | None = None):
+        self._assign(check, site, residual)
 
 
 class Verdict(Record):

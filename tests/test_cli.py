@@ -347,8 +347,30 @@ def test_bytes_that_are_not_utf8_are_located_under_every_line_ending():
 def test_a_nul_inside_an_element_exits_two():
     result = run("derive", "-", text="[basis]\nx: 0\ny: 1\nz: 1\n\n[delta 0]\nx: y\0z\n")
     assert result.exit_code == 2
-    assert result.err == "line 7: [y\0z] bad generator name\n", result.err
+    assert result.err == "line 7: [y\\u0000z] bad generator name\n", result.err
     assert result.out == ""
+
+
+# what could drive a terminal: every C0 control but tab and newline, DEL, C1
+RAW_CONTROL = re.compile("[\x00-\x08\x0b-\x1f\x7f-\x9f]")
+
+
+def test_control_characters_echoed_from_a_document_are_escaped():
+    # a document name on stdout and a malformed field on stderr are written
+    # with \u00XX, as structured output writes them; a tab stays a tab
+    name = "\x1b[31mred\x07\x0b\x7f\x9b2J\tend"
+    result = run("validate", "-", text=f"[metadata]\nname: {name}\n\n[basis]\nx: 0\n")
+    assert result.exit_code == 0 and result.err == ""
+    shown = "\\u001b[31mred\\u0007\\u000b\\u007f\\u009b2J\tend"
+    assert result.out.split("\n")[0] == f"document: {shown}", result.out
+    assert not RAW_CONTROL.search(result.out)
+    result = run("validate", "-", text="[basis]\nx: 0\ny\x1b[2J\x9b: 0\n[bogus\x1b]\n")
+    assert result.exit_code == 2 and result.out == ""
+    assert result.err == (
+        "line 3: [y\\u001b[2J\\u009b] bad generator name\n"
+        "line 4: [[bogus\\u001b]] malformed section header\n"
+    ), result.err
+    assert not RAW_CONTROL.search(result.err)
 
 
 def test_a_byte_order_mark_is_read_as_utf8(tmp_path):

@@ -321,10 +321,8 @@ def dense_check_dual_leibniz(basis: GradedBasis, max_len: int) -> list[Violation
                 diff[k] = diff.get(k, 0) - c
             diff = {k: c for k, c in diff.items() if c}
             if diff:
-                witness = next(iter(sorted(diff)))
                 names = tuple(basis.names[i] for i in word)
-                detail = f"first mismatched triple {witness}: {diff[witness]}"
-                violations.append(Violation("dual-leibniz", names, None, detail))
+                violations.append(Violation("dual-leibniz", names))
     return violations
 
 

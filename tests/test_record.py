@@ -53,8 +53,8 @@ CASES = {
         lambda: DocumentIssue(4, "bracket", "malformed term"),
     ),
     Violation: (
-        lambda: Violation("skewsymmetry", ("x", "y"), Element(basis(), {1: 2}), "swap@1"),
-        lambda: Violation("skewsymmetry", ("x", "y"), Element(basis(), {1: 3}), "swap@1"),
+        lambda: Violation("skewsymmetry", ("x", "y", "swap@1"), Element(basis(), {1: 2})),
+        lambda: Violation("skewsymmetry", ("x", "y", "swap@1"), Element(basis(), {1: 3})),
     ),
     Verdict: (
         lambda: Verdict(False, [Violation("sh", (3,))], ["Const=7 vacuous"]),
@@ -97,7 +97,7 @@ CASES = {
 # the public fields, in the order of the constructor's parameters
 FIELDS = {
     DocumentIssue: ("line", "field", "message"),
-    Violation: ("check", "site", "residual", "detail"),
+    Violation: ("check", "site", "residual"),
     Verdict: ("passed", "violations", "notes"),
     CheckResult: ("name", "passed", "violations", "detail"),
     Report: ("command", "document", "options", "results", "elapsed_ms"),
