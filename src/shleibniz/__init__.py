@@ -53,7 +53,6 @@ from .graded import (
     Element,
     GradedBasis,
     Permutation,
-    Shift,
     koszul_sign,
     shifted_degrees,
     sign_of_permutation,
@@ -84,7 +83,7 @@ __all__ = [
     "serialize_document", "DocumentError", "DocumentIssue", "EngineError", "MalformedInputError",
     "MCRejectionError", "PreconditionError", "GaugeFamily", "McElement", "build_xi",
     "check_deformation", "check_gauge_equivalence", "exp_xi", "gauge_transform",
-    "mc_to_deformation", "Element", "GradedBasis", "Permutation", "Shift", "koszul_sign",
+    "mc_to_deformation", "Element", "GradedBasis", "Permutation", "koszul_sign",
     "shifted_degrees", "sign_of_permutation", "signed_unshuffles", "unshuffles",
     "DgLeibnizAlgebra", "LeibnizAlgebra", "MultiOp", "check_derivation", "check_differential",
     "check_leibniz_identity", "check_skewsymmetry", "n_i_d", "nary_bracket", "CheckResult",

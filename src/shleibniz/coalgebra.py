@@ -91,7 +91,8 @@ every certificate: a pattern that fails its proof is an engine error.
 check_dual_leibniz and check_coderivation_axiom read the failing set of each
 length, keep the patterns over the parities present in the basis and raise
 EngineError naming the least of them; when none is left, which is every
-correct run, they pass without visiting a pattern or evaluating a word.  The
+correct run, they return None without visiting a pattern or evaluating a
+word: a proof has no verdict, it returns or raises.  The
 codifferential in derived and the gauge maps in gauge rely on their lifts
 being coderivations, and obtain that from check_coderivation_axiom.
 """
@@ -108,12 +109,13 @@ from .graded import (
     GradedBasis,
     Scalar,
     SparseVector,
+    is_letter,
     placements,
     signed_unshuffles,
 )
 from .multiop import MultiOp, hom_tables, op_from_terms
 from .record import Record
-from .results import Verdict, Violation
+from .results import Violation
 
 Word = tuple[int, ...]
 
@@ -123,11 +125,9 @@ def format_word(basis: GradedBasis, word: Word) -> str:
 
 
 def _check_word(basis: GradedBasis, word: Word) -> Word:
-    if len(word) < 1:
-        raise MalformedInputError("words must have at least one letter")
-    if any(not 0 <= i < len(basis) for i in word):
-        raise MalformedInputError(f"word {word} has a letter out of range")
-    return tuple(word)
+    if type(word) is not tuple or not word or not all(is_letter(x, len(basis)) for x in word):
+        raise MalformedInputError(f"word {word!r} is not a nonempty tuple of basis indices")
+    return word
 
 
 def format_pair(basis: GradedBasis, key: tuple[Word, Word]) -> str:
@@ -158,8 +158,9 @@ class TensorPairElement(SparseVector):
 
     @staticmethod
     def _check_key(basis: GradedBasis, key: tuple[Word, Word]) -> tuple[Word, Word]:
-        left, right = key
-        return (_check_word(basis, left), _check_word(basis, right))
+        if type(key) is not tuple or len(key) != 2:
+            raise MalformedInputError(f"key {key!r} is not a pair of words")
+        return (_check_word(basis, key[0]), _check_word(basis, key[1]))
 
     @staticmethod
     def _order(key: tuple[Word, Word]):
@@ -202,8 +203,8 @@ def _prove(
     max_len: int,
     failures: Callable[[int], frozenset[tuple[int, ...]]],
     claim: str,
-) -> Verdict:
-    """Pass when failures(length) holds no pattern over the parities present
+) -> None:
+    """Return when failures(length) holds no pattern over the parities present
     in the basis, for every length <= max_len; otherwise raise EngineError
     naming the least such pattern, the first in itertools.product order."""
     present = {d % 2 for d in basis.degrees}
@@ -214,7 +215,6 @@ def _prove(
                 f"{claim} fails on the generic word of parity pattern {min(failing)}; "
                 "the sign conventions are inconsistent"
             )
-    return Verdict(True, [])
 
 
 # Polynomials over F_2 in the parities x_0, ..., x_{n-1} of the generic
@@ -324,10 +324,11 @@ def _dual_leibniz_failures(n: int) -> frozenset[tuple[int, ...]]:
     return _failing_patterns(n, _dual_leibniz_residual(n))
 
 
-def check_dual_leibniz(basis: GradedBasis, max_len: int) -> Verdict:
+def check_dual_leibniz(basis: GradedBasis, max_len: int) -> None:
     """Dual Leibniz coassociativity on every word of length <= max_len,
-    proved per parity pattern as the module docstring argues."""
-    return _prove(basis, max_len, _dual_leibniz_failures, "the dual Leibniz axiom")
+    proved per parity pattern as the module docstring argues; a failing
+    pattern raises EngineError."""
+    _prove(basis, max_len, _dual_leibniz_failures, "the dual Leibniz axiom")
 
 
 class CoderivationSpec(Record):
@@ -511,12 +512,13 @@ def _coderivation_failures(n: int, arity: int, parity: int) -> frozenset[tuple[i
     return _failing_patterns(n, _coderivation_residual(n, arity, parity))
 
 
-def check_coderivation_axiom(spec: CoderivationSpec, max_len: int) -> Verdict:
+def check_coderivation_axiom(spec: CoderivationSpec, max_len: int) -> None:
     """Delta D = (D (x) 1) Delta + (1 (x) D) Delta for the lift D of spec on
     every word of length <= max_len, proved per parity pattern as the module
     docstring argues: each component is swapped for the free operation of
     its arity, and a length's failing patterns are the union of
-    _coderivation_failures over the component arities that fit in it."""
+    _coderivation_failures over the component arities that fit in it.  A
+    failing pattern raises EngineError."""
     arities, parity = spec.arities(), spec.degree % 2
 
     def failures(n: int) -> frozenset[tuple[int, ...]]:
@@ -526,7 +528,7 @@ def check_coderivation_axiom(spec: CoderivationSpec, max_len: int) -> Verdict:
         )
 
     claim = f"the coderivation axiom of the degree-{spec.degree} lift of arities {arities}"
-    return _prove(spec.basis, max_len, failures, claim)
+    _prove(spec.basis, max_len, failures, claim)
 
 
 def hom_bracket(f: MultiOp, g: MultiOp) -> MultiOp:

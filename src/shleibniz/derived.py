@@ -80,7 +80,7 @@ from typing import Sequence
 
 from .coalgebra import CoderivationSpec, check_coderivation_axiom, hom_bracket, lift_witnesses
 from .errors import EngineError, MalformedInputError, PreconditionError
-from .graded import GradedBasis, Scalar, Shift, layer_sign, shifted_degrees
+from .graded import GradedBasis, Scalar, layer_sign, shifted_degrees
 from .multiop import (
     MultiOp,
     _composite_terms,
@@ -90,7 +90,6 @@ from .multiop import (
     compose_tables,
     hom_tables,
     n_i_d,
-    nary_bracket,
     nary_brackets,
     op_from_terms,
 )
@@ -166,21 +165,18 @@ def _require_deformation_slot(delta: MultiOp) -> None:
         raise MalformedInputError("delta must have arity 1 and degree +1")
 
 
-def derived_bracket_tensor(
-    bracket: MultiOp, delta: MultiOp, i: int, nested: MultiOp | None = None
-) -> MultiOp:
+def derived_bracket_tensor(bracket: MultiOp, delta: MultiOp, i: int, nested: MultiOp) -> MultiOp:
     """Route (a): the defining composite as one signed layer pass.
 
     The composite is multilinear and starts with delta on x_1, so its value on
     (x_1, ..., x_i) is zero unless some letter y of delta x_1 starts a nonzero
     constant (y, x_2, ..., x_i) of N_i.  Only those tuples get a term, and
     each layer acts on coefficient dicts read off the constants: delta x_1
-    off delta, then N_i(y, x_2, ..., x_i) off N_i for each letter y.  N_i is
-    nested when given (build_sh_structure passes the N_i of nary_brackets)
-    and nary_bracket(bracket, i) otherwise.  Every layer's sign is
-    layer_sign of its operator degrees against the shifted degrees of the
-    slots it hits: s delta s^{-1} (x) 1 on (x_1, ..., x_i), s^{-1}(i) on
-    (y, x_2, ..., x_i) and s on the value.  The last two depend on the
+    off delta, then N_i(y, x_2, ..., x_i) off nested, the N_i that
+    build_sh_structure reads off nary_brackets, for each letter y.  Every
+    layer's sign is layer_sign of its operator degrees against the shifted
+    degrees of the slots it hits: s delta s^{-1} (x) 1 on (x_1, ..., x_i),
+    s^{-1}(i) on (y, x_2, ..., x_i) and s on the value.  The last two depend on the
     constant (y, x_2, ..., x_i) alone, so they are taken once per constant;
     the first and the last give +1 identically, since one operator jumps
     nothing.
@@ -191,9 +187,7 @@ def derived_bracket_tensor(
     basis = bracket.basis
     if delta.basis != basis:
         raise MalformedInputError("operation and bracket live over different bases")
-    if nested is None:
-        nested = nary_bracket(bracket, i)
-    sbasis = shifted_degrees(basis, Shift.RAISE)
+    sbasis = shifted_degrees(basis)
     sdeg = sbasis.degrees
     prefactor = -1 if (((i - 1) * (i - 2)) // 2) % 2 else 1
     first, down = (1,) + (0,) * (i - 1), (-1,) * i
@@ -229,14 +223,12 @@ def derived_bracket_explicit(bracket: MultiOp, delta: MultiOp, i: int) -> MultiO
     for key, image in n_i_d(bracket, delta, i).constants.items():
         exponent = sum(basis.degree(key[j - 1]) for j in range(1, i) if (i - j) % 2)
         acc[key] = {b: -c if exponent % 2 else c for b, c in image.items()}
-    return op_from_terms(shifted_degrees(basis, Shift.RAISE), i, 2 - i, acc)
+    return op_from_terms(shifted_degrees(basis), i, 2 - i, acc)
 
 
-def derived_bracket(
-    bracket: MultiOp, delta: MultiOp, i: int, nested: MultiOp | None = None
-) -> MultiOp:
+def derived_bracket(bracket: MultiOp, delta: MultiOp, i: int, nested: MultiOp) -> MultiOp:
     """The derived arity-i operation; both routes are computed and compared.
-    nested, when given, is N_i for route (a)."""
+    nested is N_i, for route (a)."""
     via_tensor = derived_bracket_tensor(bracket, delta, i, nested)
     via_explicit = derived_bracket_explicit(bracket, delta, i)
     if via_tensor != via_explicit:
@@ -250,7 +242,7 @@ def derived_bracket(
 def build_sh_structure(fam: DeformationFamily) -> ShLeibnizStructure:
     """l_i from delta_{i-1} for i = 1, ..., order + 1; route (a) reads every
     N_i off one run of the recurrence on the identity."""
-    sbasis = shifted_degrees(fam.basis, Shift.RAISE)
+    sbasis = shifted_degrees(fam.basis)
     nested = nary_brackets(fam.bracket, fam.order + 1)
     ops = tuple(
         derived_bracket(fam.bracket, delta, i, nested[i - 1])
@@ -303,9 +295,9 @@ def check_sh_leibniz(
                     out[b] = out.get(b, 0) + coeff * cb
         found = _residuals("sh-leibniz", sbasis, acc, (const,))
         if first_violation and found:
-            return Verdict(False, found[:1], notes)
+            return Verdict(found[:1], notes)
         violations.extend(found)
-    return Verdict.from_violations(violations, notes)
+    return Verdict(violations, notes)
 
 
 def check_codifferential(fam: DeformationFamily, max_len: int, first_violation: bool = False) -> Verdict:
@@ -329,9 +321,7 @@ def check_codifferential(fam: DeformationFamily, max_len: int, first_violation: 
     square = CoderivationSpec(
         basis, 2, {a: op_from_terms(basis, a, 2, terms) for a, terms in tables.items()}
     )
-    return Verdict.from_violations(
-        lift_witnesses(square, max_len, "codifferential-square", first_violation)
-    )
+    return Verdict(lift_witnesses(square, max_len, "codifferential-square", first_violation))
 
 
 def check_key_lemma(
@@ -400,8 +390,8 @@ def check_key_lemma(
         decided[n1, n2, i, j] = found
         violations += found
         if first_violation and violations:
-            return Verdict(False, violations[:1])
-    return Verdict.from_violations(violations)
+            return Verdict(violations[:1])
+    return Verdict(violations)
 
 
 def _require_derivation(label: str, d: MultiOp, bracket: MultiOp) -> None:
@@ -475,4 +465,4 @@ def leibniz_cohomology_check(
             image = hom_bracket(partial2, nested)
             square = hom_tables({}, {2: partial2}, {i + 1: image}, 1, i + 2)[i + 2]
             violations += _residuals("cohomology-square", bracket.basis, square, site)
-    return Verdict.from_violations(violations)
+    return Verdict(violations)

@@ -34,12 +34,17 @@ class GaugeDerivationError(PreconditionError):
         super().__init__(f"xi_{order} is not a derivation of the bracket")
 
 
-_CONTROLS = {c: f"\\u{c:04x}" for c in (*range(0x09), *range(0x0A, 0x20), *range(0x7F, 0xA0))}
+# what could drive a terminal, or start a line for str.splitlines()
+_CONTROLS = {
+    c: f"\\u{c:04x}"
+    for c in (*range(0x09), *range(0x0A, 0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)
+}
 
 
 def escape_controls(text: str) -> str:
     """Text echoed from a document with every C0 control character but tab,
-    DEL and every C1 control character written as \\u00XX."""
+    DEL, every C1 control character and U+2028 and U+2029 written as
+    \\uXXXX, so that it stays on its own line."""
     return text.translate(_CONTROLS)
 
 

@@ -451,4 +451,4 @@ def check_gauge_equivalence(
         CoderivationSpec(basis, 1, defect), max_len, "gauge-conjugation", first_violation
     )
     expansion = [Violation("gauge-order-expansion", (a,)) for a in difference]
-    return Verdict.from_violations(violations + (expansion[:1] if first_violation else expansion))
+    return Verdict(violations + (expansion[:1] if first_violation else expansion))

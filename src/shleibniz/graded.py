@@ -15,9 +15,11 @@ consumed everywhere else:
   (A_1 (x) ... (x) A_n)(v_1 (x) ... (x) v_n) picks up
   (-1)^(sum_j |A_j| * (|v_1| + ... + |v_{j-1}|)); see ``layer_sign``.
 
-The formal suspension s raises every degree by one; its tensor powers are
-ordinary operator layers under the rule above, so s(i) and s^{-1}(i) need no
-special casing and s^{-1}(i) s(i) = (-1)^(i(i-1)/2) falls out of ``layer_sign``.
+The formal suspension s raises every degree by one (``shifted_degrees``);
+its tensor powers are ordinary operator layers under the rule above, so s(i)
+and s^{-1}(i) need no special casing and s^{-1}(i) s(i) = (-1)^(i(i-1)/2)
+falls out of ``layer_sign``.  Degrees are plain ints, so every parity is 0
+or 1, and ``is_letter`` is the one test of a basis index, a letter.
 
 Three pieces are shared by every layer above: ``signed_unshuffles``, the one
 cached table of unshuffles with their signs, read off the sign polynomials
@@ -36,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -52,6 +53,10 @@ class GradedBasis(Record):
     def __init__(self, names: tuple[str, ...], degrees: tuple[int, ...]):
         if len(names) != len(degrees):
             raise MalformedInputError(f"basis has {len(names)} names but {len(degrees)} degrees")
+        if not all(type(name) is str for name in names):
+            raise MalformedInputError(f"basis names {names!r} are not all strings")
+        if not all(type(d) is int for d in degrees):
+            raise MalformedInputError(f"basis degrees {degrees!r} are not all ints")
         positions = {name: k for k, name in enumerate(names)}
         if len(positions) != len(names):
             raise MalformedInputError("basis names must be distinct")
@@ -70,16 +75,14 @@ class GradedBasis(Record):
         return self.degrees[index]
 
 
-class Shift(Enum):
-    """Formal degree shift: RAISE is the suspension s, LOWER its inverse."""
-
-    RAISE = 1
-    LOWER = -1
+def shifted_degrees(basis: GradedBasis) -> GradedBasis:
+    """The basis of the suspension: same names, every degree raised by one."""
+    return GradedBasis(basis.names, tuple(d + 1 for d in basis.degrees))
 
 
-def shifted_degrees(basis: GradedBasis, shift: Shift) -> GradedBasis:
-    """Same names, every degree moved by +1 (RAISE) or -1 (LOWER)."""
-    return GradedBasis(basis.names, tuple(d + shift.value for d in basis.degrees))
+def is_letter(x: object, dim: int) -> bool:
+    """Whether x is a plain int (not a bool) in range(dim), a basis index."""
+    return type(x) is int and 0 <= x < dim
 
 
 def _letter_name(basis: GradedBasis, index: int) -> str:
@@ -197,8 +200,8 @@ class Element(SparseVector):
 
     @staticmethod
     def _check_key(basis: GradedBasis, key: int) -> int:
-        if not 0 <= key < len(basis):
-            raise MalformedInputError(f"basis index {key} out of range")
+        if not is_letter(key, len(basis)):
+            raise MalformedInputError(f"basis index {key!r} out of range")
         return key
 
     def homogeneous_degree(self) -> int | None:

@@ -51,12 +51,13 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fract
     return basis
 
 
-def derivation_basis(bracket: MultiOp, degrees: Sequence[int] | None = None) -> list[MultiOp]:
+def derivation_basis(bracket: MultiOp) -> list[MultiOp]:
     """Spanning set of the homogeneous derivations of the bracket.
 
-    Solves the graded derivation rule degree by degree; when degrees is None
-    every operator degree that admits a nonzero homogeneous arity-1 map is
-    tried.  The rule is linear in D, so the column of the unknown (b, c), the
+    Solves the graded derivation rule degree by degree, in increasing order,
+    over every operator degree that admits a nonzero homogeneous arity-1
+    map; a caller wanting one degree filters the list by op.degree.  The
+    rule is linear in D, so the column of the unknown (b, c), the
     coefficient of e_c in D e_b, is the residual table of the elementary map
     e_b |-> e_c (_derivation_residuals), one row per pair and output letter
     it reaches.  Results come back as MultiOps, each verified by
@@ -64,8 +65,7 @@ def derivation_basis(bracket: MultiOp, degrees: Sequence[int] | None = None) -> 
     """
     basis = bracket.basis
     n = len(basis)
-    if degrees is None:
-        degrees = sorted({basis.degree(c) - basis.degree(b) for b in range(n) for c in range(n)})
+    degrees = sorted({basis.degree(c) - basis.degree(b) for b in range(n) for c in range(n)})
     out: list[MultiOp] = []
     for g in degrees:
         slots = [

@@ -43,7 +43,9 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from .errors import MalformedInputError, PreconditionError
-from .graded import Element, GradedBasis, Scalar, UnshuffleRow, _placement_table, exact, placements
+from .graded import (
+    Element, GradedBasis, Scalar, UnshuffleRow, _placement_table, exact, is_letter, placements
+)
 from .record import Immutable, Record
 from .results import Verdict, Violation
 
@@ -80,16 +82,17 @@ class MultiOp(Record):
         dim = len(degrees)
         clean: dict[tuple[int, ...], dict[int, Scalar]] = {}
         for key, image in (constants or {}).items():
-            if len(key) != arity:
-                raise MalformedInputError(f"constant key {key} does not have arity {arity}")
-            if min(key) < 0 or max(key) >= dim:
-                raise MalformedInputError(f"constant key {key} has an index out of range")
+            if type(key) is not tuple or len(key) != arity:
+                raise MalformedInputError(f"constant key {key!r} does not have arity {arity}")
+            for x in key:
+                if not is_letter(x, dim):
+                    raise MalformedInputError(f"constant key {key!r} has an index out of range")
             if not isinstance(image, dict):
-                raise MalformedInputError(f"image of {key} is not a coefficient dict")
+                raise MalformedInputError(f"image of {key!r} is not a coefficient dict")
             coeffs = {}
             for b, c in image.items():
-                if not 0 <= b < dim:
-                    raise MalformedInputError(f"basis index {b} out of range")
+                if not is_letter(b, dim):
+                    raise MalformedInputError(f"basis index {b!r} out of range")
                 if type(c) is not int:
                     c = exact(c, f"coefficient of {b!r}")
                 if c:
@@ -244,7 +247,7 @@ def check_differential(op: MultiOp, bracket: MultiOp) -> Verdict:
         acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
         compose_into(acc, op, op, 1)
         violations.extend(_residuals("differential-square", op.basis, acc))
-    return Verdict.from_violations(violations)
+    return Verdict(violations)
 
 
 def nary_bracket(bracket: MultiOp, i: int) -> MultiOp:
@@ -455,7 +458,7 @@ def check_skewsymmetry(op: MultiOp) -> Verdict:
         for b, c in constants.get(key, {}).items():
             residual[b] = residual.get(b, 0) + sign * c
         violations += _residuals("skewsymmetry", basis, {key: residual}, (), (f"swap@{p + 1}",))
-    return Verdict.from_violations(violations)
+    return Verdict(violations)
 
 
 class LeibnizAlgebra(Immutable):

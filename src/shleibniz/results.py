@@ -20,20 +20,15 @@ class Violation(Record):
 
 
 class Verdict(Record):
-    """Outcome of a verdict-shaped check: pass/fail plus all witnesses found."""
+    """Outcome of a verdict-shaped check: all witnesses found, passing when
+    there are none."""
 
-    __slots__ = ("passed", "violations", "notes")
+    __slots__ = ("violations", "notes")
     __hash__ = None  # its fields are lists
 
-    def __init__(
-        self,
-        passed: bool,
-        violations: list[Violation] | None = None,
-        notes: list[str] | None = None,
-    ):
-        violations = [] if violations is None else violations
-        self._assign(passed, violations, [] if notes is None else notes)
+    def __init__(self, violations: list[Violation] | None = None, notes: list[str] | None = None):
+        self._assign([] if violations is None else violations, [] if notes is None else notes)
 
-    @staticmethod
-    def from_violations(violations: list[Violation], notes: list[str] | None = None) -> "Verdict":
-        return Verdict(not violations, violations, notes or [])
+    @property
+    def passed(self) -> bool:
+        return not self.violations

@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import functools
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
-from shleibniz import fixtures as shipped
-from shleibniz import graded
-from shleibniz.document import AlgebraDocument
-from oracles import SIGN_CACHES, family_fixture_names
+# The package under test is the one on PYTHONPATH, so that a test run can
+# point at another checkout; a bare pytest falls back to this checkout.
+if importlib.util.find_spec("shleibniz") is None:
+    sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
+from shleibniz import fixtures as shipped  # noqa: E402
+from shleibniz import graded  # noqa: E402
+from shleibniz.document import AlgebraDocument  # noqa: E402
+from oracles import SIGN_CACHES, family_fixture_names  # noqa: E402
 
 
 @pytest.fixture(scope="session")

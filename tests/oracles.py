@@ -45,7 +45,7 @@ from shleibniz.derived import DeformationFamily
 from shleibniz.document import AlgebraDocument, serialize_document
 from shleibniz.errors import MalformedInputError, MCRejectionError, PreconditionError
 from shleibniz.gauge import GaugeFamily, McElement
-from shleibniz.graded import Element, GradedBasis, Scalar, Shift, layer_sign, shifted_degrees
+from shleibniz.graded import Element, GradedBasis, Scalar, layer_sign
 from shleibniz.multiop import DgLeibnizAlgebra, MultiOp, hom_tables, n_i_d, op_from_terms
 from shleibniz.results import Verdict, Violation
 
@@ -127,7 +127,7 @@ def skewsymmetry_walk(op: MultiOp) -> Verdict:
             if not residual.is_zero():
                 names = tuple(basis.names[i] for i in key)
                 violations.append(Violation("skewsymmetry", names + (f"swap@{p + 1}",), residual))
-    return Verdict.from_violations(violations)
+    return Verdict(violations)
 
 
 def adjoint_direct(bracket: MultiOp, elt: Element, degree: int) -> MultiOp:
@@ -245,10 +245,11 @@ def apply_layer(
     return sign, out
 
 
-def suspension_factor(src: GradedBasis, shift: Shift) -> LayerFactor:
-    """The shift s (or s^{-1}) as a layer factor from the given source basis."""
-    target = shifted_degrees(src, shift)
-    return (shift.value, lambda e: reshape(e, target))
+def suspension_factor(src: GradedBasis, step: int) -> LayerFactor:
+    """The shift s (step 1) or s^{-1} (step -1) as a layer factor from the
+    given source basis."""
+    target = GradedBasis(src.names, tuple(d + step for d in src.degrees))
+    return (step, lambda e: reshape(e, target))
 
 
 # --- the lift of one operation, summand by summand ---

@@ -14,6 +14,7 @@ import types
 from pathlib import Path
 
 import shleibniz
+from shleibniz import coalgebra
 from shleibniz import fixtures as shipped
 from shleibniz.cli import main
 from shleibniz.runner import _OPTION_FIELDS, COMMANDS, RunOptions
@@ -371,6 +372,39 @@ def test_control_characters_echoed_from_a_document_are_escaped():
         "line 4: [[bogus\\u001b]] malformed section header\n"
     ), result.err
     assert not RAW_CONTROL.search(result.err)
+
+
+def test_line_and_paragraph_separators_echoed_from_a_document_are_escaped():
+    # str.splitlines() breaks a line at U+2028 and U+2029: a document name
+    # or a malformed field holding one is written with \u2028 or \u2029,
+    # so that it cannot forge a line of the report, such as its verdict
+    for separator in ("\u2028", "\u2029"):
+        shown = f"\\u{ord(separator):04x}"
+        text = f"[metadata]\nname: x{separator}verdict: pass\n[basis]\na: 0\n[bracket]\na a: a\n"
+        result = run("check-leibniz", "-", text=text)
+        assert result.exit_code == 1 and result.err == ""
+        assert result.out.splitlines() == result.out.split("\n")[:-1], result.out
+        assert result.out.splitlines()[0] == f"document: x{shown}verdict: pass"
+        result = run("validate", "-", text=f"[basis]\nx: 0\ny{separator}z: 0\n")
+        assert result.exit_code == 2 and result.out == ""
+        assert result.err.splitlines() == result.err.split("\n")[:-1], result.err
+        assert result.err == f"line 3: [y{shown}z] bad generator name\n"
+
+
+def test_a_failing_proof_exits_two_on_every_command_that_proves(monkeypatch):
+    # the coalgebra proofs return nothing or raise EngineError, and the rows
+    # built on them read no verdict: a failing proof must end the command
+    # with exit 2, one error line and no report
+    def failures(n, *rest):
+        return frozenset({(0, 1)}) if n == 2 else frozenset()
+
+    monkeypatch.setattr(coalgebra, "_dual_leibniz_failures", failures)
+    monkeypatch.setattr(coalgebra, "_coderivation_failures", failures)
+    text = shipped.fixture_text("endo2")
+    for command in ("check-coalgebra", "check-codifferential", "check-gauge-equivalence"):
+        result = run(command, "-", text=text)
+        assert result.exit_code == 2 and result.out == "", (command, result.out)
+        assert re.fullmatch(r"error: .* parity pattern \(0, 1\); .*\n", result.err), command
 
 
 def test_a_byte_order_mark_is_read_as_utf8(tmp_path):

@@ -34,7 +34,6 @@ from shleibniz.errors import EngineError, MalformedInputError, PreconditionError
 from shleibniz.graded import (
     Element,
     GradedBasis,
-    Shift,
     koszul_sign,
     shifted_degrees,
     sign_of_permutation,
@@ -90,8 +89,8 @@ def test_binary_closed_form_on_every_heis3w_pair():
     doc = shipped.load_fixture("heis3w")
     fam = doc.to_family()
     basis = fam.basis
-    sbasis = shifted_degrees(basis, Shift.RAISE)
-    l2 = derived_bracket(fam.bracket, fam.delta(1), 2)
+    sbasis = shifted_degrees(basis)
+    l2 = derived_bracket(fam.bracket, fam.delta(1), 2, nary_bracket(fam.bracket, 2))
     for key in itertools.product(range(len(basis)), repeat=2):
         expect = reshape(closed_form(fam.bracket, fam.delta(1), key), sbasis)
         assert apply_indices(l2, key) == expect, key
@@ -104,8 +103,8 @@ def test_ternary_hand_value_on_endo2():
     doc = shipped.load_fixture("endo2")
     fam = doc.to_family()
     basis = fam.basis
-    sbasis = shifted_degrees(basis, Shift.RAISE)
-    l3 = derived_bracket(fam.bracket, fam.delta(2), 3)
+    sbasis = shifted_degrees(basis)
+    l3 = derived_bracket(fam.bracket, fam.delta(2), 3, nary_bracket(fam.bracket, 3))
     key = tuple(basis.index(n) for n in ("E00", "E00", "E01"))
     want = reshape(vector(basis, "E00") + vector(basis, "E11"), sbasis)
     assert apply_indices(l3, key) == want
@@ -115,7 +114,7 @@ def test_ternary_sign_flip_from_odd_middle_argument():
     doc = shipped.load_fixture("endo2")
     fam = doc.to_family()
     basis = fam.basis
-    l3 = derived_bracket(fam.bracket, fam.delta(2), 3)
+    l3 = derived_bracket(fam.bracket, fam.delta(2), 3, nary_bracket(fam.bracket, 3))
     for key in itertools.product(range(len(basis)), repeat=3):
         expect = closed_form(fam.bracket, fam.delta(2), key)
         got = reshape(apply_indices(l3, key), basis)
@@ -126,7 +125,8 @@ def test_both_routes_agree_on_all_fixtures(docs, family_names):
     for name in family_names:
         fam = docs[name].to_family()
         for i in range(1, fam.order + 2):
-            a = derived_bracket_tensor(fam.bracket, fam.delta(i - 1), i)
+            nested = nary_bracket(fam.bracket, i)
+            a = derived_bracket_tensor(fam.bracket, fam.delta(i - 1), i, nested)
             b = derived_bracket_explicit(fam.bracket, fam.delta(i - 1), i)
             assert a == b, (name, i)
 
@@ -134,22 +134,22 @@ def test_both_routes_agree_on_all_fixtures(docs, family_names):
 def test_derived_bracket_shape():
     fam = shipped.load_fixture("endo2").to_family()
     for i in (1, 2, 3, 4):
-        op = derived_bracket(fam.bracket, fam.delta(i - 1), i)
+        op = derived_bracket(fam.bracket, fam.delta(i - 1), i, nary_bracket(fam.bracket, i))
         assert op.arity == i
         assert op.degree == 2 - i
     with pytest.raises(MalformedInputError):
-        derived_bracket(fam.bracket, fam.delta(0), 0)
+        derived_bracket(fam.bracket, fam.delta(0), 0, nary_bracket(fam.bracket, 1))
     with pytest.raises(MalformedInputError):
-        derived_bracket(fam.bracket, fam.bracket, 2)
+        derived_bracket(fam.bracket, fam.bracket, 2, nary_bracket(fam.bracket, 2))
     # a delta over a foreign basis is refused even when it is zero, where no
     # tuple would ever reach it
     foreign = GradedBasis(("z", "y"), (0, 1))
     for delta in (MultiOp.zero(foreign, 1, 1), MultiOp(foreign, 1, 1, {(0,): {1: 1}})):
         for i in (1, 3):
             with pytest.raises(MalformedInputError):
-                derived_bracket(fam.bracket, delta, i)
+                derived_bracket(fam.bracket, delta, i, nary_bracket(fam.bracket, i))
             with pytest.raises(MalformedInputError):
-                derived_bracket_tensor(fam.bracket, delta, i)
+                derived_bracket_tensor(fam.bracket, delta, i, nary_bracket(fam.bracket, i))
 
 
 def dense_route_a(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
@@ -157,10 +157,10 @@ def dense_route_a(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
     (-1)^((i-1)(i-2)/2) s . N_i . s^{-1}(i) . (s delta s^{-1} (x) 1^(i-1)),
     tabulated on every one of the dim^i tuples."""
     basis = bracket.basis
-    sbasis = shifted_degrees(basis, Shift.RAISE)
+    sbasis = shifted_degrees(basis)
     nested = nary_bracket(bracket, i)
-    up = suspension_factor(basis, Shift.RAISE)
-    down = suspension_factor(sbasis, Shift.LOWER)
+    up = suspension_factor(basis, 1)
+    down = suspension_factor(sbasis, -1)
     prefactor = -1 if (((i - 1) * (i - 2)) // 2) % 2 else 1
 
     def s_delta_s_inv(e: Element) -> Element:
@@ -182,7 +182,7 @@ def dense_partial_i(bracket: MultiOp, delta: MultiOp, i: int) -> MultiOp:
     every one of the dim^i tuples."""
     basis = bracket.basis
     l_i = dense_route_a(bracket, delta, i)
-    up = suspension_factor(basis, Shift.RAISE)
+    up = suspension_factor(basis, 1)
 
     def via_shift(key: tuple[int, ...]) -> Element:
         sign, slots = apply_layer([up] * i, [(vector(basis, b), basis.degree(b)) for b in key])
@@ -233,7 +233,7 @@ def test_route_a_matches_its_dense_tabulation(docs, generated):
         assert deltas and all(d.basis == bracket.basis for d in deltas)
         for delta in deltas:
             for i in range(1, 5):
-                sparse = derived_bracket_tensor(bracket, delta, i)
+                sparse = derived_bracket_tensor(bracket, delta, i, nary_bracket(bracket, i))
                 dense = dense_route_a(bracket, delta, i)
                 assert sparse == dense, (label, i)
                 assert list(sparse.constants) == sorted(sparse.constants), (label, i)
@@ -277,7 +277,8 @@ def test_route_a_applies_no_operation_and_no_layer_evaluator(generated):
     }
     assert_no_dense_api()
     for (n, i), want in expected.items():
-        assert derived_bracket_tensor(fam.bracket, deltas[n], i) == want, (n, i)
+        nested = nary_bracket(fam.bracket, i)
+        assert derived_bracket_tensor(fam.bracket, deltas[n], i, nested) == want, (n, i)
 
 
 def test_sh_structure_runs_the_identity_recurrence_once_per_family(
@@ -296,7 +297,10 @@ def test_sh_structure_runs_the_identity_recurrence_once_per_family(
     fams += [doc.to_family() for doc in generated.values()]
     assert len(fams) > 4
     for fam in fams:
-        expected = [derived_bracket_tensor(fam.bracket, d, i) for i, d in enumerate(fam.deltas, 1)]
+        expected = [
+            derived_bracket_tensor(fam.bracket, d, i, nary_bracket(fam.bracket, i))
+            for i, d in enumerate(fam.deltas, 1)
+        ]
         with monkeypatch.context() as patched:
             patched.setattr(multiop, "_nested_levels", counted)
             runs.clear()
@@ -311,7 +315,7 @@ def test_binary_derived_bracket_is_leibniz(docs, family_names):
     # a square-zero derivation induces an honest Leibniz bracket on the shift
     for name in family_names:
         fam = docs[name].to_family()
-        l2 = derived_bracket(fam.bracket, fam.delta(0), 2)
+        l2 = derived_bracket(fam.bracket, fam.delta(0), 2, nary_bracket(fam.bracket, 2))
         assert check_leibniz_identity(l2) == [], name
 
 
@@ -428,7 +432,7 @@ def test_codifferential_matches_its_per_word_loop_on_perturbations(docs, family_
                 expected = [v for v in every if len(v.site) <= length]
                 for first in (False, True):
                     got = check_codifferential(bad, length, first_violation=first)
-                    want = Verdict.from_violations(expected[:1] if first else expected)
+                    want = Verdict(expected[:1] if first else expected)
                     assert got == want, (label, tweak, length, first)
             # the shortest failing word length, 0 for a pass at max_len
             outcomes[len(every[0].site) if every else 0] += 1
@@ -477,7 +481,7 @@ def test_multi_constant_perturbations_agree_with_the_walk_and_the_sh_check(
             every = codifferential_reference(bad, max_len)
             for first in (False, True):
                 got = check_codifferential(bad, max_len, first_violation=first)
-                want = Verdict.from_violations(every[:1] if first else every)
+                want = Verdict(every[:1] if first else every)
                 assert got == want, (label, tweaks, first)
             sh = check_sh_leibniz(build_sh_structure(bad), max_const=max_len + 1)
             lowest = min((v.site[0] for v in sh.violations), default=None)
@@ -537,7 +541,7 @@ def test_certified_codifferential_never_walks_every_word(generated, monkeypatch)
     fam = generated["endo2(x)Q[t]/t^2"].to_family()
     calls = count_evaluations(monkeypatch, fam.basis)
     assert_no_dense_api()
-    assert check_codifferential(fam, max_len=3) == Verdict(True, [])
+    assert check_codifferential(fam, max_len=3) == Verdict()
     assert not calls
 
 
@@ -566,12 +570,12 @@ def test_failing_codifferential_never_walks_every_word(generated, monkeypatch):
     # the witnesses are scattered from the lift of the square's
     # corestriction: no lift of partial and no walk over every word
     bad = perturbed_family(generated["endo2(x)Q[t]/t^2"], PRODUCT_TWEAK)
-    want = Verdict.from_violations(codifferential_reference(bad, 3))
+    want = Verdict(codifferential_reference(bad, 3))
     calls = count_evaluations(monkeypatch, bad.basis)
     assert_no_dense_api()
     for first in (False, True):
         got = check_codifferential(bad, max_len=3, first_violation=first)
-        assert got == (Verdict(False, want.violations[:1]) if first else want), first
+        assert got == (Verdict(want.violations[:1]) if first else want), first
     assert len(want.violations) > 100
     assert not calls
 
@@ -686,8 +690,8 @@ def dense_check_sh_leibniz(
                 site = (const,) + tuple(sbasis.names[b] for b in xs)
                 violations.append(Violation("sh-leibniz", site, residual))
                 if first_violation:
-                    return Verdict(False, violations, notes)
-    return Verdict.from_violations(violations, notes)
+                    return Verdict(violations, notes)
+    return Verdict(violations, notes)
 
 
 # a single constant of delta_1 added on endo2 (x) Q[t]/t^2
@@ -767,7 +771,7 @@ def test_both_routes_match_their_oracles_on_random_bracket_perturbations(docs, f
                 sh = check_sh_leibniz(structure, 5, first_violation=first)
                 assert sh == dense_check_sh_leibniz(structure, 5, first), (name, tweak, first)
                 cod = check_codifferential(bad, 3, first_violation=first)
-                want = Verdict.from_violations(every[:1] if first else every)
+                want = Verdict(every[:1] if first else every)
                 assert cod == want, (name, tweak, first)
             # both fail first at the same weight, Const = word length + 1
             sh_first = [v.site[0] for v in sh.violations if v.site[0] <= 4]
@@ -998,7 +1002,7 @@ def test_cohomology_check_refuses_a_delta_that_does_not_square_to_zero():
 def test_cohomology_witnesses_are_the_per_key_differences(monkeypatch, seed):
     # preconditions waived on random maps: delta_1 is no square-zero
     # derivation and D no derivation, so both rows fail, key by key
-    monkeypatch.setattr(derived, "check_differential", lambda op, bracket: Verdict(True))
+    monkeypatch.setattr(derived, "check_differential", lambda op, bracket: Verdict())
     monkeypatch.setattr(derived, "check_derivation", lambda op, bracket: [])
     rng = random.Random(seed)
     basis = GradedBasis(("a", "b", "c", "d"), (0, 1, 1, 2))

@@ -522,7 +522,7 @@ def test_gauge_laws_are_proved_like_the_per_word_loop(docs):
     cases.append(("endo2xt", product, 3))
     for name, doc, max_len in cases:
         fam, gauge = doc.to_family(), doc.to_gauge()
-        assert check_coderivation_axiom(build_xi(gauge), max_len).passed, (name, max_len)
+        assert check_coderivation_axiom(build_xi(gauge), max_len) is None, (name, max_len)
         got = check_gauge_equivalence(fam, gauge, max_len).violations
         if max_len == 3:
             assert got == gauge_reference(fam, gauge, max_len), name
@@ -545,7 +545,7 @@ def test_uncertified_xi_lift_is_an_engine_error(docs, monkeypatch):
 def random_gauge(bracket: MultiOp, rng: random.Random, order: int) -> GaugeFamily:
     """xi_1, ..., xi_order, each a random rational combination of up to two
     degree-0 derivations of the bracket."""
-    derivations = derivation_basis(bracket, [0])
+    derivations = [d for d in derivation_basis(bracket) if d.degree == 0]
     xis = []
     for _ in range(order):
         xi = MultiOp.zero(bracket.basis, 1, 0)
@@ -859,7 +859,7 @@ def test_certified_gauge_laws_hold_on_random_coderivations():
             spec.basis, 0, {a: op.scale(-1) for a, op in spec.components.items()}
         )
         basis = spec.basis
-        assert check_coderivation_axiom(spec, 4).passed
+        assert check_coderivation_axiom(spec, 4) is None
         exp_plus = functools.cache(lambda w: exp_xi(spec, w))
         exp_minus = functools.cache(lambda w: exp_xi(neg, w))
         split = functools.cache(lambda w: comultiply(basis, w))

@@ -23,7 +23,6 @@ from shleibniz.graded import (
     Element,
     GradedBasis,
     Permutation,
-    Shift,
     exact,
     format_element,
     koszul_sign,
@@ -194,9 +193,9 @@ def test_layer_sign_jump_rule():
 def test_iterated_suspension_round_trip_sign():
     # lowering after raising i slots costs (-1)^(i(i-1)/2)
     basis = GradedBasis(("p", "q"), (0, 1))
-    up = suspension_factor(basis, Shift.RAISE)
-    raised = shifted_degrees(basis, Shift.RAISE)
-    down = suspension_factor(raised, Shift.LOWER)
+    up = suspension_factor(basis, 1)
+    raised = shifted_degrees(basis)
+    down = suspension_factor(raised, -1)
     for i in (1, 2, 3, 4):
         for letters in itertools.product(range(2), repeat=i):
             slots = [
@@ -227,12 +226,48 @@ def test_basis_rejects_duplicates_and_mismatched_lengths():
         GradedBasis(("x", "y"), (0,))
 
 
+XY = GradedBasis(("x", "y"), (0, 1))
+
+
+# a name that is not a string, a degree or a letter that is not a plain int
+# in range: a degree of 1.5 would make every parity 1.5 and every Koszul
+# sign wrong, and a bool letter stands for 0 or 1 without being one
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GradedBasis(("x", "y"), (0, 1.5)),
+        lambda: GradedBasis(("x", "y"), (0, "1")),
+        lambda: GradedBasis(("x", "y"), (0, True)),
+        lambda: GradedBasis(("x", 1), (0, 1)),
+        lambda: MultiOp(XY, 1, 0, {("a",): {0: 1}}),
+        lambda: MultiOp(XY, 1, 0, {(0,): {"y": 1}}),
+        lambda: MultiOp(XY, 1, 0, {0: {0: 1}}),
+        lambda: MultiOp(XY, 1, 0, {(0.0,): {0: 1}}),
+        lambda: MultiOp(XY, 1, 0, {(True,): {1: 1}}),
+        lambda: MultiOp(XY, 1, 0, {(1,): {True: 1}}),
+        lambda: Element(XY, {"x": 1}),
+        lambda: Element(XY, {True: 1}),
+        lambda: TensorElement(XY, {"xy": 1}),
+        lambda: TensorElement(XY, {(0, True): 1}),
+        lambda: TensorPairElement(XY, {0: 1}),
+    ],
+    ids=[
+        "float degree", "str degree", "bool degree", "int name", "str key letter",
+        "str image letter", "int key", "float key letter", "bool key letter",
+        "bool image letter", "str element key", "bool element key", "str word",
+        "bool word letter", "int word pair",
+    ],
+)
+def test_bad_names_degrees_and_letters_are_malformed_input(build):
+    with pytest.raises(MalformedInputError):
+        build()
+
+
 def test_shifted_degrees_keeps_names():
     basis = GradedBasis(("x", "y"), (0, 3))
-    up = shifted_degrees(basis, Shift.RAISE)
+    up = shifted_degrees(basis)
     assert up.names == basis.names
     assert up.degrees == (1, 4)
-    assert shifted_degrees(up, Shift.LOWER) == basis
 
 
 def test_element_arithmetic_and_homogeneity():

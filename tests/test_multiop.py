@@ -616,7 +616,7 @@ def check_rearrangement(bracket: MultiOp, max_n: int = 3) -> Verdict:
             if not residual.is_zero():
                 names = tuple(basis.names[i] for i in key)
                 violations.append(Violation("rearrangement", (n,) + names, residual))
-    return Verdict.from_violations(violations)
+    return Verdict(violations)
 
 
 def test_rearrangement_identity_on_fixture_brackets(docs):

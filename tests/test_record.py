@@ -57,8 +57,8 @@ CASES = {
         lambda: Violation("skewsymmetry", ("x", "y", "swap@1"), Element(basis(), {1: 3})),
     ),
     Verdict: (
-        lambda: Verdict(False, [Violation("sh", (3,))], ["Const=7 vacuous"]),
-        lambda: Verdict(False, [Violation("sh", (3,))], ["Const=8 vacuous"]),
+        lambda: Verdict([Violation("sh", (3,))], ["Const=7 vacuous"]),
+        lambda: Verdict([Violation("sh", (3,))], ["Const=8 vacuous"]),
     ),
     CheckResult: (check, lambda: CheckResult("document", None, detail=["basis: 4"])),
     Report: (
@@ -98,7 +98,7 @@ CASES = {
 FIELDS = {
     DocumentIssue: ("line", "field", "message"),
     Violation: ("check", "site", "residual"),
-    Verdict: ("passed", "violations", "notes"),
+    Verdict: ("violations", "notes"),
     CheckResult: ("name", "passed", "violations", "detail"),
     Report: ("command", "document", "options", "results", "elapsed_ms"),
     GradedBasis: ("names", "degrees"),
